@@ -145,6 +145,8 @@ let wrap f = try `Ok (f ()) with
       `Error (false, m)
   | Arc_engine.Eval.Eval_error e -> `Error (false, Arc_guard.Error.to_string e)
   | Arc_ivm.Ivm.Ivm_error m -> `Error (false, m)
+  | Arc_relation.Database.Unknown_relation n ->
+      `Error (false, Printf.sprintf "unknown relation %S" n)
   | Arc_guard.Error.Guard_error e -> `Error (false, Arc_guard.Error.to_string e)
   | Arc_engine.Externals.External_error { relation; cause } ->
       `Error (false, Printf.sprintf "external relation %S failed: %s" relation cause)

@@ -30,6 +30,9 @@ let names t = List.map fst (M.bindings t.rels)
 (* ------------------------------------------------------------------ *)
 
 let analyze ?only t =
+  Option.iter
+    (List.iter (fun n -> if not (M.mem n t.rels) then raise (Unknown_relation n)))
+    only;
   let wanted n = match only with None -> true | Some l -> List.mem n l in
   {
     t with

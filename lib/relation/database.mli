@@ -24,7 +24,8 @@ val names : t -> string list
     stale — see {!Stats.patch_rows}). *)
 
 val analyze : ?only:string list -> t -> t
-(** Collect statistics for every relation (or just [only]). *)
+(** Collect statistics for every relation (or just [only]). Raises
+    {!Unknown_relation} if [only] names a relation not in the database. *)
 
 val stats : t -> string -> Stats.t option
 val stats_bindings : t -> (string * Stats.t) list

@@ -5,7 +5,7 @@ module V = Arc_value.Value
    values with their frequencies, and an equi-depth histogram over the
    non-null values. Value identity everywhere is [Value.compare] (so
    [Int 1] and [Float 1.0] count as one distinct value, exactly as they
-   group and deduplicate). Collection is a full pass over the relation —
+   group and deduplicate). Collection reads every row of the relation —
    these are exact statistics, not samples; the planner treats them as
    approximate anyway because they describe the relation at ANALYZE time,
    not at execution time (see [stale]). *)
@@ -45,87 +45,191 @@ type t = {
 (* Collection                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Runs of equal values in an ascending sort: the common substrate for
-   distinct counts, MCVs and histogram buckets. *)
-let runs_of sorted =
-  let rec go acc = function
-    | [] -> List.rev acc
-    | v :: rest -> (
-        match acc with
-        | (v0, n) :: tl when V.compare v0 v = 0 -> go ((v0, n + 1) :: tl) rest
-        | _ -> go ((v, 1) :: acc) rest)
-  in
-  go [] sorted
-
-let mcvs_of runs =
-  let indexed = List.mapi (fun i (v, n) -> (i, v, n)) runs in
-  let frequent = List.filter (fun (_, _, n) -> n > 1) indexed in
-  let top =
-    List.sort
-      (fun (i1, _, n1) (i2, _, n2) -> compare (-n1, i1) (-n2, i2))
-      frequent
-  in
-  let rec take k = function
-    | (_, v, n) :: rest when k > 0 -> (v, n) :: take (k - 1) rest
-    | _ -> []
-  in
-  take mcv_target top
-
-(* Equi-depth buckets over the value runs: close a bucket once it holds at
-   least [depth] rows; boundaries always fall between runs, so every
-   occurrence of a value lands in one bucket. *)
-let histogram_of runs nonnull =
-  if runs = [] then []
-  else begin
-    let depth = max 1 ((nonnull + histogram_buckets - 1) / histogram_buckets) in
-    let buckets = ref [] in
-    let cur_rows = ref 0 and cur_distinct = ref 0 and cur_hi = ref None in
-    let flush () =
-      match !cur_hi with
-      | None -> ()
-      | Some hi ->
-          buckets :=
-            { b_hi = hi; b_rows = !cur_rows; b_distinct = !cur_distinct }
-            :: !buckets;
-          cur_rows := 0;
-          cur_distinct := 0;
-          cur_hi := None
-    in
-    List.iter
-      (fun (v, n) ->
-        cur_rows := !cur_rows + n;
-        incr cur_distinct;
-        cur_hi := Some v;
-        if !cur_rows >= depth then flush ())
-      runs;
-    flush ();
-    List.rev !buckets
-  end
-
-let collect_column rows attr =
-  let values = List.map (fun tp -> Tuple.get tp attr) rows in
-  let nulls, nonnull = List.partition V.is_null values in
-  let sorted = List.sort V.compare nonnull in
-  let runs = runs_of sorted in
+(* Everything is computed from the column's runs: its distinct non-null
+   values in ascending order, each with its row count. The representative
+   of a run is its first occurrence in row order, for [c_min], [c_max],
+   the MCVs and [b_hi] alike. [summarize] makes one pass over the runs;
+   run [i] is [value i] with [count i] rows. *)
+let summarize ~nulls ~nonnull ~runs ~value ~count =
+  (* top MCVs, most frequent first, ties in ascending value order *)
+  let top_i = Array.make mcv_target 0 and top_n = Array.make mcv_target 0 in
+  let ntop = ref 0 in
+  (* equi-depth buckets: close one once it holds at least [depth] rows;
+     boundaries fall between runs, so a value never spans buckets *)
+  let depth = max 1 ((nonnull + histogram_buckets - 1) / histogram_buckets) in
+  let hist = ref [] and b_rows = ref 0 and b_distinct = ref 0 in
+  for i = 0 to runs - 1 do
+    let n = count i in
+    if n > 1 && (!ntop < mcv_target || n > top_n.(mcv_target - 1)) then begin
+      let j = ref (min !ntop (mcv_target - 1)) in
+      while !j > 0 && top_n.(!j - 1) < n do
+        top_i.(!j) <- top_i.(!j - 1);
+        top_n.(!j) <- top_n.(!j - 1);
+        decr j
+      done;
+      top_i.(!j) <- i;
+      top_n.(!j) <- n;
+      ntop := min mcv_target (!ntop + 1)
+    end;
+    b_rows := !b_rows + n;
+    incr b_distinct;
+    if !b_rows >= depth || i = runs - 1 then begin
+      hist :=
+        { b_hi = value i; b_rows = !b_rows; b_distinct = !b_distinct } :: !hist;
+      b_rows := 0;
+      b_distinct := 0
+    end
+  done;
   {
-    c_nulls = List.length nulls;
-    c_distinct = List.length runs;
-    c_min = (match sorted with [] -> None | v :: _ -> Some v);
-    c_max =
-      (match List.rev sorted with [] -> None | v :: _ -> Some v);
-    c_mcvs = mcvs_of runs;
-    c_hist = histogram_of runs (List.length sorted);
+    c_nulls = nulls;
+    c_distinct = runs;
+    c_min = (if runs = 0 then None else Some (value 0));
+    c_max = (if runs = 0 then None else Some (value (runs - 1)));
+    c_mcvs = List.init !ntop (fun k -> (value top_i.(k), top_n.(k)));
+    c_hist = List.rev !hist;
   }
 
+(* LSD radix sort of [a.(0 .. n-1)], whose elements all lie in
+   [lo, lo + range] with [range >= 0], on [radix_bits]-bit digits of
+   [x - lo]. Each pass scatters between [a] and [tmp] through [counts]
+   (of [1 lsl radix_bits] slots); the result is whichever of the two
+   arrays holds the sorted elements. Small digits keep [counts] in cache
+   and cheap to clear; a 63-bit range takes at most six passes. *)
+let radix_bits = 11
+
+let radix_sort a tmp counts n ~lo ~range =
+  let mask = (1 lsl radix_bits) - 1 in
+  let src = ref a and dst = ref tmp and shift = ref 0 in
+  while !shift < Sys.int_size && range lsr !shift > 0 do
+    let s = !src and d = !dst and sh = !shift in
+    Array.fill counts 0 (mask + 1) 0;
+    for i = 0 to n - 1 do
+      let k = ((s.(i) - lo) lsr sh) land mask in
+      counts.(k) <- counts.(k) + 1
+    done;
+    let pos = ref 0 in
+    for k = 0 to mask do
+      let c = counts.(k) in
+      counts.(k) <- !pos;
+      pos := !pos + c
+    done;
+    for i = 0 to n - 1 do
+      let x = s.(i) in
+      let k = ((x - lo) lsr sh) land mask in
+      d.(counts.(k)) <- x;
+      counts.(k) <- counts.(k) + 1
+    done;
+    src := d;
+    dst := s;
+    shift := sh + radix_bits
+  done;
+  !src
+
+(* An all-[Int] column, its [n] non-null values unboxed in [ints]: sort
+   them (by radix unless [hi - lo] overflows), then compact the sorted
+   array in place into its distinct values, with their counts in the
+   other buffer. *)
+let int_column ~ints ~tmp ~counts ~nulls ~n ~lo ~hi =
+  let sorted =
+    if n = 0 then ints
+    else if hi - lo >= 0 then radix_sort ints tmp counts n ~lo ~range:(hi - lo)
+    else begin
+      let a = Array.sub ints 0 n in
+      Array.sort Int.compare a;
+      Array.blit a 0 ints 0 n;
+      ints
+    end
+  in
+  let run_counts = if sorted == ints then tmp else ints in
+  let runs = ref 0 in
+  for i = 0 to n - 1 do
+    let x = sorted.(i) in
+    if !runs > 0 && sorted.(!runs - 1) = x then
+      run_counts.(!runs - 1) <- run_counts.(!runs - 1) + 1
+    else begin
+      sorted.(!runs) <- x;
+      run_counts.(!runs) <- 1;
+      incr runs
+    end
+  done;
+  summarize ~nulls ~nonnull:n ~runs:!runs
+    ~value:(fun i -> V.Int sorted.(i))
+    ~count:(fun i -> run_counts.(i))
+
+(* Hashing that agrees with [V.compare]: [Int x] hashes as the float it
+   compares as, so [Int 1] and [Float 1.0] meet in one class
+   ([Hashtbl.hash] already maps -0.0 to 0.0 and every NaN to one hash). *)
+module Value_tbl = Hashtbl.Make (struct
+  type t = V.t
+
+  let equal = V.equal
+
+  let hash = function
+    | V.Int x -> Hashtbl.hash (float_of_int x)
+    | V.Float f -> Hashtbl.hash f
+    | v -> Hashtbl.hash v
+end)
+
+(* Any other column: count each class of equal values, keeping its first
+   occurrence as the representative, and sort only the distinct values.
+   This is exact as long as [V.compare] is transitive on the column, which
+   holds for mixed [Int]/[Float] columns within |x| <= 2^53; beyond that
+   two [Int]s can each equal one [Float] without equalling each other. *)
+let generic_column rows idx ~nulls ~nonnull =
+  let classes = Value_tbl.create 64 in
+  List.iter
+    (fun tp ->
+      match Tuple.cell tp idx with
+      | V.Null -> ()
+      | v -> (
+          match Value_tbl.find_opt classes v with
+          | Some c -> incr c
+          | None -> Value_tbl.add classes v (ref 1)))
+    rows;
+  let runs = Array.of_seq (Value_tbl.to_seq classes) in
+  Array.sort (fun (a, _) (b, _) -> V.compare a b) runs;
+  summarize ~nulls ~nonnull ~runs:(Array.length runs)
+    ~value:(fun i -> fst runs.(i))
+    ~count:(fun i -> !(snd runs.(i)))
+
+(* One scan of column [idx] counts its nulls and copies its values into
+   [ints] for as long as they are all [Int]. *)
+let collect_column ~ints ~tmp ~counts rows idx =
+  let nulls = ref 0 and n = ref 0 and all_int = ref true in
+  let lo = ref max_int and hi = ref min_int in
+  List.iter
+    (fun tp ->
+      match Tuple.cell tp idx with
+      | V.Null -> incr nulls
+      | V.Int x when !all_int ->
+          ints.(!n) <- x;
+          if x < !lo then lo := x;
+          if x > !hi then hi := x;
+          incr n
+      | _ ->
+          all_int := false;
+          incr n)
+    rows;
+  if !all_int then
+    int_column ~ints ~tmp ~counts ~nulls:!nulls ~n:!n ~lo:!lo ~hi:!hi
+  else generic_column rows idx ~nulls:!nulls ~nonnull:!n
+
+(* Every row has the relation's schema ([Relation.make] checks), so each
+   attribute is resolved to a cell index once. The sort buffers are shared
+   by all columns of the relation. *)
 let collect (r : Relation.t) : t =
-  let rows = Relation.tuples r in
+  let rows = Relation.tuples r and card = Relation.cardinality r in
+  let schema = Relation.schema r in
+  let ints = Array.make card 0 and tmp = Array.make card 0 in
+  let counts = Array.make (1 lsl radix_bits) 0 in
   {
-    s_rows = Relation.cardinality r;
-    s_analyzed_rows = Relation.cardinality r;
+    s_rows = card;
+    s_analyzed_rows = card;
     s_cols =
       List.map
-        (fun a -> (a, collect_column rows a))
-        (Schema.attrs (Relation.schema r));
+        (fun a ->
+          (a, collect_column ~ints ~tmp ~counts rows (Schema.index schema a)))
+        (Schema.attrs schema);
     s_stale = false;
   }
 

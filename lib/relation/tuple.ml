@@ -21,6 +21,7 @@ let of_alist pairs =
 
 let schema t = t.schema
 let get t name = t.cells.(Schema.index t.schema name)
+let cell t i = t.cells.(i)
 let values t = Array.to_list t.cells
 
 let project t names =

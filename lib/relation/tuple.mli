@@ -11,6 +11,12 @@ val of_alist : (string * Arc_value.Value.t) list -> t
 
 val schema : t -> Schema.t
 val get : t -> string -> Arc_value.Value.t
+
+val cell : t -> int -> Arc_value.Value.t
+(** [cell t i] is the value at position [i] = [Schema.index (schema t) a]
+    of attribute [a]: for scans that resolve an attribute once and read
+    it from many tuples of the same schema. *)
+
 val values : t -> Arc_value.Value.t list
 
 val project : t -> string list -> t

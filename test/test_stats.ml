@@ -117,6 +117,209 @@ let collect_exact () =
       | None, None, [] -> ()
       | _ -> Alcotest.failf "%s: min/max disagree with data" label)
 
+(* ------------------------------------------------------------------ *)
+(* The reference collector                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The specification [Stats.collect] must meet: the plain list-sort
+   collector it replaced. Stably sort a column's non-null values, cut the
+   sorted list into runs of equal values, and read everything off the
+   runs. A run is represented by its first element, which the stable sort
+   makes the value's first occurrence in row order — for [c_max] too. *)
+module Reference = struct
+  open Stats
+
+  let runs_of sorted =
+    let rec go acc = function
+      | [] -> List.rev acc
+      | v :: rest -> (
+          match acc with
+          | (v0, n) :: tl when V.compare v0 v = 0 ->
+              go ((v0, n + 1) :: tl) rest
+          | _ -> go ((v, 1) :: acc) rest)
+    in
+    go [] sorted
+
+  let mcvs_of runs =
+    let indexed = List.mapi (fun i (v, n) -> (i, v, n)) runs in
+    let frequent = List.filter (fun (_, _, n) -> n > 1) indexed in
+    let top =
+      List.sort
+        (fun (i1, _, n1) (i2, _, n2) -> compare (-n1, i1) (-n2, i2))
+        frequent
+    in
+    let rec take k = function
+      | (_, v, n) :: rest when k > 0 -> (v, n) :: take (k - 1) rest
+      | _ -> []
+    in
+    take mcv_target top
+
+  let histogram_of runs nonnull =
+    if runs = [] then []
+    else begin
+      let depth =
+        max 1 ((nonnull + histogram_buckets - 1) / histogram_buckets)
+      in
+      let buckets = ref [] in
+      let cur_rows = ref 0 and cur_distinct = ref 0 and cur_hi = ref None in
+      let flush () =
+        match !cur_hi with
+        | None -> ()
+        | Some hi ->
+            buckets :=
+              { b_hi = hi; b_rows = !cur_rows; b_distinct = !cur_distinct }
+              :: !buckets;
+            cur_rows := 0;
+            cur_distinct := 0;
+            cur_hi := None
+      in
+      List.iter
+        (fun (v, n) ->
+          cur_rows := !cur_rows + n;
+          incr cur_distinct;
+          cur_hi := Some v;
+          if !cur_rows >= depth then flush ())
+        runs;
+      flush ();
+      List.rev !buckets
+    end
+
+  let collect_column rows attr =
+    let values = List.map (fun tp -> Tuple.get tp attr) rows in
+    let nulls, nonnull = List.partition V.is_null values in
+    let sorted = List.stable_sort V.compare nonnull in
+    let runs = runs_of sorted in
+    {
+      c_nulls = List.length nulls;
+      c_distinct = List.length runs;
+      c_min = (match runs with [] -> None | (v, _) :: _ -> Some v);
+      c_max = (match List.rev runs with [] -> None | (v, _) :: _ -> Some v);
+      c_mcvs = mcvs_of runs;
+      c_hist = histogram_of runs (List.length sorted);
+    }
+
+  let collect (r : Relation.t) : t =
+    let rows = Relation.tuples r in
+    {
+      s_rows = Relation.cardinality r;
+      s_analyzed_rows = Relation.cardinality r;
+      s_cols =
+        List.map
+          (fun a -> (a, collect_column rows a))
+          (Schema.attrs (Relation.schema r));
+      s_stale = false;
+    }
+end
+
+let matches_reference label r =
+  let got = Stats.collect r and want = Reference.collect r in
+  if got <> want then
+    Alcotest.failf "%s: collect differs from the reference\ngot:\n%swant:\n%s"
+      label (Stats.to_string got) (Stats.to_string want)
+
+let each_relation label db =
+  List.iter
+    (fun n -> matches_reference (label ^ "." ^ n) (Database.find db n))
+    (Database.names db)
+
+let reference_catalog () =
+  List.iter (fun (name, db) -> each_relation name db) dbs
+
+let reference_fuzz () =
+  for seed = 0 to 499 do
+    let c = Arc_fuzz.Gen.gen_case (Random.State.make [| seed |]) in
+    each_relation (Printf.sprintf "fuzz seed %d" seed) c.Arc_fuzz.Case.db
+  done
+
+(* Random columns for the property. All-[Int] columns take the radix path:
+   narrow ranges (many repeats, MCV ties), wide ranges (several radix
+   digits, negatives), and columns holding both [min_int] and [max_int],
+   whose range overflows and falls back to a comparison sort. Mixed
+   columns take the hash path and pair equal [Int]/[Float] values. They
+   stay within |x| <= 2^53: beyond that [V.compare] is not transitive
+   across [Int]/[Float] ([Int (2^53 + 1)] and [Int (2^53)] both equal
+   [Float 2^53]), so no order of the values is consistent. *)
+let gen_column n =
+  let open QCheck.Gen in
+  let with_nulls g = frequency [ (1, return V.Null); (6, g) ] in
+  let int_in lo hi = map (fun x -> V.Int x) (int_range lo hi) in
+  let big = 1 lsl 53 in
+  let kind =
+    oneof
+      [
+        return (with_nulls (int_in (-8) 8));
+        return (with_nulls (int_in (-(1 lsl 40)) (1 lsl 40)));
+        return
+          (with_nulls
+             (frequency
+                [
+                  (1, return (V.Int min_int));
+                  (1, return (V.Int max_int));
+                  (4, map (fun x -> V.Int x) int);
+                ]));
+        map (fun k -> return (V.Int k)) small_signed_int;
+        return (return V.Null);
+        return
+          (with_nulls
+             (frequency
+                [
+                  (1, map (fun b -> V.Bool b) bool);
+                  (3, int_in (-3) 3);
+                  ( 3,
+                    map
+                      (fun k -> V.Float (float_of_int k /. 2.0))
+                      (int_range (-6) 6) );
+                  (2, map (fun s -> V.Str s) (oneofl [ ""; "a"; "b"; "ab" ]));
+                  ( 1,
+                    oneofl
+                      [ V.Int big; V.Int (-big); V.Float (float_of_int big) ]
+                  );
+                ]));
+      ]
+  in
+  kind >>= fun g -> list_repeat n g
+
+(* two independent columns, so one relation exercises the sort buffers
+   [collect] shares between its columns *)
+let gen_relation =
+  QCheck.Gen.(
+    let* n = frequency [ (1, return 0); (6, int_bound 300) ] in
+    let* a = gen_column n in
+    let* b = gen_column n in
+    return (Relation.of_rows [ "a"; "b" ] (List.map2 (fun x y -> [ x; y ]) a b)))
+
+let prop_reference =
+  QCheck.Test.make ~name:"collect = reference on random columns" ~count:500
+    (QCheck.make
+       ~print:(fun r -> Relation.to_table r)
+       gen_relation)
+    (fun r -> Stats.collect r = Reference.collect r)
+
+(* c_max is the first occurrence of the largest value, like c_min, the
+   MCVs and the bucket bounds *)
+let first_occurrence () =
+  let col vs =
+    let r = Relation.of_rows [ "x" ] (List.map (fun v -> [ v ]) vs) in
+    Option.get (Stats.col (Stats.collect r) "x")
+  in
+  let show = Option.map V.to_string in
+  let c = col [ V.Int 1; V.Int 4; V.Float 4.0 ] in
+  Alcotest.(check (option string)) "c_max" (Some "4") (show c.Stats.c_max);
+  Alcotest.(check (list string))
+    "mcvs" [ "4" ]
+    (List.map (fun (v, _) -> V.to_string v) c.Stats.c_mcvs);
+  let c = col [ V.Float 4.0; V.Int 1; V.Int 4; V.Float 1.0 ] in
+  Alcotest.(check (option string)) "c_min" (Some "1") (show c.Stats.c_min);
+  Alcotest.(check (option string)) "c_max" (Some "4.0") (show c.Stats.c_max);
+  Alcotest.(check (list string))
+    "bucket bounds" [ "1"; "4.0" ]
+    (List.map (fun b -> V.to_string b.Stats.b_hi) c.Stats.c_hist)
+
+let unknown_only () =
+  Alcotest.check_raises "unknown --only name"
+    (Database.Unknown_relation "Nope") (fun () ->
+      ignore (Database.analyze ~only:[ "R"; "Nope" ] Data.db_rs))
+
 (* the selectivity algebra: fractions live in [0,1]; eq_fraction sums to
    the non-null fraction over the distinct values; le_fraction is monotone
    and exact at the maximum *)
@@ -304,6 +507,19 @@ let () =
             `Quick selectivity_algebra;
           Alcotest.test_case "patch_rows staleness and add invalidation"
             `Quick staleness;
+          Alcotest.test_case "c_max is the first occurrence" `Quick
+            first_occurrence;
+          Alcotest.test_case "analyze rejects an unknown relation" `Quick
+            unknown_only;
+        ] );
+      ( "reference",
+        [
+          Alcotest.test_case "catalog databases" `Quick reference_catalog;
+          Alcotest.test_case "fixed-seed fuzz databases" `Quick
+            reference_fuzz;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 12 |])
+            prop_reference;
         ] );
       ( "cost model",
         [
