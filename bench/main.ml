@@ -836,7 +836,7 @@ let ivm_benches () =
   (rows, !all_ok)
 
 (* ------------------------------------------------------------------ *)
-(* Part 10: statistics + batching ablation (BENCH_8)                   *)
+(* Part 10: statistics ablation (BENCH_8)                              *)
 (* ------------------------------------------------------------------ *)
 
 let stats_warmup = 3
@@ -906,18 +906,11 @@ let q_error_medians () =
   in
   (median !q_stats, median !q_heur, List.length !q_stats)
 
-(* The 2x2 ablation the refactor is judged by: statistics (ANALYZE before
-   planning) x batched execution. The base arm — no statistics,
-   tuple-at-a-time — is the engine as it was before this subsystem
-   existed. The rollup and matmul workloads are the Part 7 shapes scaled
-   up past the batched pipeline's constant overheads (array conversion and
-   per-block bookkeeping put the crossover near a thousand rows; below it
-   the two paths are within noise of each other), where the amortized
-   probes and O(1) group appends show as a step-change rather than
-   run-to-run jitter. The TC chain rides along unscaled and ungated: it
-   is fixpoint-dominated, so batching is not expected to move it. Every
-   arm is gated on bag-equality with the reference evaluator before its
-   time counts. *)
+(* Statistics on vs off: ANALYZE before planning, or the structural
+   heuristic. The rollup and matmul workloads are the Part 7 shapes scaled
+   up so that plan choice shows as a step-change rather than run-to-run
+   jitter; the TC chain rides along unscaled. Every arm is gated on
+   bag-equality with the reference evaluator before its time counts. *)
 let stats_workloads () =
   [
     ("recursion: TC chain 48 (eq16)", chain 48, eq16);
@@ -928,23 +921,19 @@ let stats_workloads () =
   ]
 
 let stats_benches () =
-  section "PART 10 — Stats + batching ablation: 2x2 on the engine workloads";
-  let arms = [ (false, false); (false, true); (true, false); (true, true) ]
-  and arm_name (stats, batched) =
-    Printf.sprintf "stats=%s batched=%s"
-      (if stats then "on" else "off")
-      (if batched then "on" else "off")
-  in
+  section "PART 10 — Stats ablation: ANALYZE on/off on the engine workloads";
+  let arms = [ false; true ]
+  and arm_name stats = if stats then "stats=on" else "stats=off" in
   let bag r = List.sort compare (List.map Tuple.key (Relation.tuples r)) in
   let all_equal = ref true in
   let rows =
     List.map
       (fun (wname, db, prog) ->
         let adb = Database.analyze db in
-        let run (stats, batched) () =
+        let run stats () =
           let db = if stats then adb else db in
           let ctx, _raw, opt, _report = Exec.compile ~db prog in
-          Exec.exec_program ~batched ctx opt
+          Exec.exec_program ctx opt
         in
         let reference = bag (Eval.run_rows ~db prog) in
         let bag_equal =
@@ -965,36 +954,30 @@ let stats_benches () =
                (fun arm -> (arm_name arm, fun () -> ignore (run arm ())))
                arms)
         in
-        let ns name = List.assoc name timed in
-        let base = ns "stats=off batched=off"
-        and batched_only = ns "stats=off batched=on"
-        and full = ns "stats=on batched=on" in
+        let base = List.assoc "stats=off" timed in
         Printf.printf "%s: bag_equal=%b\n" wname bag_equal;
         List.iter
           (fun (name, t) ->
-            Printf.printf "    %-26s %10.1f µs  (%.2fx vs base)\n" name
+            Printf.printf "    %-26s %10.1f µs  (%.2fx vs stats=off)\n" name
               (t /. 1e3) (base /. t))
           timed;
-        ( wname,
-          (base /. full, base /. batched_only),
-          Json.Obj
-            [
-              ("workload", Json.Str wname);
-              ("bag_equal", Json.Bool bag_equal);
-              ( "arms",
-                Json.List
-                  (List.map
-                     (fun (name, t) ->
-                       Json.Obj
-                         [
-                           ("arm", Json.Str name);
-                           ("time_ns", Json.Float t);
-                           ("speedup_vs_base", Json.Float (base /. t));
-                         ])
-                     timed) );
-              ("batched_speedup", Json.Float (base /. batched_only));
-              ("full_speedup", Json.Float (base /. full));
-            ] ) )
+        Json.Obj
+          [
+            ("workload", Json.Str wname);
+            ("bag_equal", Json.Bool bag_equal);
+            ( "arms",
+              Json.List
+                (List.map
+                   (fun (name, t) ->
+                     Json.Obj
+                       [
+                         ("arm", Json.Str name);
+                         ("time_ns", Json.Float t);
+                         ("speedup_vs_base", Json.Float (base /. t));
+                       ])
+                   timed) );
+            ("stats_speedup", Json.Float (base /. List.assoc "stats=on" timed));
+          ])
       (stats_workloads ())
   in
   let median_q_stats, median_q_heur, q_nodes = q_error_medians () in
@@ -1004,7 +987,7 @@ let stats_benches () =
   (rows, !all_equal, median_q_stats, median_q_heur, q_nodes)
 
 (* ------------------------------------------------------------------ *)
-(* Part 11: fixpoint ablation — indexed vs tuple seminaive (BENCH_9)   *)
+(* Part 11: recursion — indexed seminaive fixpoint, magic sets (BENCH_9) *)
 (* ------------------------------------------------------------------ *)
 
 (* ancestors of one node: the recursion passes [t] through unchanged, so
@@ -1022,49 +1005,35 @@ let eq16_bound c =
                   eq (attr "Q" "s") (attr "a" "s");
                 ]))))
 
-(* The two recursion refactors this part is judged by, both raced on the
-   TC chain the engine ablation uses. The fixpoint arms run the same
-   compiled plan and differ only in how recursive strata are driven: the
-   indexed seminaive fixpoint (per-disjunct delta rules, persistent
-   build-side hash tables, seen-set dedup) against the legacy
-   per-occurrence whole-plan re-execution. The magic arms compare the
-   full compile pipeline (which restricts the fixpoint to the demanded
-   constant) against the same program lowered without the AST rewrite.
-   Every arm is gated on bag-equality before its time counts. *)
+(* Recursion on the TC chain the engine ablation uses. The fixpoint arm
+   times the indexed seminaive fixpoint (per-disjunct delta rules,
+   persistent build-side hash tables, seen-set dedup) on the full closure.
+   The magic arms compare the full compile pipeline (which restricts the
+   fixpoint to the demanded constant) against the same program lowered
+   without the AST rewrite. Every arm is gated on bag-equality before its
+   time counts. *)
 let fixpoint_benches () =
-  section "PART 11 — Fixpoint ablation: indexed vs tuple seminaive, magic sets";
+  section "PART 11 — Recursion: indexed seminaive fixpoint, magic sets";
   let db = chain 48 in
   let bag r = List.sort compare (List.map Tuple.key (Relation.tuples r)) in
   let rows_of = function
     | Eval.Rows r -> r
     | Eval.Truth _ -> Relation.empty []
   in
-  let run_fix fixpoint () =
+  let run_fix () =
     let ctx, _, opt, _ = Exec.compile ~db eq16 in
-    rows_of (Exec.exec_program ~fixpoint ctx opt)
+    rows_of (Exec.exec_program ctx opt)
   in
-  let tc_reference = bag (Eval.run_rows ~db eq16) in
-  let tc_bag_equal =
-    bag (run_fix `Indexed ()) = tc_reference
-    && bag (run_fix `Tuple ()) = tc_reference
-  in
+  let tc_bag_equal = bag (run_fix ()) = bag (Eval.run_rows ~db eq16) in
   if not tc_bag_equal then
     print_endline "!!! TC chain 48: fixpoint arm diverges from reference";
   let timed =
-    min_cycle_ns
-      [
-        ("fixpoint=indexed", fun () -> ignore (run_fix `Indexed ()));
-        ("fixpoint=tuple", fun () -> ignore (run_fix `Tuple ()));
-      ]
+    min_cycle_ns [ ("fixpoint=indexed", fun () -> ignore (run_fix ())) ]
   in
-  let indexed_ns = List.assoc "fixpoint=indexed" timed
-  and tuple_ns = List.assoc "fixpoint=tuple" timed in
-  let fixpoint_speedup = tuple_ns /. indexed_ns in
   Printf.printf "recursion: TC chain 48 (eq16): bag_equal=%b\n" tc_bag_equal;
   List.iter
     (fun (name, t) -> Printf.printf "    %-26s %10.1f µs\n" name (t /. 1e3))
     timed;
-  Printf.printf "    indexed/tuple fixpoint speedup %.2fx\n" fixpoint_speedup;
   (* goal-directed arm: magic sets on (the default compile) vs off (the
      same program lowered and optimized without the AST rewrite) *)
   let bound = eq16_bound 47 in
@@ -1105,8 +1074,6 @@ let fixpoint_benches () =
     [
       ("bag_equal_tc", tc_bag_equal);
       ("bag_equal_goal_directed", goal_bag_equal);
-      ("indexed_beats_tuple_tc48", fixpoint_speedup > 1.0);
-      ("indexed_speedup_5x", fixpoint_speedup >= 5.0);
       ("magic_beats_full_fixpoint", magic_speedup > 1.0);
     ]
   in
@@ -1139,7 +1106,6 @@ let fixpoint_benches () =
                   ( "arms",
                     Json.List
                       (List.map (fun (n, t) -> arm_row n t) timed) );
-                  ("indexed_speedup", Json.Float fixpoint_speedup);
                 ];
               Json.Obj
                 [
@@ -1316,28 +1282,9 @@ let () =
   let stats_rows, stats_bag_equal, median_q_stats, median_q_heur, q_nodes =
     stats_benches ()
   in
-  let contains ~needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec at k =
-      k + nl <= hl && (String.sub hay k nl = needle || at (k + 1))
-    in
-    nl = 0 || at 0
-  in
-  let speedups needle =
-    match
-      List.find_opt (fun (wname, _, _) -> contains ~needle wname) stats_rows
-    with
-    | Some (_, s, _) -> s
-    | None -> (Float.nan, Float.nan)
-  in
-  let rollup_full, rollup_batched = speedups "rollup"
-  and matmul_full, _ = speedups "matrix" in
   let gates =
     [
       ("bag_equal", stats_bag_equal);
-      ("full_beats_base_rollup", rollup_full > 1.0);
-      ("full_beats_base_matmul", matmul_full > 1.0);
-      ("batched_beats_tuple_rollup", rollup_batched > 1.0);
       ("q_error_improved", median_q_stats < median_q_heur);
     ]
   in
@@ -1357,7 +1304,7 @@ let () =
                 ("stats_warmup", Json.Int stats_warmup);
                 ("stats_repeats", Json.Int stats_repeats);
               ] );
-        ("workloads", Json.List (List.map (fun (_, _, j) -> j) stats_rows));
+        ("workloads", Json.List stats_rows);
         ( "q_error",
           Json.Obj
             [

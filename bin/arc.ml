@@ -408,16 +408,8 @@ let no_stats_flag =
            back to the legacy structural heuristic instead of \
            statistics-driven selectivity estimates.")
 
-let no_batch_flag =
-  Arg.(
-    value & flag
-    & info [ "no-batch" ]
-        ~doc:
-          "Run the plan engine tuple-at-a-time instead of block-at-a-time. \
-           Same results, same order; kept for ablation and debugging.")
-
 let eval_run lang conv engine tables profile timeout max_rows max_iterations
-    max_bindings max_depth on_limit no_stats no_batch text =
+    max_bindings max_depth on_limit no_stats text =
   wrap (fun () ->
       let tables = List.map parse_table tables in
       let db = Database.of_list tables in
@@ -459,8 +451,7 @@ let eval_run lang conv engine tables profile timeout max_rows max_iterations
             match engine with
             | `Reference -> Arc_engine.Eval.run ~conv ~tracer ~guard ~db prog
             | `Plan ->
-                Arc_engine.Exec.run ~conv ~tracer ~guard
-                  ~batched:(not no_batch) ~db prog
+                Arc_engine.Exec.run ~conv ~tracer ~guard ~db prog
           in
           (match outcome with
           | Arc_engine.Eval.Rows r ->
@@ -485,7 +476,7 @@ let eval_cmd =
         (const eval_run $ input_lang $ conv_arg $ engine_arg $ tables_arg
        $ profile_flag $ timeout_arg $ max_rows_arg $ max_iterations_arg
        $ max_bindings_arg $ max_depth_arg $ on_limit_arg $ no_stats_flag
-       $ no_batch_flag $ query_arg))
+       $ query_arg))
 
 (* ------------------------------------------------------------------ *)
 (* trace                                                               *)
@@ -718,7 +709,7 @@ let analyze_json infos =
        infos)
 
 let analyze_run lang conv strategy tables warn_q fmt out metrics_out no_stats
-    no_batch text =
+    text =
   wrap (fun () ->
       let tables = List.map parse_table tables in
       let db = Database.of_list tables in
@@ -738,10 +729,7 @@ let analyze_run lang conv strategy tables warn_q fmt out metrics_out no_stats
         else None
       in
       let stats = Ir.fresh_stats () in
-      let outcome =
-        Arc_engine.Exec.exec_program ~stats ~batched:(not no_batch) ctx
-          optimized
-      in
+      let outcome = Arc_engine.Exec.exec_program ~stats ctx optimized in
       (match fmt with
       | `Pretty ->
           (match outcome with
@@ -781,7 +769,7 @@ let analyze_cmd =
       ret
         (const analyze_run $ input_lang $ conv_arg $ strategy_arg
        $ tables_arg $ warn_q_arg $ analyze_fmt $ analyze_out
-       $ metrics_out_arg $ no_stats_flag $ no_batch_flag $ query_arg))
+       $ metrics_out_arg $ no_stats_flag $ query_arg))
 
 (* ------------------------------------------------------------------ *)
 (* stats                                                               *)

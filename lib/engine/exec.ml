@@ -124,17 +124,12 @@ let make_fix_cache banned did (d : Ir.disjunct_plan) =
 (* [stats] is the EXPLAIN ANALYZE sink: when present, every operator
    records per-node actuals keyed by the stable ids of [Ir.program_ids].
    When absent the executor takes a branch per node and nothing else.
-   [batched] selects the block-at-a-time pipeline (arrays of rows,
-   amortized governor probes, buffer-reused hash keys); the tuple-at-a-time
-   path is kept verbatim as the ablation baseline and for the incremental
-   maintenance hooks. Both paths produce rows in the same order.
    [fix] is only set while executing a delta rule inside the indexed
    seminaive fixpoint. *)
 type env = {
   ctx : I.ctx;
   outer : I.benv;
   stats : Ir.stats option;
-  batched : bool;
   fix : fix_cache option;
 }
 
@@ -149,40 +144,30 @@ let with_actual env id f =
 let pred_true env full p = I.eval_pred env.ctx full p = B3.True
 let formula_true env full f = I.eval_formula env.ctx full f = B3.True
 
-(* Composite hash key for a list of terms evaluated under [row @ outer].
-   Under three-valued logic a NULL key component can never satisfy an
-   equality, so the row is excluded from matching ([None]); under two-valued
-   logic NULL is an ordinary value. Value.canonical equates values that
-   compare equal (Int 1 vs Float 1.0) and cannot collide otherwise. *)
-let key_of env (row : I.benv) terms =
-  let full = row @ env.outer in
-  let vals = List.map (I.eval_term env.ctx full) terms in
-  match (I.conv env.ctx).Conventions.null_logic with
-  | Conventions.Three_valued when List.exists V.is_null vals -> None
-  | _ -> Some (String.concat "" (List.map V.canonical vals))
-
 let group_key env (full : I.benv) keys =
   let kv = List.map (fun (v, a) -> I.eval_term env.ctx full (Attr (v, a))) keys in
   String.concat "" (List.map V.canonical kv)
 
 (* ------------------------------------------------------------------ *)
-(* Batched-path helpers                                                *)
+(* Block helpers                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Rows per governor probe on the batched path: cheap enough that a
-   cancel/deadline is still noticed promptly, large enough that the probe
-   vanishes from per-row cost. *)
+(* Rows per governor probe: cheap enough that a cancel/deadline is still
+   noticed promptly, large enough that the probe vanishes from per-row
+   cost. *)
 let block_rows = 256
 
 (* [row @ env.outer] without the append when there is no outer context —
-   the common case for top-level pipelines, where the tuple path pays a
-   per-row allocation for nothing. *)
+   the common case for top-level pipelines. *)
 let full_of env (row : I.benv) =
   match env.outer with [] -> row | o -> row @ o
 
-(* Same composite key as [key_of], built into a caller-owned reusable
-   buffer instead of [String.concat]. The encodings agree, but each join
-   only ever compares keys produced by one of the two. *)
+(* Composite hash key for a list of terms evaluated under [row @ outer],
+   built into a caller-owned reusable buffer. Under three-valued logic a
+   NULL key component can never satisfy an equality, so the row is
+   excluded from matching ([None]); under two-valued logic NULL is an
+   ordinary value. Value.canonical equates values that compare equal
+   (Int 1 vs Float 1.0) and cannot collide otherwise. *)
 let key_of_buf env buf (row : I.benv) terms =
   let full = full_of env row in
   Buffer.clear buf;
@@ -264,205 +249,12 @@ let filter_block env pass (rows : I.benv array) : I.benv array =
    the wrapper brackets the worker with two clock reads and accumulates
    invocations / rows / inclusive time on the node's id; with stats off it
    is a single branch. Child ids use the same arithmetic as
-   [Ir.child_ids] / [Explain]. *)
-let rec exec_rows env id (t : Ir.t) : I.benv list =
-  match env.stats with
-  | None -> exec_rows_inner env id t
-  | Some st ->
-      let t0 = clock () in
-      let rows = exec_rows_inner env id t in
-      let t1 = clock () in
-      let a = Ir.touch st id in
-      a.Ir.a_invocations <- a.Ir.a_invocations + 1;
-      a.Ir.a_rows <- a.Ir.a_rows + List.length rows;
-      a.Ir.a_incl_ns <- Int64.add a.Ir.a_incl_ns (Int64.sub t1 t0);
-      rows
-
-and exec_rows_inner env id (t : Ir.t) : I.benv list =
-  match t with
-  | One -> [ [] ]
-  | Scan { var; rel; filters; _ } ->
-      let sp = Obs.enter (tracer env) "scan" in
-      let tuples = I.source_rows env.ctx env.outer (Base rel) in
-      let rows = List.map (fun tp -> [ (var, tp) ]) tuples in
-      let kept =
-        if filters = [] then rows
-        else
-          List.filter
-            (fun (row : I.benv) ->
-              List.for_all (pred_true env (row @ env.outer)) filters)
-            rows
-      in
-      if Obs.enabled (tracer env) then begin
-        Obs.set sp "relation" (Obs.Str rel);
-        Obs.set sp "candidates" (Obs.Int (List.length rows));
-        Obs.set sp "survivors" (Obs.Int (List.length kept))
-      end;
-      Obs.leave (tracer env) sp;
-      kept
-  | Subquery { var; plan } ->
-      let r = exec_coll env (id + 1) plan in
-      List.map (fun tp -> [ (var, tp) ]) (Relation.tuples r)
-  | Lateral { input; var; plan } ->
-      let rows = exec_rows env (id + 1) input in
-      let plan_id = id + 1 + Ir.size input in
-      let sp = Obs.enter (tracer env) "lateral" in
-      let out =
-        List.concat_map
-          (fun (row : I.benv) ->
-            let r =
-              exec_coll { env with outer = row @ env.outer } plan_id plan
-            in
-            List.map (fun tp -> (var, tp) :: row) (Relation.tuples r))
-          rows
-      in
-      if Obs.enabled (tracer env) then begin
-        Obs.set sp "rows_in" (Obs.Int (List.length rows));
-        Obs.set sp "rows_out" (Obs.Int (List.length out))
-      end;
-      Obs.leave (tracer env) sp;
-      out
-  | Product { left; right } ->
-      let l = exec_rows env (id + 1) left in
-      let r = exec_rows env (id + 1 + Ir.size left) right in
-      List.concat_map (fun lr -> List.map (fun rr -> rr @ lr) r) l
-  | Hash_join { left; right; keys } ->
-      Gov.tick (gov env);
-      let sp = Obs.enter (tracer env) "hash_join" in
-      let build = exec_rows env (id + 1 + Ir.size left) right in
-      let inner_terms = List.map (fun k -> k.Ir.inner) keys in
-      let outer_terms = List.map (fun k -> k.Ir.outer) keys in
-      let tbl = Hashtbl.create (max 16 (List.length build)) in
-      List.iter
-        (fun rrow ->
-          match key_of env rrow inner_terms with
-          | Some k -> Hashtbl.add tbl k rrow
-          | None -> ())
-        build;
-      let probe = exec_rows env (id + 1) left in
-      let out =
-        List.concat_map
-          (fun lrow ->
-            match key_of env lrow outer_terms with
-            | Some k ->
-                List.map (fun rrow -> rrow @ lrow) (Hashtbl.find_all tbl k)
-            | None -> [])
-          probe
-      in
-      with_actual env id (fun a ->
-          a.Ir.a_build <- a.Ir.a_build + List.length build;
-          a.Ir.a_probe <- a.Ir.a_probe + List.length probe;
-          a.Ir.a_matches <- a.Ir.a_matches + List.length out);
-      if Obs.enabled (tracer env) then begin
-        Obs.set sp "build" (Obs.Int (List.length build));
-        Obs.set sp "probe" (Obs.Int (List.length probe));
-        Obs.set sp "rows_out" (Obs.Int (List.length out))
-      end;
-      Obs.leave (tracer env) sp;
-      out
-  | Filter { input; preds } ->
-      let rows = exec_rows env (id + 1) input in
-      let sp = Obs.enter (tracer env) "filter" in
-      let kept =
-        List.filter
-          (fun (row : I.benv) ->
-            List.for_all (pred_true env (row @ env.outer)) preds)
-          rows
-      in
-      if Obs.enabled (tracer env) then begin
-        Obs.set sp "candidates" (Obs.Int (List.length rows));
-        Obs.set sp "survivors" (Obs.Int (List.length kept))
-      end;
-      Obs.leave (tracer env) sp;
-      kept
-  | Residual { input; conjs } ->
-      let rows = exec_rows env (id + 1) input in
-      let sp = Obs.enter (tracer env) "residual" in
-      let kept =
-        List.filter
-          (fun (row : I.benv) ->
-            List.for_all (formula_true env (row @ env.outer)) conjs)
-          rows
-      in
-      if Obs.enabled (tracer env) then begin
-        Obs.set sp "candidates" (Obs.Int (List.length rows));
-        Obs.set sp "survivors" (Obs.Int (List.length kept))
-      end;
-      Obs.leave (tracer env) sp;
-      kept
-  | Semi { anti; input; sub; keys; residual; _ } ->
-      Gov.tick (gov env);
-      let sp =
-        Obs.enter (tracer env) (if anti then "anti_join" else "semi_join")
-      in
-      let sub_rows = exec_rows env (id + 1 + Ir.size input) sub in
-      let witness row candidates =
-        List.exists
-          (fun (srow : I.benv) ->
-            List.for_all
-              (pred_true env (srow @ row @ env.outer))
-              residual)
-          candidates
-      in
-      let rows = exec_rows env (id + 1) input in
-      let kept =
-        match keys with
-        | [] -> List.filter (fun row -> witness row sub_rows <> anti) rows
-        | _ ->
-            let inner_terms = List.map (fun k -> k.Ir.inner) keys in
-            let outer_terms = List.map (fun k -> k.Ir.outer) keys in
-            let tbl = Hashtbl.create (max 16 (List.length sub_rows)) in
-            List.iter
-              (fun srow ->
-                match key_of env srow inner_terms with
-                | Some k -> Hashtbl.add tbl k srow
-                | None -> ())
-              sub_rows;
-            List.filter
-              (fun row ->
-                let found =
-                  match key_of env row outer_terms with
-                  | Some k -> witness row (Hashtbl.find_all tbl k)
-                  | None -> false
-                in
-                found <> anti)
-              rows
-      in
-      with_actual env id (fun a ->
-          a.Ir.a_build <- a.Ir.a_build + List.length sub_rows;
-          a.Ir.a_probe <- a.Ir.a_probe + List.length rows;
-          a.Ir.a_matches <- a.Ir.a_matches + List.length kept);
-      if Obs.enabled (tracer env) then begin
-        Obs.set sp "sub_rows" (Obs.Int (List.length sub_rows));
-        Obs.set sp "candidates" (Obs.Int (List.length rows));
-        Obs.set sp "survivors" (Obs.Int (List.length kept))
-      end;
-      Obs.leave (tracer env) sp;
-      kept
-  | Resolve { input; binding; scope } ->
-      Gov.tick (gov env);
-      let rows = exec_rows env (id + 1) input in
-      I.resolve_deferred env.ctx env.outer scope rows [ binding ]
-  | Prune { input; keep } ->
-      List.map
-        (fun (row : I.benv) ->
-          List.filter (fun (v, _) -> List.mem v keep) row)
-        (exec_rows env (id + 1) input)
-  | Append ts ->
-      List.concat
-        (List.map2 (fun cid b -> exec_rows env cid b) (Ir.child_ids id t) ts)
-
-(* ------------------------------------------------------------------ *)
-(* Batched pipeline: the same operators over row arrays                *)
-(* ------------------------------------------------------------------ *)
-
-(* Mirrors [exec_rows]/[exec_rows_inner] block-at-a-time. Row order is
-   identical to the tuple path (the differential oracle and BENCH gates
-   check bag-equality; keeping order avoids even spurious diffs), so the
-   two paths differ only in cost: governor probes and tracer updates are
+   [Ir.child_ids] / [Explain]. Pipelines never deduplicate: each
+   derivation is its own row, which the incremental maintenance hooks rely
+   on to count derivations. Governor probes and tracer updates are
    amortized per block, hash keys go through a reused buffer or the
    memoized whole-tuple [Tuple.key], and grouping appends are O(1). *)
-and exec_block env id (t : Ir.t) : I.benv array =
+let rec exec_block env id (t : Ir.t) : I.benv array =
   match env.stats with
   | None -> exec_block_inner env id t
   | Some st ->
@@ -849,7 +641,7 @@ and exec_disjunct_inner env id (head : head) (d : Ir.disjunct_plan) :
     else None
   in
   match d with
-  | Project { input; assigns } when env.batched ->
+  | Project { input; assigns } ->
       let rows = exec_block env (id + 1) input in
       Array.to_list
         (Array.map
@@ -862,18 +654,7 @@ and exec_disjunct_inner env id (head : head) (d : Ir.disjunct_plan) :
                        I.eval_term env.ctx full (assign_term assigns a))
                      head.head_attrs)))
            rows)
-  | Project { input; assigns } ->
-      let rows = exec_rows env (id + 1) input in
-      List.map
-        (fun (row : I.benv) ->
-          let full = row @ env.outer in
-          Tuple.make schema
-            (Array.of_list
-               (List.map
-                  (fun a -> I.eval_term env.ctx full (assign_term assigns a))
-                  head.head_attrs)))
-        rows
-  | Aggregate { input; keys; scope_vars; post; assigns } when env.batched ->
+  | Aggregate { input; keys; scope_vars; post; assigns } ->
       let rows = exec_block env (id + 1) input in
       Gov.tick (gov env);
       let sp = Obs.enter (tracer env) "hash_aggregate" in
@@ -884,8 +665,7 @@ and exec_disjunct_inner env id (head : head) (d : Ir.disjunct_plan) :
           in
           [ ((match full with [] -> env.outer | r :: _ -> r), full) ]
         else begin
-          (* groups accumulate in reversed ref cells: O(1) append instead
-             of the tuple path's quadratic [rs @ [full]] *)
+          (* groups accumulate in reversed ref cells: O(1) append *)
           let tbl = Hashtbl.create (max 16 (Array.length rows / 4)) in
           let order = ref [] in
           Array.iter
@@ -908,41 +688,6 @@ and exec_disjunct_inner env id (head : head) (d : Ir.disjunct_plan) :
       in
       if Obs.enabled (tracer env) then begin
         Obs.set sp "rows_in" (Obs.Int (Array.length rows));
-        Obs.set sp "keys" (Obs.Int (List.length keys));
-        Obs.set sp "buckets" (Obs.Int (List.length groups))
-      end;
-      Obs.leave (tracer env) sp;
-      List.filter_map (emit_group scope_vars post assigns) groups
-  | Aggregate { input; keys; scope_vars; post; assigns } ->
-      let rows = exec_rows env (id + 1) input in
-      Gov.tick (gov env);
-      let sp = Obs.enter (tracer env) "hash_aggregate" in
-      let groups =
-        if keys = [] then
-          let full = List.map (fun r -> r @ env.outer) rows in
-          [ ((match full with [] -> env.outer | r :: _ -> r), full) ]
-        else begin
-          let tbl = Hashtbl.create 16 in
-          let order = ref [] in
-          List.iter
-            (fun (row : I.benv) ->
-              let full = row @ env.outer in
-              let k = group_key env full keys in
-              match Hashtbl.find_opt tbl k with
-              | Some rs -> Hashtbl.replace tbl k (rs @ [ full ])
-              | None ->
-                  order := k :: !order;
-                  Hashtbl.replace tbl k [ full ])
-            rows;
-          List.rev_map
-            (fun k ->
-              let group = Hashtbl.find tbl k in
-              (List.hd group, group))
-            !order
-        end
-      in
-      if Obs.enabled (tracer env) then begin
-        Obs.set sp "rows_in" (Obs.Int (List.length rows));
         Obs.set sp "keys" (Obs.Int (List.length keys));
         Obs.set sp "buckets" (Obs.Int (List.length groups))
       end;
@@ -1066,93 +811,9 @@ let naive_fixpoint env (dps : (Ir.def_plan * int) list) =
   Obs.set sp "iterations" (Obs.Int !iterations);
   Obs.leave (tracer env) sp
 
-let seminaive_fixpoint env component (dps : (Ir.def_plan * int) list) =
-  let ctx = env.ctx in
-  let sp = Obs.enter (tracer env) "fixpoint:seminaive" in
-  if Obs.enabled (tracer env) then
-    Obs.set sp "stratum" (Obs.Str (String.concat "," component));
-  let ssp = Obs.enter (tracer env) "seed" in
-  List.iter
-    (fun (dp, id) ->
-      let n = dp.Ir.dname in
-      let seed = Relation.dedup (exec_coll env id dp.Ir.dplan) in
-      I.idb_set ctx n seed;
-      I.idb_set ctx (delta_name n) seed;
-      with_actual env id (fun a ->
-          a.Ir.a_deltas <- Relation.cardinality seed :: a.Ir.a_deltas);
-      if Obs.enabled (tracer env) then
-        Obs.set ssp ("delta:" ^ n) (Obs.Int (Relation.cardinality seed)))
-    dps;
-  Obs.leave (tracer env) ssp;
-  let iterations = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    incr iterations;
-    Gov.tick (gov env);
-    if
-      (not (Gov.iteration_allowed (gov env) !iterations))
-      || Gov.stopped (gov env)
-    then continue_ := false
-    else begin
-      let isp = Obs.enter (tracer env) "iteration" in
-      let new_deltas =
-        List.map
-          (fun (dp, id) ->
-            let n = dp.Ir.dname in
-            let occurrences = Ir.count_scans_coll component dp.Ir.dplan in
-            let derived =
-              List.init occurrences (fun i ->
-                  (* the substituted plan is shape-identical, so node ids
-                     carry over to the delta rewrite *)
-                  exec_coll env id (Ir.subst_scan component i dp.Ir.dplan))
-            in
-            let full = Option.get (I.idb_get ctx n) in
-            let attrs =
-              match dp.Ir.dplan with
-              | Ir.Union { head; _ } | Ir.Fallback { head; _ } ->
-                  head.head_attrs
-            in
-            let fresh =
-              List.fold_left
-                (fun acc r ->
-                  Relation.union acc (Relation.minus (Relation.dedup r) full))
-                (Relation.empty ~name:n attrs)
-                derived
-            in
-            let fresh = Relation.dedup fresh in
-            with_actual env id (fun a ->
-                a.Ir.a_deltas <- Relation.cardinality fresh :: a.Ir.a_deltas);
-            (n, fresh))
-          dps
-      in
-      List.iter
-        (fun (n, fresh) ->
-          I.idb_set ctx n
-            (Relation.dedup (Relation.union (Option.get (I.idb_get ctx n)) fresh)))
-        new_deltas;
-      List.iter
-        (fun (n, fresh) -> I.idb_set ctx (delta_name n) fresh)
-        new_deltas;
-      if Obs.enabled (tracer env) then
-        List.iter
-          (fun (n, fresh) ->
-            Obs.set isp ("delta:" ^ n) (Obs.Int (Relation.cardinality fresh)))
-          new_deltas;
-      Obs.leave (tracer env) isp;
-      if List.for_all (fun (_, fresh) -> Relation.is_empty fresh) new_deltas
-      then continue_ := false
-    end
-  done;
-  List.iter
-    (fun (_, id) -> with_actual env id (fun a -> a.Ir.a_iterations <- !iterations))
-    dps;
-  Obs.set sp "iterations" (Obs.Int !iterations);
-  Obs.leave (tracer env) sp;
-  List.iter (fun n -> I.idb_remove ctx (delta_name n)) component
-
-(* The indexed seminaive fixpoint: the same round structure as
-   [seminaive_fixpoint], made incremental in three ways. One delta rule
-   per component-scan occurrence, restricted to the single disjunct that
+(* The indexed seminaive fixpoint: each round evaluates only delta rules,
+   and does so incrementally in three ways. One delta rule per
+   component-scan occurrence, restricted to the single disjunct that
    contains the occurrence — the other disjuncts are independent of that
    delta and are skipped instead of re-run every round. Per-rule caches
    ([fix_cache]) memoize every component-free subtree and keep hash-join
@@ -1160,19 +821,15 @@ let seminaive_fixpoint env component (dps : (Ir.def_plan * int) list) =
    is built once and only probed thereafter. And a per-definition seen-set
    of canonical tuple keys replaces the per-round dedup/minus against the
    accumulated relation, so per-round cost tracks the delta, not the
-   closure. Rules run on the batched block pipeline; budgets charge at the
-   same points as the tuple path (a tick plus a row charge per rule run,
-   iteration checks once per round). *)
+   closure. Budgets charge a tick plus a row charge per rule run and check
+   iterations once per round. *)
 let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
     =
   let ctx = env.ctx in
-  let env = { env with batched = true } in
   let banned = component @ List.map delta_name component in
   let sp = Obs.enter (tracer env) "fixpoint:seminaive" in
-  if Obs.enabled (tracer env) then begin
+  if Obs.enabled (tracer env) then
     Obs.set sp "stratum" (Obs.Str (String.concat "," component));
-    Obs.set sp "mode" (Obs.Str "indexed")
-  end;
   let ssp = Obs.enter (tracer env) "seed" in
   let defs =
     List.map
@@ -1300,7 +957,7 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
 (* [base] is the id of the stratum's first definition; consecutive
    definitions follow at offsets of [Ir.size_coll], mirroring
    [Ir.program_ids]. *)
-let exec_stratum ?(fixpoint = `Indexed) env base (s : Ir.stratum) =
+let exec_stratum env base (s : Ir.stratum) =
   let ctx = env.ctx in
   match s with
   | Ir.Nonrecursive dp -> I.idb_set ctx dp.dname (exec_coll env base dp.dplan)
@@ -1332,15 +989,10 @@ let exec_stratum ?(fixpoint = `Indexed) env base (s : Ir.stratum) =
           in
           I.idb_set ctx dp.Ir.dname (Relation.empty ~name:dp.Ir.dname attrs))
         dps;
-      let strategy =
-        match I.strategy ctx with
-        | Eval.Seminaive when Ir.seminaive_eligible component dps -> `Seminaive
-        | _ -> `Naive
-      in
-      (match (strategy, fixpoint) with
-      | `Naive, _ -> naive_fixpoint env dps_ids
-      | `Seminaive, `Indexed -> indexed_seminaive_fixpoint env component dps_ids
-      | `Seminaive, `Tuple -> seminaive_fixpoint env component dps_ids)
+      match I.strategy ctx with
+      | Eval.Seminaive when Ir.seminaive_eligible component dps ->
+          indexed_seminaive_fixpoint env component dps_ids
+      | _ -> naive_fixpoint env dps_ids
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
@@ -1362,9 +1014,8 @@ let compile ?conv ?externals ?strategy ?tracer ?guard ~db (prog : program) =
   let optimized, report = Opt.optimize lenv raw in
   (ctx, raw, optimized, ("magic-sets", magic_changed) :: report)
 
-let exec_program ?stats ?(batched = true) ?(fixpoint = `Indexed) ctx
-    (pp : Ir.program_plan) : Eval.outcome =
-  let env = { ctx; outer = []; stats; batched; fix = None } in
+let exec_program ?stats ctx (pp : Ir.program_plan) : Eval.outcome =
+  let env = { ctx; outer = []; stats; fix = None } in
   let tracer = I.tracer ctx in
   let counter = ref 0 in
   let stratum_base s =
@@ -1381,8 +1032,7 @@ let exec_program ?stats ?(batched = true) ?(fixpoint = `Indexed) ctx
   if pp.strata <> [] then begin
     let sp = Obs.enter tracer "definitions" in
     (try
-       List.iter (fun s -> exec_stratum ~fixpoint env (stratum_base s) s)
-         pp.strata
+       List.iter (fun s -> exec_stratum env (stratum_base s) s) pp.strata
      with
     | Err.Guard_error e ->
         Obs.leave tracer sp;
@@ -1400,29 +1050,22 @@ let exec_program ?stats ?(batched = true) ?(fixpoint = `Indexed) ctx
   | Err.Guard_error e -> raise (Eval_error e)
   | V.Type_error m -> raise (Eval_error { Err.kind = Err.Msg ("type error: " ^ m); context = [] })
 
-let run ?conv ?externals ?strategy ?tracer ?guard ?batched ?fixpoint ~db
-    (prog : program) =
+let run ?conv ?externals ?strategy ?tracer ?guard ~db (prog : program) =
   try
     let ctx, _, optimized, _ =
       compile ?conv ?externals ?strategy ?tracer ?guard ~db prog
     in
-    exec_program ?batched ?fixpoint ctx optimized
+    exec_program ctx optimized
   with V.Type_error m -> raise (Eval_error { Err.kind = Err.Msg ("type error: " ^ m); context = [] })
 
-let run_rows ?conv ?externals ?strategy ?tracer ?guard ?batched ?fixpoint ~db
-    prog =
-  match
-    run ?conv ?externals ?strategy ?tracer ?guard ?batched ?fixpoint ~db prog
-  with
+let run_rows ?conv ?externals ?strategy ?tracer ?guard ~db prog =
+  match run ?conv ?externals ?strategy ?tracer ?guard ~db prog with
   | Eval.Rows r -> r
   | Eval.Truth _ ->
       raise_kind (Err.Msg "expected a collection result, got a sentence")
 
-let run_truth ?conv ?externals ?strategy ?tracer ?guard ?batched ?fixpoint ~db
-    prog =
-  match
-    run ?conv ?externals ?strategy ?tracer ?guard ?batched ?fixpoint ~db prog
-  with
+let run_truth ?conv ?externals ?strategy ?tracer ?guard ~db prog =
+  match run ?conv ?externals ?strategy ?tracer ?guard ~db prog with
   | Eval.Truth t -> t
   | Eval.Rows _ ->
       raise_kind (Err.Msg "expected a sentence result, got a collection")
@@ -1435,16 +1078,16 @@ let run_truth ?conv ?externals ?strategy ?tracer ?guard ?batched ?fixpoint ~db
    strata itself; it needs the raw operators on an explicit context, with
    stats off (node ids are irrelevant without a stats table). *)
 
-let exec_pipeline ctx ?(outer = []) (t : Ir.t) : I.benv list =
-  exec_rows { ctx; outer; stats = None; batched = false; fix = None } 0 t
+let hook_env ctx = { ctx; outer = []; stats = None; fix = None }
+
+let exec_pipeline ctx (t : Ir.t) : I.benv list =
+  Array.to_list (exec_block (hook_env ctx) 0 t)
 
 let exec_collection ctx (p : Ir.coll_plan) : Relation.t =
-  exec_coll { ctx; outer = []; stats = None; batched = false; fix = None } 0 p
+  exec_coll (hook_env ctx) 0 p
 
 let exec_stratum_plan ctx (s : Ir.stratum) : unit =
-  exec_stratum
-    { ctx; outer = []; stats = None; batched = false; fix = None }
-    0 s
+  exec_stratum (hook_env ctx) 0 s
 
 (* ------------------------------------------------------------------ *)
 (* Metrics export                                                      *)

@@ -23,8 +23,6 @@ val compile :
 
 val exec_program :
   ?stats:Arc_plan.Ir.stats ->
-  ?batched:bool ->
-  ?fixpoint:[ `Indexed | `Tuple ] ->
   Eval.Internal.ctx ->
   Arc_plan.Ir.program_plan ->
   Eval.outcome
@@ -33,21 +31,17 @@ val exec_program :
     strata), then runs the main plan. Raises {!Eval.Eval_error} like the
     reference evaluator.
 
-    [batched] (default [true]) selects the block-at-a-time pipeline:
-    operators work on row arrays with amortized governor probes,
-    buffer-reused (or memoized whole-tuple) hash keys, and constant-time
-    group appends. Both paths emit the same rows in the same order;
-    [batched:false] is the tuple-at-a-time baseline kept for ablation.
+    Operators run block-at-a-time: they work on row arrays with amortized
+    governor probes, buffer-reused (or memoized whole-tuple) hash keys,
+    and constant-time group appends.
 
-    [fixpoint] (default [`Indexed]) selects the seminaive fixpoint
-    implementation for recursive strata: [`Indexed] runs one delta rule
-    per component-scan occurrence on the batched pipeline with
-    persistent caches — hash-join build tables and component-free
-    subtree results survive across rounds, and a seen-set of canonical
-    tuple keys replaces per-round dedup/diff — while [`Tuple] is the
-    legacy per-occurrence whole-plan re-execution kept as the ablation
-    baseline (BENCH_9). Both produce identical relations and trip
-    governor budgets at the same rounds.
+    Recursive strata run the seminaive fixpoint when the strategy is
+    seminaive and the stratum passes {!Arc_plan.Ir.seminaive_eligible},
+    and the naive fixpoint otherwise. The seminaive fixpoint is indexed:
+    it runs one delta rule per component-scan occurrence with persistent
+    caches — hash-join build tables and component-free subtree results
+    survive across rounds, and a seen-set of canonical tuple keys
+    replaces per-round dedup/diff.
 
     When [stats] is given, every operator additionally records per-node
     actuals (invocations, rows emitted, inclusive wall-clock, hash
@@ -70,23 +64,21 @@ val export_stats :
 
     Raw operator entry points for {!Arc_ivm}: execute a bare pipeline, a
     collection plan, or one definition stratum against an explicit
-    context (stats off). The pipeline form returns binding environments —
-    derivations before projection/deduplication — which is what counting-
-    based maintenance needs. *)
+    context (stats off), on the same block pipeline as {!exec_program}. *)
 
 val exec_pipeline :
-  Eval.Internal.ctx ->
-  ?outer:Eval.Internal.benv ->
-  Arc_plan.Ir.t ->
-  Eval.Internal.benv list
+  Eval.Internal.ctx -> Arc_plan.Ir.t -> Eval.Internal.benv list
+(** Runs the pipeline block-at-a-time and returns its binding
+    environments: one per derivation, before projection and
+    deduplication, which is what counting-based maintenance needs. *)
 
 val exec_collection :
   Eval.Internal.ctx -> Arc_plan.Ir.coll_plan -> Arc_relation.Relation.t
 
 val exec_stratum_plan : Eval.Internal.ctx -> Arc_plan.Ir.stratum -> unit
 (** Materializes the stratum's definitions into the context's IDB,
-    running a hash fixpoint for recursive strata (with the same
-    stratification check as {!exec_program}). *)
+    running the naive or indexed seminaive fixpoint for recursive strata
+    (with the same stratification check as {!exec_program}). *)
 
 val run :
   ?conv:Arc_value.Conventions.t ->
@@ -94,8 +86,6 @@ val run :
   ?strategy:Eval.recursion_strategy ->
   ?tracer:Arc_obs.Obs.t ->
   ?guard:Arc_guard.Gov.t ->
-  ?batched:bool ->
-  ?fixpoint:[ `Indexed | `Tuple ] ->
   db:Arc_relation.Database.t ->
   program ->
   Eval.outcome
@@ -107,8 +97,6 @@ val run_rows :
   ?strategy:Eval.recursion_strategy ->
   ?tracer:Arc_obs.Obs.t ->
   ?guard:Arc_guard.Gov.t ->
-  ?batched:bool ->
-  ?fixpoint:[ `Indexed | `Tuple ] ->
   db:Arc_relation.Database.t ->
   program ->
   Arc_relation.Relation.t
@@ -119,8 +107,6 @@ val run_truth :
   ?strategy:Eval.recursion_strategy ->
   ?tracer:Arc_obs.Obs.t ->
   ?guard:Arc_guard.Gov.t ->
-  ?batched:bool ->
-  ?fixpoint:[ `Indexed | `Tuple ] ->
   db:Arc_relation.Database.t ->
   program ->
   Arc_value.Bool3.t

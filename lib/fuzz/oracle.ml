@@ -152,15 +152,12 @@ let check_engines (case : Case.t) =
     all_conventions
 
 (* ------------------------------------------------------------------ *)
-(* Check 1b: execution modes must be result-invisible                  *)
+(* Check 1b: statistics must be result-invisible                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Statistics only steer plan choice, batching only changes the physical
-   iteration, and the fixpoint implementation only changes how recursive
-   strata are driven, so all three must be bag-invisible: the plan engine
-   run against an ANALYZEd database, the tuple-at-a-time path, and the
-   legacy tuple fixpoint must each agree with the default run under every
-   convention combo. *)
+(* Statistics only steer plan choice, so they must be bag-invisible: the
+   plan engine run against an ANALYZEd database must agree with the plain
+   run under every convention combo. *)
 let check_modes (case : Case.t) =
   let analyzed = Arc_relation.Database.analyze case.Case.db in
   List.concat_map
@@ -170,51 +167,16 @@ let check_modes (case : Case.t) =
         outcome_of (fun () ->
             Exec.run ~conv ~guard:(guard ()) ~db:analyzed case.prog)
       in
-      let tuple =
-        outcome_of (fun () ->
-            Exec.run ~conv ~guard:(guard ()) ~batched:false ~db:case.db
-              case.prog)
-      in
-      let tuple_fixpoint =
-        outcome_of (fun () ->
-            Exec.run ~conv ~guard:(guard ()) ~fixpoint:`Tuple ~db:case.db
-              case.prog)
-      in
-      (if agree base with_stats then []
-       else
-         [
-           {
-             d_kind = "stats-vs-plain";
-             d_conv = cname;
-             d_detail =
-               Printf.sprintf "without stats %s, with stats %s"
-                 (outcome_to_string base)
-                 (outcome_to_string with_stats);
-           };
-         ])
-      @ (if agree base tuple then []
-         else
-           [
-             {
-               d_kind = "batched-vs-tuple";
-               d_conv = cname;
-               d_detail =
-                 Printf.sprintf "batched %s, tuple-at-a-time %s"
-                   (outcome_to_string base)
-                   (outcome_to_string tuple);
-             };
-           ])
-      @
-      if agree base tuple_fixpoint then []
+      if agree base with_stats then []
       else
         [
           {
-            d_kind = "fixpoint-indexed-vs-tuple";
+            d_kind = "stats-vs-plain";
             d_conv = cname;
             d_detail =
-              Printf.sprintf "indexed fixpoint %s, tuple fixpoint %s"
+              Printf.sprintf "without stats %s, with stats %s"
                 (outcome_to_string base)
-                (outcome_to_string tuple_fixpoint);
+                (outcome_to_string with_stats);
           };
         ])
     all_conventions

@@ -393,8 +393,8 @@ let all_convs : (string * Conventions.t) list =
         [ (Conventions.Two_valued, "2vl"); (Conventions.Three_valued, "3vl") ])
     [ (Conventions.Set, "set"); (Conventions.Bag, "bag") ]
 
-(* indexed fixpoint ≡ tuple fixpoint ≡ naive ≡ reference, on a chain and
-   a cycle, under every convention combination *)
+(* indexed seminaive fixpoint ≡ naive ≡ reference, on a chain and a
+   cycle, under every convention combination *)
 let fixpoint_modes_agree () =
   let prog = program ~defs:tc_defs (Coll tc_main) in
   List.iter
@@ -402,18 +402,10 @@ let fixpoint_modes_agree () =
       List.iter
         (fun (cname, conv) ->
           let reference = Eval.run_rows ~conv ~db prog in
-          List.iter
-            (fun (mname, fixpoint, batched) ->
-              check_same_bag
-                (Printf.sprintf "%s %s %s" dbname cname mname)
-                reference
-                (Exec.run_rows ~conv ~fixpoint ~batched ~db prog))
-            [
-              ("indexed", `Indexed, true);
-              ("indexed/tuple-exec", `Indexed, false);
-              ("tuple", `Tuple, true);
-              ("tuple/tuple-exec", `Tuple, false);
-            ];
+          check_same_bag
+            (Printf.sprintf "%s %s indexed" dbname cname)
+            reference
+            (Exec.run_rows ~conv ~db prog);
           check_same_bag
             (Printf.sprintf "%s %s naive" dbname cname)
             reference
@@ -421,62 +413,32 @@ let fixpoint_modes_agree () =
         all_convs)
     [ ("chain-12", db_chain 12); ("cycle-8", db_cycle 8) ]
 
-(* Guard parity: both fixpoint implementations must trip the governor at
-   the same budgets. Under a tight iteration cap with `Truncate both stop
-   after the same rounds with identical partial closures; under a row cap
-   both clip to at most the budget and report truncation; under `Fail
-   both raise. *)
+(* Guard accounting of the seminaive fixpoint. Under a 3-round iteration
+   cap with `Truncate it keeps the seed plus three rounds of the closure
+   (10 + 9 + 8 + 7 = 34 pairs on a 10-edge chain); under a row cap it
+   clips to at most the budget and reports truncation; under `Fail it
+   raises. *)
 let fixpoint_guard_parity () =
   let db = db_chain 10 in
   let prog = program ~defs:tc_defs (Coll tc_main) in
-  let run ?guard fixpoint batched =
-    Exec.run_rows ?guard ~fixpoint ~batched ~db prog
-  in
-  let modes =
-    [
-      ("indexed", `Indexed, true);
-      ("indexed/tuple-exec", `Indexed, false);
-      ("tuple", `Tuple, true);
-      ("tuple/tuple-exec", `Tuple, false);
-    ]
-  in
-  (* iteration cap, `Truncate: identical partial closures across modes *)
+  let run guard = Exec.run_rows ~guard ~db prog in
+  (* iteration cap, `Truncate: the partial closure of the first rounds *)
   let iter_budget = { Budget.default with max_iterations = Some 3 } in
-  let results =
-    List.map
-      (fun (n, f, b) ->
-        (n, run ~guard:(Gov.make ~on_limit:`Truncate iter_budget) f b))
-      modes
+  let capped = run (Gov.make ~on_limit:`Truncate iter_budget) in
+  Alcotest.(check int) "iteration-capped closure" 34
+    (Relation.cardinality capped);
+  (* row cap, `Truncate: clips to the budget and reports it *)
+  let guard =
+    Gov.make ~on_limit:`Truncate { Budget.default with max_rows = Some 10 }
   in
-  let _, first = List.hd results in
-  Alcotest.(check bool) "iteration cap yields a partial closure" true
-    (Relation.cardinality first < 55);
-  List.iter
-    (fun (n, r) ->
-      check_same_bag (Printf.sprintf "iteration-capped %s = indexed" n) first r)
-    (List.tl results);
-  (* row cap, `Truncate: every mode clips to the budget and reports it *)
-  List.iter
-    (fun (n, f, b) ->
-      let guard =
-        Gov.make ~on_limit:`Truncate
-          { Budget.default with max_rows = Some 10 }
-      in
-      let r = run ~guard f b in
-      Alcotest.(check bool) (Printf.sprintf "row cap clips %s" n) true
-        (Relation.cardinality r <= 10);
-      Alcotest.(check bool)
-        (Printf.sprintf "row-cap truncation reported for %s" n)
-        true (Gov.report guard).Gov.truncated)
-    modes;
-  (* iteration cap, `Fail: every mode raises the same typed error *)
-  List.iter
-    (fun (n, f, b) ->
-      let guard = Gov.make ~on_limit:`Fail iter_budget in
-      match run ~guard f b with
-      | _ -> Alcotest.fail (Printf.sprintf "%s did not trip the guard" n)
-      | exception Eval.Eval_error _ -> ())
-    modes
+  let r = run guard in
+  Alcotest.(check bool) "row cap clips" true (Relation.cardinality r <= 10);
+  Alcotest.(check bool) "row-cap truncation reported" true
+    (Gov.report guard).Gov.truncated;
+  (* iteration cap, `Fail: raises a typed error *)
+  match run (Gov.make ~on_limit:`Fail iter_budget) with
+  | _ -> Alcotest.fail "the iteration cap did not trip the guard"
+  | exception Eval.Eval_error _ -> ()
 
 let () =
   Alcotest.run "arc_plan"

@@ -430,16 +430,13 @@ let reconcile_without_stats () =
         heur card)
     q_workloads
 
-(* statistics are advisory: ANALYZE and the batched/tuple execution paths
-   must return the same bags *)
+(* statistics are advisory: running with and without ANALYZE must return
+   the same bags *)
 let modes_agree () =
   List.iter
     (fun (name, db, prog) ->
       let base = Exec.run_rows ~db prog in
-      let tuple = Exec.run_rows ~batched:false ~db prog in
       let stats = Exec.run_rows ~db:(Database.analyze db) prog in
-      if not (Relation.equal_bag base tuple) then
-        Alcotest.failf "%s: batched and tuple-at-a-time bags differ" name;
       if not (Relation.equal_bag base stats) then
         Alcotest.failf "%s: ANALYZE changed the result bag" name)
     (("eq16", Data.db_parent,
