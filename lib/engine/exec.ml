@@ -835,38 +835,44 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
     List.map
       (fun (dp, id) ->
         let n = dp.Ir.dname in
-        let head, disjuncts =
+        let head =
           match dp.Ir.dplan with
-          | Ir.Union { head; disjuncts } -> (head, disjuncts)
-          (* Fallback plans never pass [Ir.seminaive_eligible] *)
-          | Ir.Fallback { head; _ } -> (head, [])
+          | Ir.Union { head; _ } | Ir.Fallback { head; _ } -> head
         in
-        let seed = Relation.dedup (exec_coll env id dp.Ir.dplan) in
-        I.idb_set ctx n seed;
-        I.idb_set ctx (delta_name n) seed;
-        with_actual env id (fun a ->
-            a.Ir.a_deltas <- Relation.cardinality seed :: a.Ir.a_deltas);
-        if Obs.enabled (tracer env) then
-          Obs.set ssp ("delta:" ^ n) (Obs.Int (Relation.cardinality seed));
-        let seen = Hashtbl.create (max 64 (4 * Relation.cardinality seed)) in
+        (* the seen-set starts from the definition's current value, so the
+           first delta is the seed minus the start (the whole seed when
+           starting from empty) *)
+        let start = Option.get (I.idb_get ctx n) in
+        let seed = exec_coll env id dp.Ir.dplan in
+        let seen =
+          Hashtbl.create
+            (max 64
+               (4 * (Relation.cardinality start + Relation.cardinality seed)))
+        in
         List.iter
           (fun tp -> Hashtbl.replace seen (Tuple.key tp) ())
-          (Relation.tuples seed);
+          (Relation.tuples start);
+        let delta =
+          Relation.select
+            (fun tp ->
+              let k = Tuple.key tp in
+              (not (Hashtbl.mem seen k)) && (Hashtbl.add seen k (); true))
+            seed
+        in
+        I.idb_set ctx n (Relation.union start delta);
+        I.idb_set ctx (delta_name n) delta;
+        with_actual env id (fun a ->
+            a.Ir.a_deltas <- Relation.cardinality delta :: a.Ir.a_deltas);
+        if Obs.enabled (tracer env) then
+          Obs.set ssp ("delta:" ^ n) (Obs.Int (Relation.cardinality delta));
         let dids = Ir.coll_child_ids id dp.Ir.dplan in
         let occurrences = Ir.count_scans_coll component dp.Ir.dplan in
         let rules =
           List.init occurrences (fun i ->
               match Ir.subst_scan component i dp.Ir.dplan with
               | Ir.Union { disjuncts = subst; _ } ->
-                  (* exactly one disjunct was rewritten: the one holding
-                     occurrence [i] *)
-                  let rec pick ds ss ids =
-                    match (ds, ss, ids) with
-                    | d :: _, s :: _, did :: _ when d <> s -> (s, did)
-                    | _ :: ds, _ :: ss, _ :: ids -> pick ds ss ids
-                    | _ -> assert false
-                  in
-                  let sd, did = pick disjuncts subst dids in
+                  let d = Ir.occurrence_disjunct component i dp.Ir.dplan in
+                  let sd = List.nth subst d and did = List.nth dids d in
                   (sd, did, make_fix_cache banned did sd)
               | Ir.Fallback _ -> assert false)
         in
@@ -954,33 +960,40 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
   Obs.leave (tracer env) sp;
   List.iter (fun n -> I.idb_remove ctx (delta_name n)) component
 
-(* [base] is the id of the stratum's first definition; consecutive
-   definitions follow at offsets of [Ir.size_coll], mirroring
+(* Runs a recursive stratum's fixpoint from its definitions' current IDB
+   values. [base] is the id of the stratum's first definition;
+   consecutive definitions follow at offsets of [Ir.size_coll], mirroring
    [Ir.program_ids]. *)
+let run_fixpoint env base (dps : Ir.def_plan list) =
+  let component = List.map (fun d -> d.Ir.dname) dps in
+  let dps_ids =
+    List.rev
+      (fst
+         (List.fold_left
+            (fun (acc, next) dp ->
+              ((dp, next) :: acc, next + Ir.size_coll dp.Ir.dplan))
+            ([], base) dps))
+  in
+  (* stratification check, as in the reference *)
+  List.iter
+    (fun dp ->
+      List.iter
+        (fun (m, negative) ->
+          if negative && List.mem m component then
+            raise_kind (Err.Unstratifiable { name = dp.Ir.dname; dep = m }))
+        (Depend.collection_deps dp.Ir.dcoll))
+    dps;
+  match I.strategy env.ctx with
+  | Eval.Seminaive when Ir.seminaive_eligible component dps ->
+      indexed_seminaive_fixpoint env component dps_ids
+  | _ -> naive_fixpoint env dps_ids
+
+(* Install empty component relations, then run the fixpoint from them. *)
 let exec_stratum env base (s : Ir.stratum) =
   let ctx = env.ctx in
   match s with
   | Ir.Nonrecursive dp -> I.idb_set ctx dp.dname (exec_coll env base dp.dplan)
   | Ir.Recursive dps ->
-      let component = List.map (fun d -> d.Ir.dname) dps in
-      let dps_ids =
-        List.rev
-          (fst
-             (List.fold_left
-                (fun (acc, next) dp ->
-                  ((dp, next) :: acc, next + Ir.size_coll dp.Ir.dplan))
-                ([], base) dps))
-      in
-      (* stratification check, as in the reference *)
-      List.iter
-        (fun dp ->
-          List.iter
-            (fun (m, negative) ->
-              if negative && List.mem m component then
-                raise_kind
-                  (Err.Unstratifiable { name = dp.Ir.dname; dep = m }))
-            (Depend.collection_deps dp.Ir.dcoll))
-        dps;
       List.iter
         (fun dp ->
           let attrs =
@@ -989,10 +1002,7 @@ let exec_stratum env base (s : Ir.stratum) =
           in
           I.idb_set ctx dp.Ir.dname (Relation.empty ~name:dp.Ir.dname attrs))
         dps;
-      match I.strategy ctx with
-      | Eval.Seminaive when Ir.seminaive_eligible component dps ->
-          indexed_seminaive_fixpoint env component dps_ids
-      | _ -> naive_fixpoint env dps_ids
+      run_fixpoint env base dps
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
@@ -1088,6 +1098,9 @@ let exec_collection ctx (p : Ir.coll_plan) : Relation.t =
 
 let exec_stratum_plan ctx (s : Ir.stratum) : unit =
   exec_stratum (hook_env ctx) 0 s
+
+let resume_stratum_plan ctx (dps : Ir.def_plan list) : unit =
+  run_fixpoint (hook_env ctx) 0 dps
 
 (* ------------------------------------------------------------------ *)
 (* Metrics export                                                      *)

@@ -64,7 +64,8 @@ val export_stats :
 
     Raw operator entry points for {!Arc_ivm}: execute a bare pipeline, a
     collection plan, or one definition stratum against an explicit
-    context (stats off), on the same block pipeline as {!exec_program}. *)
+    context (stats off), on the same block pipeline as {!exec_program}, or
+    resume a recursive stratum's fixpoint from the values it holds. *)
 
 val exec_pipeline :
   Eval.Internal.ctx -> Arc_plan.Ir.t -> Eval.Internal.benv list
@@ -79,6 +80,18 @@ val exec_stratum_plan : Eval.Internal.ctx -> Arc_plan.Ir.stratum -> unit
 (** Materializes the stratum's definitions into the context's IDB,
     running the naive or indexed seminaive fixpoint for recursive strata
     (with the same stratification check as {!exec_program}). *)
+
+val resume_stratum_plan :
+  Eval.Internal.ctx -> Arc_plan.Ir.def_plan list -> unit
+(** Runs a recursive component's fixpoint, exactly as
+    {!exec_stratum_plan} does, but from the definitions' current IDB values
+    instead of from empty: those values seed the indexed fixpoint's
+    seen-set (its first delta is the first rule application minus them),
+    and the naive fixpoint iterates from them directly. For a monotone
+    stratum started from a subset of its least fixpoint over the current
+    inputs, the result is that least fixpoint. DRed maintenance resumes
+    from the survivors of its over-delete phase. Fixpoint rounds count
+    against the context's governor as usual. *)
 
 val run :
   ?conv:Arc_value.Conventions.t ->

@@ -24,18 +24,13 @@ let fail fmt = Printf.ksprintf (fun m -> raise (Ivm_error m)) fmt
 
 (* Registered in the per-batch context's IDB under the reserved "__ivm__"
    namespace (Analysis rejects user relations there). Counting strata
-   read old/new/pos/neg versions of changed relations; DRed strata use a
-   disjoint set so set-level and bag-level views never collide. *)
+   read old/new/pos/neg versions of changed relations; DRed reads the old
+   versions and keeps its over-delete frontier under [nm_front]. *)
 let nm_old r = "__ivm__old__" ^ r
 let nm_new r = "__ivm__new__" ^ r
 let nm_pos r = "__ivm__pos__" ^ r
 let nm_neg r = "__ivm__neg__" ^ r
-let nm_orig r = "__ivm__orig__" ^ r
-let nm_mid r = "__ivm__mid__" ^ r
-let nm_cur r = "__ivm__cur__" ^ r
 let nm_front r = "__ivm__front__" ^ r
-let nm_rnew r = "__ivm__rnew__" ^ r
-let nm_rpos r = "__ivm__rpos__" ^ r
 
 (* ------------------------------------------------------------------ *)
 (* Eligibility: the multilinear pipeline core                          *)
@@ -286,6 +281,15 @@ let occurrence_rels_coll rels (p : Ir.coll_plan) : rel_name list =
        p);
   List.map snd (List.sort compare !acc)
 
+(* The delta rule of occurrence [j] of [rels] in [p]: scans renamed with
+   [rename], restricted to the disjunct holding occurrence [j]. *)
+let occurrence_rule rels j rename (p : Ir.coll_plan) : Ir.coll_plan =
+  match Ir.subst_scans_with rels rename p with
+  | Ir.Union u ->
+      let d = Ir.occurrence_disjunct rels j p in
+      Ir.Union { u with disjuncts = [ List.nth u.disjuncts d ] }
+  | sub -> sub
+
 (* Signed derivation delta of a multilinear pipeline:
    Δf = Σ_j f(new_1…new_{j-1}, Δ_j, old_{j+1}…), each Δ_j split into its
    insertion (+1) and deletion (−1) sides. Changed relations are renamed
@@ -472,277 +476,93 @@ let maintain_counting ctx conv head disjs counts changed old_r =
 (* DRed for recursive strata                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Fixpoint relations are sets regardless of the collection convention
-   (both engines dedup each round), so DRed works at the set level:
-   input changes are projected to distinct-tuple transitions first. *)
-let maintain_dred ctx defs component (dps : Ir.def_plan list)
+(* DRed (Gupta, Mumick & Subrahmanian, SIGMOD 1993) in two phases.
+   Fixpoint relations are sets under every convention (both fixpoints
+   dedup), so the stratum is maintained at the set level.
+
+   Over-delete: starting from the input tuples that lost copies, mark
+   every component tuple with a one-step derivation through a marked
+   tuple, all other positions at their pre-batch values: changed inputs
+   through their [nm_old] copies, the component under its own name (it
+   still holds the old fixpoint). A candidate is one rule step over old
+   values, so it already lies in the old fixpoint. Under bag conventions
+   an input tuple that only lost some copies is marked too, which
+   over-deletes a little more and stays sound.
+
+   Resume: a survivor (old fixpoint minus everything marked) has a
+   derivation none of whose premises was marked, so by induction on its
+   depth it lies in the new fixpoint. DRed strata are multilinear, hence
+   monotone, so the stratum's own fixpoint, resumed from the survivors
+   over the new inputs, reaches the new least fixpoint: it re-derives and
+   inserts in one pass, leaving the result in the context's IDB. *)
+let maintain_dred ctx defs (dps : Ir.def_plan list)
     (stratum_changes : (rel_name * change) list) =
   let gov = I.gov ctx in
-  let set_rel = I.idb_set ctx in
-  let input_rels = List.map fst stratum_changes in
-  let all = component @ input_rels in
-  let orig = List.map (fun n -> (n, List.assoc n defs)) component in
-  let set_changes =
+  let component = List.map (fun dp -> dp.Ir.dname) dps in
+  let all = component @ List.map fst stratum_changes in
+  let olds =
     List.map
-      (fun (r, ch) ->
-        let o = Relation.dedup ch.ch_old and n = Relation.dedup ch.ch_new in
-        (r, o, n, Relation.diff_signed o n))
-      stratum_changes
+      (fun dp -> (dp, List.assoc dp.Ir.dname defs, Hashtbl.create 16))
+      dps
   in
-  List.iter (fun (n, rel) -> set_rel (nm_orig n) rel) orig;
-  List.iter (fun (r, o, n, _) ->
-      set_rel (nm_orig r) o;
-      set_rel (nm_rnew r) n)
-    set_changes;
-  let exec_subst dp rename =
-    Relation.dedup
-      (Exec.exec_collection ctx (Ir.subst_scans_with all rename dp.Ir.dplan))
+  let frontier =
+    ref
+      (List.filter_map
+         (fun (r, ch) ->
+           match
+             List.filter_map
+               (fun (tp, n) -> if n < 0 then Some tp else None)
+               ch.ch_eff
+           with
+           | [] -> None
+           | rows -> Some (r, rel_of_rows ~name:r ch.ch_old rows))
+         stratum_changes)
   in
-  let remaining = Hashtbl.create 8 in
-  let deleted = Hashtbl.create 8 in
-  List.iter
-    (fun (n, rel) ->
-      Hashtbl.replace remaining n rel;
-      Hashtbl.replace deleted n (rel_of_rows ~name:n rel []))
-    orig;
   let rounds = ref 0 in
   let round_ok () =
     incr rounds;
     Gov.tick gov;
     Gov.iteration_allowed gov !rounds && not (Gov.stopped gov)
   in
-  let has_del =
-    List.exists
-      (fun (_, _, _, eff) -> List.exists (fun (_, n) -> n < 0) eff)
-      set_changes
-  in
-  let has_ins =
-    List.exists
-      (fun (_, _, _, eff) -> List.exists (fun (_, n) -> n > 0) eff)
-      set_changes
-  in
-  (* --- Phase A: over-delete. One-step consequences of deleted tuples,
-     all other positions at their original values, intersected with what
-     is still present; iterate until no new deletions. --- *)
-  if has_del then begin
-    let frontier =
-      ref
-        (List.filter_map
-           (fun (r, o, _, eff) ->
-             let rows =
-               List.concat_map
-                 (fun (tp, n) -> List.init (max 0 (-n)) (fun _ -> tp))
-                 eff
-             in
-             if rows = [] then None else Some (r, rel_of_rows ~name:r o rows))
-           set_changes)
-    in
-    while !frontier <> [] && round_ok () do
-      List.iter (fun (r, rel) -> set_rel (nm_front r) rel) !frontier;
-      let front_rels = List.map fst !frontier in
-      let newdels =
-        List.filter_map
-          (fun dp ->
+  while !frontier <> [] && round_ok () do
+    List.iter (fun (r, rel) -> I.idb_set ctx (nm_front r) rel) !frontier;
+    let front = List.map fst !frontier in
+    frontier :=
+      List.filter_map
+        (fun (dp, old, gone) ->
+          let marked = ref [] in
+          List.iteri
+            (fun j rj ->
+              if List.mem rj front then
+                let plan =
+                  occurrence_rule all j
+                    (fun k rel ->
+                      if k = j then Some (nm_front rel)
+                      else if List.mem rel component then None
+                      else Some (nm_old rel))
+                    dp.Ir.dplan
+                in
+                List.iter
+                  (fun tp ->
+                    let k = Tuple.key tp in
+                    if not (Hashtbl.mem gone k) then begin
+                      Hashtbl.add gone k ();
+                      marked := tp :: !marked
+                    end)
+                  (Relation.tuples (Exec.exec_collection ctx plan)))
+            (occurrence_rels_coll all dp.Ir.dplan);
+          if !marked = [] then None
+          else
             let n = dp.Ir.dname in
-            let occs = occurrence_rels_coll all dp.Ir.dplan in
-            let candidates =
-              List.concat
-                (List.mapi
-                   (fun j rj ->
-                     if not (List.mem rj front_rels) then []
-                     else
-                       Relation.tuples
-                         (exec_subst dp (fun k rel ->
-                              if k = j then Some (nm_front rel)
-                              else Some (nm_orig rel))))
-                   occs)
-            in
-            let rem = Hashtbl.find remaining n in
-            let cand = Relation.dedup (rel_of_rows ~name:n rem candidates) in
-            let newdel = Relation.intersect cand rem in
-            if Relation.is_empty newdel then None
-            else begin
-              Hashtbl.replace remaining n (Relation.minus rem newdel);
-              Hashtbl.replace deleted n
-                (Relation.union (Hashtbl.find deleted n) newdel);
-              Some (n, newdel)
-            end)
-          dps
-      in
-      frontier := newdels
-    done
-  end;
-  (* --- Phase B: re-derive. Inputs at their deletion-applied value; one
-     full rule application re-derives over-deleted tuples that survive,
-     then seminaive rounds propagate re-additions. --- *)
+            Some (n, rel_of_rows ~name:n old (List.rev !marked)))
+        olds
+  done;
   List.iter
-    (fun (r, o, _, eff) ->
-      let negs =
-        List.concat_map
-          (fun (tp, n) -> List.init (max 0 (-n)) (fun _ -> tp))
-          eff
-      in
-      set_rel (nm_mid r) (Relation.minus o (rel_of_rows ~name:r o negs)))
-    set_changes;
-  let set_cur () =
-    List.iter (fun (n, _) -> set_rel (nm_cur n) (Hashtbl.find remaining n)) orig
-  in
-  set_cur ();
-  if has_del && List.exists (fun (n, _) -> not (Relation.is_empty (Hashtbl.find deleted n))) orig
-  then begin
-    let readd_of dp derived =
-      let n = dp.Ir.dname in
-      let dead = Hashtbl.find deleted n in
-      let readd = Relation.intersect derived dead in
-      if Relation.is_empty readd then None
-      else begin
-        Hashtbl.replace remaining n
-          (Relation.dedup (Relation.union (Hashtbl.find remaining n) readd));
-        Hashtbl.replace deleted n (Relation.minus dead readd);
-        Some (n, readd)
-      end
-    in
-    let first =
-      List.filter_map
-        (fun dp ->
-          readd_of dp
-            (exec_subst dp (fun _ rel ->
-                 if List.mem rel component then Some (nm_cur rel)
-                 else Some (nm_mid rel))))
-        dps
-    in
-    set_cur ();
-    let frontier = ref first in
-    while !frontier <> [] && round_ok () do
-      List.iter (fun (r, rel) -> set_rel (nm_front r) rel) !frontier;
-      let front_rels = List.map fst !frontier in
-      let readds =
-        List.filter_map
-          (fun dp ->
-            let occs = occurrence_rels_coll all dp.Ir.dplan in
-            let derived =
-              List.concat
-                (List.mapi
-                   (fun j rj ->
-                     if not (List.mem rj front_rels) then []
-                     else
-                       Relation.tuples
-                         (exec_subst dp (fun k rel ->
-                              if k = j then Some (nm_front rel)
-                              else if List.mem rel component then
-                                Some (nm_cur rel)
-                              else Some (nm_mid rel))))
-                   occs)
-            in
-            let rem = Hashtbl.find remaining dp.Ir.dname in
-            readd_of dp
-              (Relation.dedup (rel_of_rows ~name:dp.Ir.dname rem derived)))
-          dps
-      in
-      set_cur ();
-      frontier := readds
-    done
-  end;
-  (* --- Phase C: insertions. Differentiate input insertions (inputs mix
-     new-before/mid-after, component at current), then run the seminaive
-     continuation over component deltas with inputs at new values. --- *)
-  if has_ins then begin
-    List.iter
-      (fun (r, _, _, eff) ->
-        let pos =
-          List.concat_map
-            (fun (tp, n) -> List.init (max 0 n) (fun _ -> tp))
-            eff
-        in
-        set_rel (nm_rpos r)
-          (rel_of_rows ~name:r (Hashtbl.find_opt remaining r |> function
-            | Some x -> x
-            | None ->
-                (let (_, o, _, _) =
-                   List.find (fun (r', _, _, _) -> r' = r) set_changes
-                 in
-                 o))
-            pos))
-      set_changes;
-    let fresh_of dp derived =
-      let n = dp.Ir.dname in
-      let cur = Hashtbl.find remaining n in
-      let fresh = Relation.minus derived cur in
-      if Relation.is_empty fresh then None
-      else begin
-        Hashtbl.replace remaining n (Relation.dedup (Relation.union cur fresh));
-        Some (n, fresh)
-      end
-    in
-    let seeds =
-      List.filter_map
-        (fun dp ->
-          let occs = occurrence_rels_coll all dp.Ir.dplan in
-          let derived =
-            List.concat
-              (List.mapi
-                 (fun j rj ->
-                   let is_input = List.mem rj input_rels in
-                   let has_pos =
-                     is_input
-                     && List.exists
-                          (fun (r, _, _, eff) ->
-                            r = rj && List.exists (fun (_, n) -> n > 0) eff)
-                          set_changes
-                   in
-                   if not has_pos then []
-                   else
-                     Relation.tuples
-                       (exec_subst dp (fun k rel ->
-                            if List.mem rel component then Some (nm_cur rel)
-                            else if k = j then Some (nm_rpos rel)
-                            else if k < j then Some (nm_rnew rel)
-                            else Some (nm_mid rel))))
-                 occs)
-          in
-          let rem = Hashtbl.find remaining dp.Ir.dname in
-          fresh_of dp
-            (Relation.dedup (rel_of_rows ~name:dp.Ir.dname rem derived)))
-        dps
-    in
-    set_cur ();
-    let frontier = ref seeds in
-    while !frontier <> [] && round_ok () do
-      List.iter (fun (r, rel) -> set_rel (nm_front r) rel) !frontier;
-      let front_rels = List.map fst !frontier in
-      let freshes =
-        List.filter_map
-          (fun dp ->
-            let occs = occurrence_rels_coll all dp.Ir.dplan in
-            let derived =
-              List.concat
-                (List.mapi
-                   (fun j rj ->
-                     if not (List.mem rj front_rels) then []
-                     else
-                       Relation.tuples
-                         (exec_subst dp (fun k rel ->
-                              if k = j then Some (nm_front rel)
-                              else if List.mem rel component then
-                                Some (nm_cur rel)
-                              else Some (nm_rnew rel))))
-                   occs)
-            in
-            let rem = Hashtbl.find remaining dp.Ir.dname in
-            fresh_of dp
-              (Relation.dedup (rel_of_rows ~name:dp.Ir.dname rem derived)))
-          dps
-      in
-      set_cur ();
-      frontier := freshes
-    done
-  end;
-  (* Per-definition results and effective deltas. *)
-  List.map
-    (fun (n, before) ->
-      let after = Relation.sort (Hashtbl.find remaining n) in
-      (n, before, after, Relation.diff_signed before after))
-    orig
+    (fun (dp, old, gone) ->
+      I.idb_set ctx dp.Ir.dname
+        (Relation.select (fun tp -> not (Hashtbl.mem gone (Tuple.key tp))) old))
+    olds;
+  Exec.resume_stratum_plan ctx dps
 
 (* ------------------------------------------------------------------ *)
 (* Classification                                                      *)
@@ -1029,39 +849,31 @@ let maintain_view t v guard changed_base =
               record_change ?eff sname old_r new_r
             end
         | SRecursive { component; dps; sdeps; dred; dred_reason } ->
-            if changed_dep changed sdeps then
+            if changed_dep changed sdeps then begin
+              let olds =
+                List.map (fun n -> (n, List.assoc n v.v_defs)) component
+              in
               if dred then begin
                 incr incremental;
-                let stratum_changes =
-                  List.filter_map
-                    (fun d ->
-                      Option.map (fun ch -> (d, ch))
-                        (Hashtbl.find_opt changed d))
-                    sdeps
-                in
-                let results =
-                  maintain_dred ctx v.v_defs component dps stratum_changes
-                in
-                List.iter
-                  (fun (n, before, after, _) ->
-                    record_change n before after)
-                  results
+                maintain_dred ctx v.v_defs dps
+                  (List.filter_map
+                     (fun d ->
+                       Option.map (fun ch -> (d, ch)) (Hashtbl.find_opt changed d))
+                     sdeps)
               end
               else begin
                 note_fallback t v
                   (if dred_reason = "" then "recursive_fallback"
                    else dred_reason);
-                let olds =
-                  List.map (fun n -> (n, List.assoc n v.v_defs)) component
-                in
-                Exec.exec_stratum_plan ctx (Ir.Recursive dps);
-                List.iter
-                  (fun (n, old_r) ->
-                    match I.idb_get ctx n with
-                    | Some r -> record_change n old_r (Relation.sort r)
-                    | None -> fail "fixpoint left %S unmaterialized" n)
-                  olds
-              end)
+                Exec.exec_stratum_plan ctx (Ir.Recursive dps)
+              end;
+              List.iter
+                (fun (n, old_r) ->
+                  match I.idb_get ctx n with
+                  | Some r -> record_change n old_r (Relation.sort r)
+                  | None -> fail "fixpoint left %S unmaterialized" n)
+                olds
+            end)
       v.v_strata;
     let out_delta =
       if changed_dep changed v.v_main_deps then begin
@@ -1208,8 +1020,10 @@ let apply ?guard t (batch : batch) =
     updates;
   metric_inc t "arc_ivm_batches_total";
   metric_observe t "arc_ivm_batch_delta_rows" (float_of_int (batch_rows batch));
+  (* budget trips surface typed, as from [Exec.exec_program] *)
   let reports =
-    List.map (fun v -> maintain_view t v guard changed_base) t.tviews
+    try List.map (fun v -> maintain_view t v guard changed_base) t.tviews
+    with Arc_guard.Error.Guard_error e -> raise (Eval.Eval_error e)
   in
   metric_gauge t "arc_ivm_state_rows" (float_of_int (state_rows t));
   reports

@@ -12,8 +12,11 @@
       Deltas are propagated by executing scan-substituted plans — the
       same rewrite the seminaive fixpoint uses ({!Arc_plan.Ir.subst_scan}).
     - {b DRed} — recursive strata eligible for seminaive substitution:
-      deletions run an over-delete/re-derive pass, insertions a seminaive
-      continuation.
+      an over-delete pass marks every tuple with a derivation through a
+      removed input, then the stratum's own fixpoint
+      ({!Arc_engine.Exec.resume_stratum_plan}) resumes from the
+      survivors over the new inputs, re-deriving and inserting in one
+      pass.
     - {b fallback} — anything else (semi/anti joins, laterals,
       subqueries, deferred resolution, lowering fallbacks, aggregates in
       recursion) is recomputed from scratch and diffed. Fallbacks are
@@ -27,7 +30,7 @@ open Arc_core.Ast
 exception Ivm_error of string
 (** Usage errors (unknown relation, deletion of an absent tuple, sentence
     views) and internal maintenance-state violations. Budget trips raise
-    {!Arc_engine.Eval.Eval_error} as elsewhere. *)
+    {!Arc_engine.Eval.Eval_error} as elsewhere (see {!apply}). *)
 
 type t
 
@@ -81,7 +84,12 @@ val apply : ?guard:Arc_guard.Gov.t -> t -> batch -> view_report list
     budgets the whole batch (prepared per view, as {!Arc_engine.Eval}
     does). Raises {!Ivm_error} on unknown relations, schema mismatches,
     or deletions exceeding multiplicity — in that case neither the
-    database nor any view has been modified. *)
+    database nor any view has been modified.
+
+    A budget trip during maintenance raises {!Arc_engine.Eval.Eval_error}.
+    It is not atomic: the database has already taken the batch, but the
+    views were not all brought up to date, and {!check} flags the stale
+    ones. *)
 
 (** {1 Oracle} *)
 

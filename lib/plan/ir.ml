@@ -407,6 +407,21 @@ let subst_scan component i (p : coll_plan) : coll_plan =
     (fun j rel -> if j = i then Some (delta_name rel) else None)
     p
 
+(* The index of the disjunct of [p] that holds occurrence [i] of
+   [component], numbered as [subst_scans_with] numbers them. A delta rule
+   for that occurrence needs only this disjunct: the others do not read
+   it. *)
+let occurrence_disjunct component i (p : coll_plan) : int =
+  let rec go d i = function
+    | x :: xs ->
+        let c = count_scans_disjunct component x in
+        if i < c then d else go (d + 1) (i - c) xs
+    | [] -> invalid_arg "Ir.occurrence_disjunct"
+  in
+  match p with
+  | Union { disjuncts; _ } -> go 0 i disjuncts
+  | Fallback _ -> invalid_arg "Ir.occurrence_disjunct"
+
 (* Same traversal over a bare pipeline, for callers that differentiate one
    disjunct's input rather than a whole collection plan. *)
 let subst_scans_with_t component (rename : int -> rel_name -> rel_name option)

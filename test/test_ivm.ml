@@ -226,6 +226,206 @@ let tc_incremental conv =
     "TC stays on the DRed path" 0 (Ivm.fallback_total ivm)
 
 (* ------------------------------------------------------------------ *)
+(* DRed shapes: cycles, non-linear and mutual recursion                *)
+(* ------------------------------------------------------------------ *)
+
+let strategies = [ Eval.Seminaive; Eval.Naive ]
+
+let strategy_name = function
+  | Eval.Seminaive -> "seminaive"
+  | Eval.Naive -> "naive"
+
+(* Every convention × both recursion strategies: each batch must leave the
+   view bag-equal to scratch, and the recursive stratum must stay on the
+   DRed path (no fallback). Under [Naive] maintenance resumes the naive
+   fixpoint from the survivors, under [Seminaive] the indexed one. *)
+let dred_case ~db ~prog batches () =
+  List.iter
+    (fun strategy ->
+      List.iter
+        (fun conv ->
+          let ivm = Ivm.create ~conv ~strategy ~db () in
+          Ivm.register ivm ~name:"V" prog;
+          List.iter
+            (fun batch ->
+              ignore (Ivm.apply ivm (batch db));
+              check_against_scratch ~conv ivm "V" prog)
+            batches;
+          Alcotest.(check int)
+            (Printf.sprintf "[%s/%s] stays on the DRed path"
+               (Conventions.to_string conv) (strategy_name strategy))
+            0 (Ivm.fallback_total ivm))
+        all_convs)
+    strategies
+
+let edges es =
+  Database.of_list
+    [
+      ( "P",
+        Relation.of_rows [ "s"; "t" ]
+          (List.map (fun (a, b) -> [ i a; i b ]) es) );
+    ]
+
+let edge db (a, b) n = ("P", [ (row db "P" [ i a; i b ], n) ])
+
+(* A cycle 0→1→2→3→0 with a tail 3→4→5: every pair on the cycle has a
+   second derivation around it, so deleting one cycle edge over-deletes
+   pairs that must partly come back. *)
+let cycle_batches =
+  [
+    (fun db -> [ edge db (1, 2) (-1) ]);
+    (fun db -> [ edge db (1, 2) 1 ]);
+    (fun db -> [ edge db (3, 0) (-1) ]);
+    (fun db ->
+      [ ("P", [ (row db "P" [ i 3; i 0 ], 1); (row db "P" [ i 0; i 1 ], -1) ]) ]);
+    (fun db ->
+      [ ("P", [ (row db "P" [ i 0; i 1 ], 1); (row db "P" [ i 4; i 5 ], -1) ]) ]);
+    (fun db -> [ edge db (4, 5) 1 ]);
+  ]
+
+let cycle_db () = edges [ (0, 1); (1, 2); (2, 3); (3, 0); (3, 4); (4, 5) ]
+
+(* Non-linear transitive closure: A := P ∪ A ⋈ A, two component
+   occurrences in one disjunct. *)
+let nonlinear_prog =
+  program
+    ~defs:
+      [
+        define "A"
+          (collection "A" [ "s"; "t" ]
+             (disj
+                [
+                  exists [ bind "p" "P" ]
+                    (conj
+                       [
+                         eq (attr "A" "s") (attr "p" "s");
+                         eq (attr "A" "t") (attr "p" "t");
+                       ]);
+                  exists
+                    [ bind "a" "A"; bind "b" "A" ]
+                    (conj
+                       [
+                         eq (attr "A" "s") (attr "a" "s");
+                         eq (attr "a" "t") (attr "b" "s");
+                         eq (attr "A" "t") (attr "b" "t");
+                       ]);
+                ]));
+      ]
+    (coll "Q" [ "s"; "t" ]
+       (exists [ bind "a" "A" ]
+          (conj
+             [
+               eq (attr "Q" "s") (attr "a" "s");
+               eq (attr "Q" "t") (attr "a" "t");
+             ])))
+
+(* Two mutually recursive definitions: Odd/Even hold the pairs joined by
+   a path of odd/even length. *)
+let step_from src other =
+  exists
+    [ bind "p" "P"; bind "x" other ]
+    (conj
+       [
+         eq (attr src "s") (attr "p" "s");
+         eq (attr "p" "t") (attr "x" "s");
+         eq (attr src "t") (attr "x" "t");
+       ])
+
+let mutual_prog =
+  program
+    ~defs:
+      [
+        define "Odd"
+          (collection "Odd" [ "s"; "t" ]
+             (disj
+                [
+                  exists [ bind "p" "P" ]
+                    (conj
+                       [
+                         eq (attr "Odd" "s") (attr "p" "s");
+                         eq (attr "Odd" "t") (attr "p" "t");
+                       ]);
+                  step_from "Odd" "Even";
+                ]));
+        define "Even" (collection "Even" [ "s"; "t" ] (step_from "Even" "Odd"));
+      ]
+    (coll "Q" [ "s"; "t" ]
+       (exists [ bind "e" "Even" ]
+          (conj
+             [
+               eq (attr "Q" "s") (attr "e" "s");
+               eq (attr "Q" "t") (attr "e" "t");
+             ])))
+
+(* Even-length paths, with two input occurrences in each disjunct: a
+   batch removing two adjacent edges deletes a pair whose only
+   derivation reads both, which the over-delete phase finds only if it
+   reads the inputs at their pre-batch values. *)
+let even_prog =
+  let hop2 src extra =
+    exists
+      (extra @ [ bind "p" "P"; bind "q" "P" ])
+      (conj
+         ((if extra = [] then [ eq (attr src "s") (attr "p" "s") ]
+           else
+             [ eq (attr src "s") (attr "e" "s"); eq (attr "e" "t") (attr "p" "s") ])
+         @ [ eq (attr "p" "t") (attr "q" "s"); eq (attr src "t") (attr "q" "t") ]))
+  in
+  program
+    ~defs:
+      [
+        define "E"
+          (collection "E" [ "s"; "t" ]
+             (disj [ hop2 "E" []; hop2 "E" [ bind "e" "E" ] ]));
+      ]
+    (coll "Q" [ "s"; "t" ]
+       (exists [ bind "e" "E" ]
+          (conj
+             [
+               eq (attr "Q" "s") (attr "e" "s");
+               eq (attr "Q" "t") (attr "e" "t");
+             ])))
+
+let chain_db n = edges (List.init n (fun k -> (k, k + 1)))
+
+let pair_batches =
+  [
+    (fun db ->
+      [ ("P", [ (row db "P" [ i 0; i 1 ], -1); (row db "P" [ i 1; i 2 ], -1) ]) ]);
+    (fun db ->
+      [ ("P", [ (row db "P" [ i 0; i 1 ], 1); (row db "P" [ i 1; i 2 ], 1) ]) ]);
+  ]
+
+let chain_batches =
+  [
+    (fun db -> [ edge db (2, 3) (-1) ]);
+    (fun db -> [ edge db (6, 0) 1 ]);
+    (fun db ->
+      [ ("P", [ (row db "P" [ i 2; i 3 ], 1); (row db "P" [ i 4; i 5 ], -1) ]) ]);
+    (fun db -> [ edge db (6, 0) (-1) ]);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Budgets                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* A guard that trips inside recursive maintenance surfaces as the
+   documented typed [Eval_error], not the governor's internal exception. *)
+let budget_error_typed () =
+  let db = chain_db 10 in
+  let ivm = Ivm.create ~conv:Conventions.sql_set ~db () in
+  Ivm.register ivm ~name:"TC" tc_prog;
+  let guard =
+    Arc_guard.Gov.make
+      { Arc_guard.Budget.unlimited with Arc_guard.Budget.max_iterations = Some 3 }
+  in
+  match Ivm.apply ~guard ivm [ edge db (10, 11) 1 ] with
+  | _ -> Alcotest.fail "expected the iteration budget to trip"
+  | exception Eval.Eval_error _ -> ()
+  | exception e ->
+      Alcotest.failf "budget trip escaped untyped: %s" (Printexc.to_string e)
+
+(* ------------------------------------------------------------------ *)
 (* Fallback: anti-join views recompute but stay correct                *)
 (* ------------------------------------------------------------------ *)
 
@@ -399,6 +599,18 @@ let () =
         [
           Alcotest.test_case "transitive closure, all convs" `Quick
             (for_all_convs tc_incremental);
+          Alcotest.test_case "cycle deletes and restores, all convs x strategies"
+            `Quick
+            (dred_case ~db:(cycle_db ()) ~prog:tc_prog cycle_batches);
+          Alcotest.test_case "non-linear TC, all convs x strategies" `Quick
+            (dred_case ~db:(cycle_db ()) ~prog:nonlinear_prog
+               (cycle_batches @ chain_batches));
+          Alcotest.test_case "mutual recursion, all convs x strategies" `Quick
+            (dred_case ~db:(chain_db 6) ~prog:mutual_prog chain_batches);
+          Alcotest.test_case "two input occurrences, all convs x strategies"
+            `Quick
+            (dred_case ~db:(chain_db 6) ~prog:even_prog
+               (pair_batches @ chain_batches));
         ] );
       ( "fallback",
         [
@@ -414,5 +626,7 @@ let () =
             unchanged_views_skipped;
           Alcotest.test_case "reserved view names rejected" `Quick
             reserved_view_names_rejected;
+          Alcotest.test_case "budget trip raises Eval_error" `Quick
+            budget_error_typed;
         ] );
     ]
