@@ -251,6 +251,8 @@ module Obs = Arc_obs.Obs
 module Sink = Arc_obs.Sink
 module Metrics = Arc_obs.Metrics
 module Json = Arc_obs.Json
+module Ir = Arc_plan.Ir
+module Explain = Arc_plan.Explain
 
 (* Output-file convention shared by trace/analyze/metrics flags: no file
    or "-" means stdout. *)
@@ -269,9 +271,9 @@ let write_metrics m file =
   in
   write_out ~label:"metrics" (Some file) s
 
-(* Fold a span forest into the metrics registry: per-operator call
-   counters, latency histograms, and every integer span attribute as a
-   labeled counter. *)
+(* Fold the reference evaluator's span forest into the metrics registry:
+   per-operator call counters, latency histograms, and every integer span
+   attribute as a labeled counter. *)
 let metrics_of_spans spans =
   let m = Metrics.create () in
   let rec walk (sp : Obs.span) =
@@ -293,18 +295,23 @@ let metrics_of_spans spans =
   List.iter walk spans;
   m
 
-(* per-operator totals and latency distributions, for --profile *)
-let print_profile spans =
-  print_endline "-- profile: operator metrics --";
-  print_string (Metrics.summary (metrics_of_spans spans))
-
 let profile_flag =
   Arg.(
     value & flag
     & info [ "p"; "profile" ]
         ~doc:
-          "After the results, print per-operator call counts, cumulative \
-           timings, and tuple counters collected by the tracer.")
+          "After the results, print per-operator invocation counts, row \
+           counts and timings.")
+
+(* Compile a program and run it on the plan engine with per-node actuals
+   on: the one record that analyze, trace and --profile render. *)
+let plan_run ~conv ?strategy ?guard ~db prog =
+  let ctx, _raw, optimized, _report =
+    Arc_engine.Exec.compile ~conv ?strategy ?guard ~db prog
+  in
+  let stats = Ir.fresh_stats () in
+  let outcome = Arc_engine.Exec.exec_program ~stats ctx optimized in
+  (ctx, optimized, stats, outcome)
 
 (* budget / governance flags *)
 
@@ -391,13 +398,13 @@ let print_guard_report gov =
 let engine_arg =
   Arg.(
     value
-    & opt (enum [ ("reference", `Reference); ("plan", `Plan) ]) `Reference
+    & opt (enum [ ("reference", `Reference); ("plan", `Plan) ]) `Plan
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "Evaluation engine: reference (the paper's conceptual strategy, \
-           the semantic baseline) or plan (compiled logical/physical query \
-           plans with hash-based operators; same results, see 'arc \
-           explain').")
+          "Evaluation engine: plan (the default: compiled logical/physical \
+           query plans with hash-based operators, see 'arc explain') or \
+           reference (the paper's conceptual evaluation strategy, the \
+           semantic oracle; same results).")
 
 let no_stats_flag =
   Arg.(
@@ -441,17 +448,28 @@ let eval_run lang conv engine tables profile timeout max_rows max_iterations
                not instrumented; use -i sql with 'arc trace' to trace the \
                translated ARC program"
       | _ -> (
-          let tracer = if profile then Obs.collector () else Obs.null in
           let guard =
             build_guard ~timeout ~max_rows ~max_iterations ~max_bindings
               ~max_depth ~on_limit
           in
           let prog = parse_input lang text schemas in
-          let outcome =
+          let outcome, metrics =
             match engine with
-            | `Reference -> Arc_engine.Eval.run ~conv ~tracer ~guard ~db prog
+            | `Reference ->
+                let tracer = if profile then Obs.collector () else Obs.null in
+                ( Arc_engine.Eval.run ~conv ~tracer ~guard ~db prog,
+                  fun () -> metrics_of_spans (Obs.spans tracer) )
+            | `Plan when profile ->
+                let _, optimized, stats, outcome =
+                  plan_run ~conv ~guard ~db prog
+                in
+                ( outcome,
+                  fun () ->
+                    let m = Metrics.create () in
+                    Arc_engine.Exec.export_stats m optimized stats;
+                    m )
             | `Plan ->
-                Arc_engine.Exec.run ~conv ~tracer ~guard ~db prog
+                (Arc_engine.Exec.run ~conv ~guard ~db prog, Metrics.create)
           in
           (match outcome with
           | Arc_engine.Eval.Rows r ->
@@ -460,8 +478,8 @@ let eval_run lang conv engine tables profile timeout max_rows max_iterations
               print_endline (Arc_value.Bool3.to_string t));
           print_guard_report guard;
           if profile then begin
-            print_newline ();
-            print_profile (Obs.spans tracer)
+            print_endline "\n-- profile: operator metrics --";
+            print_string (Metrics.summary (metrics ()))
           end))
 
 let eval_cmd =
@@ -524,13 +542,18 @@ let trace_run lang conv engine strategy fmt out tables text =
           tables
       in
       let prog = parse_input lang text schemas in
-      let tracer = Obs.collector () in
-      let outcome =
+      let outcome, spans =
         match engine with
-        | `Reference -> Arc_engine.Eval.run ~conv ~strategy ~tracer ~db prog
-        | `Plan -> Arc_engine.Exec.run ~conv ~strategy ~tracer ~db prog
+        | `Reference ->
+            let tracer = Obs.collector () in
+            let outcome = Arc_engine.Eval.run ~conv ~strategy ~tracer ~db prog in
+            (outcome, Obs.spans tracer)
+        | `Plan ->
+            let ctx, optimized, stats, outcome =
+              plan_run ~conv ~strategy ~db prog
+            in
+            (outcome, Arc_engine.Exec.spans_of_stats ctx optimized stats)
       in
-      let spans = Obs.spans tracer in
       let emit = write_out ~label:"trace" out in
       match fmt with
       | `Pretty ->
@@ -548,10 +571,10 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:
-         "Evaluate a query with the tracer on and print an EXPLAIN \
-          ANALYZE-style span tree (or machine-readable JSONL / Chrome \
-          trace). SQL input is translated to ARC first, so the trace shows \
-          the ARC engine's conceptual evaluation strategy.")
+         "Evaluate a query and print an EXPLAIN ANALYZE-style span tree \
+          (or machine-readable JSONL / Chrome trace): one span per plan \
+          node and fixpoint round, or with --engine reference, the \
+          conceptual evaluation strategy. SQL input is translated to ARC.")
     Term.(
       ret
         (const trace_run $ input_lang $ conv_arg $ engine_arg $ strategy_arg
@@ -619,9 +642,6 @@ let explain_cmd =
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)
 (* ------------------------------------------------------------------ *)
-
-module Ir = Arc_plan.Ir
-module Explain = Arc_plan.Explain
 
 let warn_q_arg =
   Arg.(
@@ -721,15 +741,11 @@ let analyze_run lang conv strategy tables warn_q fmt out metrics_out no_stats
           tables
       in
       let prog = parse_input lang text schemas in
-      let ctx, _raw, optimized, _report =
-        Arc_engine.Exec.compile ~conv ~strategy ~db prog
-      in
+      let _, optimized, stats, outcome = plan_run ~conv ~strategy ~db prog in
       let cenv =
         if Database.analyzed db then Some (Database.stats_bindings db)
         else None
       in
-      let stats = Ir.fresh_stats () in
-      let outcome = Arc_engine.Exec.exec_program ~stats ctx optimized in
       (match fmt with
       | `Pretty ->
           (match outcome with

@@ -1018,7 +1018,6 @@ module Internal = struct
   let prepare = prepare
   let conv ctx = ctx.conv
   let strategy ctx = ctx.strategy
-  let tracer ctx = ctx.tracer
   let gov ctx = ctx.gov
   let db ctx = ctx.db
   let idb_set ctx name r = Hashtbl.replace ctx.idb name r

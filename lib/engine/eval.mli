@@ -140,7 +140,6 @@ module Internal : sig
 
   val conv : ctx -> Arc_value.Conventions.t
   val strategy : ctx -> recursion_strategy
-  val tracer : ctx -> Arc_obs.Obs.t
   val gov : ctx -> Arc_guard.Gov.t
   val db : ctx -> Arc_relation.Database.t
   val idb_set : ctx -> rel_name -> Arc_relation.Relation.t -> unit

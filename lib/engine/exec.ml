@@ -6,7 +6,6 @@ module Aggregate = Arc_value.Aggregate
 module Relation = Arc_relation.Relation
 module Tuple = Arc_relation.Tuple
 module Schema = Arc_relation.Schema
-module Obs = Arc_obs.Obs
 module Gov = Arc_guard.Gov
 module Err = Arc_guard.Error
 module Depend = Arc_core.Depend
@@ -44,7 +43,7 @@ type fix_cache = {
   fc_stable : (int, unit) Hashtbl.t;
   fc_rows : (int, I.benv array) Hashtbl.t;
   fc_joins : (int, [ `Left | `Right ]) Hashtbl.t;
-  fc_tables : (int, (string, I.benv) Hashtbl.t * int) Hashtbl.t;
+  fc_tables : (int, (string, I.benv) Hashtbl.t) Hashtbl.t;
 }
 
 (* A subtree is stable when no scan under it resolves a [banned] relation
@@ -133,7 +132,6 @@ type env = {
   fix : fix_cache option;
 }
 
-let tracer env = I.tracer env.ctx
 let gov env = I.gov env.ctx
 
 let clock = Arc_obs.Metrics.now_ns
@@ -241,31 +239,52 @@ let filter_block env pass (rows : I.benv array) : I.benv array =
   done;
   Array.of_list (List.rev !out)
 
+(* Runs [f] inside the governor's collection scope (already entered):
+   leaves it on every exit path and attributes errors to collection
+   [name]. *)
+let in_collection env name f =
+  match Fun.protect ~finally:(fun () -> Gov.leave_collection (gov env)) f with
+  | r -> r
+  | exception (Eval_error e | Err.Guard_error e) ->
+      raise (Eval_error (Err.in_collection name e))
+
+(* Charges a collection's output rows, clipping it to what the row budget
+   allows. *)
+let charge_rows env tuples =
+  if not (Gov.active (gov env)) then tuples
+  else
+    let n = List.length tuples in
+    let allowed = Gov.charge_rows (gov env) n in
+    if allowed >= n then tuples else I.take allowed tuples
+
 (* ------------------------------------------------------------------ *)
 (* Pipeline execution: benv-level operators                            *)
 (* ------------------------------------------------------------------ *)
 
 (* Every operator is a wrapper around an [_inner] worker: with stats on,
-   the wrapper brackets the worker with two clock reads and accumulates
+   [timed] brackets the worker with two clock reads and accumulates
    invocations / rows / inclusive time on the node's id; with stats off it
    is a single branch. Child ids use the same arithmetic as
    [Ir.child_ids] / [Explain]. Pipelines never deduplicate: each
    derivation is its own row, which the incremental maintenance hooks rely
-   on to count derivations. Governor probes and tracer updates are
-   amortized per block, hash keys go through a reused buffer or the
-   memoized whole-tuple [Tuple.key], and grouping appends are O(1). *)
-let rec exec_block env id (t : Ir.t) : I.benv array =
+   on to count derivations. Governor probes are amortized per block, hash
+   keys go through a reused buffer or the memoized whole-tuple
+   [Tuple.key], and grouping appends are O(1). *)
+let timed env id count f =
   match env.stats with
-  | None -> exec_block_inner env id t
+  | None -> f ()
   | Some st ->
       let t0 = clock () in
-      let rows = exec_block_inner env id t in
+      let r = f () in
       let t1 = clock () in
       let a = Ir.touch st id in
       a.Ir.a_invocations <- a.Ir.a_invocations + 1;
-      a.Ir.a_rows <- a.Ir.a_rows + Array.length rows;
+      a.Ir.a_rows <- a.Ir.a_rows + count r;
       a.Ir.a_incl_ns <- Int64.add a.Ir.a_incl_ns (Int64.sub t1 t0);
-      rows
+      r
+
+let rec exec_block env id (t : Ir.t) : I.benv array =
+  timed env id Array.length (fun () -> exec_block_inner env id t)
 
 and exec_block_inner env id (t : Ir.t) : I.benv array =
   (* Inside an indexed fixpoint rule, maximal component-free subtrees are
@@ -284,26 +303,15 @@ and exec_block_node env id (t : Ir.t) : I.benv array =
   match t with
   | One -> [| [] |]
   | Scan { var; rel; filters; _ } ->
-      let sp = Obs.enter (tracer env) "scan" in
       let tuples = I.source_rows env.ctx env.outer (Base rel) in
       let rows =
         Array.of_list (List.map (fun tp -> [ (var, tp) ]) tuples)
       in
-      let kept =
-        if filters = [] then rows
-        else
-          filter_block env
-            (fun row ->
-              List.for_all (pred_true env (full_of env row)) filters)
-            rows
-      in
-      if Obs.enabled (tracer env) then begin
-        Obs.set sp "relation" (Obs.Str rel);
-        Obs.set sp "candidates" (Obs.Int (Array.length rows));
-        Obs.set sp "survivors" (Obs.Int (Array.length kept))
-      end;
-      Obs.leave (tracer env) sp;
-      kept
+      if filters = [] then rows
+      else
+        filter_block env
+          (fun row -> List.for_all (pred_true env (full_of env row)) filters)
+          rows
   | Subquery { var; plan } ->
       let r = exec_coll env (id + 1) plan in
       Array.of_list
@@ -311,7 +319,6 @@ and exec_block_node env id (t : Ir.t) : I.benv array =
   | Lateral { input; var; plan } ->
       let rows = exec_block env (id + 1) input in
       let plan_id = id + 1 + Ir.size input in
-      let sp = Obs.enter (tracer env) "lateral" in
       let out = ref [] in
       Array.iter
         (fun (row : I.benv) ->
@@ -322,13 +329,7 @@ and exec_block_node env id (t : Ir.t) : I.benv array =
             (fun tp -> out := ((var, tp) :: row) :: !out)
             (Relation.tuples r))
         rows;
-      let out = Array.of_list (List.rev !out) in
-      if Obs.enabled (tracer env) then begin
-        Obs.set sp "rows_in" (Obs.Int (Array.length rows));
-        Obs.set sp "rows_out" (Obs.Int (Array.length out))
-      end;
-      Obs.leave (tracer env) sp;
-      out
+      Array.of_list (List.rev !out)
   | Product { left; right } ->
       let l = exec_block env (id + 1) left in
       let r = exec_block env (id + 1 + Ir.size left) right in
@@ -355,7 +356,6 @@ and exec_block_node env id (t : Ir.t) : I.benv array =
       | None -> assert false)
   | Hash_join { left; right; keys } ->
       Gov.tick (gov env);
-      let sp = Obs.enter (tracer env) "hash_join" in
       let build = exec_block env (id + 1 + Ir.size left) right in
       let probe = exec_block env (id + 1) left in
       let inner_terms = List.map (fun k -> k.Ir.inner) keys in
@@ -415,52 +415,21 @@ and exec_block_node env id (t : Ir.t) : I.benv array =
           incr i
         done
       done;
-      let out = Array.of_list (List.rev !out) in
       with_actual env id (fun a ->
           a.Ir.a_build <- a.Ir.a_build + Array.length build;
           a.Ir.a_probe <- a.Ir.a_probe + Array.length probe;
           a.Ir.a_matches <- a.Ir.a_matches + !matches);
-      if Obs.enabled (tracer env) then begin
-        Obs.set sp "build" (Obs.Int (Array.length build));
-        Obs.set sp "probe" (Obs.Int (Array.length probe));
-        Obs.set sp "rows_out" (Obs.Int (Array.length out))
-      end;
-      Obs.leave (tracer env) sp;
-      out
+      Array.of_list (List.rev !out)
   | Filter { input; preds } ->
-      let rows = exec_block env (id + 1) input in
-      let sp = Obs.enter (tracer env) "filter" in
-      let kept =
-        filter_block env
-          (fun row -> List.for_all (pred_true env (full_of env row)) preds)
-          rows
-      in
-      if Obs.enabled (tracer env) then begin
-        Obs.set sp "candidates" (Obs.Int (Array.length rows));
-        Obs.set sp "survivors" (Obs.Int (Array.length kept))
-      end;
-      Obs.leave (tracer env) sp;
-      kept
+      filter_block env
+        (fun row -> List.for_all (pred_true env (full_of env row)) preds)
+        (exec_block env (id + 1) input)
   | Residual { input; conjs } ->
-      let rows = exec_block env (id + 1) input in
-      let sp = Obs.enter (tracer env) "residual" in
-      let kept =
-        filter_block env
-          (fun row ->
-            List.for_all (formula_true env (full_of env row)) conjs)
-          rows
-      in
-      if Obs.enabled (tracer env) then begin
-        Obs.set sp "candidates" (Obs.Int (Array.length rows));
-        Obs.set sp "survivors" (Obs.Int (Array.length kept))
-      end;
-      Obs.leave (tracer env) sp;
-      kept
+      filter_block env
+        (fun row -> List.for_all (formula_true env (full_of env row)) conjs)
+        (exec_block env (id + 1) input)
   | Semi { anti; input; sub; keys; residual; _ } ->
       Gov.tick (gov env);
-      let sp =
-        Obs.enter (tracer env) (if anti then "anti_join" else "semi_join")
-      in
       let sub_rows = exec_block env (id + 1 + Ir.size input) sub in
       let witness row candidates =
         List.exists
@@ -499,12 +468,6 @@ and exec_block_node env id (t : Ir.t) : I.benv array =
           a.Ir.a_build <- a.Ir.a_build + Array.length sub_rows;
           a.Ir.a_probe <- a.Ir.a_probe + Array.length rows;
           a.Ir.a_matches <- a.Ir.a_matches + Array.length kept);
-      if Obs.enabled (tracer env) then begin
-        Obs.set sp "sub_rows" (Obs.Int (Array.length sub_rows));
-        Obs.set sp "candidates" (Obs.Int (Array.length rows));
-        Obs.set sp "survivors" (Obs.Int (Array.length kept))
-      end;
-      Obs.leave (tracer env) sp;
       kept
   | Resolve { input; binding; scope } ->
       Gov.tick (gov env);
@@ -530,7 +493,6 @@ and exec_block_node env id (t : Ir.t) : I.benv array =
    set-level fixpoint ignores. *)
 and exec_indexed_join env fc id left right keys side : I.benv array =
   Gov.tick (gov env);
-  let sp = Obs.enter (tracer env) "hash_join" in
   let inner_terms = List.map (fun k -> k.Ir.inner) keys in
   let outer_terms = List.map (fun k -> k.Ir.outer) keys in
   let lid = id + 1 and rid = id + 1 + Ir.size left in
@@ -540,9 +502,9 @@ and exec_indexed_join env fc id left right keys side : I.benv array =
     | `Left -> (lid, left, outer_terms, rid, right, inner_terms)
   in
   let buf = Buffer.create 64 in
-  let tbl, build_n =
+  let tbl =
     match Hashtbl.find_opt fc.fc_tables id with
-    | Some entry -> entry
+    | Some tbl -> tbl
     | None ->
         let rows = exec_block env build_id build_plan in
         let tbl = Hashtbl.create (max 16 (Array.length rows)) in
@@ -552,11 +514,10 @@ and exec_indexed_join env fc id left right keys side : I.benv array =
             | Some k -> Hashtbl.add tbl k row
             | None -> ())
           rows;
-        let entry = (tbl, Array.length rows) in
-        Hashtbl.replace fc.fc_tables id entry;
+        Hashtbl.replace fc.fc_tables id tbl;
         with_actual env id (fun a ->
             a.Ir.a_build <- a.Ir.a_build + Array.length rows);
-        entry
+        tbl
   in
   let probe = exec_block env probe_id probe_plan in
   let g = gov env in
@@ -584,18 +545,10 @@ and exec_indexed_join env fc id left right keys side : I.benv array =
       incr i
     done
   done;
-  let out = Array.of_list (List.rev !out) in
   with_actual env id (fun a ->
       a.Ir.a_probe <- a.Ir.a_probe + n;
       a.Ir.a_matches <- a.Ir.a_matches + !matches);
-  if Obs.enabled (tracer env) then begin
-    Obs.set sp "build" (Obs.Int build_n);
-    Obs.set sp "probe" (Obs.Int n);
-    Obs.set sp "indexed" (Obs.Bool true);
-    Obs.set sp "rows_out" (Obs.Int (Array.length out))
-  end;
-  Obs.leave (tracer env) sp;
-  out
+  Array.of_list (List.rev !out)
 
 (* ------------------------------------------------------------------ *)
 (* Disjuncts and collections                                           *)
@@ -603,17 +556,7 @@ and exec_indexed_join env fc id left right keys side : I.benv array =
 
 and exec_disjunct env id (head : head) (d : Ir.disjunct_plan) : Tuple.t list
     =
-  match env.stats with
-  | None -> exec_disjunct_inner env id head d
-  | Some st ->
-      let t0 = clock () in
-      let tuples = exec_disjunct_inner env id head d in
-      let t1 = clock () in
-      let a = Ir.touch st id in
-      a.Ir.a_invocations <- a.Ir.a_invocations + 1;
-      a.Ir.a_rows <- a.Ir.a_rows + List.length tuples;
-      a.Ir.a_incl_ns <- Int64.add a.Ir.a_incl_ns (Int64.sub t1 t0);
-      tuples
+  timed env id List.length (fun () -> exec_disjunct_inner env id head d)
 
 and exec_disjunct_inner env id (head : head) (d : Ir.disjunct_plan) :
     Tuple.t list =
@@ -657,7 +600,6 @@ and exec_disjunct_inner env id (head : head) (d : Ir.disjunct_plan) :
   | Aggregate { input; keys; scope_vars; post; assigns } ->
       let rows = exec_block env (id + 1) input in
       Gov.tick (gov env);
-      let sp = Obs.enter (tracer env) "hash_aggregate" in
       let groups =
         if keys = [] then
           let full =
@@ -686,26 +628,10 @@ and exec_disjunct_inner env id (head : head) (d : Ir.disjunct_plan) :
             !order
         end
       in
-      if Obs.enabled (tracer env) then begin
-        Obs.set sp "rows_in" (Obs.Int (Array.length rows));
-        Obs.set sp "keys" (Obs.Int (List.length keys));
-        Obs.set sp "buckets" (Obs.Int (List.length groups))
-      end;
-      Obs.leave (tracer env) sp;
       List.filter_map (emit_group scope_vars post assigns) groups
 
 and exec_coll env id (p : Ir.coll_plan) : Relation.t =
-  match env.stats with
-  | None -> exec_coll_inner env id p
-  | Some st ->
-      let t0 = clock () in
-      let r = exec_coll_inner env id p in
-      let t1 = clock () in
-      let a = Ir.touch st id in
-      a.Ir.a_invocations <- a.Ir.a_invocations + 1;
-      a.Ir.a_rows <- a.Ir.a_rows + Relation.cardinality r;
-      a.Ir.a_incl_ns <- Int64.add a.Ir.a_incl_ns (Int64.sub t1 t0);
-      r
+  timed env id Relation.cardinality (fun () -> exec_coll_inner env id p)
 
 and exec_coll_inner env id (p : Ir.coll_plan) : Relation.t =
   match p with
@@ -716,47 +642,20 @@ and exec_coll_inner env id (p : Ir.coll_plan) : Relation.t =
       if not (Gov.enter_collection (gov env)) then
         Relation.empty ~name head.head_attrs
       else
-        let sp = Obs.enter (tracer env) ("collection:" ^ name) in
-        let compute () =
-          let tuples =
-            List.concat
-              (List.map2
-                 (fun did d -> exec_disjunct env did head d)
-                 (Ir.coll_child_ids id p) disjuncts)
-          in
-          let tuples =
-            if not (Gov.active (gov env)) then tuples
-            else
-              let n = List.length tuples in
-              let allowed = Gov.charge_rows (gov env) n in
-              if allowed >= n then tuples else I.take allowed tuples
-          in
-          let r =
-            Relation.make ~name (Schema.make head.head_attrs) tuples
-          in
-          match (I.conv env.ctx).Conventions.collection with
-          | Conventions.Set -> Relation.dedup r
-          | Conventions.Bag -> r
-        in
-        match compute () with
-        | r ->
-            if Obs.enabled (tracer env) then
-              Obs.set sp "rows_emitted" (Obs.Int (Relation.cardinality r));
-            Obs.leave (tracer env) sp;
-            Gov.leave_collection (gov env);
-            r
-        | exception Eval_error e ->
-            Obs.leave (tracer env) sp;
-            Gov.leave_collection (gov env);
-            raise (Eval_error (Err.in_collection name e))
-        | exception Err.Guard_error e ->
-            Obs.leave (tracer env) sp;
-            Gov.leave_collection (gov env);
-            raise (Eval_error (Err.in_collection name e))
-        | exception e ->
-            Obs.leave (tracer env) sp;
-            Gov.leave_collection (gov env);
-            raise e)
+        in_collection env name (fun () ->
+            let tuples =
+              List.concat
+                (List.map2
+                   (fun did d -> exec_disjunct env did head d)
+                   (Ir.coll_child_ids id p) disjuncts)
+            in
+            let r =
+              Relation.make ~name (Schema.make head.head_attrs)
+                (charge_rows env tuples)
+            in
+            match (I.conv env.ctx).Conventions.collection with
+            | Conventions.Set -> Relation.dedup r
+            | Conventions.Bag -> r))
 
 (* ------------------------------------------------------------------ *)
 (* Recursive strata: hash-based fixpoints over plans                   *)
@@ -768,12 +667,17 @@ and exec_coll_inner env id (p : Ir.coll_plan) : Relation.t =
    them with the fixpoints below. *)
 let delta_name = Ir.delta_name
 
+(* Appends the wall-clock of one fixpoint round, begun at [t0], to every
+   definition head of the stratum. *)
+let record_round env (dps : (Ir.def_plan * int) list) t0 =
+  let ns = Int64.sub (clock ()) t0 in
+  List.iter
+    (fun (_, id) ->
+      with_actual env id (fun a -> a.Ir.a_rounds_ns <- ns :: a.Ir.a_rounds_ns))
+    dps
+
 let naive_fixpoint env (dps : (Ir.def_plan * int) list) =
   let ctx = env.ctx in
-  let sp = Obs.enter (tracer env) "fixpoint:naive" in
-  if Obs.enabled (tracer env) then
-    Obs.set sp "stratum"
-      (Obs.Str (String.concat "," (List.map (fun (d, _) -> d.Ir.dname) dps)));
   let changed = ref true in
   let iterations = ref 0 in
   while !changed do
@@ -782,7 +686,7 @@ let naive_fixpoint env (dps : (Ir.def_plan * int) list) =
     changed := false;
     if Gov.iteration_allowed (gov env) !iterations && not (Gov.stopped (gov env))
     then begin
-      let isp = Obs.enter (tracer env) "iteration" in
+      let t0 = clock () in
       List.iter
         (fun (dp, id) ->
           let n = dp.Ir.dname in
@@ -795,21 +699,17 @@ let naive_fixpoint env (dps : (Ir.def_plan * int) list) =
             Relation.cardinality next - Relation.cardinality current
           in
           with_actual env id (fun a -> a.Ir.a_deltas <- delta :: a.Ir.a_deltas);
-          if Obs.enabled (tracer env) then
-            Obs.set isp ("delta:" ^ n) (Obs.Int delta);
           if not (Relation.equal_set next current) then begin
             I.idb_set ctx n next;
             changed := true
           end)
         dps;
-      Obs.leave (tracer env) isp
+      record_round env dps t0
     end
   done;
   List.iter
     (fun (_, id) -> with_actual env id (fun a -> a.Ir.a_iterations <- !iterations))
-    dps;
-  Obs.set sp "iterations" (Obs.Int !iterations);
-  Obs.leave (tracer env) sp
+    dps
 
 (* The indexed seminaive fixpoint: each round evaluates only delta rules,
    and does so incrementally in three ways. One delta rule per
@@ -827,18 +727,12 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
     =
   let ctx = env.ctx in
   let banned = component @ List.map delta_name component in
-  let sp = Obs.enter (tracer env) "fixpoint:seminaive" in
-  if Obs.enabled (tracer env) then
-    Obs.set sp "stratum" (Obs.Str (String.concat "," component));
-  let ssp = Obs.enter (tracer env) "seed" in
+  let t0 = clock () in
   let defs =
     List.map
       (fun (dp, id) ->
         let n = dp.Ir.dname in
-        let head =
-          match dp.Ir.dplan with
-          | Ir.Union { head; _ } | Ir.Fallback { head; _ } -> head
-        in
+        let head = Ir.coll_head dp.Ir.dplan in
         (* the seen-set starts from the definition's current value, so the
            first delta is the seed minus the start (the whole seed when
            starting from empty) *)
@@ -863,8 +757,6 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
         I.idb_set ctx (delta_name n) delta;
         with_actual env id (fun a ->
             a.Ir.a_deltas <- Relation.cardinality delta :: a.Ir.a_deltas);
-        if Obs.enabled (tracer env) then
-          Obs.set ssp ("delta:" ^ n) (Obs.Int (Relation.cardinality delta));
         let dids = Ir.coll_child_ids id dp.Ir.dplan in
         let occurrences = Ir.count_scans_coll component dp.Ir.dplan in
         let rules =
@@ -879,7 +771,7 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
         (n, id, head, Schema.make head.head_attrs, rules, seen))
       dps
   in
-  Obs.leave (tracer env) ssp;
+  record_round env dps t0;
   let iterations = ref 0 in
   let continue_ = ref true in
   while !continue_ do
@@ -890,7 +782,7 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
       || Gov.stopped (gov env)
     then continue_ := false
     else begin
-      let isp = Obs.enter (tracer env) "iteration" in
+      let t0 = clock () in
       let new_deltas =
         List.map
           (fun (n, id, head, schema, rules, seen) ->
@@ -900,28 +792,10 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
                 Gov.tick (gov env);
                 if Gov.enter_collection (gov env) then begin
                   let tuples =
-                    match
-                      exec_disjunct { env with fix = Some fc } did head sd
-                    with
-                    | tuples -> tuples
-                    | exception Eval_error e ->
-                        Gov.leave_collection (gov env);
-                        raise (Eval_error (Err.in_collection n e))
-                    | exception Err.Guard_error e ->
-                        Gov.leave_collection (gov env);
-                        raise (Eval_error (Err.in_collection n e))
-                    | exception e ->
-                        Gov.leave_collection (gov env);
-                        raise e
+                    in_collection env n (fun () ->
+                        charge_rows env
+                          (exec_disjunct { env with fix = Some fc } did head sd))
                   in
-                  let tuples =
-                    if not (Gov.active (gov env)) then tuples
-                    else
-                      let c = List.length tuples in
-                      let allowed = Gov.charge_rows (gov env) c in
-                      if allowed >= c then tuples else I.take allowed tuples
-                  in
-                  Gov.leave_collection (gov env);
                   List.iter
                     (fun tp ->
                       let k = Tuple.key tp in
@@ -939,15 +813,13 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
         (fun (n, id, fresh) ->
           let card = Relation.cardinality fresh in
           with_actual env id (fun a -> a.Ir.a_deltas <- card :: a.Ir.a_deltas);
-          if Obs.enabled (tracer env) then
-            Obs.set isp ("delta:" ^ n) (Obs.Int card);
           (* [fresh] is disjoint from the accumulated relation by the
              seen-set, so a plain bag union keeps it a set *)
           I.idb_set ctx n
             (Relation.union (Option.get (I.idb_get ctx n)) fresh);
           I.idb_set ctx (delta_name n) fresh)
         new_deltas;
-      Obs.leave (tracer env) isp;
+      record_round env dps t0;
       if List.for_all (fun (_, _, f) -> Relation.is_empty f) new_deltas then
         continue_ := false
     end
@@ -956,9 +828,15 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
     (fun (_, id, _, _, _, _) ->
       with_actual env id (fun a -> a.Ir.a_iterations <- !iterations))
     defs;
-  Obs.set sp "iterations" (Obs.Int !iterations);
-  Obs.leave (tracer env) sp;
   List.iter (fun n -> I.idb_remove ctx (delta_name n)) component
+
+(* The fixpoint a recursive stratum runs under the context's strategy. *)
+let fixpoint_kind ctx (dps : Ir.def_plan list) =
+  match I.strategy ctx with
+  | Eval.Seminaive
+    when Ir.seminaive_eligible (List.map (fun d -> d.Ir.dname) dps) dps ->
+      `Seminaive
+  | _ -> `Naive
 
 (* Runs a recursive stratum's fixpoint from its definitions' current IDB
    values. [base] is the id of the stratum's first definition;
@@ -983,10 +861,9 @@ let run_fixpoint env base (dps : Ir.def_plan list) =
             raise_kind (Err.Unstratifiable { name = dp.Ir.dname; dep = m }))
         (Depend.collection_deps dp.Ir.dcoll))
     dps;
-  match I.strategy env.ctx with
-  | Eval.Seminaive when Ir.seminaive_eligible component dps ->
-      indexed_seminaive_fixpoint env component dps_ids
-  | _ -> naive_fixpoint env dps_ids
+  match fixpoint_kind env.ctx dps with
+  | `Seminaive -> indexed_seminaive_fixpoint env component dps_ids
+  | `Naive -> naive_fixpoint env dps_ids
 
 (* Install empty component relations, then run the fixpoint from them. *)
 let exec_stratum env base (s : Ir.stratum) =
@@ -996,11 +873,9 @@ let exec_stratum env base (s : Ir.stratum) =
   | Ir.Recursive dps ->
       List.iter
         (fun dp ->
-          let attrs =
-            match dp.Ir.dplan with
-            | Ir.Union { head; _ } | Ir.Fallback { head; _ } -> head.head_attrs
-          in
-          I.idb_set ctx dp.Ir.dname (Relation.empty ~name:dp.Ir.dname attrs))
+          I.idb_set ctx dp.Ir.dname
+            (Relation.empty ~name:dp.Ir.dname
+               (Ir.coll_head dp.Ir.dplan).head_attrs))
         dps;
       run_fixpoint env base dps
 
@@ -1011,12 +886,12 @@ let exec_stratum env base (s : Ir.stratum) =
 (* Lower and optimize a program against a database: returns the context
    (with abstracts registered, IDB empty), the raw and optimized plans, and
    the per-pass change report. *)
-let compile ?conv ?externals ?strategy ?tracer ?guard ~db (prog : program) =
+let compile ?conv ?externals ?strategy ?guard ~db (prog : program) =
   (* goal-directed recursion: restrict recursive definitions to the
      constants the main query demands (AST-level, before validation, so
      the magic relation is prepared and stratified like any other def) *)
   let prog, magic_changed = Opt.magic_sets prog in
-  let ctx, safe = I.prepare ?conv ?externals ?strategy ?tracer ?guard ~db prog in
+  let ctx, safe = I.prepare ?conv ?externals ?strategy ?guard ~db prog in
   let lenv =
     Lower.env_of_db ~db ~defs:(List.map (fun d -> d.def_name) safe)
   in
@@ -1026,56 +901,37 @@ let compile ?conv ?externals ?strategy ?tracer ?guard ~db (prog : program) =
 
 let exec_program ?stats ctx (pp : Ir.program_plan) : Eval.outcome =
   let env = { ctx; outer = []; stats; fix = None } in
-  let tracer = I.tracer ctx in
-  let counter = ref 0 in
-  let stratum_base s =
-    let v = !counter in
-    let sz =
-      match s with
-      | Ir.Nonrecursive dp -> Ir.size_coll dp.Ir.dplan
-      | Ir.Recursive dps ->
-          List.fold_left (fun acc dp -> acc + Ir.size_coll dp.Ir.dplan) 0 dps
-    in
-    counter := !counter + sz;
-    v
+  let def_ids, main_id = Ir.program_ids pp in
+  let base = function
+    | Ir.Nonrecursive dp | Ir.Recursive (dp :: _) ->
+        List.assoc dp.Ir.dname def_ids
+    | Ir.Recursive [] -> 0
   in
-  if pp.strata <> [] then begin
-    let sp = Obs.enter tracer "definitions" in
-    (try
-       List.iter (fun s -> exec_stratum env (stratum_base s) s) pp.strata
-     with
-    | Err.Guard_error e ->
-        Obs.leave tracer sp;
-        raise (Eval_error e)
-    | e ->
-        Obs.leave tracer sp;
-        raise e);
-    Obs.leave tracer sp
-  end;
   try
+    List.iter (fun s -> exec_stratum env (base s) s) pp.strata;
     match pp.main with
-    | Ir.Main_coll p -> Eval.Rows (exec_coll env !counter p)
+    | Ir.Main_coll p -> Eval.Rows (exec_coll env (Option.get main_id) p)
     | Ir.Main_sentence f -> Eval.Truth (I.eval_formula ctx [] f)
   with
   | Err.Guard_error e -> raise (Eval_error e)
   | V.Type_error m -> raise (Eval_error { Err.kind = Err.Msg ("type error: " ^ m); context = [] })
 
-let run ?conv ?externals ?strategy ?tracer ?guard ~db (prog : program) =
+let run ?conv ?externals ?strategy ?guard ~db (prog : program) =
   try
     let ctx, _, optimized, _ =
-      compile ?conv ?externals ?strategy ?tracer ?guard ~db prog
+      compile ?conv ?externals ?strategy ?guard ~db prog
     in
     exec_program ctx optimized
   with V.Type_error m -> raise (Eval_error { Err.kind = Err.Msg ("type error: " ^ m); context = [] })
 
-let run_rows ?conv ?externals ?strategy ?tracer ?guard ~db prog =
-  match run ?conv ?externals ?strategy ?tracer ?guard ~db prog with
+let run_rows ?conv ?externals ?strategy ?guard ~db prog =
+  match run ?conv ?externals ?strategy ?guard ~db prog with
   | Eval.Rows r -> r
   | Eval.Truth _ ->
       raise_kind (Err.Msg "expected a collection result, got a sentence")
 
-let run_truth ?conv ?externals ?strategy ?tracer ?guard ~db prog =
-  match run ?conv ?externals ?strategy ?tracer ?guard ~db prog with
+let run_truth ?conv ?externals ?strategy ?guard ~db prog =
+  match run ?conv ?externals ?strategy ?guard ~db prog with
   | Eval.Truth t -> t
   | Eval.Rows _ ->
       raise_kind (Err.Msg "expected a sentence result, got a collection")
@@ -1107,6 +963,7 @@ let resume_stratum_plan ctx (dps : Ir.def_plan list) : unit =
 (* ------------------------------------------------------------------ *)
 
 module Metrics = Arc_obs.Metrics
+module Obs = Arc_obs.Obs
 module Explain = Arc_plan.Explain
 
 (* Aggregates a run's per-node actuals into operator-level series: totals
@@ -1130,3 +987,106 @@ let export_stats (m : Metrics.t) (pp : Ir.program_plan) (stats : Ir.stats) =
           | Some q -> Metrics.observe m ~labels "arc_node_q_error" q
           | None -> ()))
     (Explain.analyze_info pp ~stats)
+
+(* Renders a run's per-node actuals as spans (see exec.mli). A span
+   aggregates every invocation of its node, so it has no real start:
+   [span] lays its children back to back from its own start and widens
+   its duration to cover them (seminaive delta rules run a head's
+   disjuncts outside the head). Spans are built as placers awaiting their
+   parent and start; ids are preorder, so parents precede children. *)
+let spans_of_stats ctx (pp : Ir.program_plan) (stats : Ir.stats) =
+  let next_id = ref 0 in
+  let rec lay parent start = function
+    | [] -> []
+    | place :: rest ->
+        let sp = place parent start in
+        sp :: lay parent (Int64.add start sp.Obs.duration_ns) rest
+  in
+  let span name attrs own kids parent start =
+    let id = !next_id in
+    incr next_id;
+    let children = lay (Some id) start kids in
+    let sum =
+      List.fold_left (fun t c -> Int64.add t c.Obs.duration_ns) 0L children
+    in
+    let duration_ns = max own sum in
+    { Obs.id; parent; name; start_ns = start; duration_ns; attrs; children }
+  in
+  let infos = Explain.analyze_info pp ~stats in
+  let kids_of = Hashtbl.create 64 in
+  List.iter
+    (fun ni ->
+      Option.iter (fun p -> Hashtbl.add kids_of p ni) ni.Explain.ni_parent)
+    infos;
+  let rec node ni =
+    Option.map
+      (fun a ->
+        let name, hash =
+          match (ni.Explain.ni_op, ni.Explain.ni_head) with
+          | "union", Some head -> ("collection:" ^ head, [])
+          | ("hash_join" | "semi_join" | "anti_join" as op), _ ->
+              ( op,
+                [
+                  ("build", Obs.Int a.Ir.a_build);
+                  ("probe", Obs.Int a.Ir.a_probe);
+                  ("matches", Obs.Int a.Ir.a_matches);
+                ] )
+          | op, _ -> (op, [])
+        in
+        span name
+          (("rows", Obs.Int a.Ir.a_rows)
+          :: ("invocations", Obs.Int a.Ir.a_invocations)
+          :: hash)
+          a.Ir.a_incl_ns
+          (List.filter_map node
+             (List.rev (Hashtbl.find_all kids_of ni.Explain.ni_id))))
+      ni.Explain.ni_actual
+  in
+  let def_ids, main_id = Ir.program_ids pp in
+  let head id = node (List.find (fun ni -> ni.Explain.ni_id = id) infos) in
+  let def dp = Option.to_list (head (List.assoc dp.Ir.dname def_ids)) in
+  let fixpoint dps =
+    let heads =
+      List.filter_map
+        (fun dp ->
+          Option.map
+            (fun a -> (dp.Ir.dname, List.rev a.Ir.a_deltas, a))
+            (Ir.actual_of stats (List.assoc dp.Ir.dname def_ids)))
+        dps
+    in
+    match heads with
+    | [] -> []
+    | (_, _, a) :: _ ->
+        let kind = fixpoint_kind ctx dps in
+        let round i ns =
+          span
+            (if i = 0 && kind = `Seminaive then "seed" else "iteration")
+            (List.filter_map
+               (fun (n, deltas, _) ->
+                 Option.map
+                   (fun d -> ("delta:" ^ n, Obs.Int d))
+                   (List.nth_opt deltas i))
+               heads)
+            ns []
+        in
+        [
+          span
+            (if kind = `Seminaive then "fixpoint:seminaive"
+             else "fixpoint:naive")
+            [
+              ( "stratum",
+                Obs.Str
+                  (String.concat "," (List.map (fun dp -> dp.Ir.dname) dps)) );
+              ("iterations", Obs.Int a.Ir.a_iterations);
+            ]
+            0L
+            (List.mapi round (List.rev a.Ir.a_rounds_ns));
+        ]
+  in
+  lay None 0L
+    (List.concat_map
+       (function
+         | Ir.Nonrecursive dp -> def dp
+         | Ir.Recursive dps -> fixpoint dps @ List.concat_map def dps)
+       pp.strata
+    @ Option.to_list (Option.bind main_id head))

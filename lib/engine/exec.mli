@@ -11,7 +11,6 @@ val compile :
   ?conv:Arc_value.Conventions.t ->
   ?externals:Externals.impl list ->
   ?strategy:Eval.recursion_strategy ->
-  ?tracer:Arc_obs.Obs.t ->
   ?guard:Arc_guard.Gov.t ->
   db:Arc_relation.Database.t ->
   program ->
@@ -45,10 +44,13 @@ val exec_program :
 
     When [stats] is given, every operator additionally records per-node
     actuals (invocations, rows emitted, inclusive wall-clock, hash
-    build/probe/match counts, fixpoint iterations and delta sizes) into
-    it, keyed by the stable node ids of {!Arc_plan.Ir.program_ids} — the
-    raw material for [arc analyze] (see
-    {!Arc_plan.Explain.analyze_to_string}). *)
+    build/probe/match counts, fixpoint iterations, delta sizes and
+    per-round wall-clock) into it, keyed by the stable node ids of
+    {!Arc_plan.Ir.program_ids}. These actuals are the plan engine's only
+    instrumentation: [arc analyze]
+    ({!Arc_plan.Explain.analyze_to_string}), [arc trace]
+    ({!spans_of_stats}) and [arc eval --profile] ({!export_stats}) all
+    render them. *)
 
 val export_stats :
   Arc_obs.Metrics.t ->
@@ -59,6 +61,19 @@ val export_stats :
     series ([arc_node_invocations_total], [arc_node_rows_total],
     [arc_node_excl_ns], [arc_node_rows], [arc_node_q_error], all labeled
     by [op]). *)
+
+val spans_of_stats :
+  Eval.Internal.ctx ->
+  Arc_plan.Ir.program_plan ->
+  Arc_plan.Ir.stats ->
+  Arc_obs.Obs.span list
+(** Render a run's per-node actuals as spans for [arc trace]: one per
+    executed plan node, named by {!Arc_plan.Ir.op_name} (union heads as
+    [collection:<name>]) and carrying its actuals ([rows], [invocations];
+    [build], [probe], [matches] on hash and semi/anti joins). Each
+    recursive stratum is preceded by a [fixpoint:seminaive|naive] span
+    whose [seed] and [iteration] children last one round each and carry
+    [delta:<name>]. *)
 
 (** {1 Incremental-maintenance hooks}
 
@@ -97,7 +112,6 @@ val run :
   ?conv:Arc_value.Conventions.t ->
   ?externals:Externals.impl list ->
   ?strategy:Eval.recursion_strategy ->
-  ?tracer:Arc_obs.Obs.t ->
   ?guard:Arc_guard.Gov.t ->
   db:Arc_relation.Database.t ->
   program ->
@@ -108,7 +122,6 @@ val run_rows :
   ?conv:Arc_value.Conventions.t ->
   ?externals:Externals.impl list ->
   ?strategy:Eval.recursion_strategy ->
-  ?tracer:Arc_obs.Obs.t ->
   ?guard:Arc_guard.Gov.t ->
   db:Arc_relation.Database.t ->
   program ->
@@ -118,7 +131,6 @@ val run_truth :
   ?conv:Arc_value.Conventions.t ->
   ?externals:Externals.impl list ->
   ?strategy:Eval.recursion_strategy ->
-  ?tracer:Arc_obs.Obs.t ->
   ?guard:Arc_guard.Gov.t ->
   db:Arc_relation.Database.t ->
   program ->

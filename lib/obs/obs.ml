@@ -74,13 +74,6 @@ let leave t h =
         pop ()
       end
 
-let with_span ?attrs t name f =
-  match t with
-  | Null -> f Dummy
-  | Active _ ->
-      let h = enter ?attrs t name in
-      Fun.protect ~finally:(fun () -> leave t h) (fun () -> f h)
-
 let set h k v =
   match h with
   | Dummy -> ()
@@ -109,9 +102,6 @@ let spans = function Null -> [] | Active st -> List.rev st.finished
 
 let attr_int s k =
   match List.assoc_opt k s.attrs with Some (Int i) -> Some i | _ -> None
-
-let attr_str s k =
-  match List.assoc_opt k s.attrs with Some (Str v) -> Some v | _ -> None
 
 let rec fold_spans f acc roots =
   List.fold_left (fun acc s -> fold_spans f (f acc s) s.children) acc roots

@@ -48,10 +48,6 @@ val leave : t -> handle -> unit
     (or to the root forest). Closing a span closes any still-open
     descendants first, so exceptional exits stay balanced. *)
 
-val with_span :
-  ?attrs:(string * value) list -> t -> string -> (handle -> 'a) -> 'a
-(** [enter] / [leave] around a callback, exception-safe. *)
-
 val set : handle -> string -> value -> unit
 (** Sets (or replaces) an attribute on an open span. *)
 
@@ -66,7 +62,6 @@ val spans : t -> span list
 (** The finished root spans, in execution order. *)
 
 val attr_int : span -> string -> int option
-val attr_str : span -> string -> string option
 
 val find_spans : span list -> string -> span list
 (** All spans (recursively) with the given name, preorder. *)

@@ -331,7 +331,9 @@ let analyze_to_string ?(warn_q_error = 4.0) ?cenv ~(stats : Ir.stats)
    the bench harness). Preorder over the whole program. *)
 type node_info = {
   ni_id : int;
+  ni_parent : int option;  (* enclosing plan node; [None] at a plan root *)
   ni_def : string;  (* definition name, or "main" *)
+  ni_head : string option;  (* head name of a collection node *)
   ni_op : string;
   ni_label : string;
   ni_est : int;
@@ -344,13 +346,19 @@ type node_info = {
 let analyze_info ?cenv (pp : Ir.program_plan) ~(stats : Ir.stats) :
     node_info list =
   let acc = ref [] in
-  let add section id op label (est, src) children =
+  (* preorder adds a parent before its children, so each node registers
+     itself as its children's parent *)
+  let parents = Hashtbl.create 64 in
+  let add ?head section id op label (est, src) children =
     let actual = Ir.actual_of stats id in
     let q = Option.map (fun a -> Ir.q_error est a.Ir.a_rows) actual in
+    List.iter (fun c -> Hashtbl.replace parents c id) children;
     acc :=
       {
         ni_id = id;
+        ni_parent = Hashtbl.find_opt parents id;
         ni_def = section;
+        ni_head = head;
         ni_op = op;
         ni_label = label;
         ni_est = est;
@@ -389,8 +397,8 @@ let analyze_info ?cenv (pp : Ir.program_plan) ~(stats : Ir.stats) :
     | Ir.Project { input; _ } | Ir.Aggregate { input; _ } ->
         go_t section (id + 1) input
   and go_c section id c =
-    add section id (Ir.coll_op_name c) (coll_label c) (est_c cenv c)
-      (Ir.coll_child_ids id c);
+    add ~head:(Ir.coll_head c).head_name section id (Ir.coll_op_name c)
+      (coll_label c) (est_c cenv c) (Ir.coll_child_ids id c);
     match c with
     | Ir.Union { disjuncts; _ } ->
         List.iter2

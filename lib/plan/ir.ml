@@ -219,6 +219,7 @@ let disjunct_op_name = function
   | Aggregate _ -> "hash_aggregate"
 
 let coll_op_name = function Union _ -> "union" | Fallback _ -> "fallback"
+let coll_head = function Union { head; _ } | Fallback { head; _ } -> head
 
 (* ------------------------------------------------------------------ *)
 (* Per-node runtime actuals (EXPLAIN ANALYZE)                          *)
@@ -236,6 +237,9 @@ type actual = {
   mutable a_matches : int;  (* probe hits that produced output *)
   mutable a_iterations : int;  (* fixpoint rounds (collection heads) *)
   mutable a_deltas : int list;  (* per-iteration delta sizes, reversed *)
+  mutable a_rounds_ns : int64 list;
+      (* per-round fixpoint wall-clock of the head's stratum, aligned with
+         [a_deltas] (the seminaive seed first), reversed *)
 }
 
 type stats = (int, actual) Hashtbl.t
@@ -256,6 +260,7 @@ let touch (st : stats) id =
           a_matches = 0;
           a_iterations = 0;
           a_deltas = [];
+          a_rounds_ns = [];
         }
       in
       Hashtbl.replace st id a;

@@ -9,6 +9,7 @@ module Exec = Arc_engine.Exec
 module Ir = Arc_plan.Ir
 module Explain = Arc_plan.Explain
 module Metrics = Arc_obs.Metrics
+module Obs = Arc_obs.Obs
 module Json = Arc_obs.Json
 module Data = Arc_catalog.Data
 
@@ -267,6 +268,78 @@ let metrics_export () =
     Alcotest.failf "node rows (%d) < output cardinality (%d)" total_rows
       cardinality
 
+(* trace, analyze and metrics are renderings of one record: per operator,
+   the rows (and hash-join build/probe/matches) summed over the rendered
+   spans, over analyze_info's actuals and over export_stats's series
+   agree *)
+let views_agree () =
+  List.iter
+    (fun (name, db, prog) ->
+      let ctx, _raw, optimized, _report = Exec.compile ~db prog in
+      let stats = Ir.fresh_stats () in
+      ignore (Exec.exec_program ~stats ctx optimized);
+      let rec flatten (sp : Obs.span) =
+        sp :: List.concat_map flatten sp.Obs.children
+      in
+      let spans =
+        List.concat_map flatten (Exec.spans_of_stats ctx optimized stats)
+      in
+      let span_op (sp : Obs.span) =
+        match String.split_on_char ':' sp.Obs.name with
+        | [ "collection"; _ ] -> Some "union"
+        | [ "fixpoint"; _ ] | [ ("seed" | "iteration") ] -> None
+        | _ -> Some sp.Obs.name
+      in
+      let actuals =
+        List.filter_map
+          (fun ni ->
+            Option.map (fun a -> (ni.Explain.ni_op, a)) ni.Explain.ni_actual)
+          (Explain.analyze_info optimized ~stats)
+      in
+      let m = Metrics.create () in
+      Exec.export_stats m optimized stats;
+      let ops = List.sort_uniq compare (List.map fst actuals) in
+      Alcotest.(check (list string))
+        (name ^ ": operators with spans = executed operators")
+        ops
+        (List.sort_uniq compare (List.filter_map span_op spans));
+      List.iter
+        (fun op ->
+          let span_sum attr =
+            List.fold_left
+              (fun acc sp ->
+                if span_op sp = Some op then
+                  acc + Option.value ~default:0 (Obs.attr_int sp attr)
+                else acc)
+              0 spans
+          in
+          let actual_sum f =
+            List.fold_left
+              (fun acc (o, a) -> if o = op then acc + f a else acc)
+              0 actuals
+          in
+          let check what span actual =
+            Alcotest.(check int)
+              (Printf.sprintf "%s: %s %s, spans = analyze" name op what)
+              actual span
+          in
+          check "rows" (span_sum "rows") (actual_sum (fun a -> a.Ir.a_rows));
+          Alcotest.(check int)
+            (Printf.sprintf "%s: %s rows, metrics = analyze" name op)
+            (actual_sum (fun a -> a.Ir.a_rows))
+            (Metrics.counter_value m ~labels:[ ("op", op) ]
+               "arc_node_rows_total");
+          if op = "hash_join" then begin
+            check "build" (span_sum "build")
+              (actual_sum (fun a -> a.Ir.a_build));
+            check "probe" (span_sum "probe")
+              (actual_sum (fun a -> a.Ir.a_probe));
+            check "matches" (span_sum "matches")
+              (actual_sum (fun a -> a.Ir.a_matches))
+          end)
+        ops)
+    analyze_workloads
+
 let () =
   Alcotest.run "arc_analyze"
     [
@@ -297,5 +370,7 @@ let () =
             metrics_histograms;
           Alcotest.test_case "export_stats aggregates node actuals" `Quick
             metrics_export;
+          Alcotest.test_case "trace, analyze and metrics agree per operator"
+            `Quick views_agree;
         ] );
     ]

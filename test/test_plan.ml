@@ -1,7 +1,8 @@
 (* Plan library tests: lowering shapes (via the explain renderer), each
    optimizer rewrite pass preserving results, hash-key NULL semantics under
    both null logics, plan-level seminaive fixpoints, governor integration,
-   tracer spans, and the join-annotation fallback. *)
+   the span rendering of per-node actuals, and the join-annotation
+   fallback. *)
 
 open Arc_core.Ast
 open Arc_core.Build
@@ -15,6 +16,7 @@ module Exec = Arc_engine.Exec
 module Lower = Arc_plan.Lower
 module Opt = Arc_plan.Opt
 module Explain = Arc_plan.Explain
+module Ir = Arc_plan.Ir
 module Obs = Arc_obs.Obs
 module Gov = Arc_guard.Gov
 module Budget = Arc_guard.Budget
@@ -270,29 +272,70 @@ let plan_seminaive () =
   check_same_bag "plan naive = plan seminaive" naive semi;
   check_same_bag "plan = reference on TC" reference semi
 
+(* Runs a program on the plan engine with per-node actuals on and renders
+   them as spans, as [arc trace] does. *)
+let traced ?strategy ~db prog =
+  let ctx, _, optimized, _ = Exec.compile ?strategy ~db prog in
+  let stats = Ir.fresh_stats () in
+  ignore (Exec.exec_program ~stats ctx optimized);
+  (optimized, stats, Exec.spans_of_stats ctx optimized stats)
+
 let plan_seminaive_actually_runs () =
   (* the seminaive fixpoint must be chosen (not silently degrade to naive)
      for a plain scan-only recursive definition *)
-  let tracer = Obs.collector () in
-  let _ =
-    Exec.run_rows ~strategy:Eval.Seminaive ~tracer ~db:(db_chain 6)
+  let _, _, spans =
+    traced ~strategy:Eval.Seminaive ~db:(db_chain 6)
       (program ~defs:tc_defs (Coll tc_main))
   in
-  let spans = Obs.spans tracer in
   Alcotest.(check bool) "fixpoint:seminaive span present" true
     (Obs.find_spans spans "fixpoint:seminaive" <> []);
   Alcotest.(check bool) "no naive fixpoint span" true
     (Obs.find_spans spans "fixpoint:naive" = [])
 
 let tracer_spans () =
-  let tracer = Obs.collector () in
-  let _ = Exec.run_rows ~tracer ~db:Data.db_rs (program (Coll join_query)) in
-  let spans = Obs.spans tracer in
+  let _, _, spans = traced ~db:Data.db_rs (program (Coll join_query)) in
   List.iter
     (fun name ->
       Alcotest.(check bool) (name ^ " span present") true
         (Obs.find_spans spans name <> []))
     [ "collection:Q"; "hash_join"; "scan" ]
+
+(* The fixpoint span renders the recursive head's actuals round by round:
+   one iteration span per iteration, the deltas in order (the seminaive
+   seed first), and round times that fit inside the fixpoint span. *)
+let fixpoint_spans () =
+  List.iter
+    (fun (strategy, kind, seeded) ->
+      let optimized, stats, spans =
+        traced ~strategy ~db:(db_chain 6)
+          (program ~defs:tc_defs (Coll tc_main))
+      in
+      let fx =
+        match Obs.find_spans spans ("fixpoint:" ^ kind) with
+        | [ fx ] -> fx
+        | l -> Alcotest.failf "%s: %d fixpoint spans" kind (List.length l)
+      in
+      let a =
+        Option.get
+          (Ir.actual_of stats (List.assoc "T" (fst (Ir.program_ids optimized))))
+      in
+      let rounds = fx.Obs.children in
+      let named n = List.filter (fun s -> s.Obs.name = n) rounds in
+      Alcotest.(check int) (kind ^ ": seed spans") (if seeded then 1 else 0)
+        (List.length (named "seed"));
+      Alcotest.(check int) (kind ^ ": iteration spans = a_iterations")
+        a.Ir.a_iterations
+        (List.length (named "iteration"));
+      Alcotest.(check (list int)) (kind ^ ": round deltas = a_deltas")
+        (List.rev a.Ir.a_deltas)
+        (List.map (fun s -> Option.get (Obs.attr_int s "delta:T")) rounds);
+      let summed =
+        List.fold_left (fun acc s -> Int64.add acc s.Obs.duration_ns) 0L rounds
+      in
+      Alcotest.(check bool) (kind ^ ": round times fit the fixpoint span")
+        true
+        (summed > 0L && Int64.compare summed fx.Obs.duration_ns <= 0))
+    [ (Eval.Seminaive, "seminaive", true); (Eval.Naive, "naive", false) ]
 
 let guard_truncates () =
   let guard = Gov.make ~on_limit:`Truncate { Budget.default with max_rows = Some 2 } in
@@ -464,6 +507,8 @@ let () =
             plan_seminaive_actually_runs;
           Alcotest.test_case "operator spans reach the tracer" `Quick
             tracer_spans;
+          Alcotest.test_case "fixpoint spans render the head's rounds" `Quick
+            fixpoint_spans;
           Alcotest.test_case "row budget truncates plan output" `Quick
             guard_truncates;
           Alcotest.test_case "explain renders program plans" `Quick
