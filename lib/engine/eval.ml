@@ -1029,7 +1029,6 @@ module Internal = struct
   let eval_pred_values = eval_pred_values
   let eval_formula = eval_formula
   let eval_gformula = eval_gformula
-  let eval_collection = eval_collection
   let source_rows = source_rows
   let resolve_deferred = resolve_deferred
   let take = take

@@ -118,8 +118,8 @@ val eval_collection_standalone :
     The plan engine replaces the {e enumeration} strategy (nested loops →
     hash operators) but deliberately shares every {e semantic} primitive
     with this reference evaluator — term/predicate/formula evaluation,
-    group-aware evaluation, deferred external/abstract resolution, and the
-    collection fallback — so the two engines can only diverge in what they
+    group-aware evaluation, governed scans and deferred external/abstract
+    resolution — so the two engines can only diverge in what they
     enumerate, never in what a row means. Not part of the stable API. *)
 module Internal : sig
   type ctx
@@ -161,10 +161,6 @@ module Internal : sig
   val eval_gformula :
     ctx -> rep:benv -> group:benv list -> scope_vars:var list -> formula ->
     Arc_value.Bool3.t
-
-  val eval_collection : ctx -> benv -> collection -> Arc_relation.Relation.t
-  (** The reference pipeline for one collection — the plan engine's
-      fallback for join-annotated scopes. *)
 
   val source_rows : ctx -> benv -> source -> Arc_relation.Tuple.t list
   (** Governed scan (ticks, charges bindings, counts [tuples_scanned]). *)

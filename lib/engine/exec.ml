@@ -16,10 +16,10 @@ module I = Eval.Internal
 
 (* The physical engine: executes the Arc_plan IR with hash-based join,
    semi/anti-join, aggregation and deduplication operators. All per-row
-   semantics — term, predicate and formula evaluation, deferred resolution,
-   and the collection fallback — are delegated to Eval.Internal, so the two
-   engines share one notion of what a row means and can only differ in what
-   they enumerate. *)
+   semantics — term, predicate and formula evaluation, governed scans and
+   deferred resolution — are delegated to Eval.Internal, so the two engines
+   share one notion of what a row means and can only differ in what they
+   enumerate. *)
 
 exception Eval_error = Eval.Eval_error
 
@@ -633,29 +633,27 @@ and exec_disjunct_inner env id (head : head) (d : Ir.disjunct_plan) :
 and exec_coll env id (p : Ir.coll_plan) : Relation.t =
   timed env id Relation.cardinality (fun () -> exec_coll_inner env id p)
 
-and exec_coll_inner env id (p : Ir.coll_plan) : Relation.t =
-  match p with
-  | Fallback { coll; _ } -> I.eval_collection env.ctx env.outer coll
-  | Union { head; disjuncts } -> (
-      let name = head.head_name in
-      Gov.tick (gov env);
-      if not (Gov.enter_collection (gov env)) then
-        Relation.empty ~name head.head_attrs
-      else
-        in_collection env name (fun () ->
-            let tuples =
-              List.concat
-                (List.map2
-                   (fun did d -> exec_disjunct env did head d)
-                   (Ir.coll_child_ids id p) disjuncts)
-            in
-            let r =
-              Relation.make ~name (Schema.make head.head_attrs)
-                (charge_rows env tuples)
-            in
-            match (I.conv env.ctx).Conventions.collection with
-            | Conventions.Set -> Relation.dedup r
-            | Conventions.Bag -> r))
+and exec_coll_inner env id ({ head; disjuncts } as p : Ir.coll_plan) :
+    Relation.t =
+  let name = head.head_name in
+  Gov.tick (gov env);
+  if not (Gov.enter_collection (gov env)) then
+    Relation.empty ~name head.head_attrs
+  else
+    in_collection env name (fun () ->
+        let tuples =
+          List.concat
+            (List.map2
+               (fun did d -> exec_disjunct env did head d)
+               (Ir.coll_child_ids id p) disjuncts)
+        in
+        let r =
+          Relation.make ~name (Schema.make head.head_attrs)
+            (charge_rows env tuples)
+        in
+        match (I.conv env.ctx).Conventions.collection with
+        | Conventions.Set -> Relation.dedup r
+        | Conventions.Bag -> r)
 
 (* ------------------------------------------------------------------ *)
 (* Recursive strata: hash-based fixpoints over plans                   *)
@@ -732,7 +730,7 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
     List.map
       (fun (dp, id) ->
         let n = dp.Ir.dname in
-        let head = Ir.coll_head dp.Ir.dplan in
+        let head = dp.Ir.dplan.head in
         (* the seen-set starts from the definition's current value, so the
            first delta is the seed minus the start (the whole seed when
            starting from empty) *)
@@ -761,12 +759,10 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
         let occurrences = Ir.count_scans_coll component dp.Ir.dplan in
         let rules =
           List.init occurrences (fun i ->
-              match Ir.subst_scan component i dp.Ir.dplan with
-              | Ir.Union { disjuncts = subst; _ } ->
-                  let d = Ir.occurrence_disjunct component i dp.Ir.dplan in
-                  let sd = List.nth subst d and did = List.nth dids d in
-                  (sd, did, make_fix_cache banned did sd)
-              | Ir.Fallback _ -> assert false)
+              let subst = (Ir.subst_scan component i dp.Ir.dplan).disjuncts in
+              let d = Ir.occurrence_disjunct component i dp.Ir.dplan in
+              let sd = List.nth subst d and did = List.nth dids d in
+              (sd, did, make_fix_cache banned did sd))
         in
         (n, id, head, Schema.make head.head_attrs, rules, seen))
       dps
@@ -874,8 +870,7 @@ let exec_stratum env base (s : Ir.stratum) =
       List.iter
         (fun dp ->
           I.idb_set ctx dp.Ir.dname
-            (Relation.empty ~name:dp.Ir.dname
-               (Ir.coll_head dp.Ir.dplan).head_attrs))
+            (Relation.empty ~name:dp.Ir.dname dp.Ir.dplan.head.head_attrs))
         dps;
       run_fixpoint env base dps
 
@@ -895,7 +890,10 @@ let compile ?conv ?externals ?strategy ?guard ~db (prog : program) =
   let lenv =
     Lower.env_of_db ~db ~defs:(List.map (fun d -> d.def_name) safe)
   in
-  let raw = Lower.lower_program lenv ~safe prog in
+  let raw =
+    try Lower.lower_program lenv ~safe prog
+    with Err.Guard_error e -> raise (Eval_error e)
+  in
   let optimized, report = Opt.optimize lenv raw in
   (ctx, raw, optimized, ("magic-sets", magic_changed) :: report)
 

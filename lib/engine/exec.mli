@@ -1,9 +1,9 @@
 (** Physical plan executor: runs the {!Arc_plan} IR with hash-based join,
-    semi/anti-join, aggregation and deduplication operators. Per-row
-    semantics (terms, predicates, residual formulas, deferred resolution,
-    and the reference fallback) are shared with {!Eval} via its internals,
-    so the two engines can only differ in what they enumerate — which is
-    exactly what the differential tests check. *)
+    semi/anti-join, aggregation and deduplication operators. Every
+    collection lowers to a plan; per-row semantics (terms, predicates,
+    residual formulas, governed scans, deferred resolution) are shared with
+    {!Eval} via its internals, so the two engines can only differ in what
+    they enumerate — which is exactly what the differential tests check. *)
 
 open Arc_core.Ast
 
@@ -18,7 +18,9 @@ val compile :
   * (string * bool) list
 (** [compile ~db prog] validates and lowers [prog], returning the prepared
     evaluation context, the raw lowered plan, the optimized plan, and the
-    rewrite report (pass name, whether it changed the plan). *)
+    rewrite report (pass name, whether it changed the plan). A scope the
+    lowering rejects (a join annotation naming an unbound variable) raises
+    {!Eval.Eval_error} with the reference evaluator's message. *)
 
 val exec_program :
   ?stats:Arc_plan.Ir.stats ->

@@ -11,6 +11,9 @@
     disjunct ::= exists bindings [grouping?] [join-annotation?]
                  (head-assignments ∧ comparisons ∧ null-tests ∧ likes
                   ∧ nested (not)? exists ...)
+    join-annotation ::= an outer join over two or three of the bindings,
+                 nesting left/full/inner joins and at most one literal
+                 leaf (with a body comparison against its constant)
     v}
 
     Databases give every column a fixed type (so well-typed programs stay
@@ -167,6 +170,44 @@ let gen_aggregate st env =
       let k = pick st [ B.sum; B.count; B.min_; B.max_; B.avg ] in
       k (B.attr v a)
 
+(* A join annotation over the scope's bindings (two or three): an outer
+   join at the root, any join below it, e.g. [left(a, inner(b, c))] or
+   [full(a, left(b, c))]. With some chance one leaf [x] becomes
+   [inner(c, x)] for a literal [c], and an int comparison against [c] is
+   returned for the body, so the literal consumes it as an ON condition
+   (Fig 12). *)
+let gen_join_tree st bound =
+  let outer a b = if chance st 0.5 then J_left (a, b) else J_full (a, b) in
+  let any a b = if chance st 0.3 then J_inner [ a; b ] else outer a b in
+  let ints = attrs_of_ty bound T_int in
+  let lit =
+    if ints <> [] && chance st 0.3 then Some (Random.State.int st 5) else None
+  in
+  let lit_at = Random.State.int st (List.length bound) in
+  let leaves =
+    List.mapi
+      (fun i (v, _) ->
+        match lit with
+        | Some c when i = lit_at -> J_inner [ J_lit (V.Int c); J_var v ]
+        | _ -> J_var v)
+      bound
+  in
+  let tree =
+    match leaves with
+    | [ a; b; c ] ->
+        if chance st 0.5 then outer a (any b c) else outer (any a b) c
+    | [ a; b ] -> outer a b
+    | _ -> invalid_arg "Gen.gen_join_tree: two or three bindings"
+  in
+  let conds =
+    match lit with
+    | Some c ->
+        let v, a = pick st ints in
+        [ (pick st [ B.eq; B.neq; B.lt; B.geq ]) (B.attr v a) (B.cint c) ]
+    | None -> []
+  in
+  (tree, conds)
+
 (* A quantifier scope. [head]: Some (attrs × types) when this scope is a
    disjunct of the main/def collection and must assign every head attr;
    None for nested (possibly negated) subscopes. *)
@@ -247,23 +288,19 @@ let rec gen_scope st ~srcs ~counter ~depth ~outer ~head ~head_name =
           in
           if chance st 0.7 then B.not_ inner else inner)
   in
-  let join =
-    (* join annotations only on plain two-binding scopes *)
-    if
-      head <> None && grouping = None && nested = [] && List.length bound = 2
-      && chance st 0.15
+  let join, lit_conds =
+    (* join annotations on top-level scopes without nested subscopes,
+       grouped ones included (the outer join feeds the aggregate) *)
+    if head <> None && nested = [] && List.length bound >= 2 && chance st 0.2
     then
-      let v1 = fst (List.nth bound 0) and v2 = fst (List.nth bound 1) in
-      Some
-        (if chance st 0.5 then J_left (J_var v1, J_var v2)
-         else J_full (J_var v1, J_var v2))
-    else None
+      let tree, conds = gen_join_tree st bound in
+      (Some tree, conds)
+    else (None, [])
   in
-  let body = B.conj (assignments @ comparisons @ agg_preds @ nested) in
-  match (grouping, join) with
-  | Some keys, _ -> B.exists ~grouping:keys bindings body
-  | None, Some j -> B.exists ~join:j bindings body
-  | None, None -> B.exists bindings body
+  let body =
+    B.conj (assignments @ comparisons @ lit_conds @ agg_preds @ nested)
+  in
+  B.exists ?grouping ?join bindings body
 
 (* transitive-closure-style recursive definition over R0's int-int prefix *)
 let gen_recursive_def st tables =

@@ -42,9 +42,9 @@ type t = {
 }
 
 exception Guard_error of t
-(** Raised by {!Gov} and by retry-exhausted externals; the engine converts
-    it into its own [Eval_error], adding collection context on the way
-    out. *)
+(** Raised by {!Gov}, by retry-exhausted externals and by the plan
+    lowering's rejections; the engine converts it into its own
+    [Eval_error], adding collection context on the way out. *)
 
 val make : ?context:string list -> kind -> t
 val in_collection : string -> t -> t

@@ -98,7 +98,7 @@ type coll_state =
       disjs : disj_state list;
       counts : Delta.t;  (* derivation counts, across disjuncts *)
     }
-  | CFallback of { plan : Ir.coll_plan; reason : string }
+  | CRecompute of { plan : Ir.coll_plan; reason : string }
 
 type stratum_state =
   | SNonrec of { sname : rel_name; sdeps : rel_name list; cs : coll_state }
@@ -284,11 +284,9 @@ let occurrence_rels_coll rels (p : Ir.coll_plan) : rel_name list =
 (* The delta rule of occurrence [j] of [rels] in [p]: scans renamed with
    [rename], restricted to the disjunct holding occurrence [j]. *)
 let occurrence_rule rels j rename (p : Ir.coll_plan) : Ir.coll_plan =
-  match Ir.subst_scans_with rels rename p with
-  | Ir.Union u ->
-      let d = Ir.occurrence_disjunct rels j p in
-      Ir.Union { u with disjuncts = [ List.nth u.disjuncts d ] }
-  | sub -> sub
+  let sub = Ir.subst_scans_with rels rename p in
+  let d = Ir.occurrence_disjunct rels j p in
+  { sub with disjuncts = [ List.nth sub.disjuncts d ] }
 
 (* Signed derivation delta of a multilinear pipeline:
    Δf = Σ_j f(new_1…new_{j-1}, Δ_j, old_{j+1}…), each Δ_j split into its
@@ -569,51 +567,44 @@ let maintain_dred ctx defs (dps : Ir.def_plan list)
 (* ------------------------------------------------------------------ *)
 
 let classify_coll (plan : Ir.coll_plan) : coll_state =
-  match plan with
-  | Ir.Fallback { reason; _ } ->
-      CFallback { plan; reason = "lowering_fallback:" ^ reason }
-  | Ir.Union { head; disjuncts } -> (
-      let rec build acc = function
-        | [] -> Ok (List.rev acc)
-        | d :: rest -> (
-            match disjunct_blocker d with
-            | Some why -> Error why
-            | None ->
-                let st =
-                  match d with
-                  | Ir.Project { input; assigns } -> DProj { assigns; input }
-                  | Ir.Aggregate { input; keys; scope_vars; post; assigns }
-                    ->
-                      DAgg
-                        {
-                          input;
-                          keys;
-                          scope_vars;
-                          post;
-                          assigns;
-                          groups = Hashtbl.create 64;
-                          outs = Hashtbl.create 64;
-                        }
-                in
-                build (st :: acc) rest)
-      in
-      match build [] disjuncts with
-      | Ok disjs ->
-          CCounting { head; plan; disjs; counts = Delta.create () }
-      | Error why -> CFallback { plan; reason = why })
-
-let coll_plan_blocker = function
-  | Ir.Fallback { reason; _ } -> Some ("lowering_fallback:" ^ reason)
-  | Ir.Union { disjuncts; _ } ->
-      List.fold_left
-        (fun acc d ->
-          match acc with
-          | Some _ -> acc
-          | None -> (
+  let rec build acc = function
+    | [] -> Ok (List.rev acc)
+    | d :: rest -> (
+        match disjunct_blocker d with
+        | Some why -> Error why
+        | None ->
+            let st =
               match d with
-              | Ir.Project { input; _ } -> pipeline_blocker input
-              | Ir.Aggregate _ -> Some "aggregate_in_recursion"))
-        None disjuncts
+              | Ir.Project { input; assigns } -> DProj { assigns; input }
+              | Ir.Aggregate { input; keys; scope_vars; post; assigns } ->
+                  DAgg
+                    {
+                      input;
+                      keys;
+                      scope_vars;
+                      post;
+                      assigns;
+                      groups = Hashtbl.create 64;
+                      outs = Hashtbl.create 64;
+                    }
+            in
+            build (st :: acc) rest)
+  in
+  match build [] plan.disjuncts with
+  | Ok disjs ->
+      CCounting { head = plan.head; plan; disjs; counts = Delta.create () }
+  | Error why -> CRecompute { plan; reason = why }
+
+let coll_plan_blocker (plan : Ir.coll_plan) =
+  List.fold_left
+    (fun acc d ->
+      match acc with
+      | Some _ -> acc
+      | None -> (
+          match d with
+          | Ir.Project { input; _ } -> pipeline_blocker input
+          | Ir.Aggregate _ -> Some "aggregate_in_recursion"))
+    None plan.disjuncts
 
 let deps_of_coll (c : collection) =
   List.sort_uniq compare (List.map fst (Depend.collection_deps c))
@@ -669,7 +660,7 @@ let eval_coll_state ctx conv (cs : coll_state) : Relation.t =
   match cs with
   | CCounting { head; disjs; counts; _ } ->
       seed_counting ctx conv head disjs counts
-  | CFallback { plan; _ } -> Relation.sort (Exec.exec_collection ctx plan)
+  | CRecompute { plan; _ } -> Relation.sort (Exec.exec_collection ctx plan)
 
 let register t ~name (prog : program) =
   if Arc_core.Analysis.is_reserved_name name then
@@ -796,7 +787,7 @@ let maintain_coll t v ctx (cs : coll_state) changed old_r :
                 Hashtbl.reset outs)
           disjs;
         (seed_counting ctx t.conv head disjs counts, None))
-  | CFallback { plan; reason } ->
+  | CRecompute { plan; reason } ->
       note_fallback t v reason;
       (Relation.sort (Exec.exec_collection ctx plan), None)
 
@@ -922,7 +913,7 @@ let state_rows t =
                         (fun _ rows a -> a + List.length rows)
                         groups a)
                 0 disjs
-        | CFallback _ -> 0
+        | CRecompute _ -> 0
       in
       let strata_rows =
         List.fold_left

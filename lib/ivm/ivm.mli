@@ -18,9 +18,9 @@
       survivors over the new inputs, re-deriving and inserting in one
       pass.
     - {b fallback} — anything else (semi/anti joins, laterals,
-      subqueries, deferred resolution, lowering fallbacks, aggregates in
-      recursion) is recomputed from scratch and diffed. Fallbacks are
-      counted in metrics, never silent.
+      subqueries, deferred resolution, aggregates in recursion) is
+      recomputed from scratch and diffed. These recomputations are counted
+      in metrics, never silent.
 
     Every maintained result is bag-equal to full re-evaluation on the
     updated database — {!check} verifies exactly that. *)
@@ -102,7 +102,8 @@ val check :
     all views verified. *)
 
 val fallback_total : t -> int
-(** Fallback recomputations since creation, across all views. *)
+(** Recomputations from scratch (fallbacks) since creation, across all
+    views. *)
 
 val state_rows : t -> int
 (** Rows held in maintenance state (count tables, group tables,

@@ -411,15 +411,9 @@ and estimate_disjunct env (d : Ir.disjunct_plan) : est =
 
 and estimate_coll env (c : Ir.coll_plan) : est =
   reconcile Ir.estimate_coll c
-    (match c with
-    | Union { disjuncts; _ } ->
-        List.fold_left
-          (fun acc d ->
-            let e = estimate_disjunct env d in
-            { rows = acc.rows +. e.rows; src = meet acc.src e.src })
-          { rows = 0.0; src = Exact }
-          disjuncts
-    | Fallback { fcard; _ } ->
-        (* the lowering estimated [fcard] from the scope's referenced
-           relations; still a guess, so tagged honestly *)
-        { rows = float_of_int (max 1 fcard); src = Heuristic })
+    (List.fold_left
+       (fun acc d ->
+         let e = estimate_disjunct env d in
+         { rows = acc.rows +. e.rows; src = meet acc.src e.src })
+       { rows = 0.0; src = Exact }
+       c.disjuncts)

@@ -107,14 +107,9 @@ let disjunct_label (d : Ir.disjunct_plan) : string =
       ^ "]" ^ post_s
 
 let coll_label (p : Ir.coll_plan) : string =
-  match p with
-  | Union { head; disjuncts } ->
-      Printf.sprintf "%s \xe2\x86\x90 union (%d disjunct%s)" (Pp.head head)
-        (List.length disjuncts)
-        (if List.length disjuncts = 1 then "" else "s")
-  | Fallback { head; reason; _ } ->
-      Printf.sprintf "%s \xe2\x86\x90 reference evaluator (%s)" (Pp.head head)
-        reason
+  let n = List.length p.disjuncts in
+  Printf.sprintf "%s \xe2\x86\x90 union (%d disjunct%s)" (Pp.head p.head) n
+    (if n = 1 then "" else "s")
 
 (* One annotated traversal serves both renderings: the annotation callback
    receives each node's stable id (see [Ir.program_ids]) and produces the
@@ -169,12 +164,7 @@ and node_of_disjunct ann id (d : Ir.disjunct_plan) : node =
 
 and node_of_coll ann id (p : Ir.coll_plan) : node =
   let children =
-    match p with
-    | Ir.Union { disjuncts; _ } ->
-        List.map2
-          (fun did d -> node_of_disjunct ann did d)
-          (Ir.coll_child_ids id p) disjuncts
-    | Ir.Fallback _ -> []
+    List.map2 (node_of_disjunct ann) (Ir.coll_child_ids id p) p.disjuncts
   in
   { label = coll_label p ^ ann.on_c id p; children }
 
@@ -315,12 +305,11 @@ let analyze_ann ~warn_q_error ?cenv (stats : Ir.stats) =
         let est, src = est_c cenv c in
         node_suffix ~warn_q_error stats id ~est ~src
           ~children:(Ir.coll_child_ids id c) ~extras_of:(fun a ->
-            match c with
-            | Ir.Union _ when a.Ir.a_iterations > 0 ->
-                Printf.sprintf " iters=%d deltas=[%s]" a.Ir.a_iterations
-                  (String.concat ";"
-                     (List.map string_of_int (List.rev a.Ir.a_deltas)))
-            | _ -> ""));
+            if a.Ir.a_iterations > 0 then
+              Printf.sprintf " iters=%d deltas=[%s]" a.Ir.a_iterations
+                (String.concat ";"
+                   (List.map string_of_int (List.rev a.Ir.a_deltas)))
+            else ""));
   }
 
 let analyze_to_string ?(warn_q_error = 4.0) ?cenv ~(stats : Ir.stats)
@@ -396,15 +385,11 @@ let analyze_info ?cenv (pp : Ir.program_plan) ~(stats : Ir.stats) :
     match d with
     | Ir.Project { input; _ } | Ir.Aggregate { input; _ } ->
         go_t section (id + 1) input
-  and go_c section id c =
-    add ~head:(Ir.coll_head c).head_name section id (Ir.coll_op_name c)
-      (coll_label c) (est_c cenv c) (Ir.coll_child_ids id c);
-    match c with
-    | Ir.Union { disjuncts; _ } ->
-        List.iter2
-          (fun did d -> go_d section did d)
-          (Ir.coll_child_ids id c) disjuncts
-    | Ir.Fallback _ -> ()
+  and go_c section id (c : Ir.coll_plan) =
+    let dids = Ir.coll_child_ids id c in
+    add ~head:c.head.head_name section id "union" (coll_label c) (est_c cenv c)
+      dids;
+    List.iter2 (go_d section) dids c.disjuncts
   in
   let counter = ref 0 in
   let walk_def dp =

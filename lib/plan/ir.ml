@@ -47,17 +47,7 @@ and disjunct_plan =
       assigns : (attr * term) list;
     }
 
-and coll_plan =
-  | Union of { head : head; disjuncts : disjunct_plan list }
-  | Fallback of {
-      head : head;
-      coll : collection;
-      reason : string;
-      fcard : int;
-          (** Cardinality estimate derived from the referenced relations at
-              lowering time (saturating product); an honest heuristic
-              instead of the historical hardcoded 32. *)
-    }
+and coll_plan = { head : head; disjuncts : disjunct_plan list }
 
 type def_plan = { dname : rel_name; dcoll : collection; dplan : coll_plan }
 
@@ -110,10 +100,8 @@ let estimate_disjunct = function
   | Aggregate { input; keys; _ } ->
       if keys = [] then 1 else max 1 (estimate input / 4)
 
-let estimate_coll = function
-  | Union { disjuncts; _ } ->
-      List.fold_left (fun acc d -> acc + estimate_disjunct d) 0 disjuncts
-  | Fallback { fcard; _ } -> max 1 fcard
+let estimate_coll p =
+  List.fold_left (fun acc d -> acc + estimate_disjunct d) 0 p.disjuncts
 
 (* ------------------------------------------------------------------ *)
 (* Stable node ids                                                     *)
@@ -144,10 +132,8 @@ let rec size = function
 and size_disjunct = function
   | Project { input; _ } | Aggregate { input; _ } -> 1 + size input
 
-and size_coll = function
-  | Union { disjuncts; _ } ->
-      1 + List.fold_left (fun acc d -> acc + size_disjunct d) 0 disjuncts
-  | Fallback _ -> 1
+and size_coll p =
+  1 + List.fold_left (fun acc d -> acc + size_disjunct d) 0 p.disjuncts
 
 (* Direct-children ids, in canonical (preorder) order. Children of
    [Subquery]/[Lateral] include the nested collection plan. *)
@@ -167,14 +153,12 @@ let child_ids id = function
 
 let disjunct_child_ids id = function Project _ | Aggregate _ -> [ id + 1 ]
 
-let coll_child_ids id = function
-  | Union { disjuncts; _ } ->
-      List.rev
-        (fst
-           (List.fold_left
-              (fun (acc, next) d -> (next :: acc, next + size_disjunct d))
-              ([], id + 1) disjuncts))
-  | Fallback _ -> []
+let coll_child_ids id p =
+  List.rev
+    (fst
+       (List.fold_left
+          (fun (acc, next) d -> (next :: acc, next + size_disjunct d))
+          ([], id + 1) p.disjuncts))
 
 (* Base ids for a whole program: strata in order (each definition's
    collection plan), then the main plan. *)
@@ -217,9 +201,6 @@ let op_name = function
 let disjunct_op_name = function
   | Project _ -> "project"
   | Aggregate _ -> "hash_aggregate"
-
-let coll_op_name = function Union _ -> "union" | Fallback _ -> "fallback"
-let coll_head = function Union { head; _ } | Fallback { head; _ } -> head
 
 (* ------------------------------------------------------------------ *)
 (* Per-node runtime actuals (EXPLAIN ANALYZE)                          *)
@@ -329,9 +310,7 @@ and disjunct_ref_vars = function
       @ List.concat_map formula_ref_vars post
       @ List.concat_map (fun (_, t) -> term_ref_vars t) assigns
 
-and coll_plan_ref_vars = function
-  | Union { disjuncts; _ } -> List.concat_map disjunct_ref_vars disjuncts
-  | Fallback { coll; _ } -> formula_ref_vars coll.body
+and coll_plan_ref_vars p = List.concat_map disjunct_ref_vars p.disjuncts
 
 (* ------------------------------------------------------------------ *)
 (* Delta substitution                                                  *)
@@ -366,18 +345,17 @@ let rec count_scans component (t : t) : int =
 and count_scans_disjunct component = function
   | Project { input; _ } | Aggregate { input; _ } -> count_scans component input
 
-and count_scans_coll component = function
-  | Union { disjuncts; _ } ->
-      List.fold_left
-        (fun acc d -> acc + count_scans_disjunct component d)
-        0 disjuncts
-  | Fallback _ -> 0
+and count_scans_coll component p =
+  List.fold_left
+    (fun acc d -> acc + count_scans_disjunct component d)
+    0 p.disjuncts
 
 (* Occurrence [j] (preorder index among scans of [component] relations) is
    renamed with [rename j rel]; [None] leaves the scan untouched. The
-   rewrite is shape-preserving, so stable node ids carry over. *)
-let subst_scans_with component (rename : int -> rel_name -> rel_name option)
-    (p : coll_plan) : coll_plan =
+   rewrite is shape-preserving, so stable node ids carry over. Returns the
+   pipeline and collection rewriters, which share one occurrence
+   counter. *)
+let substituter component (rename : int -> rel_name -> rel_name option) =
   let k = ref (-1) in
   let rec go_t (t : t) : t =
     match t with
@@ -401,11 +379,16 @@ let subst_scans_with component (rename : int -> rel_name -> rel_name option)
   and go_disjunct = function
     | Project pr -> Project { pr with input = go_t pr.input }
     | Aggregate ag -> Aggregate { ag with input = go_t ag.input }
-  and go_coll = function
-    | Union u -> Union { u with disjuncts = List.map go_disjunct u.disjuncts }
-    | Fallback _ as f -> f
-  in
-  go_coll p
+  and go_coll p = { p with disjuncts = List.map go_disjunct p.disjuncts } in
+  (go_t, go_coll)
+
+let subst_scans_with component rename (p : coll_plan) : coll_plan =
+  snd (substituter component rename) p
+
+(* Same traversal over a bare pipeline, for callers that differentiate one
+   disjunct's input rather than a whole collection plan. *)
+let subst_scans_with_t component rename (t : t) : t =
+  fst (substituter component rename) t
 
 let subst_scan component i (p : coll_plan) : coll_plan =
   subst_scans_with component
@@ -423,30 +406,13 @@ let occurrence_disjunct component i (p : coll_plan) : int =
         if i < c then d else go (d + 1) (i - c) xs
     | [] -> invalid_arg "Ir.occurrence_disjunct"
   in
-  match p with
-  | Union { disjuncts; _ } -> go 0 i disjuncts
-  | Fallback _ -> invalid_arg "Ir.occurrence_disjunct"
-
-(* Same traversal over a bare pipeline, for callers that differentiate one
-   disjunct's input rather than a whole collection plan. *)
-let subst_scans_with_t component (rename : int -> rel_name -> rel_name option)
-    (t0 : t) : t =
-  match
-    subst_scans_with component rename
-      (Union
-         {
-           head = { head_name = "__subst__"; head_attrs = [] };
-           disjuncts = [ Project { input = t0; assigns = [] } ];
-         })
-  with
-  | Union { disjuncts = [ Project { input; _ } ]; _ } -> input
-  | _ -> assert false
+  go 0 i p.disjuncts
 
 (* Plan-level delta substitution is sound only when every reference to a
    component relation is a plan [Scan]; references hidden inside fragments
    the reference evaluator executes as callbacks (residual formulas,
-   resolve scopes, fallbacks, aggregate post-conditions) cannot be
-   substituted, so such components run the naive iteration instead. *)
+   resolve scopes, aggregate post-conditions) cannot be substituted, so
+   such components run the naive iteration instead. *)
 let mentions_component component deps =
   List.exists (fun (n, _) -> List.mem n component) deps
 
@@ -472,23 +438,19 @@ let rec opaque_refs component (t : t) : bool =
       opaque_refs component input || opaque_refs component sub
   | Append ts -> List.exists (opaque_refs component) ts
 
-and opaque_refs_coll component = function
-  | Union { disjuncts; _ } ->
-      List.exists
-        (fun d ->
-          match d with
-          | Project { input; _ } -> opaque_refs component input
-          | Aggregate { input; post; _ } ->
-              opaque_refs component input
-              || List.exists
-                   (fun f ->
-                     mentions_component component
-                       (Arc_core.Depend.formula_deps ~neg:false ~grouped:false
-                          [] f))
-                   post)
-        disjuncts
-  | Fallback { coll; _ } ->
-      mentions_component component (Arc_core.Depend.collection_deps coll)
+and opaque_refs_coll component p =
+  List.exists
+    (fun d ->
+      match d with
+      | Project { input; _ } -> opaque_refs component input
+      | Aggregate { input; post; _ } ->
+          opaque_refs component input
+          || List.exists
+               (fun f ->
+                 mentions_component component
+                   (Arc_core.Depend.formula_deps ~neg:false ~grouped:false [] f))
+               post)
+    p.disjuncts
 
 let seminaive_eligible component (dps : def_plan list) =
   List.for_all

@@ -5,6 +5,7 @@ module Relation = Arc_relation.Relation
 module Database = Arc_relation.Database
 module Schema = Arc_relation.Schema
 module V = Arc_value.Value
+module Err = Arc_guard.Error
 
 (* What the lowering needs to know about the world: which relation names are
    finite (base relations with a cardinality estimate, safe definitions),
@@ -46,20 +47,6 @@ let source_finite env = function
 
 let card env n =
   match List.assoc_opt n env.cards with Some c -> c | None -> default_card
-
-(* The guarded assertion path: a scope shape the translation cannot handle
-   statically. The whole collection then runs on the reference evaluator;
-   its cardinality guess is the saturating product of the referenced
-   relations' cardinalities — honest about being a heuristic, instead of
-   the historical hardcoded 32. *)
-exception Bail of string
-
-let fallback_card env (c : collection) =
-  let deps =
-    List.sort_uniq compare
-      (List.map fst (Arc_core.Depend.collection_deps c))
-  in
-  List.fold_left (fun acc n -> Ir.sat_mul acc (max 1 (card env n))) 1 deps
 
 (* ------------------------------------------------------------------ *)
 (* Collection lowering                                                 *)
@@ -103,16 +90,18 @@ let free_vars_collection c = Analysis.free_vars_query (Coll c)
 let product left right =
   match left with Ir.One -> right | _ -> Ir.Product { left; right }
 
+(* A rejection ([Err.Guard_error]) raised while lowering [c] gains [c]'s
+   name in its context chain on the way out, as the reference evaluator
+   attributes its failures to the collections being evaluated. *)
 let rec lower_collection env (c : collection) : Ir.coll_plan =
   let body = Canon.simplify_formula c.body in
-  let ds = disjuncts body in
-  match
-    Ir.Union
-      { head = c.head; disjuncts = List.map (lower_disjunct env c.head) ds }
-  with
-  | plan -> plan
-  | exception Bail reason ->
-      Fallback { head = c.head; coll = c; reason; fcard = fallback_card env c }
+  try
+    {
+      Ir.head = c.head;
+      disjuncts = List.map (lower_disjunct env c.head) (disjuncts body);
+    }
+  with Err.Guard_error e ->
+    raise (Err.Guard_error (Err.in_collection c.head.head_name e))
 
 and lower_disjunct env head d : Ir.disjunct_plan =
   let scope =
@@ -204,8 +193,13 @@ and finish_disjunct (scope : scope) ~assigns ~conditions ~chain :
    anti-join hash keys; the rest stay residual probe predicates (3VL: a
    NULL key never matches, exactly as [Eq] never evaluates to [True] on
    NULL). Bindings outside the tree chain on afterwards, exactly as in the
-   plain path. Bails to the guarded [Fallback] only when a NULL pad's
-   schema is unknown or a tree variable is not finite. *)
+   plain path.
+
+   A tree variable over a non-finite relation (external, abstract or
+   unknown) lowers to the plain [Scan]; executing it raises the
+   reference's "not finite" error before any of its NULL pads is used, so
+   such a pad needs no known schema. An annotation naming an unbound
+   variable is rejected with the reference's message. *)
 and lower_annotated env head (scope0 : scope) : Ir.disjunct_plan =
   let heads = [ head.head_name ] in
   let scope, lits = Analysis.prepare_join_literals scope0 in
@@ -220,9 +214,11 @@ and lower_annotated env head (scope0 : scope) : Ir.disjunct_plan =
     | Some b -> b
     | None ->
         raise
-          (Bail
-             (Printf.sprintf "join annotation references unbound variable %S"
-                v))
+          (Err.Guard_error
+             (Err.make
+                (Msg
+                   (Printf.sprintf
+                      "join annotation references unbound variable %S" v))))
   in
   let is_lit v = List.mem_assoc v lits in
   let finite b = is_lit b.var || source_finite env b.source in
@@ -231,13 +227,7 @@ and lower_annotated env head (scope0 : scope) : Ir.disjunct_plan =
     else
       match (binding_of v).source with
       | Nested nc -> nc.head.head_attrs
-      | Base n -> (
-          match List.assoc_opt n env.schemas with
-          | Some attrs -> attrs
-          | None ->
-              raise
-                (Bail
-                   (Printf.sprintf "unknown schema for %S (NULL padding)" n)))
+      | Base n -> Option.value ~default:[] (List.assoc_opt n env.schemas)
   in
   (* A one-row constant collection bound to [v]: a literal leaf's singleton
      {val: c}, or an all-NULL pad over the given attributes. *)
@@ -246,18 +236,17 @@ and lower_annotated env head (scope0 : scope) : Ir.disjunct_plan =
       {
         var = v;
         plan =
-          Ir.Union
-            {
-              head = { head_name = v; head_attrs = attrs };
-              disjuncts =
-                [
-                  Ir.Project
-                    {
-                      input = Ir.One;
-                      assigns = List.map2 (fun a c -> (a, Const c)) attrs values;
-                    };
-                ];
-            };
+          {
+            head = { head_name = v; head_attrs = attrs };
+            disjuncts =
+              [
+                Ir.Project
+                  {
+                    input = Ir.One;
+                    assigns = List.map2 (fun a c -> (a, Const c)) attrs values;
+                  };
+              ];
+          };
       }
   in
   let null_pad v (t : Ir.t) : Ir.t =
@@ -276,11 +265,7 @@ and lower_annotated env head (scope0 : scope) : Ir.disjunct_plan =
     else
       match (binding_of v).source with
       | Nested nc -> Ir.Subquery { var = v; plan = lower_collection env nc }
-      | Base n when source_finite env (Base n) ->
-          Ir.Scan { var = v; rel = n; filters = []; card = card env n }
-      | Base n ->
-          raise
-            (Bail (Printf.sprintf "join-tree variable %S is not finite" n))
+      | Base n -> Ir.Scan { var = v; rel = n; filters = []; card = card env n }
   in
   let scope_var v = List.exists (fun b -> b.var = v) scope.bindings in
   (* ON-condition → equi-key split at an outer-join node: [Cmp (Eq, l, r)]
@@ -309,7 +294,7 @@ and lower_annotated env head (scope0 : scope) : Ir.disjunct_plan =
   let rec translate node : Ir.t =
     let mine = node_preds node in
     match node with
-    | J_lit _ -> raise (Bail "unexpanded literal leaf")
+    | J_lit _ -> invalid_arg "Lower: literal leaf after prepare_join_literals"
     | J_var v -> filtered mine (leaf v)
     | J_inner l ->
         filtered mine
@@ -377,15 +362,13 @@ and lower_annotated env head (scope0 : scope) : Ir.disjunct_plan =
   let tree_plan = translate tree in
   (* bindings not mentioned in the tree are implicit inner factors,
      chained after the tree exactly as in the plain path *)
-  let missing =
-    List.filter
-      (fun b -> finite b && not (List.mem b.var tree_vars))
-      scope.bindings
+  let missing, deferred =
+    List.partition finite
+      (List.filter (fun b -> not (List.mem b.var tree_vars)) scope.bindings)
   in
   let chain =
     List.fold_left (fun acc b -> extend_chain env acc b) tree_plan missing
   in
-  let deferred = List.filter (fun b -> not (finite b)) scope.bindings in
   let chain =
     List.fold_left
       (fun acc b -> Ir.Resolve { input = acc; binding = b; scope })
@@ -401,13 +384,13 @@ and lower_annotated env head (scope0 : scope) : Ir.disjunct_plan =
 (* ------------------------------------------------------------------ *)
 
 let lower_program env ~safe (prog : program) : Ir.program_plan =
-  (* definition heads are IDB relations whose schemas are statically known;
-     register them so NULL pads over definition-bound variables lower *)
+  (* definition heads (safe and abstract) declare their schemas; register
+     them so NULL pads over definition-bound variables carry them *)
   let env =
     {
       env with
       schemas =
-        List.map (fun d -> (d.def_name, d.def_body.head.head_attrs)) safe
+        List.map (fun d -> (d.def_name, d.def_body.head.head_attrs)) prog.defs
         @ env.schemas;
     }
   in

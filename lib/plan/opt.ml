@@ -15,22 +15,18 @@ and env = Lower.env
 (* ------------------------------------------------------------------ *)
 
 let rec map_pipelines (f : Ir.t -> Ir.t) (p : Ir.coll_plan) : Ir.coll_plan =
-  match p with
-  | Fallback _ -> p
-  | Union u ->
-      Union
-        {
-          u with
-          disjuncts =
-            List.map
-              (fun d ->
-                match d with
-                | Ir.Project pr ->
-                    Ir.Project { pr with input = f (map_nested f pr.input) }
-                | Ir.Aggregate ag ->
-                    Ir.Aggregate { ag with input = f (map_nested f ag.input) })
-              u.disjuncts;
-        }
+  {
+    p with
+    disjuncts =
+      List.map
+        (fun d ->
+          match d with
+          | Ir.Project pr ->
+              Ir.Project { pr with input = f (map_nested f pr.input) }
+          | Ir.Aggregate ag ->
+              Ir.Aggregate { ag with input = f (map_nested f ag.input) })
+        p.disjuncts;
+  }
 
 and map_nested f (t : Ir.t) : Ir.t =
   match t with
@@ -581,53 +577,41 @@ let rec prune_t needed (t : Ir.t) : Ir.t =
   | Append ts -> Append (List.map (prune_t needed) ts)
 
 let prune_coll (p : Ir.coll_plan) : Ir.coll_plan =
-  match p with
-  | Fallback _ -> p
-  | Union u ->
-      Union
-        {
-          u with
-          disjuncts =
-            List.map
-              (fun d ->
-                match d with
-                | Ir.Project pr ->
-                    let n =
-                      List.concat_map
-                        (fun (_, t) -> Ir.term_ref_vars t)
-                        pr.assigns
-                    in
-                    Ir.Project { pr with input = wrap n (prune_t n pr.input) }
-                | Ir.Aggregate ag ->
-                    let n =
-                      List.map fst ag.keys
-                      @ List.concat_map Ir.formula_ref_vars ag.post
-                      @ List.concat_map
-                          (fun (_, t) -> Ir.term_ref_vars t)
-                          ag.assigns
-                    in
-                    Ir.Aggregate { ag with input = wrap n (prune_t n ag.input) })
-              u.disjuncts;
-        }
+  {
+    p with
+    disjuncts =
+      List.map
+        (fun d ->
+          match d with
+          | Ir.Project pr ->
+              let n =
+                List.concat_map (fun (_, t) -> Ir.term_ref_vars t) pr.assigns
+              in
+              Ir.Project { pr with input = wrap n (prune_t n pr.input) }
+          | Ir.Aggregate ag ->
+              let n =
+                List.map fst ag.keys
+                @ List.concat_map Ir.formula_ref_vars ag.post
+                @ List.concat_map (fun (_, t) -> Ir.term_ref_vars t) ag.assigns
+              in
+              Ir.Aggregate { ag with input = wrap n (prune_t n ag.input) })
+        p.disjuncts;
+  }
 
 let rec deep_prune (p : Ir.coll_plan) : Ir.coll_plan =
   (* prune this level, then recurse into nested collection plans *)
-  match prune_coll p with
-  | Fallback _ as p -> p
-  | Union u ->
-      Union
-        {
-          u with
-          disjuncts =
-            List.map
-              (fun d ->
-                match d with
-                | Ir.Project pr ->
-                    Ir.Project { pr with input = prune_nested pr.input }
-                | Ir.Aggregate ag ->
-                    Ir.Aggregate { ag with input = prune_nested ag.input })
-              u.disjuncts;
-        }
+  let p = prune_coll p in
+  {
+    p with
+    disjuncts =
+      List.map
+        (fun d ->
+          match d with
+          | Ir.Project pr -> Ir.Project { pr with input = prune_nested pr.input }
+          | Ir.Aggregate ag ->
+              Ir.Aggregate { ag with input = prune_nested ag.input })
+        p.disjuncts;
+  }
 
 and prune_nested (t : Ir.t) : Ir.t =
   match t with

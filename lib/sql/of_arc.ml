@@ -205,16 +205,30 @@ and tr_bindings_and_join ~conv ~schemas ~heads (scope : A.scope) :
         |> List.rev
       in
       (from, [])
-  | Some jt ->
+  | Some _ ->
       let binding_of v =
         match List.find_opt (fun (b : A.binding) -> b.A.var = v) scope.A.bindings with
         | Some b -> b
         | None -> unsupported "join annotation var %S unbound" v
       in
-      let conjs = A.conjuncts scope.A.body in
+      (* Literal leaves become "_litN" leaves exactly as in the engines, so
+         a comparison a literal consumes is placed where the engines place
+         it (at the node joining the literal with the comparison's other
+         side). The rewrite keeps the conjunct list's shape, so each
+         prepared conjunct pairs with its original: placement reads the
+         prepared one, SQL renders the original, and the literal leaf
+         itself drops out of the tree. *)
+      let prepared, lits = Analysis.prepare_join_literals scope in
+      let is_lit v = List.mem_assoc v lits in
+      let jt = Option.get prepared.A.join in
+      let conjs =
+        List.combine (A.conjuncts prepared.A.body) (A.conjuncts scope.A.body)
+      in
       let consumed = ref [] in
       (* predicates attachable as ON conditions *)
-      let scope_vars = List.map (fun (b : A.binding) -> b.A.var) scope.A.bindings in
+      let scope_vars =
+        List.map (fun (b : A.binding) -> b.A.var) prepared.A.bindings
+      in
       let tree_vars = A.join_tree_vars jt in
       let pred_vars f =
         match f with
@@ -262,12 +276,12 @@ and tr_bindings_and_join ~conv ~schemas ~heads (scope : A.scope) :
       in
       let assigned node =
         List.filter_map
-          (fun f ->
-            if (not (List.memq f !consumed)) && attachable f then
+          (fun (f, orig) ->
+            if (not (List.memq orig !consumed)) && attachable f then
               let vs = Option.get (pred_vars f) in
               if covers jt vs && smallest jt vs == node then (
-                consumed := f :: !consumed;
-                Some f)
+                consumed := orig :: !consumed;
+                Some orig)
               else None
             else None)
           conjs
@@ -276,12 +290,13 @@ and tr_bindings_and_join ~conv ~schemas ~heads (scope : A.scope) :
         | [] -> None
         | fs -> Some (C_and (List.map (tr_bool_formula ~conv ~schemas) fs))
       in
-      (* literal leaves: inner(11, s) folds back into plain SQL — drop the
-         literal from the tree; its predicate stays in WHERE *)
-      let rec build ~under_outer node : table_ref =
+      (* [extra]: predicates of a single-operand inner() around this leaf
+         (a literal's comparison against it), applied as its pre-filter *)
+      let rec build ?(extra = []) ~under_outer node : table_ref =
         match node with
+        | A.J_var v when is_lit v -> unsupported "literal leaf outside inner()"
         | A.J_var v -> (
-            let preds = if under_outer then assigned node else [] in
+            let preds = extra @ if under_outer then assigned node else [] in
             let b = binding_of v in
             match preds with
             | [] -> (
@@ -330,10 +345,13 @@ and tr_bindings_and_join ~conv ~schemas ~heads (scope : A.scope) :
         | A.J_inner children -> (
             let mine = if under_outer then assigned node else [] in
             let children =
-              List.filter (function A.J_lit _ -> false | _ -> true) children
+              List.filter
+                (function A.J_var v -> not (is_lit v) | _ -> true)
+                children
             in
             match children with
             | [] -> unsupported "empty inner()"
+            | [ (A.J_var _ as only) ] -> build ~extra:mine ~under_outer only
             | [ only ] ->
                 if mine <> [] then
                   unsupported "predicate spans a single-operand inner()"

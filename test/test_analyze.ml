@@ -20,8 +20,8 @@ let contains ~needle haystack =
   in
   nl = 0 || at 0
 
-(* catalog queries spanning joins, grouping, aggregation, division and
-   recursion — the actuals recorded at the root of the main plan must equal
+(* catalog queries spanning joins, grouping, aggregation, division, outer
+   joins and recursion — the actuals recorded at the root of the main plan must equal
    the cardinality of the relation the engine returned *)
 let analyze_workloads =
   [
@@ -29,6 +29,8 @@ let analyze_workloads =
     ("eq3 grouping", Data.db_grouping, { defs = []; main = Coll Data.eq3 });
     ("eq8 payroll", Data.db_payroll, { defs = []; main = Coll Data.eq8 });
     ("eq22 division", Data.db_beers, { defs = []; main = Coll Data.eq22 });
+    (* outer-join annotation: append, hash anti join and NULL-pad subquery *)
+    ("eq18 outer join", Data.db_outer, { defs = []; main = Coll Data.eq18 });
     ( "eq16 transitive closure",
       Data.db_parent,
       { defs = Data.eq16_defs; main = Coll Data.eq16_main } );

@@ -1,8 +1,8 @@
 (* Plan library tests: lowering shapes (via the explain renderer), each
    optimizer rewrite pass preserving results, hash-key NULL semantics under
    both null logics, plan-level seminaive fixpoints, governor integration,
-   the span rendering of per-node actuals, and the join-annotation
-   fallback. *)
+   the span rendering of per-node actuals, and join-annotated scopes whose
+   leaves are not finite or not bound. *)
 
 open Arc_core.Ast
 open Arc_core.Build
@@ -33,6 +33,24 @@ let contains hay needle =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
+
+(* every combination of the three convention axes *)
+let all_convs : (string * Conventions.t) list =
+  List.concat_map
+    (fun (cs, cn) ->
+      List.concat_map
+        (fun (nl, nn) ->
+          List.map
+            (fun (ae, an) ->
+              ( Printf.sprintf "%s/%s/%s" cn nn an,
+                Conventions.{ collection = cs; null_logic = nl; agg_empty = ae }
+              ))
+            [
+              (Conventions.Agg_null, "agg_null");
+              (Conventions.Agg_zero, "agg_zero");
+            ])
+        [ (Conventions.Two_valued, "2vl"); (Conventions.Three_valued, "3vl") ])
+    [ (Conventions.Set, "set"); (Conventions.Bag, "bag") ]
 
 (* a two-relation equi-join with a pushable constant filter *)
 let join_query =
@@ -68,18 +86,13 @@ let lowering_shape () =
   Alcotest.(check bool) "no residual product left" false
     (contains opt "product")
 
-let no_fallback_shape () =
+let catalog_lowering () =
   (* eq18 carries an explicit join-tree annotation; the RANF-style
-     translation lowers it to an append of matched/null-padded branches
-     instead of the reference-evaluator fallback *)
-  let raw, opt, _ = explain_of ~db:Data.db_outer Data.eq18 in
-  Alcotest.(check bool) "eq18 lowers without a fallback" false
-    (contains raw "reference evaluator");
+     translation lowers it to an append of matched/null-padded branches *)
+  let raw, _, _ = explain_of ~db:Data.db_outer Data.eq18 in
   Alcotest.(check bool) "eq18 lowers to an append of branches" true
     (contains raw "append");
-  Alcotest.(check bool) "optimized eq18 stays fallback-free" false
-    (contains opt "reference evaluator");
-  (* and no catalog query reaches the fallback node at all *)
+  (* every catalog query runs on its plan with the reference's bag *)
   let db_xy =
     Database.of_list
       [
@@ -126,11 +139,49 @@ let no_fallback_shape () =
   in
   List.iter
     (fun (name, db, defs, main) ->
-      let _, _, plan, _ = Exec.compile ~db { defs; main } in
-      let s = Explain.program_plan_to_string plan in
-      Alcotest.(check bool) (name ^ " compiles without fallback") false
-        (contains s "reference evaluator"))
+      check_same_bag (name ^ ": plan = reference")
+        (Eval.run_rows ~db { defs; main })
+        (Exec.run_rows ~db { defs; main }))
     cases
+
+(* A join-annotated scope whose tree names a non-finite relation (an
+   external, an abstract definition) or an unbound variable: the plan
+   engine lowers it like any other scope and fails exactly as the
+   reference does, under every convention and both strategies. *)
+let same_error_as_reference src () =
+  let db =
+    Database.of_list
+      [ ("R", Relation.of_rows [ "a" ] [ [ V.Int 1 ]; [ V.Int 2 ] ]) ]
+  in
+  let prog = Arc_syntax.Parser.program_of_string src in
+  let error run =
+    match run () with
+    | _ -> Alcotest.fail "expected an evaluation error"
+    | exception Eval.Eval_error e -> Arc_guard.Error.to_string e
+  in
+  List.iter
+    (fun (cname, conv) ->
+      List.iter
+        (fun (sname, strategy) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s/%s" cname sname)
+            (error (fun () -> Eval.run ~conv ~strategy ~db prog))
+            (error (fun () -> Exec.run ~conv ~strategy ~db prog)))
+        [ ("naive", Eval.Naive); ("seminaive", Eval.Seminaive) ])
+    all_convs
+
+let external_leaf =
+  same_error_as_reference
+    "{Q(a,b) | exists r in R, p in Bigger, left(r, p) [Q.a = r.a and Q.b = \
+     p.right and p.left = r.a]}"
+
+let abstract_leaf =
+  same_error_as_reference
+    "def A := {A(x) | A.x > 0} {Q(a,x) | exists r in R, d in A, left(r, d) \
+     [Q.a = r.a and Q.x = d.x]}"
+
+let unbound_annotation_var =
+  same_error_as_reference "{Q(a) | exists r in R, left(r, z) [Q.a = r.a]}"
 
 let semi_shape () =
   let q =
@@ -419,23 +470,6 @@ let db_cycle n =
           (List.init n (fun i -> [ V.Int i; V.Int ((i + 1) mod n) ])) );
     ]
 
-let all_convs : (string * Conventions.t) list =
-  List.concat_map
-    (fun (cs, cn) ->
-      List.concat_map
-        (fun (nl, nn) ->
-          List.map
-            (fun (ae, an) ->
-              ( Printf.sprintf "%s/%s/%s" cn nn an,
-                Conventions.{ collection = cs; null_logic = nl; agg_empty = ae }
-              ))
-            [
-              (Conventions.Agg_null, "agg_null");
-              (Conventions.Agg_zero, "agg_zero");
-            ])
-        [ (Conventions.Two_valued, "2vl"); (Conventions.Three_valued, "3vl") ])
-    [ (Conventions.Set, "set"); (Conventions.Bag, "bag") ]
-
 (* indexed seminaive fixpoint ≡ naive ≡ reference, on a chain and a
    cycle, under every convention combination *)
 let fixpoint_modes_agree () =
@@ -490,8 +524,14 @@ let () =
         [
           Alcotest.test_case "join lowers and optimizes to hash join" `Quick
             lowering_shape;
-          Alcotest.test_case "catalog queries lower without fallback" `Quick
-            no_fallback_shape;
+          Alcotest.test_case "catalog queries lower and match the reference"
+            `Quick catalog_lowering;
+          Alcotest.test_case "external join-tree leaf fails as the reference"
+            `Quick external_leaf;
+          Alcotest.test_case "abstract join-tree leaf fails as the reference"
+            `Quick abstract_leaf;
+          Alcotest.test_case "unbound annotation variable fails as the reference"
+            `Quick unbound_annotation_var;
           Alcotest.test_case "negated exists decorrelates" `Quick semi_shape;
         ] );
       ( "rewrites",
