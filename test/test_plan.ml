@@ -524,7 +524,7 @@ let () =
         [
           Alcotest.test_case "join lowers and optimizes to hash join" `Quick
             lowering_shape;
-          Alcotest.test_case "catalog queries lower and match the reference"
+          Alcotest.test_case "catalog queries lower without fallback"
             `Quick catalog_lowering;
           Alcotest.test_case "external join-tree leaf fails as the reference"
             `Quick external_leaf;
