@@ -722,6 +722,7 @@ let analyze_json infos =
                    ( "deltas",
                      Json.List
                        (List.rev_map (fun d -> Json.Int d) a.Ir.a_deltas) );
+                   ("fix_ns", Json.Int (Int64.to_int a.Ir.a_fix_ns));
                  ]
                else []
          in

@@ -161,16 +161,16 @@ let take n l =
     in
     go n l
 
+(* The rows of a source, as the relation holding them (a stored or IDB
+   relation is returned as is, not copied); governed truncation keeps a
+   prefix. *)
 let rec source_rows ctx benv src =
   Gov.tick ctx.gov;
   let rows = source_rows_raw ctx benv src in
-  if Obs.enabled ctx.tracer then
-    Obs.count ctx.tracer "tuples_scanned" (List.length rows);
+  let n = Relation.cardinality rows in
+  if Obs.enabled ctx.tracer then Obs.count ctx.tracer "tuples_scanned" n;
   if not (Gov.active ctx.gov) then rows
-  else
-    let n = List.length rows in
-    let allowed = Gov.charge_bindings ctx.gov n in
-    if allowed >= n then rows else take allowed rows
+  else Relation.take (Gov.charge_bindings ctx.gov n) rows
 
 and source_rows_raw ctx benv = function
   | Base name -> (
@@ -179,20 +179,25 @@ and source_rows_raw ctx benv = function
          footnote 4 — inputs are sets, so the full join is a set) *)
       let interp r =
         match ctx.conv.Conventions.collection with
-        | Conventions.Set -> Relation.tuples (Relation.dedup r)
-        | Conventions.Bag -> Relation.tuples r
+        | Conventions.Set -> Relation.dedup r
+        | Conventions.Bag -> r
       in
       match List.assoc_opt name ctx.lits with
-      | Some tp -> [ tp ]
+      | Some tp -> Relation.make (Tuple.schema tp) [ tp ]
       | None -> (
           match Hashtbl.find_opt ctx.idb name with
-          | Some r -> Relation.tuples r (* IDB relations are already sets *)
+          | Some r -> r (* IDB relations are already sets *)
           | None -> (
               match Database.find_opt ctx.db name with
               | Some r -> interp r
               | None ->
                   fail "relation %S is not finite (external or abstract)" name)))
-  | Nested c -> Relation.tuples (eval_collection ctx benv c)
+  | Nested c -> eval_collection ctx benv c
+
+(* [(v, row) :: extra] for each row of a source, in order *)
+and bind_rows v rows extra =
+  List.init (Relation.cardinality rows) (fun i ->
+      (v, Relation.get rows i) :: extra)
 
 and source_is_finite ctx = function
   | Nested _ -> true
@@ -249,9 +254,7 @@ and enum_join_tree ctx benv (scope : scope) ~attached : benv list =
     match node with
     | J_var v ->
         let rows =
-          List.map
-            (fun tp -> [ (v, tp) ])
-            (source_rows ctx benv (binding_of v).source)
+          bind_rows v (source_rows ctx benv (binding_of v).source) []
         in
         let kept = List.filter (check mine) rows in
         if Obs.enabled ctx.tracer then begin
@@ -332,9 +335,7 @@ and enum_join_tree ctx benv (scope : scope) ~attached : benv list =
           (fun acc b ->
             List.concat_map
               (fun (row : benv) ->
-                List.map
-                  (fun tp -> (b.var, tp) :: row)
-                  (source_rows ctx (row @ benv) b.source))
+                bind_rows b.var (source_rows ctx (row @ benv) b.source) row)
               acc)
           [ r ] missing)
       tree_rows
@@ -475,9 +476,8 @@ and enum_scope ctx benv (scope : scope) ~heads : scope * benv list =
               else
                 List.concat_map
                   (fun (row : benv) ->
-                    List.map
-                      (fun tp -> (b.var, tp) :: row)
-                      (source_rows ctx (row @ benv) b.source))
+                    bind_rows b.var (source_rows ctx (row @ benv) b.source)
+                      row)
                   acc)
             [ ([] : benv) ]
             scope.bindings

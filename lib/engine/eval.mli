@@ -162,8 +162,9 @@ module Internal : sig
     ctx -> rep:benv -> group:benv list -> scope_vars:var list -> formula ->
     Arc_value.Bool3.t
 
-  val source_rows : ctx -> benv -> source -> Arc_relation.Tuple.t list
-  (** Governed scan (ticks, charges bindings, counts [tuples_scanned]). *)
+  val source_rows : ctx -> benv -> source -> Arc_relation.Relation.t
+  (** Governed scan (ticks, charges bindings, counts [tuples_scanned]):
+      the source's rows, truncated to the bindings the budget allows. *)
 
   val resolve_deferred :
     ctx -> benv -> scope -> benv list -> binding list -> benv list

@@ -283,6 +283,10 @@ let timed env id count f =
       a.Ir.a_incl_ns <- Int64.add a.Ir.a_incl_ns (Int64.sub t1 t0);
       r
 
+(* one single-variable row per tuple of [r] *)
+let bind_rows var r : I.benv array =
+  Array.init (Relation.cardinality r) (fun i -> [ (var, Relation.get r i) ])
+
 let rec exec_block env id (t : Ir.t) : I.benv array =
   timed env id Array.length (fun () -> exec_block_inner env id t)
 
@@ -303,19 +307,13 @@ and exec_block_node env id (t : Ir.t) : I.benv array =
   match t with
   | One -> [| [] |]
   | Scan { var; rel; filters; _ } ->
-      let tuples = I.source_rows env.ctx env.outer (Base rel) in
-      let rows =
-        Array.of_list (List.map (fun tp -> [ (var, tp) ]) tuples)
-      in
+      let rows = bind_rows var (I.source_rows env.ctx env.outer (Base rel)) in
       if filters = [] then rows
       else
         filter_block env
           (fun row -> List.for_all (pred_true env (full_of env row)) filters)
           rows
-  | Subquery { var; plan } ->
-      let r = exec_coll env (id + 1) plan in
-      Array.of_list
-        (List.map (fun tp -> [ (var, tp) ]) (Relation.tuples r))
+  | Subquery { var; plan } -> bind_rows var (exec_coll env (id + 1) plan)
   | Lateral { input; var; plan } ->
       let rows = exec_block env (id + 1) input in
       let plan_id = id + 1 + Ir.size input in
@@ -325,9 +323,7 @@ and exec_block_node env id (t : Ir.t) : I.benv array =
           let r =
             exec_coll { env with outer = row @ env.outer } plan_id plan
           in
-          List.iter
-            (fun tp -> out := ((var, tp) :: row) :: !out)
-            (Relation.tuples r))
+          Relation.iter (fun tp -> out := ((var, tp) :: row) :: !out) r)
         rows;
       Array.of_list (List.rev !out)
   | Product { left; right } ->
@@ -554,13 +550,14 @@ and exec_indexed_join env fc id left right keys side : I.benv array =
 (* Disjuncts and collections                                           *)
 (* ------------------------------------------------------------------ *)
 
-and exec_disjunct env id (head : head) (d : Ir.disjunct_plan) : Tuple.t list
-    =
-  timed env id List.length (fun () -> exec_disjunct_inner env id head d)
-
-and exec_disjunct_inner env id (head : head) (d : Ir.disjunct_plan) :
+(* [schema] is the head's, built once by the caller and shared by every
+   emitted tuple and the relation collecting them. *)
+and exec_disjunct env id (head : head) schema (d : Ir.disjunct_plan) :
     Tuple.t list =
-  let schema = Schema.make head.head_attrs in
+  timed env id List.length (fun () -> exec_disjunct_inner env id head schema d)
+
+and exec_disjunct_inner env id (head : head) schema (d : Ir.disjunct_plan) :
+    Tuple.t list =
   let assign_term assigns a =
     match List.assoc_opt a assigns with
     | Some t -> t
@@ -641,16 +638,14 @@ and exec_coll_inner env id ({ head; disjuncts } as p : Ir.coll_plan) :
     Relation.empty ~name head.head_attrs
   else
     in_collection env name (fun () ->
+        let schema = Schema.make head.head_attrs in
         let tuples =
           List.concat
             (List.map2
-               (fun did d -> exec_disjunct env did head d)
+               (fun did d -> exec_disjunct env did head schema d)
                (Ir.coll_child_ids id p) disjuncts)
         in
-        let r =
-          Relation.make ~name (Schema.make head.head_attrs)
-            (charge_rows env tuples)
-        in
+        let r = Relation.make ~name schema (charge_rows env tuples) in
         match (I.conv env.ctx).Conventions.collection with
         | Conventions.Set -> Relation.dedup r
         | Conventions.Bag -> r)
@@ -674,6 +669,38 @@ let record_round env (dps : (Ir.def_plan * int) list) t0 =
       with_actual env id (fun a -> a.Ir.a_rounds_ns <- ns :: a.Ir.a_rounds_ns))
     dps
 
+(* Runs [f] as definition [id]'s share of a fixpoint round. The share's
+   wall-clock joins the head's inclusive time, so the head covers its
+   whole fixpoint; the part spent outside the plan nodes [ran] (the head
+   itself, or the round's rule disjuncts) is the fixpoint's own time:
+   seen-set probes, accumulator appends, round bookkeeping. *)
+let fixpoint_share env id ran f =
+  match env.stats with
+  | None -> f ()
+  | Some st ->
+      let ran = List.sort_uniq compare ran in
+      let inside () =
+        List.fold_left
+          (fun t n -> Int64.add t (Ir.incl_of st n))
+          0L ran
+      in
+      let a = Ir.touch st id in
+      let head0 = a.Ir.a_incl_ns and in0 = inside () and t0 = clock () in
+      let r = f () in
+      let ns = Int64.sub (clock ()) t0 in
+      let own = Int64.sub ns (Int64.sub (inside ()) in0) in
+      a.Ir.a_fix_ns <- Int64.add a.Ir.a_fix_ns (Int64.max 0L own);
+      a.Ir.a_incl_ns <- Int64.add head0 ns;
+      r
+
+(* [tp] was not in [seen], and now is *)
+let unseen seen tp =
+  let k = Tuple.key tp in
+  (not (Hashtbl.mem seen k)) && (Hashtbl.add seen k (); true)
+
+(* The naive fixpoint re-runs every definition each round until none
+   grows. [current] is a set, and dedup keeps it as the prefix of [next],
+   so a round changed it iff [next] is larger. *)
 let naive_fixpoint env (dps : (Ir.def_plan * int) list) =
   let ctx = env.ctx in
   let changed = ref true in
@@ -687,17 +714,16 @@ let naive_fixpoint env (dps : (Ir.def_plan * int) list) =
       let t0 = clock () in
       List.iter
         (fun (dp, id) ->
+          fixpoint_share env id [ id ] @@ fun () ->
           let n = dp.Ir.dname in
           let current = Option.get (I.idb_get ctx n) in
           let next =
             Relation.dedup
               (Relation.union current (exec_coll env id dp.Ir.dplan))
           in
-          let delta =
-            Relation.cardinality next - Relation.cardinality current
-          in
+          let delta = Relation.cardinality next - Relation.cardinality current in
           with_actual env id (fun a -> a.Ir.a_deltas <- delta :: a.Ir.a_deltas);
-          if not (Relation.equal_set next current) then begin
+          if delta <> 0 then begin
             I.idb_set ctx n next;
             changed := true
           end)
@@ -719,7 +745,8 @@ let naive_fixpoint env (dps : (Ir.def_plan * int) list) =
    is built once and only probed thereafter. And a per-definition seen-set
    of canonical tuple keys replaces the per-round dedup/minus against the
    accumulated relation, so per-round cost tracks the delta, not the
-   closure. Budgets charge a tick plus a row charge per rule run and check
+   closure: the union that accumulates a round's delta appends it in
+   place. Budgets charge a tick plus a row charge per rule run and check
    iterations once per round. *)
 let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
     =
@@ -729,6 +756,7 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
   let defs =
     List.map
       (fun (dp, id) ->
+        fixpoint_share env id [ id ] @@ fun () ->
         let n = dp.Ir.dname in
         let head = dp.Ir.dplan.head in
         (* the seen-set starts from the definition's current value, so the
@@ -741,16 +769,8 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
             (max 64
                (4 * (Relation.cardinality start + Relation.cardinality seed)))
         in
-        List.iter
-          (fun tp -> Hashtbl.replace seen (Tuple.key tp) ())
-          (Relation.tuples start);
-        let delta =
-          Relation.select
-            (fun tp ->
-              let k = Tuple.key tp in
-              (not (Hashtbl.mem seen k)) && (Hashtbl.add seen k (); true))
-            seed
-        in
+        Relation.iter (fun tp -> Hashtbl.replace seen (Tuple.key tp) ()) start;
+        let delta = Relation.select (unseen seen) seed in
         I.idb_set ctx n (Relation.union start delta);
         I.idb_set ctx (delta_name n) delta;
         with_actual env id (fun a ->
@@ -782,31 +802,26 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
       let new_deltas =
         List.map
           (fun (n, id, head, schema, rules, seen) ->
+            fixpoint_share env id (List.map (fun (_, did, _) -> did) rules)
+            @@ fun () ->
             let fresh = ref [] in
             List.iter
               (fun (sd, did, fc) ->
                 Gov.tick (gov env);
-                if Gov.enter_collection (gov env) then begin
-                  let tuples =
-                    in_collection env n (fun () ->
-                        charge_rows env
-                          (exec_disjunct { env with fix = Some fc } did head sd))
-                  in
-                  List.iter
-                    (fun tp ->
-                      let k = Tuple.key tp in
-                      if not (Hashtbl.mem seen k) then begin
-                        Hashtbl.add seen k ();
-                        fresh := tp :: !fresh
-                      end)
-                    tuples
-                end)
+                if Gov.enter_collection (gov env) then
+                  in_collection env n (fun () ->
+                      charge_rows env
+                        (exec_disjunct { env with fix = Some fc } did head
+                           schema sd))
+                  |> List.iter (fun tp ->
+                         if unseen seen tp then fresh := tp :: !fresh))
               rules;
             (n, id, Relation.make ~name:n schema (List.rev !fresh)))
           defs
       in
       List.iter
         (fun (n, id, fresh) ->
+          fixpoint_share env id [] @@ fun () ->
           let card = Relation.cardinality fresh in
           with_actual env id (fun a -> a.Ir.a_deltas <- card :: a.Ir.a_deltas);
           (* [fresh] is disjoint from the accumulated relation by the
@@ -981,6 +996,9 @@ let export_stats (m : Metrics.t) (pp : Ir.program_plan) (stats : Ir.stats) =
             (Int64.to_float ni.Explain.ni_excl_ns);
           Metrics.observe m ~labels "arc_node_rows"
             (Float.of_int a.Ir.a_rows);
+          if a.Ir.a_iterations > 0 then
+            Metrics.inc m ~labels ~by:(Int64.to_int a.Ir.a_fix_ns)
+              "arc_fixpoint_ns_total";
           (match ni.Explain.ni_q with
           | Some q -> Metrics.observe m ~labels "arc_node_q_error" q
           | None -> ()))
@@ -1021,6 +1039,9 @@ let spans_of_stats ctx (pp : Ir.program_plan) (stats : Ir.stats) =
       (fun a ->
         let name, hash =
           match (ni.Explain.ni_op, ni.Explain.ni_head) with
+          | "union", Some head when a.Ir.a_iterations > 0 ->
+              ( "collection:" ^ head,
+                [ ("fixpoint_ns", Obs.Int (Int64.to_int a.Ir.a_fix_ns)) ] )
           | "union", Some head -> ("collection:" ^ head, [])
           | ("hash_join" | "semi_join" | "anti_join" as op), _ ->
               ( op,

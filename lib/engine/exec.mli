@@ -42,17 +42,24 @@ val exec_program :
     it runs one delta rule per component-scan occurrence with persistent
     caches — hash-join build tables and component-free subtree results
     survive across rounds, and a seen-set of canonical tuple keys
-    replaces per-round dedup/diff.
+    replaces per-round dedup/diff. Each round appends its delta to the
+    accumulated relation in place ({!Arc_relation.Relation.union}), so a
+    round costs O(delta), not O(closure).
 
     When [stats] is given, every operator additionally records per-node
     actuals (invocations, rows emitted, inclusive wall-clock, hash
-    build/probe/match counts, fixpoint iterations, delta sizes and
-    per-round wall-clock) into it, keyed by the stable node ids of
+    build/probe/match counts, fixpoint iterations, delta sizes,
+    per-round wall-clock and the fixpoint's own time) into it, keyed by the stable node ids of
     {!Arc_plan.Ir.program_ids}. These actuals are the plan engine's only
     instrumentation: [arc analyze]
     ({!Arc_plan.Explain.analyze_to_string}), [arc trace]
     ({!spans_of_stats}) and [arc eval --profile] ({!export_stats}) all
-    render them. *)
+    render them.
+
+    A recursive head's inclusive time covers its whole fixpoint, and its
+    [a_fix_ns] is the part spent outside every plan node: seen-set
+    probes, accumulator appends and round bookkeeping. So the head's
+    exclusive time is the fixpoint's own work, not 0. *)
 
 val export_stats :
   Arc_obs.Metrics.t ->
@@ -62,7 +69,8 @@ val export_stats :
 (** Aggregate a run's per-node actuals into operator-level metrics
     series ([arc_node_invocations_total], [arc_node_rows_total],
     [arc_node_excl_ns], [arc_node_rows], [arc_node_q_error], all labeled
-    by [op]). *)
+    by [op]; and [arc_fixpoint_ns_total], the recursive heads' fixpoint
+    time). *)
 
 val spans_of_stats :
   Eval.Internal.ctx ->
@@ -72,7 +80,8 @@ val spans_of_stats :
 (** Render a run's per-node actuals as spans for [arc trace]: one per
     executed plan node, named by {!Arc_plan.Ir.op_name} (union heads as
     [collection:<name>]) and carrying its actuals ([rows], [invocations];
-    [build], [probe], [matches] on hash and semi/anti joins). Each
+    [build], [probe], [matches] on hash and semi/anti joins;
+    [fixpoint_ns] on a recursive head). Each
     recursive stratum is preceded by a [fixpoint:seminaive|naive] span
     whose [seed] and [iteration] children last one round each and carry
     [delta:<name>]. *)

@@ -210,12 +210,12 @@ let base_cache_for t r (rel : Relation.t) =
   | Some bc -> bc
   | None ->
       let counts = Hashtbl.create (1 + Relation.cardinality rel) in
-      List.iter
+      Relation.iter
         (fun tp ->
           let k = Tuple.key tp in
           Hashtbl.replace counts k
             (1 + Option.value ~default:0 (Hashtbl.find_opt counts k)))
-        (Relation.tuples rel);
+        rel;
       let bc = { bc_counts = counts; bc_vis = visible t.conv rel } in
       Hashtbl.add t.tbase r bc;
       bc
@@ -540,14 +540,14 @@ let maintain_dred ctx defs (dps : Ir.def_plan list)
                       else Some (nm_old rel))
                     dp.Ir.dplan
                 in
-                List.iter
+                Relation.iter
                   (fun tp ->
                     let k = Tuple.key tp in
                     if not (Hashtbl.mem gone k) then begin
                       Hashtbl.add gone k ();
                       marked := tp :: !marked
                     end)
-                  (Relation.tuples (Exec.exec_collection ctx plan)))
+                  (Exec.exec_collection ctx plan))
             (occurrence_rels_coll all dp.Ir.dplan);
           if !marked = [] then None
           else

@@ -248,18 +248,17 @@ let ns_to_string ns =
   else if f >= 1e3 then Printf.sprintf "%.2f\xc2\xb5s" (f /. 1e3)
   else Printf.sprintf "%.0fns" f
 
-let incl_ns (stats : Ir.stats) id =
-  match Ir.actual_of stats id with Some a -> a.Ir.a_incl_ns | None -> 0L
-
 (* Exclusive time = this node's inclusive time minus its direct
    children's; children only ever run inside their parent's timed
    region, so the difference is the parent's own work (clamped at 0
    against clock jitter). *)
 let excl_ns (stats : Ir.stats) id children =
   let kids =
-    List.fold_left (fun acc c -> Int64.add acc (incl_ns stats c)) 0L children
+    List.fold_left
+      (fun acc c -> Int64.add acc (Ir.incl_of stats c))
+      0L children
   in
-  let e = Int64.sub (incl_ns stats id) kids in
+  let e = Int64.sub (Ir.incl_of stats id) kids in
   if Int64.compare e 0L < 0 then 0L else e
 
 let node_suffix ~warn_q_error (stats : Ir.stats) id ~est ~src ~children
@@ -306,9 +305,10 @@ let analyze_ann ~warn_q_error ?cenv (stats : Ir.stats) =
         node_suffix ~warn_q_error stats id ~est ~src
           ~children:(Ir.coll_child_ids id c) ~extras_of:(fun a ->
             if a.Ir.a_iterations > 0 then
-              Printf.sprintf " iters=%d deltas=[%s]" a.Ir.a_iterations
+              Printf.sprintf " iters=%d deltas=[%s] fix=%s" a.Ir.a_iterations
                 (String.concat ";"
                    (List.map string_of_int (List.rev a.Ir.a_deltas)))
+                (ns_to_string a.Ir.a_fix_ns)
             else ""));
   }
 

@@ -221,6 +221,9 @@ type actual = {
   mutable a_rounds_ns : int64 list;
       (* per-round fixpoint wall-clock of the head's stratum, aligned with
          [a_deltas] (the seminaive seed first), reversed *)
+  mutable a_fix_ns : int64;
+      (* a recursive head's fixpoint time outside every plan node: seen-set
+         probes, accumulator appends, round bookkeeping *)
 }
 
 type stats = (int, actual) Hashtbl.t
@@ -242,12 +245,16 @@ let touch (st : stats) id =
           a_iterations = 0;
           a_deltas = [];
           a_rounds_ns = [];
+          a_fix_ns = 0L;
         }
       in
       Hashtbl.replace st id a;
       a
 
 let actual_of (st : stats) id = Hashtbl.find_opt st id
+
+let incl_of (st : stats) id =
+  match actual_of st id with Some a -> a.a_incl_ns | None -> 0L
 
 (* Q-error of an estimate against an actual: max/min of the two, both
    clamped to >= 1 so empty results stay finite. 1.0 is a perfect guess. *)

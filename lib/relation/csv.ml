@@ -43,18 +43,22 @@ let value_field = function
   | Value.Bool b -> string_of_bool b
   | Value.Str s -> quote s
 
+(* Every row of a relation carries the relation's schema in the same
+   order ([Relation.make] checks), so column [i] is cell [i] of each row. *)
 let write rel =
   let attrs = Schema.attrs (Relation.schema rel) in
+  let arity = List.length attrs in
   let buf = Buffer.create 256 in
   Buffer.add_string buf (String.concat "," (List.map header_field attrs));
   Buffer.add_char buf '\n';
-  List.iter
+  Relation.iter
     (fun tp ->
-      Buffer.add_string buf
-        (String.concat ","
-           (List.map (fun a -> value_field (Tuple.get tp a)) attrs));
+      for i = 0 to arity - 1 do
+        if i > 0 then Buffer.add_char buf ',';
+        Buffer.add_string buf (value_field (Tuple.cell tp i))
+      done;
       Buffer.add_char buf '\n')
-    (Relation.tuples rel);
+    rel;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

@@ -1,14 +1,26 @@
 module Value = Arc_value.Value
 
-type t = { name : string option; schema : Schema.t; rows : Tuple.t list }
+(* The rows of [t] are [t.buf.data.(0 .. t.len - 1)]. Appending to a
+   relation whose [len] is its buffer's [fill] (the newest version built
+   on that buffer) writes the new rows in place behind it; any older
+   version copies first. Slots below [fill] are never written again, so
+   every version once handed out keeps seeing the same rows. *)
+type buf = { mutable data : Tuple.t array; mutable fill : int }
+type t = { name : string option; schema : Schema.t; buf : buf; len : int }
+
+let of_array ?name schema data =
+  let len = Array.length data in
+  { name; schema; buf = { data; fill = len }; len }
+
+(* [Schema.equal] is O(1) on the physically equal schema that a plan's
+   rows share with the relation collecting them. *)
+let check_row fn schema tp =
+  if not (Schema.equal (Tuple.schema tp) schema) then
+    invalid_arg (fn ^ ": tuple schema mismatch")
 
 let make ?name schema rows =
-  List.iter
-    (fun tp ->
-      if not (Schema.equal (Tuple.schema tp) schema) then
-        invalid_arg "Relation.make: tuple schema mismatch")
-    rows;
-  { name; schema; rows }
+  List.iter (check_row "Relation.make" schema) rows;
+  of_array ?name schema (Array.of_list rows)
 
 let of_rows ?name attrs rows =
   let schema = Schema.make attrs in
@@ -17,43 +29,90 @@ let of_rows ?name attrs rows =
       invalid_arg "Relation.of_rows: row arity mismatch";
     Tuple.make schema (Array.of_list vs)
   in
-  { name; schema; rows = List.map mk rows }
+  of_array ?name schema (Array.of_list (List.map mk rows))
 
 let empty ?name attrs = of_rows ?name attrs []
 
 let name t = t.name
 let schema t = t.schema
-let tuples t = t.rows
-let cardinality t = List.length t.rows
-let is_empty t = t.rows = []
+let cardinality t = t.len
+let is_empty t = t.len = 0
+
+let get t i =
+  if i < 0 || i >= t.len then invalid_arg "Relation.get: index out of bounds";
+  t.buf.data.(i)
+
+let iter f t =
+  let data = t.buf.data in
+  for i = 0 to t.len - 1 do
+    f data.(i)
+  done
+
+let take n t = if n >= t.len then t else { t with len = max 0 n }
+
+let tuples t =
+  let data = t.buf.data in
+  let rec go i acc = if i < 0 then acc else go (i - 1) (data.(i) :: acc) in
+  go (t.len - 1) []
+
+let map_rows f t = Array.init t.len (fun i -> f t.buf.data.(i))
+
+(* [t] with [n] more rows, [src.(0 .. n - 1)]: in place when [t] is the
+   newest version of its buffer (doubling its capacity when full), into a
+   fresh buffer otherwise. *)
+let append t src n =
+  if n = 0 then t
+  else
+    let b = t.buf and total = t.len + n in
+    let b =
+      if t.len = b.fill && total <= Array.length b.data then b
+      else
+        let cap = if t.len = b.fill then max total (2 * t.len) else total in
+        let data = Array.make cap src.(0) in
+        Array.blit b.data 0 data 0 t.len;
+        if t.len = b.fill then (
+          b.data <- data;
+          b)
+        else { data; fill = t.len }
+    in
+    Array.blit src 0 b.data t.len n;
+    b.fill <- total;
+    { t with buf = b; len = total }
+
+(* The rows [keep] accepts, in order, calling it once per row; [t] itself
+   when it accepts all. *)
+let select keep t =
+  let data = t.buf.data in
+  let rec first i =
+    if i = t.len || not (keep data.(i)) then i else first (i + 1)
+  in
+  let i0 = first 0 in
+  if i0 = t.len then t
+  else begin
+    let out = Array.sub data 0 t.len and k = ref i0 in
+    for i = i0 + 1 to t.len - 1 do
+      if keep data.(i) then (
+        out.(!k) <- data.(i);
+        incr k)
+    done;
+    { t with buf = { data = out; fill = !k }; len = !k }
+  end
 
 let dedup t =
   let seen = Hashtbl.create 64 in
-  let rows =
-    List.filter
-      (fun tp ->
-        let k = Tuple.key tp in
-        if Hashtbl.mem seen k then false
-        else (
-          Hashtbl.add seen k ();
-          true))
-      t.rows
-  in
-  { t with rows }
+  select
+    (fun tp ->
+      let k = Tuple.key tp in
+      (not (Hashtbl.mem seen k)) && (Hashtbl.add seen k (); true))
+    t
 
 let add t tp =
-  if not (Schema.equal (Tuple.schema tp) t.schema) then
-    invalid_arg "Relation.add: tuple schema mismatch";
-  { t with rows = t.rows @ [ tp ] }
-
-let select p t = { t with rows = List.filter p t.rows }
+  check_row "Relation.add" t.schema tp;
+  append t [| tp |] 1
 
 let project attrs t =
-  {
-    name = None;
-    schema = Schema.project t.schema attrs;
-    rows = List.map (fun tp -> Tuple.project tp attrs) t.rows;
-  }
+  let schema = Schema.project t.schema attrs in
+  of_array schema (map_rows (fun tp -> Tuple.project tp attrs) t)
 
 let rename mapping t =
   let attrs' =
@@ -62,82 +121,69 @@ let rename mapping t =
       (Schema.attrs t.schema)
   in
   let schema' = Schema.make attrs' in
-  {
-    name = None;
-    schema = schema';
-    rows = List.map (fun tp -> Tuple.rename_schema tp schema') t.rows;
-  }
+  of_array schema' (map_rows (fun tp -> Tuple.rename_schema tp schema') t)
 
 let product t1 t2 =
   let schema = Schema.union t1.schema t2.schema in
-  {
-    name = None;
-    schema;
-    rows =
-      List.concat_map
-        (fun r1 -> List.map (fun r2 -> Tuple.concat r1 r2) t2.rows)
-        t1.rows;
-  }
-
-let union t1 t2 =
-  if not (Schema.equal_names t1.schema t2.schema) then
-    invalid_arg "Relation.union: schema mismatch";
-  let align tp =
-    if Schema.equal (Tuple.schema tp) t1.schema then tp
-    else Tuple.project tp (Schema.attrs t1.schema)
-  in
-  { name = None; schema = t1.schema; rows = t1.rows @ List.map align t2.rows }
-
-let counts rows =
-  let h = Hashtbl.create 64 in
-  List.iter
-    (fun tp ->
-      let k = Tuple.key tp in
-      Hashtbl.replace h k (1 + Option.value ~default:0 (Hashtbl.find_opt h k)))
-    rows;
-  h
-
-let minus t1 t2 =
-  if not (Schema.equal_names t1.schema t2.schema) then
-    invalid_arg "Relation.minus: schema mismatch";
-  let remaining = counts t2.rows in
-  let rows =
-    List.filter
-      (fun tp ->
-        let k = Tuple.key tp in
-        match Hashtbl.find_opt remaining k with
-        | Some n when n > 0 ->
-            Hashtbl.replace remaining k (n - 1);
-            false
-        | _ -> true)
-      t1.rows
-  in
-  { name = None; schema = t1.schema; rows }
-
-let intersect t1 t2 =
-  if not (Schema.equal_names t1.schema t2.schema) then
-    invalid_arg "Relation.intersect: schema mismatch";
-  let available = counts t2.rows in
-  let rows =
-    List.filter
-      (fun tp ->
-        let k = Tuple.key tp in
-        match Hashtbl.find_opt available k with
-        | Some n when n > 0 ->
-            Hashtbl.replace available k (n - 1);
-            true
-        | _ -> false)
-      t1.rows
-  in
-  { name = None; schema = t1.schema; rows }
-
-(* Signed deltas: multiplicities keyed by [Tuple.key] — the same canonical
-   serialization [dedup]/[minus]/[intersect] use, so Null matches Null and
-   Int 1 matches Float 1.0 under either null-logic convention. *)
+  of_array schema
+    (Array.of_list
+       (List.concat_map
+          (fun r1 -> List.map (fun r2 -> Tuple.concat r1 r2) (tuples t2))
+          (tuples t1)))
 
 let align_to schema tp =
   if Schema.equal (Tuple.schema tp) schema then tp
   else Tuple.project tp (Schema.attrs schema)
+
+let union t1 t2 =
+  if not (Schema.equal_names t1.schema t2.schema) then
+    invalid_arg "Relation.union: schema mismatch";
+  let src =
+    if Schema.equal t1.schema t2.schema then t2.buf.data
+    else map_rows (align_to t1.schema) t2
+  in
+  { (append t1 src t2.len) with name = None }
+
+let counts t =
+  let h = Hashtbl.create 64 in
+  iter
+    (fun tp ->
+      let k = Tuple.key tp in
+      Hashtbl.replace h k (1 + Option.value ~default:0 (Hashtbl.find_opt h k)))
+    t;
+  h
+
+(* Matches [t1]'s rows one for one against [t2]'s multiplicities and
+   keeps the matched rows ([keep_taken], intersect) or the unmatched ones
+   (minus). *)
+let against ~keep_taken t1 t2 =
+  let left = counts t2 in
+  let r =
+    select
+      (fun tp ->
+        let k = Tuple.key tp in
+        match Hashtbl.find_opt left k with
+        | Some n when n > 0 ->
+            Hashtbl.replace left k (n - 1);
+            keep_taken
+        | _ -> not keep_taken)
+      t1
+  in
+  { r with name = None }
+
+let minus t1 t2 =
+  if not (Schema.equal_names t1.schema t2.schema) then
+    invalid_arg "Relation.minus: schema mismatch";
+  against ~keep_taken:false t1 t2
+
+let intersect t1 t2 =
+  if not (Schema.equal_names t1.schema t2.schema) then
+    invalid_arg "Relation.intersect: schema mismatch";
+  against ~keep_taken:true t1 t2
+
+(* Signed deltas: multiplicities keyed by [Tuple.key] — the same canonical
+   serialization [dedup]/[minus]/[intersect] use, so Null matches Null and
+   Int 1 matches Float 1.0 under either null-logic convention. *)
 
 let apply_delta t (delta : (Tuple.t * int) list) =
   List.iter
@@ -161,10 +207,10 @@ let apply_delta t (delta : (Tuple.t * int) list) =
         end)
       delta
   in
-  let rows =
-    if Hashtbl.length to_remove = 0 then t.rows
+  let kept =
+    if Hashtbl.length to_remove = 0 then t
     else
-      List.filter
+      select
         (fun tp ->
           let k = Tuple.key tp in
           match Hashtbl.find_opt to_remove k with
@@ -172,31 +218,32 @@ let apply_delta t (delta : (Tuple.t * int) list) =
               Hashtbl.replace to_remove k (n - 1);
               false
           | _ -> true)
-        t.rows
+        t
   in
   Hashtbl.iter
     (fun _ n ->
       if n > 0 then
         invalid_arg "Relation.apply_delta: delete exceeds multiplicity")
     to_remove;
-  { t with rows = rows @ inserts }
+  let inserts = Array.of_list inserts in
+  append kept inserts (Array.length inserts)
 
 let diff_signed t_old t_new =
   if not (Schema.equal_names t_old.schema t_new.schema) then
     invalid_arg "Relation.diff_signed: schema mismatch";
   let reps = Hashtbl.create 64 in
-  let tally sign rows =
-    List.iter
+  let tally sign rel =
+    iter
       (fun tp ->
         let tp = align_to t_old.schema tp in
         let k = Tuple.key tp in
         match Hashtbl.find_opt reps k with
         | Some (rep, n) -> Hashtbl.replace reps k (rep, n + sign)
         | None -> Hashtbl.add reps k (tp, sign))
-      rows
+      rel
   in
-  tally 1 t_new.rows;
-  tally (-1) t_old.rows;
+  tally 1 t_new;
+  tally (-1) t_old;
   Hashtbl.fold
     (fun _ (tp, n) acc -> if n = 0 then acc else (tp, n) :: acc)
     reps []
@@ -230,37 +277,41 @@ let join t1 t2 =
                       (List.map (Tuple.get r1) (Schema.attrs t1.schema)
                       @ List.map (Tuple.get r2) rest2)))
             else None)
-          t2.rows)
-      t1.rows
+          (tuples t2))
+      (tuples t1)
   in
-  { name = None; schema; rows }
+  of_array schema (Array.of_list rows)
 
 let sort t =
-  { t with rows = List.sort Tuple.compare t.rows }
+  let a = Array.sub t.buf.data 0 t.len in
+  Array.stable_sort Tuple.compare a;
+  of_array ?name:t.name t.schema a
+
+let equal_rows eq s1 s2 =
+  s1.len = s2.len
+  &&
+  let rec go i =
+    i = s1.len || (eq s1.buf.data.(i) s2.buf.data.(i) && go (i + 1))
+  in
+  go 0
 
 let equal_set t1 t2 =
   Schema.equal_names t1.schema t2.schema
-  &&
-  let d1 = sort (dedup t1) and d2 = sort (dedup t2) in
-  List.length d1.rows = List.length d2.rows
-  && List.for_all2 Tuple.equal d1.rows d2.rows
+  && equal_rows Tuple.equal (sort (dedup t1)) (sort (dedup t2))
 
 let equal_bag t1 t2 =
   Schema.equal_names t1.schema t2.schema
-  &&
-  let s1 = sort t1 and s2 = sort t2 in
-  List.length s1.rows = List.length s2.rows
-  && List.for_all2 Tuple.equal s1.rows s2.rows
+  && equal_rows Tuple.equal (sort t1) (sort t2)
 
 let to_table t =
   let attrs = Schema.attrs t.schema in
   let header = attrs in
-  let body =
-    List.map
-      (fun tp -> List.map (fun a -> Value.to_string (Tuple.get tp a)) attrs)
-      t.rows
-  in
   let ncols = List.length attrs in
+  let body =
+    tuples t
+    |> List.map (fun tp ->
+           List.init ncols (fun i -> Value.to_string (Tuple.cell tp i)))
+  in
   let widths = Array.make (max ncols 1) 0 in
   List.iteri (fun i c -> widths.(i) <- String.length c) header;
   List.iter
@@ -277,7 +328,7 @@ let to_table t =
            cells)
     ^ "|"
   in
-  if ncols = 0 then Printf.sprintf "(%d nullary tuple(s))" (List.length t.rows)
+  if ncols = 0 then Printf.sprintf "(%d nullary tuple(s))" t.len
   else
     String.concat "\n"
       ([ line; render_row header; line ]

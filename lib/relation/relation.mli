@@ -1,10 +1,19 @@
 (** Relations: collections of tuples over a shared schema.
 
-    The representation is always a bag (tuple list with multiplicities);
-    whether a result is deduplicated is decided by the active
+    The representation is always a bag: an array of rows, duplicates
+    allowed. Whether a result is deduplicated is decided by the active
     {!Arc_value.Conventions.collection_semantics}, applied by callers via
     {!dedup}. This matches the paper's Section 2.7: the same query is
-    {e interpreted} under set or bag semantics. *)
+    {e interpreted} under set or bag semantics.
+
+    Relations are persistent values: no operation changes a relation
+    once it has been returned. Versions built by appending share one
+    growable buffer, so {!cardinality} and {!is_empty} are O(1), and
+    {!union}, {!add} and the insertions of {!apply_delta} cost O(rows
+    appended), amortized, when their left operand is the latest version
+    built on its buffer. Appending to an older version copies it first.
+    A fixpoint that keeps unioning its delta into its accumulator thus
+    pays for the delta, not for the accumulator. *)
 
 type t
 
@@ -19,15 +28,29 @@ val empty : ?name:string -> string list -> t
 
 val name : t -> string option
 val schema : t -> Schema.t
-val tuples : t -> Tuple.t list
 val cardinality : t -> int
 val is_empty : t -> bool
+
+val get : t -> int -> Tuple.t
+(** [get r i] is the [i]-th row, [0 <= i < cardinality r]; raises
+    [Invalid_argument] otherwise. *)
+
+val iter : (Tuple.t -> unit) -> t -> unit
+
+val take : int -> t -> t
+(** The first [n] rows (all of them when [n >= cardinality]); O(1). *)
+
+val tuples : t -> Tuple.t list
+(** The rows as a fresh list, in order: O(cardinality). Scans use
+    {!iter} or {!get}. *)
 
 val dedup : t -> t
 (** Set-semantics view: one representative per distinct tuple, preserving
     first-occurrence order. *)
 
 val add : t -> Tuple.t -> t
+(** Appends one row. Raises [Invalid_argument] if its schema differs from
+    the relation's. *)
 
 (** {1 Classic relational-algebra operations}
 
@@ -36,11 +59,14 @@ val add : t -> Tuple.t -> t
     not compile to these. *)
 
 val select : (Tuple.t -> bool) -> t -> t
+(** Calls the predicate once per row, in row order. *)
+
 val project : string list -> t -> t
 val rename : (string * string) list -> t -> t
 val product : t -> t -> t
 val union : t -> t -> t
-(** Bag union (UNION ALL); apply {!dedup} for set union. *)
+(** Bag union (UNION ALL); apply {!dedup} for set union. The right
+    operand's rows follow the left's, aligned to the left schema. *)
 
 val minus : t -> t -> t
 (** Bag difference (EXCEPT ALL): multiplicities subtract. *)
@@ -85,7 +111,8 @@ val equal_bag : t -> t -> bool
 (** Equality under bag semantics (same multiplicities). *)
 
 val sort : t -> t
-(** Deterministic tuple order, for printing and golden tests. *)
+(** Deterministic tuple order ({!Tuple.compare}, stable), for printing
+    and golden tests. *)
 
 val to_table : t -> string
 (** ASCII table rendering. *)

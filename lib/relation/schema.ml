@@ -1,5 +1,6 @@
 type t = {
   names : string list;
+  arity : int;
   idx : (string, int) Hashtbl.t;
   sorted : string list;  (* names sorted, for name-based equality *)
   key_parts : string array;  (* per sorted attr: "a<len>:<name>" *)
@@ -21,6 +22,7 @@ let make names =
   in
   {
     names;
+    arity = List.length names;
     idx;
     sorted = List.map fst sorted_pairs;
     key_parts =
@@ -32,7 +34,7 @@ let make names =
   }
 
 let attrs t = t.names
-let arity t = List.length t.names
+let arity t = t.arity
 let mem t n = Hashtbl.mem t.idx n
 
 let index t n =
@@ -40,8 +42,8 @@ let index t n =
   | Some i -> i
   | None -> raise (Unknown_attribute n)
 
-let equal t1 t2 = t1.names = t2.names
-let equal_names t1 t2 = t1.sorted = t2.sorted
+let equal t1 t2 = t1 == t2 || t1.names = t2.names
+let equal_names t1 t2 = t1 == t2 || t1.sorted = t2.sorted
 let sorted_attrs t = t.sorted
 let key_parts t = t.key_parts
 let sorted_ixs t = t.sorted_ixs

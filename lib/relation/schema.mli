@@ -15,6 +15,8 @@ val make : string list -> t
 
 val attrs : t -> string list
 val arity : t -> int
+(** Stored at {!make}: O(1). *)
+
 val mem : t -> string -> bool
 
 val index : t -> string -> int
@@ -30,13 +32,16 @@ val key_parts : t -> string array
     of the canonical tuple key (internal to {!Tuple.key}). *)
 
 val sorted_ixs : t -> int array
-(** Cell index of each sorted attribute (internal to {!Tuple.key}). *)
+(** Cell index of each sorted attribute (internal to {!Tuple.key},
+    {!Tuple.equal} and {!Tuple.compare}). *)
 
 val equal_names : t -> t -> bool
-(** Same attribute sets, ignoring order. *)
+(** Same attribute sets, ignoring order. O(1) on a physically equal
+    schema. *)
 
 val equal : t -> t -> bool
-(** Same attribute names in the same order. *)
+(** Same attribute names in the same order. O(1) on a physically equal
+    schema. *)
 
 val union : t -> t -> t
 (** Concatenation; raises {!Duplicate_attribute} on overlap. *)

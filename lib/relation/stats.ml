@@ -175,9 +175,9 @@ end)
    This is exact as long as [V.compare] is transitive on the column, which
    holds for mixed [Int]/[Float] columns within |x| <= 2^53; beyond that
    two [Int]s can each equal one [Float] without equalling each other. *)
-let generic_column rows idx ~nulls ~nonnull =
+let generic_column rel idx ~nulls ~nonnull =
   let classes = Value_tbl.create 64 in
-  List.iter
+  Relation.iter
     (fun tp ->
       match Tuple.cell tp idx with
       | V.Null -> ()
@@ -185,7 +185,7 @@ let generic_column rows idx ~nulls ~nonnull =
           match Value_tbl.find_opt classes v with
           | Some c -> incr c
           | None -> Value_tbl.add classes v (ref 1)))
-    rows;
+    rel;
   let runs = Array.of_seq (Value_tbl.to_seq classes) in
   Array.sort (fun (a, _) (b, _) -> V.compare a b) runs;
   summarize ~nulls ~nonnull ~runs:(Array.length runs)
@@ -194,10 +194,10 @@ let generic_column rows idx ~nulls ~nonnull =
 
 (* One scan of column [idx] counts its nulls and copies its values into
    [ints] for as long as they are all [Int]. *)
-let collect_column ~ints ~tmp ~counts rows idx =
+let collect_column ~ints ~tmp ~counts rel idx =
   let nulls = ref 0 and n = ref 0 and all_int = ref true in
   let lo = ref max_int and hi = ref min_int in
-  List.iter
+  Relation.iter
     (fun tp ->
       match Tuple.cell tp idx with
       | V.Null -> incr nulls
@@ -209,16 +209,16 @@ let collect_column ~ints ~tmp ~counts rows idx =
       | _ ->
           all_int := false;
           incr n)
-    rows;
+    rel;
   if !all_int then
     int_column ~ints ~tmp ~counts ~nulls:!nulls ~n:!n ~lo:!lo ~hi:!hi
-  else generic_column rows idx ~nulls:!nulls ~nonnull:!n
+  else generic_column rel idx ~nulls:!nulls ~nonnull:!n
 
 (* Every row has the relation's schema ([Relation.make] checks), so each
    attribute is resolved to a cell index once. The sort buffers are shared
    by all columns of the relation. *)
 let collect (r : Relation.t) : t =
-  let rows = Relation.tuples r and card = Relation.cardinality r in
+  let card = Relation.cardinality r in
   let schema = Relation.schema r in
   let ints = Array.make card 0 and tmp = Array.make card 0 in
   let counts = Array.make (1 lsl radix_bits) 0 in
@@ -228,7 +228,7 @@ let collect (r : Relation.t) : t =
     s_cols =
       List.map
         (fun a ->
-          (a, collect_column ~ints ~tmp ~counts rows (Schema.index schema a)))
+          (a, collect_column ~ints ~tmp ~counts r (Schema.index schema a)))
         (Schema.attrs schema);
     s_stale = false;
   }

@@ -61,23 +61,33 @@ let key t =
       t.key_cache <- Some k;
       k
 
+(* Both orders walk the cells in sorted-attribute order. Over the same
+   attribute set, the i-th sorted attribute is the same name in both
+   tuples, so each tuple's [Schema.sorted_ixs] gives its cell directly. *)
+let for_sorted_cells t1 t2 f =
+  let ix1 = Schema.sorted_ixs t1.schema and ix2 = Schema.sorted_ixs t2.schema in
+  let n = Array.length ix1 in
+  let rec go i =
+    if i = n then 0
+    else
+      match f t1.cells.(ix1.(i)) t2.cells.(ix2.(i)) with
+      | 0 -> go (i + 1)
+      | c -> c
+  in
+  go 0
+
 let equal t1 t2 =
   match (t1.key_cache, t2.key_cache) with
   | Some k1, Some k2 -> k1 = k2 (* key is injective up to [equal] *)
   | _ ->
       Schema.equal_names t1.schema t2.schema
-      && List.for_all
-           (fun a -> Value.equal (get t1 a) (get t2 a))
-           (sorted_attrs t1)
+      && for_sorted_cells t1 t2 (fun a b -> if Value.equal a b then 0 else 1)
+         = 0
 
 let compare t1 t2 =
-  let a1 = sorted_attrs t1 and a2 = sorted_attrs t2 in
-  match Stdlib.compare a1 a2 with
-  | 0 ->
-      List.fold_left
-        (fun acc a -> if acc <> 0 then acc else Value.compare (get t1 a) (get t2 a))
-        0 a1
-  | c -> c
+  if Schema.equal_names t1.schema t2.schema then
+    for_sorted_cells t1 t2 Value.compare
+  else Stdlib.compare (sorted_attrs t1) (sorted_attrs t2)
 
 let to_string t =
   "("

@@ -30,7 +30,9 @@ val equal : t -> t -> bool
     equal value ([Null] = [Null], per grouping/dedup semantics). *)
 
 val compare : t -> t -> int
-(** Deterministic total order over tuples of the same schema. *)
+(** Deterministic total order: by sorted attribute names, then cell by
+    cell in sorted-attribute order. Tuples over the same attribute set
+    compare positionally, without name lookups. *)
 
 val key : t -> string
 (** Canonical string key (sorted by attribute name, length-prefixed

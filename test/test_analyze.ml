@@ -129,7 +129,19 @@ let recursion_annotations () =
     (fun needle ->
       if not (contains ~needle out) then
         Alcotest.failf "recursive analyze output lacks %S:\n%s" needle out)
-    [ "iters="; "deltas=[" ]
+    [ "iters="; "deltas=["; "fix=" ];
+  (* the head covers its fixpoint: its own time (seen-set, accumulator,
+     bookkeeping) is charged to it, not lost between nodes *)
+  List.iter
+    (fun ni ->
+      match (ni.Explain.ni_head, ni.Explain.ni_actual) with
+      | Some "A", Some a ->
+          if Int64.compare a.Ir.a_fix_ns 0L <= 0 then
+            Alcotest.fail "recursive head has no fixpoint time";
+          if Int64.compare ni.Explain.ni_excl_ns 0L <= 0 then
+            Alcotest.fail "recursive head reads excl=0"
+      | _ -> ())
+    (Explain.analyze_info optimized ~stats)
 
 (* IVM batches patch relation row counts without re-gathering column
    details; the cost model discounts those details and analyze must
@@ -331,6 +343,19 @@ let views_agree () =
             (actual_sum (fun a -> a.Ir.a_rows))
             (Metrics.counter_value m ~labels:[ ("op", op) ]
                "arc_node_rows_total");
+          if op = "union" then begin
+            let fix_sum =
+              actual_sum (fun a ->
+                  if a.Ir.a_iterations > 0 then Int64.to_int a.Ir.a_fix_ns
+                  else 0)
+            in
+            check "fixpoint_ns" (span_sum "fixpoint_ns") fix_sum;
+            Alcotest.(check int)
+              (Printf.sprintf "%s: fixpoint_ns, metrics = analyze" name)
+              fix_sum
+              (Metrics.counter_value m ~labels:[ ("op", op) ]
+                 "arc_fixpoint_ns_total")
+          end;
           if op = "hash_join" then begin
             check "build" (span_sum "build")
               (actual_sum (fun a -> a.Ir.a_build));

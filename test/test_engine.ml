@@ -1147,6 +1147,40 @@ let fig13_counterexample () =
   Alcotest.(check int) "left join + group by collapses them" 1
     (Relation.cardinality r_lj)
 
+(* The TC ladder: eq16 over a chain of n edges has n(n+1)/2 output rows.
+   Each seminaive round appends its delta to the accumulated closure, so
+   the allocation per output row must stay flat as the chain grows; an
+   accumulator that copied the closure every round would grow it with the
+   chain (2.8x from 48 to 384). Allocation is deterministic, so the bound
+   is exact, not a timing. *)
+let tc_ladder_flat () =
+  let module Exec = Arc_engine.Exec in
+  let module Data = Arc_catalog.Data in
+  let words_per_row n =
+    let db =
+      Database.of_list
+        [
+          ( "P",
+            Relation.of_rows [ "s"; "t" ]
+              (List.init n (fun k -> [ i k; i (k + 1) ])) );
+        ]
+    in
+    let prog = { defs = Data.eq16_defs; main = Coll Data.eq16_main } in
+    let w0 = Gc.minor_words () in
+    let r = Exec.run_rows ~db prog in
+    let w = Gc.minor_words () -. w0 in
+    Alcotest.(check int)
+      (Printf.sprintf "closure of a %d-chain" n)
+      (n * (n + 1) / 2)
+      (Relation.cardinality r);
+    w /. float_of_int (Relation.cardinality r)
+  in
+  let small = words_per_row 48 and large = words_per_row 384 in
+  if large > 1.5 *. small then
+    Alcotest.failf
+      "minor words per output row: %.0f at chain 384 > 1.5 x %.0f at chain 48"
+      large small
+
 let () =
   Alcotest.run "arc_engine"
     [
@@ -1176,6 +1210,8 @@ let () =
           Alcotest.test_case "naive = semi-naive" `Quick
             recursion_strategies_agree;
           Alcotest.test_case "nonlinear recursion" `Quick recursion_nonlinear;
+          Alcotest.test_case "TC ladder: flat words per output row" `Quick
+            tc_ladder_flat;
         ] );
       ( "coverage",
         [

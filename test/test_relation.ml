@@ -134,7 +134,19 @@ let rel_errors () =
             (Relation.of_rows [ "A" ] [])
             (Relation.of_rows [ "B" ] []));
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* rows must have the relation's attribute order; a structurally equal
+     schema built separately is accepted *)
+  let ab = Schema.make [ "A"; "B" ] and ba = Schema.make [ "B"; "A" ] in
+  Alcotest.check_raises "make: other attribute order raises"
+    (Invalid_argument "Relation.make: tuple schema mismatch") (fun () ->
+      ignore (Relation.make ab [ Tuple.make ba [| i 2; i 1 |] ]));
+  Alcotest.check_raises "add: other attribute order raises"
+    (Invalid_argument "Relation.add: tuple schema mismatch") (fun () ->
+      ignore (Relation.add (Relation.make ab []) (Tuple.make ba [| i 2; i 1 |])));
+  Alcotest.(check int) "make: equal schema accepted" 1
+    (Relation.cardinality
+       (Relation.make ab [ Tuple.make (Schema.make [ "A"; "B" ]) [| i 1; i 2 |] ]))
 
 let database () =
   let db =
@@ -284,6 +296,100 @@ let prop_delta_inverse =
       Relation.equal_bag r
         (Relation.apply_delta s' (List.map (fun (tp, n) -> (tp, -n)) d)))
 
+(* Tuple order is name-based: the positional walk over a shared schema
+   and the walk across two attribute orders agree with comparing the
+   cells attribute by attribute in sorted-name order. *)
+let prop_compare_name_based =
+  let v =
+    QCheck.Gen.(map (fun k -> if k = 0 then V.Null else V.Int k) (int_bound 3))
+  in
+  QCheck.Test.make ~name:"tuple compare is name-based" ~count:300
+    (QCheck.make QCheck.Gen.(quad v v v v))
+    (fun (a, b, c, d) ->
+      let ab x y = Tuple.of_alist [ ("A", x); ("B", y) ]
+      and ba x y = Tuple.of_alist [ ("B", y); ("A", x) ] in
+      let expect =
+        match V.compare a c with 0 -> V.compare b d | k -> k
+      in
+      let sign k = compare k 0 in
+      List.for_all
+        (fun (t1, t2) -> sign (Tuple.compare t1 t2) = sign expect)
+        [ (ab a b, ab c d); (ba a b, ab c d); (ab a b, ba c d); (ba a b, ba c d) ]
+      && Tuple.equal (ab a b) (ba c d) = (Tuple.compare (ab a b) (ab c d) = 0))
+
+(* Persistence of the shared append buffer. [r0] is built by appends, so
+   it is the newest version of a buffer with spare capacity: the first
+   derivation from it appends in place, and the second must not overwrite
+   the first's rows. Every result is checked, row for row, against a list
+   model, after both derivations exist; [r0] itself never changes. *)
+let gen_persistence =
+  let row =
+    QCheck.Gen.(
+      map2 (fun a b -> [ V.Int a; V.Int b ]) (int_bound 4) (int_bound 4))
+  in
+  let rows = QCheck.Gen.(list_size (int_bound 6) row) in
+  QCheck.make
+    ~print:(fun (chunks, a, b, _) ->
+      Printf.sprintf "chunks=%d |a|=%d |b|=%d" (List.length chunks)
+        (List.length a) (List.length b))
+    QCheck.Gen.(quad (list_size (int_range 1 4) rows) rows rows bool)
+
+let prop_shared_prefix =
+  QCheck.Test.make ~name:"derivations from a shared prefix stay apart"
+    ~count:300 gen_persistence (fun (chunks, a, b, flip_b) ->
+      let rel ?(attrs = [ "A"; "B" ]) rows = Relation.of_rows attrs rows in
+      let r0 =
+        List.fold_left
+          (fun acc c -> Relation.union acc (rel c))
+          (Relation.empty [ "A"; "B" ]) chunks
+      in
+      let model0 = List.concat chunks in
+      let card0 = Relation.cardinality r0 and tuples0 = Relation.tuples r0 in
+      (* [b] may come over the other attribute order: union aligns it *)
+      let rb =
+        if flip_b then rel ~attrs:[ "B"; "A" ] (List.map List.rev b)
+        else rel b
+      in
+      let row_of tp = [ Tuple.get tp "A"; Tuple.get tp "B" ] in
+      let matches model r =
+        List.length model = Relation.cardinality r
+        && List.for_all2
+             (fun m tp -> List.for_all2 V.equal m (row_of tp))
+             model (Relation.tuples r)
+      in
+      let unchanged () =
+        Relation.cardinality r0 = card0
+        && List.for_all2 ( == ) tuples0 (Relation.tuples r0)
+      in
+      (* union *)
+      let ua = Relation.union r0 (rel a) in
+      let ub = Relation.union r0 rb in
+      let unions_ok = matches (model0 @ a) ua && matches (model0 @ b) ub in
+      (* add, one row at a time on each side *)
+      let tuple vs = Relation.get (rel [ vs ]) 0 in
+      let adds rows =
+        List.fold_left (fun r vs -> Relation.add r (tuple vs)) r0 rows
+      in
+      let aa = adds a in
+      let ab = adds b in
+      let adds_ok = matches (model0 @ a) aa && matches (model0 @ b) ab in
+      (* apply_delta: [a] inserted / [b] inserted and the first row of
+         [r0] deleted (deletion removes the first equal row) *)
+      let ins rows = List.map (fun vs -> (tuple vs, 1)) rows in
+      let da = Relation.apply_delta r0 (ins a) in
+      let db =
+        Relation.apply_delta r0
+          ((if card0 = 0 then [] else [ (Relation.get r0 0, -1) ]) @ ins b)
+      in
+      let deltas_ok =
+        matches (model0 @ a) da
+        && matches ((match model0 with [] -> [] | _ :: rest -> rest) @ b) db
+      in
+      (* and every result still holds once all of them exist *)
+      unions_ok && adds_ok && deltas_ok
+      && matches (model0 @ a) ua && matches (model0 @ a) aa
+      && matches (model0 @ a) da && unchanged ())
+
 let () =
   Alcotest.run "arc_relation"
     [
@@ -322,5 +428,7 @@ let () =
             prop_product_card;
             prop_diff_then_apply;
             prop_delta_inverse;
+            prop_shared_prefix;
+            prop_compare_name_based;
           ] );
     ]
