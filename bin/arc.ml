@@ -174,6 +174,16 @@ let output_fmt =
           "Output modality: arc, pretty, alt, json, sexp, higraph, dot, sql, \
            pattern, or skeleton.")
 
+(* comprehension syntax, one pretty-printed block per definition *)
+let pretty_program (prog : A.program) =
+  String.concat "\n"
+    (List.map
+       (fun (d : A.definition) ->
+         "def " ^ d.A.def_name ^ " := "
+         ^ Arc_syntax.Printer.pretty_query (A.Coll d.A.def_body))
+       prog.A.defs
+    @ [ Arc_syntax.Printer.pretty_query prog.A.main ])
+
 let render lang fmt schemas text =
   wrap (fun () ->
       let schemas = List.map parse_schema schemas in
@@ -181,14 +191,7 @@ let render lang fmt schemas text =
       let out =
         match fmt with
         | `Arc -> Arc_syntax.Printer.program prog
-        | `Pretty ->
-            String.concat "\n"
-              (List.map
-                 (fun (d : A.definition) ->
-                   "def " ^ d.A.def_name ^ " := "
-                   ^ Arc_syntax.Printer.pretty_query (A.Coll d.A.def_body))
-                 prog.A.defs
-              @ [ Arc_syntax.Printer.pretty_query prog.A.main ])
+        | `Pretty -> pretty_program prog
         | `Alt -> Arc_alt.Alt.render (Arc_alt.Alt.link (Arc_alt.Alt.of_program prog))
         | `Json -> Arc_alt.Alt.to_json (Arc_alt.Alt.link (Arc_alt.Alt.of_program prog))
         | `Sexp -> Arc_alt.Alt.to_sexp (Arc_alt.Alt.link (Arc_alt.Alt.of_program prog))
@@ -621,6 +624,19 @@ let explain_run lang conv tables schemas no_opt no_stats text =
         print_endline "-- physical plan (after rewrites) --";
         print_string (Arc_plan.Explain.program_plan_to_string ?cenv optimized);
         print_newline ();
+        let decorrelated, sites =
+          Arc_engine.Exec.decorrelation ~conv ~db prog
+        in
+        if List.exists Arc_plan.Decorrelate.fired sites then begin
+          print_endline "-- decorrelated query --";
+          print_endline (pretty_program decorrelated);
+          print_newline ()
+        end;
+        List.iter
+          (fun s ->
+            if not (Arc_plan.Decorrelate.fired s) then
+              print_endline (Arc_plan.Decorrelate.site_to_string s))
+          sites;
         print_endline (Arc_plan.Explain.report_to_string report)
       end)
 
@@ -630,8 +646,11 @@ let explain_cmd =
        ~doc:
          "Compile a query to the plan engine's logical plan, show the plan \
           before and after the optimizer rewrite pipeline \
-          (predicate-pushdown, decorrelate-exists, hash-join-order, \
-          prune-columns), and report which passes changed the plan. Tables \
+          (magic-sets, decorrelate-aggregates, predicate-pushdown, \
+          decorrelate-exists, hash-join-order, prune-columns), and report \
+          which passes changed the plan. When correlated γ∅ aggregates are \
+          unnested, print the rewritten query; print why any other such \
+          aggregate keeps its lateral. Tables \
           (-t) provide cardinality estimates; schemas (-s) suffice for \
           shape-only explanation.")
     Term.(

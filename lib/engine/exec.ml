@@ -12,6 +12,7 @@ module Depend = Arc_core.Depend
 module Ir = Arc_plan.Ir
 module Lower = Arc_plan.Lower
 module Opt = Arc_plan.Opt
+module Decorrelate = Arc_plan.Decorrelate
 module I = Eval.Internal
 
 (* The physical engine: executes the Arc_plan IR with hash-based join,
@@ -893,10 +894,9 @@ let exec_stratum env base (s : Ir.stratum) =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Lower and optimize a program against a database: returns the context
-   (with abstracts registered, IDB empty), the raw and optimized plans, and
-   the per-pass change report. *)
-let compile ?conv ?externals ?strategy ?guard ~db (prog : program) =
+(* The AST-level front of [compile]: magic sets, validation and the
+   lowering environment. *)
+let front ?conv ?externals ?strategy ?guard ~db (prog : program) =
   (* goal-directed recursion: restrict recursive definitions to the
      constants the main query demands (AST-level, before validation, so
      the magic relation is prepared and stratified like any other def) *)
@@ -905,12 +905,33 @@ let compile ?conv ?externals ?strategy ?guard ~db (prog : program) =
   let lenv =
     Lower.env_of_db ~db ~defs:(List.map (fun d -> d.def_name) safe)
   in
+  (prog, magic_changed, ctx, safe, lenv)
+
+(* Lower and optimize a program against a database: returns the context
+   (with abstracts registered, IDB empty), the raw and optimized plans, and
+   the per-pass change report. *)
+let compile ?conv ?externals ?strategy ?guard ~db (prog : program) =
+  let prog, magic_changed, ctx, safe, lenv =
+    front ?conv ?externals ?strategy ?guard ~db prog
+  in
   let raw =
     try Lower.lower_program lenv ~safe prog
     with Err.Guard_error e -> raise (Eval_error e)
   in
   let optimized, report = Opt.optimize lenv raw in
-  (ctx, raw, optimized, ("magic-sets", magic_changed) :: report)
+  let unnested =
+    List.exists Decorrelate.fired (snd (Lower.decorrelate lenv prog))
+  in
+  ( ctx,
+    raw,
+    optimized,
+    ("magic-sets", magic_changed)
+    :: ("decorrelate-aggregates", unnested)
+    :: report )
+
+let decorrelation ?conv ?externals ~db (prog : program) =
+  let prog, _, _, _, lenv = front ?conv ?externals ~db prog in
+  Lower.decorrelate lenv prog
 
 let exec_program ?stats ctx (pp : Ir.program_plan) : Eval.outcome =
   let env = { ctx; outer = []; stats; fix = None } in

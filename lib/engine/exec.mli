@@ -20,7 +20,23 @@ val compile :
     evaluation context, the raw lowered plan, the optimized plan, and the
     rewrite report (pass name, whether it changed the plan). A scope the
     lowering rejects (a join annotation naming an unbound variable) raises
-    {!Eval.Eval_error} with the reference evaluator's message. *)
+    {!Eval.Eval_error} with the reference evaluator's message.
+
+    The report starts with the two AST-level rewrites, [magic-sets] and
+    [decorrelate-aggregates] (the lowering applies
+    {!Arc_plan.Decorrelate} to every collection), then lists the plan
+    passes of {!Arc_plan.Opt.optimize}. *)
+
+val decorrelation :
+  ?conv:Arc_value.Conventions.t ->
+  ?externals:Externals.impl list ->
+  db:Arc_relation.Database.t ->
+  program ->
+  program * Arc_plan.Decorrelate.site list
+(** The program as [compile] lowers it after the count-bug-correct
+    unnesting of correlated γ∅ aggregates, with every correlated γ∅ site:
+    which were unnested and why the others keep their lateral. This is
+    what [arc explain] prints under [-- decorrelated query --]. *)
 
 val exec_program :
   ?stats:Arc_plan.Ir.stats ->

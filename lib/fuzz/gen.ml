@@ -8,7 +8,11 @@
     program  ::= def? { Q(h0..hk) | disjunct (or disjunct)? }
     def      ::= transitive-closure-style recursive definition over the
                  guaranteed int-int prefix of R0
-    disjunct ::= exists bindings [grouping?] [join-annotation?]
+    disjunct ::= exists bindings correlated? [grouping?] [join-annotation?]
+    correlated ::= x in {X(a0..) | exists y in R, gamma_0 [y.k = o.t
+                 (and y.k' = o.t')? (and local)? and X.a = agg(y.c) ...]}
+                 over the scope's own bindings o (sometimes a non-equality
+                 correlation, which decorrelation declines)
                  (head-assignments ∧ comparisons ∧ null-tests ∧ likes
                   ∧ nested (not)? exists ...)
     join-annotation ::= an outer join over two or three of the bindings,
@@ -208,6 +212,82 @@ let gen_join_tree st bound =
   in
   (tree, conds)
 
+(* A correlated γ∅ nested collection over one inner binding (the paper's
+   count-bug shape, Eqs 27–29, and perfbench's Q4/Q6):
+
+     x ∈ {X(a0[, a1]) | ∃y ∈ R, γ∅[y.k = o.t [∧ y.k' = o.t'] [∧ local]
+                                     ∧ X.a0 = agg(y.c) …]}
+
+   keyed by one or two type-matched equalities on attributes of [outer]
+   (NULL keys come from the data), with COUNT/SUM/AVG/MIN/MAX heads whose
+   groups are often empty. One correlation in eight is a non-equality,
+   which the decorrelation must decline. Returns the binding and the
+   typed attributes it exposes, or [None] when no attribute of [outer]
+   matches the inner relation's types. *)
+let gen_correlated st ~srcs ~counter outer =
+  let t = pick st srcs in
+  incr counter;
+  let y = Printf.sprintf "v%d" !counter in
+  incr counter;
+  let x = Printf.sprintf "v%d" !counter in
+  let inner = [ (y, t) ] in
+  let pairs =
+    List.concat_map
+      (fun ty ->
+        List.concat_map
+          (fun yk -> List.map (fun ot -> (yk, ot)) (attrs_of_ty outer ty))
+          (attrs_of_ty inner ty))
+      [ T_int; T_str; T_float; T_bool ]
+  in
+  if pairs = [] then None
+  else
+    let correlation () =
+      let (yv, ya), (ov, oa) = pick st pairs in
+      let yk = B.attr yv ya and ot = B.attr ov oa in
+      if chance st 0.125 then (pick st [ B.lt; B.neq; B.geq ]) yk ot
+      else if chance st 0.5 then B.eq yk ot
+      else B.eq ot yk
+    in
+    let keys =
+      List.init (if chance st 0.3 then 2 else 1) (fun _ -> correlation ())
+    in
+    let local =
+      if chance st 0.4 then [ gen_comparison st inner [] ] else []
+    in
+    let nums = attrs_of_ty inner T_int @ attrs_of_ty inner T_float in
+    let head_name = Printf.sprintf "X%d" !counter in
+    let aggs =
+      List.init
+        (if chance st 0.3 then 2 else 1)
+        (fun i ->
+          let a = Printf.sprintf "a%d" i in
+          let agg, ty =
+            match nums with
+            | [] -> (B.count (B.cint 1), T_int)
+            | _ -> (
+                let v, c = pick st nums in
+                let cty = (List.find (fun col -> col.col = c) t.cols).cty in
+                match Random.State.int st 5 with
+                | 0 -> (B.count (B.attr v c), T_int)
+                | 1 -> (B.sum (B.attr v c), cty)
+                | 2 -> (B.avg (B.attr v c), T_float)
+                | 3 -> (B.min_ (B.attr v c), cty)
+                | _ -> (B.max_ (B.attr v c), cty))
+          in
+          (a, ty, agg))
+    in
+    let assigns =
+      List.map (fun (a, _, agg) -> B.eq (B.attr head_name a) agg) aggs
+    in
+    let nested =
+      B.collection head_name
+        (List.map (fun (a, _, _) -> a) aggs)
+        (B.exists ~grouping:[] [ B.bind y t.rel ]
+           (B.conj (keys @ local @ assigns)))
+    in
+    let cols = List.map (fun (a, ty, _) -> { col = a; cty = ty }) aggs in
+    Some (B.bind_in x nested, (x, { rel = head_name; cols }))
+
 (* A quantifier scope. [head]: Some (attrs × types) when this scope is a
    disjunct of the main/def collection and must assign every head attr;
    None for nested (possibly negated) subscopes. *)
@@ -220,7 +300,17 @@ let rec gen_scope st ~srcs ~counter ~depth ~outer ~head ~head_name =
         (Printf.sprintf "v%d" !counter, t))
   in
   let bindings = List.map (fun (v, t) -> B.bind v t.rel) bound in
-  let env = bound in
+  (* a top-level scope may close with a correlated γ∅ aggregate over its
+     own bindings; its attributes join the environment, so head
+     assignments and comparisons read them *)
+  let bindings, env =
+    match head with
+    | Some _ when chance st 0.3 -> (
+        match gen_correlated st ~srcs ~counter bound with
+        | Some (b, xv) -> (bindings @ [ b ], bound @ [ xv ])
+        | None -> (bindings, bound))
+    | _ -> (bindings, bound)
+  in
   let grouping =
     match head with
     | Some _ when chance st 0.3 ->

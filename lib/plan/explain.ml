@@ -8,6 +8,7 @@ let rec formula_to_string = function
   | True -> "true"
   | Pred p -> Pp.pred p
   | And fs -> String.concat " \xe2\x88\xa7 " (List.map formula_to_string fs)
+  | Or [] -> "false"
   | Or fs ->
       "(" ^ String.concat " \xe2\x88\xa8 " (List.map formula_to_string fs) ^ ")"
   | Not f -> "\xc2\xac(" ^ formula_to_string f ^ ")"

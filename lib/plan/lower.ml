@@ -90,10 +90,15 @@ let free_vars_collection c = Analysis.free_vars_query (Coll c)
 let product left right =
   match left with Ir.One -> right | _ -> Ir.Product { left; right }
 
-(* A rejection ([Err.Guard_error]) raised while lowering [c] gains [c]'s
-   name in its context chain on the way out, as the reference evaluator
-   attributes its failures to the collections being evaluated. *)
+let finite_rel env n = source_finite env (Base n)
+
+(* [c]'s correlated γ∅ aggregates are unnested ([Decorrelate]) before its
+   disjuncts, and with them its nested sources, are lowered. A rejection
+   ([Err.Guard_error]) raised while lowering [c] gains [c]'s name in its
+   context chain on the way out, as the reference evaluator attributes its
+   failures to the collections being evaluated. *)
 let rec lower_collection env (c : collection) : Ir.coll_plan =
+  let c, _ = Decorrelate.collection ~finite:(finite_rel env) c in
   let body = Canon.simplify_formula c.body in
   try
     {
@@ -382,6 +387,12 @@ and lower_annotated env head (scope0 : scope) : Ir.disjunct_plan =
 (* ------------------------------------------------------------------ *)
 (* Program lowering                                                    *)
 (* ------------------------------------------------------------------ *)
+
+(* The whole program as [lower_program] rewrites it, collection by
+   collection, with every correlated γ∅ site it met: what fired, and why
+   the rest declined. *)
+let decorrelate env (prog : program) =
+  Decorrelate.program_sites ~finite:(finite_rel env) prog
 
 let lower_program env ~safe (prog : program) : Ir.program_plan =
   (* definition heads (safe and abstract) declare their schemas; register

@@ -187,24 +187,23 @@ and tr_bindings_and_join ~conv ~schemas ~heads (scope : A.scope) :
         if correlated c then T_lateral (tr_collection ~conv ~schemas c, b.A.var)
         else T_sub (tr_collection ~conv ~schemas c, b.A.var)
   in
+  (* comma list; nested correlated sources become LATERAL joins chained
+     onto the preceding item *)
+  let chain refs =
+    List.fold_left
+      (fun acc tr ->
+        match tr with
+        | T_lateral (q, a) -> (
+            match acc with
+            | [] -> [ T_sub (q, a) ] (* uncorrelatable in SQL; best effort *)
+            | last :: rest ->
+                T_join (J_inner, last, T_lateral (q, a), None) :: rest)
+        | tr -> tr :: acc)
+      [] refs
+    |> List.rev
+  in
   match scope.A.join with
-  | None ->
-      (* comma list; nested correlated sources become LATERAL joins chained
-         onto the preceding item *)
-      let from =
-        List.fold_left
-          (fun acc b ->
-            match source_ref b with
-            | T_lateral (q, a) -> (
-                match acc with
-                | [] -> [ T_sub (q, a) ] (* uncorrelatable in SQL; best effort *)
-                | last :: rest ->
-                    T_join (J_inner, last, T_lateral (q, a), None) :: rest)
-            | tr -> tr :: acc)
-          [] scope.A.bindings
-        |> List.rev
-      in
-      (from, [])
+  | None -> (chain (List.map source_ref scope.A.bindings), [])
   | Some _ ->
       let binding_of v =
         match List.find_opt (fun (b : A.binding) -> b.A.var = v) scope.A.bindings with
@@ -381,13 +380,14 @@ and tr_bindings_and_join ~conv ~schemas ~heads (scope : A.scope) :
               (J_full, build ~under_outer:true a, build ~under_outer:true b, conds)
       in
       let tree_ref = build ~under_outer:false jt in
-      (* bindings not in the tree join as comma items *)
+      (* bindings not in the tree join as comma items (a correlated one
+         as a LATERAL join onto the tree) *)
       let rest =
         List.filter
           (fun (b : A.binding) -> not (List.mem b.A.var tree_vars))
           scope.A.bindings
       in
-      (tree_ref :: List.map source_ref rest, !consumed)
+      (chain (tree_ref :: List.map source_ref rest), !consumed)
 
 (* ------------------------------------------------------------------ *)
 (* Collections                                                         *)

@@ -128,7 +128,15 @@ and tr_from ctx (scope : scope) (from : table_ref list) :
   let bindings = ref [] in
   let conds = ref [] in
   let scope_ref = ref scope in
-  let rec item tr : A.join_tree =
+  let rec has_lateral = function
+    | T_lateral _ -> true
+    | T_join (_, l, r, _) -> has_lateral l || has_lateral r
+    | _ -> false
+  in
+  (* [None] for a LATERAL item: it is bound outside the join annotation,
+     as an inner factor after the tree, since a tree leaf is evaluated
+     before the rows it correlates with exist *)
+  let rec item tr : A.join_tree option =
     match tr with
     | T_rel (name, alias) ->
         let a = Option.value alias ~default:name in
@@ -139,13 +147,15 @@ and tr_from ctx (scope : scope) (from : table_ref list) :
         in
         bindings := !bindings @ [ { A.var = a; source = A.Base name } ];
         scope_ref := (a, attrs) :: !scope_ref;
-        A.J_var a
+        Some (A.J_var a)
     | T_sub (q, a) | T_lateral (q, a) ->
         let c = tr_set_query_inner ctx !scope_ref q in
         bindings := !bindings @ [ { A.var = a; source = A.Nested c } ];
         scope_ref := (a, c.A.head.head_attrs) :: !scope_ref;
-        A.J_var a
-    | T_join (kind, l, r, on) ->
+        (match tr with T_lateral _ -> None | _ -> Some (A.J_var a))
+    | T_join ((J_left | J_full), l, r, _) when has_lateral l || has_lateral r ->
+        unsupported "LATERAL under an outer join"
+    | T_join (kind, l, r, on) -> (
         let jl = item l in
         let jr = item r in
         let on_conjs =
@@ -155,57 +165,60 @@ and tr_from ctx (scope : scope) (from : table_ref list) :
         in
         conds := !conds @ on_conjs;
         let flatten = function A.J_inner l -> l | j -> [ j ] in
-        (match kind with
-        | J_inner | J_cross -> A.J_inner (flatten jl @ flatten jr)
-        | J_left | J_full ->
-            (* An ON conjunct referencing only the preserved side would be
-               re-attached by the engine as a filter on that operand, which
-               changes the semantics. The paper's Fig 12 solution: when the
-               conjunct compares against a constant, put a literal leaf on
-               the opposite side so the predicate spans the join. *)
-            let lv = A.join_tree_vars jl and rv = A.join_tree_vars jr in
-            let conj_vars f =
-              match f with
-              | A.Pred p ->
-                  List.concat_map
-                    (fun t -> List.map fst (A.term_vars t))
-                    (A.pred_terms p)
-                  |> List.filter (fun v -> List.mem v lv || List.mem v rv)
-              | _ -> []
-            in
-            let const_of = function
-              | A.Pred (A.Cmp (_, _, A.Const c)) | A.Pred (A.Cmp (_, A.Const c, _))
-                -> Some c
-              | _ -> None
-            in
-            let lits_right = ref [] and lits_left = ref [] in
-            List.iter
-              (fun f ->
-                let vs = conj_vars f in
-                let only side = vs <> [] && List.for_all (fun v -> List.mem v side) vs in
-                let preserved_only =
-                  match kind with
-                  | J_left -> only lv
-                  | J_full -> only lv || only rv
-                  | _ -> false
-                in
-                if preserved_only then
-                  match const_of f with
-                  | Some c ->
-                      if only lv then lits_right := !lits_right @ [ A.J_lit c ]
-                      else lits_left := !lits_left @ [ A.J_lit c ]
-                  | None ->
-                      unsupported
-                        "outer-join ON condition on the preserved side \
-                         without a constant comparand")
-              on_conjs;
-            let wrap lits j =
-              if lits = [] then j else A.J_inner (lits @ flatten j)
-            in
-            let jl = wrap !lits_left jl and jr = wrap !lits_right jr in
-            if kind = J_left then A.J_left (jl, jr) else A.J_full (jl, jr))
+        match (jl, jr) with
+        | None, j | j, None -> j
+        | Some jl, Some jr -> (
+          match kind with
+          | J_inner | J_cross -> Some (A.J_inner (flatten jl @ flatten jr))
+          | J_left | J_full ->
+              (* An ON conjunct referencing only the preserved side would be
+                 re-attached by the engine as a filter on that operand, which
+                 changes the semantics. The paper's Fig 12 solution: when the
+                 conjunct compares against a constant, put a literal leaf on
+                 the opposite side so the predicate spans the join. *)
+              let lv = A.join_tree_vars jl and rv = A.join_tree_vars jr in
+              let conj_vars f =
+                match f with
+                | A.Pred p ->
+                    List.concat_map
+                      (fun t -> List.map fst (A.term_vars t))
+                      (A.pred_terms p)
+                    |> List.filter (fun v -> List.mem v lv || List.mem v rv)
+                | _ -> []
+              in
+              let const_of = function
+                | A.Pred (A.Cmp (_, _, A.Const c)) | A.Pred (A.Cmp (_, A.Const c, _))
+                  -> Some c
+                | _ -> None
+              in
+              let lits_right = ref [] and lits_left = ref [] in
+              List.iter
+                (fun f ->
+                  let vs = conj_vars f in
+                  let only side = vs <> [] && List.for_all (fun v -> List.mem v side) vs in
+                  let preserved_only =
+                    match kind with
+                    | J_left -> only lv
+                    | J_full -> only lv || only rv
+                    | _ -> false
+                  in
+                  if preserved_only then
+                    match const_of f with
+                    | Some c ->
+                        if only lv then lits_right := !lits_right @ [ A.J_lit c ]
+                        else lits_left := !lits_left @ [ A.J_lit c ]
+                    | None ->
+                        unsupported
+                          "outer-join ON condition on the preserved side \
+                           without a constant comparand")
+                on_conjs;
+              let wrap lits j =
+                if lits = [] then j else A.J_inner (lits @ flatten j)
+              in
+              let jl = wrap !lits_left jl and jr = wrap !lits_right jr in
+              Some (if kind = J_left then A.J_left (jl, jr) else A.J_full (jl, jr))))
   in
-  let trees = List.map item from in
+  let trees = List.filter_map item from in
   let jtree =
     if not any_outer then None
     else

@@ -130,6 +130,7 @@ let rec formula_str s f =
    printed tree parses back to the identical AST (no silent flattening). *)
 and conj_atom s f =
   match f with
+  | Or [] -> formula_str s f
   | Or _ | And _ -> "(" ^ formula_str s f ^ ")"
   | _ -> formula_str s f
 

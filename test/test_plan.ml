@@ -517,6 +517,204 @@ let fixpoint_guard_parity () =
   | _ -> Alcotest.fail "the iteration cap did not trip the guard"
   | exception Eval.Eval_error _ -> ()
 
+(* ---------------------------------------------------------------- *)
+(* decorrelate-aggregates: count-bug-correct unnesting                *)
+(* ---------------------------------------------------------------- *)
+
+module Decorrelate = Arc_plan.Decorrelate
+
+let parse = Arc_syntax.Parser.program_of_string
+
+(* Customers/Orders with every corner the pad must get right: NULL
+   correlation keys on both sides, a duplicated outer row, an Int 1 outer
+   key against Float 1.0 inner keys (and Int 3 inner against Float 3.0
+   outer), NULL aggregate inputs, and customers whose group is empty. *)
+let db_corr =
+  let i n = V.Int n and f x = V.Float x and s x = V.Str x in
+  Database.of_list
+    [
+      ( "C",
+        Relation.of_rows [ "cid"; "rid"; "name" ]
+          [
+            [ i 1; i 1; s "a" ];
+            [ i 1; i 1; s "a" ];
+            [ i 2; i 1; s "b" ];
+            [ V.Null; i 1; s "n" ];
+            [ f 3.0; i 2; s "f" ];
+            [ i 5; V.Null; s "e" ];
+          ] );
+      ( "O",
+        Relation.of_rows [ "oid"; "cid"; "rid"; "total" ]
+          [
+            [ i 1; f 1.0; i 1; i 10 ];
+            [ i 2; i 1; i 1; i 20 ];
+            [ i 3; V.Null; i 1; i 5 ];
+            [ i 4; i 3; i 2; i 7 ];
+            [ i 5; i 3; i 2; V.Null ];
+            [ i 6; i 1; i 2; i 10 ];
+            [ i 7; i 5; V.Null; i 4 ];
+          ] );
+    ]
+
+(* Q4's shape (a lateral aggregate per customer) with each aggregate, Q6's
+   shape (outer rows compared with their group's aggregate), two
+   correlation keys, an inner-local filter, and the paper's count bug as a
+   nested collection (Eq 27 written the lateral way). *)
+let corr_cases =
+  let q4 agg =
+    Printf.sprintf
+      "{Q(name, v) | exists c in C, x in {X(v) | exists o in O, gamma_0 \
+       [o.cid = c.cid and o.total > 6 and X.v = %s]} [Q.name = c.name and \
+       Q.v = x.v]}"
+      agg
+  in
+  List.map
+    (fun agg -> ("Q4 " ^ agg, db_corr, q4 agg))
+    [ "count(o.oid)"; "sum(o.total)"; "avg(o.total)"; "min(o.total)";
+      "max(o.total) + count(o.oid)" ]
+  @ [
+      ( "Q6",
+        db_corr,
+        "{Q(oid) | exists o in O, x in {X(a) | exists o2 in O, gamma_0 \
+         [o2.cid = o.cid and o2.oid <> 2 and X.a = avg(o2.total)]} [Q.oid = \
+         o.oid and (o.total > x.a or o.total = 10)]}" );
+      ( "two keys",
+        db_corr,
+        "{Q(name, n, t) | exists c in C, x in {X(n, t) | exists o in O, \
+         gamma_0 [c.cid = o.cid and o.rid = c.rid and X.n = count(o.oid) and \
+         X.t = sum(o.total)]} [Q.name = c.name and Q.n = x.n and Q.t = x.t]}" );
+      ( "count bug",
+        Data.db_countbug,
+        "{Q(id) | exists r in R, x in {X(ct) | exists s in S, gamma_0 [s.id = \
+         r.id and X.ct = count(s.d)]} [Q.id = r.id and r.q = x.ct]}" );
+    ]
+
+let finite_in db p n =
+  Database.mem db n || List.exists (fun d -> d.def_name = n) p.defs
+
+(* The rewrite checked by the reference evaluator alone: the original and
+   the rewritten program are bag-equal under all 8 conventions. *)
+let decorrelate_reference () =
+  List.iter
+    (fun (name, db, text) ->
+      let p = parse text in
+      let p' = Decorrelate.program ~finite:(finite_in db p) p in
+      Alcotest.(check bool) (name ^ ": the site fires") false
+        (equal_program p p');
+      List.iter
+        (fun (cname, conv) ->
+          check_same_bag
+            (Printf.sprintf "%s @ %s: rewritten = original" name cname)
+            (Eval.run_rows ~conv ~db p) (Eval.run_rows ~conv ~db p');
+          check_same_bag
+            (Printf.sprintf "%s @ %s: plan = reference" name cname)
+            (Eval.run_rows ~conv ~db p) (Exec.run_rows ~conv ~db p))
+        all_convs)
+    corr_cases;
+  (* the count bug itself: the empty group's COUNT is 0, so r survives,
+     as in Eq 27 *)
+  let _, db, text = List.nth corr_cases (List.length corr_cases - 1) in
+  let r = Exec.run_rows ~db (parse text) in
+  Alcotest.(check int) "count bug: r survives" 1 (Relation.cardinality r);
+  check_same_bag "count bug: Eq 27's answer"
+    (Eval.run_rows ~db (program (Coll Data.eq27)))
+    r
+
+let plan_text ~db text =
+  let _, _, opt, report = Exec.compile ~db (parse text) in
+  (Explain.program_plan_to_string opt, Explain.report_to_string report)
+
+let decorrelate_plans () =
+  List.iter
+    (fun (name, db, text) ->
+      let plan, report = plan_text ~db text in
+      Alcotest.(check bool) (name ^ ": no lateral") false
+        (contains plan "lateral");
+      Alcotest.(check bool) (name ^ ": grouped hash join") true
+        (contains plan "hash join on");
+      Alcotest.(check bool) (name ^ ": empty-group pad") true
+        (contains plan "hash anti join");
+      Alcotest.(check bool) (name ^ ": reported") true
+        (contains report "decorrelate-aggregates \xe2\x9c\x93"))
+    corr_cases;
+  (* the pad's pre-filter is the empty disjunction, rendered as false *)
+  let plan, _ = plan_text ~db:db_corr (let _, _, t = List.hd corr_cases in t) in
+  Alcotest.(check bool) "pad filter renders false" true
+    (contains plan "residual filter false")
+
+(* Each decline keeps the lateral and names its reason. *)
+let decorrelate_declines () =
+  let declined text reason =
+    let p = parse text in
+    let p', sites = Decorrelate.program_sites ~finite:(finite_in db_corr p) p in
+    Alcotest.(check bool) (reason ^ ": program unchanged") true
+      (equal_program p p');
+    Alcotest.(check bool) (reason ^ ": reason given") true
+      (List.exists
+         (fun (s : Decorrelate.site) ->
+           match s.outcome with
+           | Declined why -> contains why reason
+           | Fired -> false)
+         sites);
+    let plan, report = plan_text ~db:db_corr text in
+    Alcotest.(check bool) (reason ^ ": lateral kept") true
+      (contains plan "lateral");
+    Alcotest.(check bool) (reason ^ ": not reported") true
+      (contains report "decorrelate-aggregates \xc2\xb7");
+    List.iter
+      (fun (cname, conv) ->
+        check_same_bag
+          (Printf.sprintf "%s @ %s: plan = reference" reason cname)
+          (Eval.run_rows ~conv ~db:db_corr p)
+          (Exec.run_rows ~conv ~db:db_corr p))
+      all_convs
+  in
+  declined
+    "{Q(name, ct) | exists c in C, x in {X(ct) | exists o in O, gamma_0 \
+     [o.cid < c.cid and X.ct = count(o.oid)]} [Q.name = c.name and Q.ct = \
+     x.ct]}"
+    "correlation is not an equality";
+  declined
+    "{Q(name, ct) | exists c in C, x in {X(ct) | exists o in O, gamma_0 \
+     [o.cid = c.cid and X.ct = count(o.oid)]}, gamma_{c.name} [Q.name = \
+     c.name and Q.ct = sum(x.ct)]}"
+    "the enclosing scope is grouped";
+  declined
+    "{Q(name, ct) | exists c in C, x in {X(ct) | exists o in O, gamma_0 \
+     [o.cid = c.cid and count(o.oid) > 1 and X.ct = count(o.oid)]} [Q.name \
+     = c.name and Q.ct = x.ct]}"
+    "aggregate comparison in the inner scope";
+  (* an inner source the rewrite may not range over by itself *)
+  let p =
+    parse
+      "{Q(name, ct) | exists c in C, x in {X(ct) | exists o in O, gamma_0 \
+       [o.cid = c.cid and X.ct = count(o.oid)]} [Q.name = c.name and Q.ct = \
+       x.ct]}"
+  in
+  let _, sites = Decorrelate.program_sites ~finite:(fun n -> n = "C") p in
+  Alcotest.(check bool) "non-finite inner source declines" true
+    (List.exists
+       (fun (s : Decorrelate.site) ->
+         match s.outcome with
+         | Declined why -> contains why "not a finite stored relation"
+         | Fired -> false)
+       sites)
+
+(* The empty disjunction is the constant false in plan labels too. *)
+let false_label () =
+  let db =
+    Database.of_list [ ("R", Relation.of_rows [ "a" ] [ [ V.Int 1 ] ]) ]
+  in
+  let raw, _, _ =
+    explain_of ~db
+      (collection "Q" [ "a" ]
+         (exists [ bind "r" "R" ] (conj [ Or []; eq (attr "Q" "a") (attr "r" "a") ])))
+  in
+  Alcotest.(check bool) "residual filter false" true
+    (contains raw "residual filter false");
+  Alcotest.(check bool) "no empty parentheses" false
+    (contains raw "residual filter ()")
+
 let () =
   Alcotest.run "arc_plan"
     [
@@ -533,6 +731,17 @@ let () =
           Alcotest.test_case "unbound annotation variable fails as the reference"
             `Quick unbound_annotation_var;
           Alcotest.test_case "negated exists decorrelates" `Quick semi_shape;
+          Alcotest.test_case "the empty disjunction renders as false" `Quick
+            false_label;
+        ] );
+      ( "decorrelate-aggregates",
+        [
+          Alcotest.test_case "rewrite = original on the reference, 8 conventions"
+            `Quick decorrelate_reference;
+          Alcotest.test_case "Q4/Q6 plans have no lateral" `Quick
+            decorrelate_plans;
+          Alcotest.test_case "declined sites keep their lateral" `Quick
+            decorrelate_declines;
         ] );
       ( "rewrites",
         [ Alcotest.test_case "every pass prefix preserves results" `Quick
