@@ -734,7 +734,7 @@ let () =
           Alcotest.test_case "the empty disjunction renders as false" `Quick
             false_label;
         ] );
-      ( "decorrelate-aggregates",
+      ( "unnest",
         [
           Alcotest.test_case "rewrite = original on the reference, 8 conventions"
             `Quick decorrelate_reference;
