@@ -36,15 +36,12 @@ let raise_kind kind = raise (Eval_error (Err.make kind))
    result cannot change between rounds, so [fc_rows] memoizes it on first
    execution. [fc_joins] marks hash joins with such a stable subtree on
    one side; [fc_tables] keeps the hash table built from that side alive
-   across rounds, so each round only probes it with the current delta.
-   Cached tables are always keyed through the buffer-serialized term path:
-   the whole-tuple fast key is negotiated per call from the probe rows of
-   one particular round and must not leak into state that outlives it. *)
+   across rounds, so each round only probes it with the current delta. *)
 type fix_cache = {
   fc_stable : (int, unit) Hashtbl.t;
   fc_rows : (int, I.benv array) Hashtbl.t;
   fc_joins : (int, [ `Left | `Right ]) Hashtbl.t;
-  fc_tables : (int, (string, I.benv) Hashtbl.t) Hashtbl.t;
+  fc_tables : (int, I.benv Tuple.Key_tbl.t) Hashtbl.t;
 }
 
 (* A subtree is stable when no scan under it resolves a [banned] relation
@@ -144,8 +141,8 @@ let pred_true env full p = I.eval_pred env.ctx full p = B3.True
 let formula_true env full f = I.eval_formula env.ctx full f = B3.True
 
 let group_key env (full : I.benv) keys =
-  let kv = List.map (fun (v, a) -> I.eval_term env.ctx full (Attr (v, a))) keys in
-  String.concat "" (List.map V.canonical kv)
+  Array.of_list
+    (List.map (fun (v, a) -> I.eval_term env.ctx full (Attr (v, a))) keys)
 
 (* ------------------------------------------------------------------ *)
 (* Block helpers                                                       *)
@@ -161,67 +158,46 @@ let block_rows = 256
 let full_of env (row : I.benv) =
   match env.outer with [] -> row | o -> row @ o
 
-(* Composite hash key for a list of terms evaluated under [row @ outer],
-   built into a caller-owned reusable buffer. Under three-valued logic a
+(* Composite hash key: the values of [terms] under [row @ outer], for a
+   [Tuple.Key_tbl], which equates values whose canonical forms agree
+   (Int 1 and Float 1.0) and nothing else. Under three-valued logic a
    NULL key component can never satisfy an equality, so the row is
    excluded from matching ([None]); under two-valued logic NULL is an
-   ordinary value. Value.canonical equates values that compare equal
-   (Int 1 vs Float 1.0) and cannot collide otherwise. *)
-let key_of_buf env buf (row : I.benv) terms =
+   ordinary value. *)
+let key_of env (row : I.benv) (terms : term array) =
   let full = full_of env row in
-  Buffer.clear buf;
-  let ok =
+  let nulls_match =
     match (I.conv env.ctx).Conventions.null_logic with
-    | Conventions.Three_valued ->
-        List.for_all
-          (fun t ->
-            let v = I.eval_term env.ctx full t in
-            if V.is_null v then false
-            else begin
-              Buffer.add_string buf (V.canonical v);
-              true
-            end)
-          terms
-    | _ ->
-        List.iter
-          (fun t ->
-            Buffer.add_string buf
-              (V.canonical (I.eval_term env.ctx full t)))
-          terms;
-        true
+    | Conventions.Three_valued -> false
+    | _ -> true
   in
-  if ok then Some (Buffer.contents buf) else None
+  let n = Array.length terms in
+  let k = Array.make n V.Null in
+  let rec go i =
+    i = n
+    ||
+    let v = I.eval_term env.ctx full terms.(i) in
+    k.(i) <- v;
+    (nulls_match || not (V.is_null v)) && go (i + 1)
+  in
+  if go 0 then Some k else None
 
-(* Whole-tuple join keys: when a side's key terms are attribute references
-   on one variable, [whole_var_attrs] returns that variable and the sorted
-   attribute set. If the set covers the row's entire schema on BOTH sides
-   of a join, the memoized [Tuple.key] is an equivalent composite key
-   (injective up to [Tuple.equal] over canonical cells), so the per-row
-   term evaluation disappears. Both sides must switch together — the two
-   encodings differ. *)
-let whole_var_attrs terms =
-  match terms with
-  | Attr (v, _) :: _ ->
-      let rec attrs_of = function
-        | [] -> Some []
-        | Attr (v', a) :: tl when String.equal v' v ->
-            Option.map (fun r -> a :: r) (attrs_of tl)
-        | _ -> None
-      in
-      Option.map
-        (fun attrs -> (v, List.sort_uniq compare attrs))
-        (attrs_of terms)
-  | _ -> None
+(* The build (inner) and probe (outer) terms of a join's keys. *)
+let key_terms keys =
+  ( Array.of_list (List.map (fun k -> k.Ir.inner) keys),
+    Array.of_list (List.map (fun k -> k.Ir.outer) keys) )
 
-let all_whole v attrs (rows : I.benv array) =
-  Array.for_all
-    (fun (row : I.benv) ->
-      match row with
-      | [ (v', tp) ] ->
-          String.equal v' v
-          && Schema.sorted_attrs (Tuple.schema tp) = attrs
-      | _ -> false)
-    rows
+(* A hash table of [rows] by their [terms] keys; rows [key_of] excludes
+   are left out. *)
+let build_table env (rows : I.benv array) terms =
+  let tbl = Tuple.Key_tbl.create (max 16 (Array.length rows)) in
+  Array.iter
+    (fun row ->
+      match key_of env row terms with
+      | Some k -> Tuple.Key_tbl.add tbl k row
+      | None -> ())
+    rows;
+  tbl
 
 (* Filter an array of rows, probing the governor once per block. *)
 let filter_block env pass (rows : I.benv array) : I.benv array =
@@ -269,8 +245,7 @@ let charge_rows env tuples =
    [Ir.child_ids] / [Explain]. Pipelines never deduplicate: each
    derivation is its own row, which the incremental maintenance hooks rely
    on to count derivations. Governor probes are amortized per block, hash
-   keys go through a reused buffer or the memoized whole-tuple
-   [Tuple.key], and grouping appends are O(1). *)
+   keys are value arrays ([key_of]), and grouping appends are O(1). *)
 let timed env id count f =
   match env.stats with
   | None -> f ()
@@ -355,42 +330,8 @@ and exec_block_node env id (t : Ir.t) : I.benv array =
       Gov.tick (gov env);
       let build = exec_block env (id + 1 + Ir.size left) right in
       let probe = exec_block env (id + 1) left in
-      let inner_terms = List.map (fun k -> k.Ir.inner) keys in
-      let outer_terms = List.map (fun k -> k.Ir.outer) keys in
-      let fast =
-        match (whole_var_attrs inner_terms, whole_var_attrs outer_terms) with
-        | Some (iv, ia), Some (ov, oa)
-          when ia = oa && all_whole iv ia build && all_whole ov oa probe ->
-            true
-        | _ -> false
-      in
-      let three_valued =
-        match (I.conv env.ctx).Conventions.null_logic with
-        | Conventions.Three_valued -> true
-        | _ -> false
-      in
-      let fast_key (row : I.benv) =
-        match row with
-        | [ (_, tp) ] ->
-            if three_valued && List.exists V.is_null (Tuple.values tp) then
-              None
-            else Some (Tuple.key tp)
-        | _ -> None
-      in
-      let buf = Buffer.create 64 in
-      let key_build rrow =
-        if fast then fast_key rrow else key_of_buf env buf rrow inner_terms
-      in
-      let key_probe lrow =
-        if fast then fast_key lrow else key_of_buf env buf lrow outer_terms
-      in
-      let tbl = Hashtbl.create (max 16 (Array.length build)) in
-      Array.iter
-        (fun rrow ->
-          match key_build rrow with
-          | Some k -> Hashtbl.add tbl k rrow
-          | None -> ())
-        build;
+      let inner_terms, outer_terms = key_terms keys in
+      let tbl = build_table env build inner_terms in
       let g = gov env in
       let n = Array.length probe in
       let out = ref [] in
@@ -401,13 +342,13 @@ and exec_block_node env id (t : Ir.t) : I.benv array =
         let stop = min n (!i + block_rows) in
         while !i < stop do
           let lrow = probe.(!i) in
-          (match key_probe lrow with
+          (match key_of env lrow outer_terms with
           | Some k ->
               List.iter
                 (fun rrow ->
                   incr matches;
                   out := (rrow @ lrow) :: !out)
-                (Hashtbl.find_all tbl k)
+                (Tuple.Key_tbl.find_all tbl k)
           | None -> ());
           incr i
         done
@@ -441,21 +382,13 @@ and exec_block_node env id (t : Ir.t) : I.benv array =
             let cands = Array.to_list sub_rows in
             filter_block env (fun row -> witness row cands <> anti) rows
         | _ ->
-            let inner_terms = List.map (fun k -> k.Ir.inner) keys in
-            let outer_terms = List.map (fun k -> k.Ir.outer) keys in
-            let buf = Buffer.create 64 in
-            let tbl = Hashtbl.create (max 16 (Array.length sub_rows)) in
-            Array.iter
-              (fun srow ->
-                match key_of_buf env buf srow inner_terms with
-                | Some k -> Hashtbl.add tbl k srow
-                | None -> ())
-              sub_rows;
+            let inner_terms, outer_terms = key_terms keys in
+            let tbl = build_table env sub_rows inner_terms in
             filter_block env
               (fun row ->
                 let found =
-                  match key_of_buf env buf row outer_terms with
-                  | Some k -> witness row (Hashtbl.find_all tbl k)
+                  match key_of env row outer_terms with
+                  | Some k -> witness row (Tuple.Key_tbl.find_all tbl k)
                   | None -> false
                 in
                 found <> anti)
@@ -490,27 +423,19 @@ and exec_block_node env id (t : Ir.t) : I.benv array =
    set-level fixpoint ignores. *)
 and exec_indexed_join env fc id left right keys side : I.benv array =
   Gov.tick (gov env);
-  let inner_terms = List.map (fun k -> k.Ir.inner) keys in
-  let outer_terms = List.map (fun k -> k.Ir.outer) keys in
+  let inner_terms, outer_terms = key_terms keys in
   let lid = id + 1 and rid = id + 1 + Ir.size left in
   let build_id, build_plan, build_terms, probe_id, probe_plan, probe_terms =
     match side with
     | `Right -> (rid, right, inner_terms, lid, left, outer_terms)
     | `Left -> (lid, left, outer_terms, rid, right, inner_terms)
   in
-  let buf = Buffer.create 64 in
   let tbl =
     match Hashtbl.find_opt fc.fc_tables id with
     | Some tbl -> tbl
     | None ->
         let rows = exec_block env build_id build_plan in
-        let tbl = Hashtbl.create (max 16 (Array.length rows)) in
-        Array.iter
-          (fun row ->
-            match key_of_buf env buf row build_terms with
-            | Some k -> Hashtbl.add tbl k row
-            | None -> ())
-          rows;
+        let tbl = build_table env rows build_terms in
         Hashtbl.replace fc.fc_tables id tbl;
         with_actual env id (fun a ->
             a.Ir.a_build <- a.Ir.a_build + Array.length rows);
@@ -527,7 +452,7 @@ and exec_indexed_join env fc id left right keys side : I.benv array =
     let stop = min n (!i + block_rows) in
     while !i < stop do
       let prow = probe.(!i) in
-      (match key_of_buf env buf prow probe_terms with
+      (match key_of env prow probe_terms with
       | Some k ->
           List.iter
             (fun brow ->
@@ -537,7 +462,7 @@ and exec_indexed_join env fc id left right keys side : I.benv array =
                 | `Right -> brow @ prow
                 | `Left -> prow @ brow)
                 :: !out)
-            (Hashtbl.find_all tbl k)
+            (Tuple.Key_tbl.find_all tbl k)
       | None -> ());
       incr i
     done
@@ -606,18 +531,18 @@ and exec_disjunct_inner env id (head : head) schema (d : Ir.disjunct_plan) :
           [ ((match full with [] -> env.outer | r :: _ -> r), full) ]
         else begin
           (* groups accumulate in reversed ref cells: O(1) append *)
-          let tbl = Hashtbl.create (max 16 (Array.length rows / 4)) in
+          let tbl = Tuple.Key_tbl.create (max 16 (Array.length rows / 4)) in
           let order = ref [] in
           Array.iter
             (fun (row : I.benv) ->
               let full = full_of env row in
               let k = group_key env full keys in
-              match Hashtbl.find_opt tbl k with
+              match Tuple.Key_tbl.find_opt tbl k with
               | Some cell -> cell := full :: !cell
               | None ->
                   let cell = ref [ full ] in
                   order := cell :: !order;
-                  Hashtbl.replace tbl k cell)
+                  Tuple.Key_tbl.add tbl k cell)
             rows;
           List.rev_map
             (fun cell ->
@@ -694,11 +619,6 @@ let fixpoint_share env id ran f =
       a.Ir.a_incl_ns <- Int64.add head0 ns;
       r
 
-(* [tp] was not in [seen], and now is *)
-let unseen seen tp =
-  let k = Tuple.key tp in
-  (not (Hashtbl.mem seen k)) && (Hashtbl.add seen k (); true)
-
 (* The naive fixpoint re-runs every definition each round until none
    grows. [current] is a set, and dedup keeps it as the prefix of [next],
    so a round changed it iff [next] is larger. *)
@@ -744,7 +664,7 @@ let naive_fixpoint env (dps : (Ir.def_plan * int) list) =
    ([fix_cache]) memoize every component-free subtree and keep hash-join
    build tables alive across rounds, so the stable side of a delta join
    is built once and only probed thereafter. And a per-definition seen-set
-   of canonical tuple keys replaces the per-round dedup/minus against the
+   of tuples ([Tuple.Tbl]) replaces the per-round dedup/minus against the
    accumulated relation, so per-round cost tracks the delta, not the
    closure: the union that accumulates a round's delta appends it in
    place. Budgets charge a tick plus a row charge per rule run and check
@@ -766,12 +686,12 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
         let start = Option.get (I.idb_get ctx n) in
         let seed = exec_coll env id dp.Ir.dplan in
         let seen =
-          Hashtbl.create
+          Tuple.Tbl.create
             (max 64
                (4 * (Relation.cardinality start + Relation.cardinality seed)))
         in
-        Relation.iter (fun tp -> Hashtbl.replace seen (Tuple.key tp) ()) start;
-        let delta = Relation.select (unseen seen) seed in
+        Relation.iter (fun tp -> Tuple.Tbl.replace seen tp ()) start;
+        let delta = Relation.select (Tuple.add_unseen seen) seed in
         I.idb_set ctx n (Relation.union start delta);
         I.idb_set ctx (delta_name n) delta;
         with_actual env id (fun a ->
@@ -815,7 +735,8 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
                         (exec_disjunct { env with fix = Some fc } did head
                            schema sd))
                   |> List.iter (fun tp ->
-                         if unseen seen tp then fresh := tp :: !fresh))
+                         if Tuple.add_unseen seen tp then
+                           fresh := tp :: !fresh))
               rules;
             (n, id, Relation.make ~name:n schema (List.rev !fresh)))
           defs

@@ -49,18 +49,19 @@ val exec_program :
     reference evaluator.
 
     Operators run block-at-a-time: they work on row arrays with amortized
-    governor probes, buffer-reused (or memoized whole-tuple) hash keys,
-    and constant-time group appends.
+    governor probes, typed hash keys ({!Arc_relation.Tuple.Key_tbl}
+    over the key terms' values), and constant-time group appends.
 
     Recursive strata run the seminaive fixpoint when the strategy is
     seminaive and the stratum passes {!Arc_plan.Ir.seminaive_eligible},
     and the naive fixpoint otherwise. The seminaive fixpoint is indexed:
     it runs one delta rule per component-scan occurrence with persistent
     caches — hash-join build tables and component-free subtree results
-    survive across rounds, and a seen-set of canonical tuple keys
-    replaces per-round dedup/diff. Each round appends its delta to the
-    accumulated relation in place ({!Arc_relation.Relation.union}), so a
-    round costs O(delta), not O(closure).
+    survive across rounds, and a seen-set of tuples
+    ({!Arc_relation.Tuple.Tbl}) replaces per-round dedup/diff. Each round
+    appends its delta to the accumulated relation in place
+    ({!Arc_relation.Relation.union}), so a round costs O(delta), not
+    O(closure).
 
     When [stats] is given, every operator additionally records per-node
     actuals (invocations, rows emitted, inclusive wall-clock, hash

@@ -1,17 +1,15 @@
 module Tuple = Arc_relation.Tuple
 
-type t = (string, Tuple.t * int) Hashtbl.t
+(* Each distinct tuple's net multiplicity, keyed by its first occurrence. *)
+type t = int ref Tuple.Tbl.t
 
-let create () : t = Hashtbl.create 16
+let create () : t = Tuple.Tbl.create 16
 
 let add (d : t) tp n =
   if n <> 0 then
-    let k = Tuple.key tp in
-    match Hashtbl.find_opt d k with
-    | Some (rep, m) ->
-        if m + n = 0 then Hashtbl.remove d k
-        else Hashtbl.replace d k (rep, m + n)
-    | None -> Hashtbl.add d k (tp, n)
+    match Tuple.Tbl.find_opt d tp with
+    | Some c -> if !c + n = 0 then Tuple.Tbl.remove d tp else c := !c + n
+    | None -> Tuple.Tbl.add d tp (ref n)
 
 let of_list entries =
   let d = create () in
@@ -19,23 +17,20 @@ let of_list entries =
   d
 
 let to_list (d : t) =
-  Hashtbl.fold (fun _ e acc -> e :: acc) d []
+  Tuple.Tbl.fold (fun tp c acc -> (tp, !c) :: acc) d []
   |> List.sort (fun (a, _) (b, _) -> Tuple.compare a b)
 
-let is_empty (d : t) = Hashtbl.length d = 0
+let is_empty (d : t) = Tuple.Tbl.length d = 0
 
-let cardinality (d : t) =
-  Hashtbl.fold (fun _ (_, n) acc -> acc + abs n) d 0
+let cardinality (d : t) = Tuple.Tbl.fold (fun _ c acc -> acc + abs !c) d 0
 
 let negate (d : t) =
   let d' = create () in
-  Hashtbl.iter (fun k (tp, n) -> Hashtbl.add d' k (tp, -n)) d;
+  Tuple.Tbl.iter (fun tp c -> Tuple.Tbl.add d' tp (ref (- !c))) d;
   d'
 
 let count (d : t) tp =
-  match Hashtbl.find_opt d (Tuple.key tp) with
-  | Some (_, n) -> n
-  | None -> 0
+  match Tuple.Tbl.find_opt d tp with Some c -> !c | None -> 0
 
 let positive d =
   List.filter_map (fun (tp, n) -> if n > 0 then Some (tp, n) else None)

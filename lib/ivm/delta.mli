@@ -1,8 +1,8 @@
 (** Signed multisets of tuples — the change objects incremental view
     maintenance propagates.
 
-    A delta maps each distinct tuple (by {!Arc_relation.Tuple.key}, the
-    canonical serialization grouping/dedup use, so [Null] matches [Null]
+    A delta maps each distinct tuple (by {!Arc_relation.Tuple.equal}, the
+    tuple equality grouping/dedup use, so [Null] matches [Null]
     under both 2VL and 3VL and [Int 1] matches [Float 1.0]) to a signed
     multiplicity: positive = insertions, negative = deletions. Entries
     with multiplicity zero are dropped eagerly, so [is_empty] means "no

@@ -1,5 +1,4 @@
 open Arc_core.Ast
-module V = Arc_value.Value
 module B3 = Arc_value.Bool3
 module Conventions = Arc_value.Conventions
 module Relation = Arc_relation.Relation
@@ -87,8 +86,8 @@ type disj_state =
       scope_vars : var list;
       post : formula list;
       assigns : (attr * term) list;
-      groups : (string, I.benv list) Hashtbl.t;  (* gkey -> support rows *)
-      outs : (string, Tuple.t list) Hashtbl.t;  (* gkey -> emitted tuples *)
+      groups : I.benv list Tuple.Key_tbl.t;  (* gkey -> support rows *)
+      outs : Tuple.t list Tuple.Key_tbl.t;  (* gkey -> emitted tuples *)
     }
 
 type coll_state =
@@ -122,12 +121,12 @@ type view = {
   mutable v_fallbacks : int;
 }
 
-(* Per-base-relation incremental cache: bag multiplicities by canonical
-   key plus the visible (convention-level) relation. Batches update both
+(* Per-base-relation incremental cache: bag multiplicities by tuple
+   plus the visible (convention-level) relation. Batches update both
    in O(|batch|), so applying a batch never re-deduplicates or re-diffs
    a whole base relation. *)
 type base_cache = {
-  bc_counts : (string, int) Hashtbl.t;
+  bc_counts : int Tuple.Tbl.t;
   mutable bc_vis : Relation.t;
 }
 
@@ -209,12 +208,11 @@ let base_cache_for t r (rel : Relation.t) =
   match Hashtbl.find_opt t.tbase r with
   | Some bc -> bc
   | None ->
-      let counts = Hashtbl.create (1 + Relation.cardinality rel) in
+      let counts = Tuple.Tbl.create (1 + Relation.cardinality rel) in
       Relation.iter
         (fun tp ->
-          let k = Tuple.key tp in
-          Hashtbl.replace counts k
-            (1 + Option.value ~default:0 (Hashtbl.find_opt counts k)))
+          Tuple.Tbl.replace counts tp
+            (1 + Option.value ~default:0 (Tuple.Tbl.find_opt counts tp)))
         rel;
       let bc = { bc_counts = counts; bc_vis = visible t.conv rel } in
       Hashtbl.add t.tbase r bc;
@@ -235,24 +233,28 @@ let project_tuple ctx schema (head : head) assigns (row : I.benv) =
           head.head_attrs))
 
 let group_key ctx (full : I.benv) keys =
-  String.concat ""
-    (List.map
-       (fun (v, a) -> V.canonical (I.eval_term ctx full (Attr (v, a))))
-       keys)
+  Array.of_list
+    (List.map (fun (v, a) -> I.eval_term ctx full (Attr (v, a))) keys)
 
-(* Canonical serialization of a binding row, for exact-match deletion
-   from group support tables. *)
-let benv_key (row : I.benv) =
-  String.concat "\x01"
-    (List.map
-       (fun (v, tp) -> v ^ "\x00" ^ Tuple.key tp)
-       (List.sort (fun (a, _) (b, _) -> String.compare a b) row))
+(* Binding rows as sets of (variable, tuple) pairs, for exact-match
+   deletion from group support tables. Rows of one pipeline bind their
+   variables in the same order, so they compare pair by pair; rows that
+   differ in order compare sorted by variable. *)
+let benv_equal (r1 : I.benv) (r2 : I.benv) =
+  let pairwise =
+    List.equal (fun (v1, t1) (v2, t2) ->
+        String.equal v1 v2 && Tuple.equal t1 t2)
+  in
+  if List.equal (fun (v1, _) (v2, _) -> String.equal v1 v2) r1 r2 then
+    pairwise r1 r2
+  else
+    let sort = List.stable_sort (fun (a, _) (b, _) -> String.compare a b) in
+    pairwise (sort r1) (sort r2)
 
 let remove_benv rows row =
-  let k = benv_key row in
   let rec go = function
     | [] -> fail "maintenance state underflow: support row not found"
-    | r :: rest -> if benv_key r = k then rest else r :: go rest
+    | r :: rest -> if benv_equal r row then rest else r :: go rest
   in
   go rows
 
@@ -355,8 +357,8 @@ let fold_count conv counts out tp s =
 
 let agg_outputs ctx conv out (head : head) keys scope_vars post assigns groups
     outs gk counts =
-  let group = Option.value ~default:[] (Hashtbl.find_opt groups gk) in
-  let old_outs = Option.value ~default:[] (Hashtbl.find_opt outs gk) in
+  let group = Option.value ~default:[] (Tuple.Key_tbl.find_opt groups gk) in
+  let old_outs = Option.value ~default:[] (Tuple.Key_tbl.find_opt outs gk) in
   let new_outs =
     if keys <> [] && group = [] then []
     else
@@ -385,10 +387,10 @@ let agg_outputs ctx conv out (head : head) keys scope_vars post assigns groups
   List.iter (fun tp -> fold_count conv counts out tp (-1)) old_outs;
   List.iter (fun tp -> fold_count conv counts out tp 1) new_outs;
   if keys <> [] && group = [] then begin
-    Hashtbl.remove groups gk;
-    Hashtbl.remove outs gk
+    Tuple.Key_tbl.remove groups gk;
+    Tuple.Key_tbl.remove outs gk
   end
-  else Hashtbl.replace outs gk new_outs
+  else Tuple.Key_tbl.replace outs gk new_outs
 
 (* Initial materialization: full pipeline runs establish derivation
    counts (which collection-level dedup would destroy) and group
@@ -405,21 +407,21 @@ let seed_counting ctx conv head disjs counts =
             (Exec.exec_pipeline ctx input)
       | DAgg { input; keys; scope_vars; post; assigns; groups; outs } ->
           let rows = Exec.exec_pipeline ctx input in
-          let dirty = Hashtbl.create 16 in
+          let dirty = Tuple.Key_tbl.create 16 in
           if keys = [] then begin
-            Hashtbl.replace groups "" rows;
-            Hashtbl.replace dirty "" ()
+            Tuple.Key_tbl.replace groups [||] rows;
+            Tuple.Key_tbl.replace dirty [||] ()
           end
           else
             List.iter
               (fun row ->
                 let gk = group_key ctx row keys in
-                Hashtbl.replace groups gk
-                  (Option.value ~default:[] (Hashtbl.find_opt groups gk)
+                Tuple.Key_tbl.replace groups gk
+                  (Option.value ~default:[] (Tuple.Key_tbl.find_opt groups gk)
                   @ [ row ]);
-                Hashtbl.replace dirty gk ())
+                Tuple.Key_tbl.replace dirty gk ())
               rows;
-          Hashtbl.iter
+          Tuple.Key_tbl.iter
             (fun gk () ->
               agg_outputs ctx conv scratch head keys scope_vars post assigns
                 groups outs gk counts)
@@ -445,18 +447,18 @@ let maintain_counting ctx conv head disjs counts changed old_r =
             (signed_rows ctx changed input)
       | DAgg { input; keys; scope_vars; post; assigns; groups; outs } ->
           let runs = signed_rows ctx changed input in
-          let dirty = Hashtbl.create 16 in
+          let dirty = Tuple.Key_tbl.create 16 in
           List.iter
             (fun (row, s) ->
-              let gk = if keys = [] then "" else group_key ctx row keys in
+              let gk = group_key ctx row keys in
               let cur =
-                Option.value ~default:[] (Hashtbl.find_opt groups gk)
+                Option.value ~default:[] (Tuple.Key_tbl.find_opt groups gk)
               in
-              Hashtbl.replace groups gk
+              Tuple.Key_tbl.replace groups gk
                 (if s > 0 then cur @ [ row ] else remove_benv cur row);
-              Hashtbl.replace dirty gk ())
+              Tuple.Key_tbl.replace dirty gk ())
             runs;
-          Hashtbl.iter
+          Tuple.Key_tbl.iter
             (fun gk () ->
               agg_outputs ctx conv out head keys scope_vars post assigns
                 groups outs gk counts)
@@ -500,7 +502,7 @@ let maintain_dred ctx defs (dps : Ir.def_plan list)
   let all = component @ List.map fst stratum_changes in
   let olds =
     List.map
-      (fun dp -> (dp, List.assoc dp.Ir.dname defs, Hashtbl.create 16))
+      (fun dp -> (dp, List.assoc dp.Ir.dname defs, Tuple.Tbl.create 16))
       dps
   in
   let frontier =
@@ -542,11 +544,7 @@ let maintain_dred ctx defs (dps : Ir.def_plan list)
                 in
                 Relation.iter
                   (fun tp ->
-                    let k = Tuple.key tp in
-                    if not (Hashtbl.mem gone k) then begin
-                      Hashtbl.add gone k ();
-                      marked := tp :: !marked
-                    end)
+                    if Tuple.add_unseen gone tp then marked := tp :: !marked)
                   (Exec.exec_collection ctx plan))
             (occurrence_rels_coll all dp.Ir.dplan);
           if !marked = [] then None
@@ -558,7 +556,7 @@ let maintain_dred ctx defs (dps : Ir.def_plan list)
   List.iter
     (fun (dp, old, gone) ->
       I.idb_set ctx dp.Ir.dname
-        (Relation.select (fun tp -> not (Hashtbl.mem gone (Tuple.key tp))) old))
+        (Relation.select (fun tp -> not (Tuple.Tbl.mem gone tp)) old))
     olds;
   Exec.resume_stratum_plan ctx dps
 
@@ -584,8 +582,8 @@ let classify_coll (plan : Ir.coll_plan) : coll_state =
                       scope_vars;
                       post;
                       assigns;
-                      groups = Hashtbl.create 64;
-                      outs = Hashtbl.create 64;
+                      groups = Tuple.Key_tbl.create 64;
+                      outs = Tuple.Key_tbl.create 64;
                     }
             in
             build (st :: acc) rest)
@@ -783,8 +781,8 @@ let maintain_coll t v ctx (cs : coll_state) changed old_r :
           (function
             | DProj _ -> ()
             | DAgg { groups; outs; _ } ->
-                Hashtbl.reset groups;
-                Hashtbl.reset outs)
+                Tuple.Key_tbl.reset groups;
+                Tuple.Key_tbl.reset outs)
           disjs;
         (seed_counting ctx t.conv head disjs counts, None))
   | CRecompute { plan; reason } ->
@@ -909,7 +907,7 @@ let state_rows t =
                 (fun a -> function
                   | DProj _ -> a
                   | DAgg { groups; _ } ->
-                      Hashtbl.fold
+                      Tuple.Key_tbl.fold
                         (fun _ rows a -> a + List.length rows)
                         groups a)
                 0 disjs
@@ -980,13 +978,12 @@ let apply ?guard t (batch : batch) =
         List.filter_map
           (fun (tp, n) ->
             let tp = Relation.align_to schema tp in
-            let k = Tuple.key tp in
             let old_c =
-              Option.value ~default:0 (Hashtbl.find_opt bc.bc_counts k)
+              Option.value ~default:0 (Tuple.Tbl.find_opt bc.bc_counts tp)
             in
             let new_c = old_c + n in
-            if new_c <= 0 then Hashtbl.remove bc.bc_counts k
-            else Hashtbl.replace bc.bc_counts k new_c;
+            if new_c <= 0 then Tuple.Tbl.remove bc.bc_counts tp
+            else Tuple.Tbl.replace bc.bc_counts tp new_c;
             match t.conv.Conventions.collection with
             | Conventions.Bag -> if n = 0 then None else Some (tp, n)
             | Conventions.Set ->

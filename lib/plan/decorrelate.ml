@@ -28,8 +28,9 @@
    once-grouped subquery and a hash anti join.
 
    The rewrite is exact because equality on values is the equivalence the
-   grouping hashes by ([Value.canonical]: [Int 1] and [Float 1.0] share a
-   group and compare equal; under three-valued logic a NULL key matches
+   grouping hashes by ([Value.key_equal], which equates what
+   [Value.canonical] equates: [Int 1] and [Float 1.0] share a group and
+   compare equal; under three-valued logic a NULL key matches
    nothing on either side, under two-valued logic NULL = NULL on both). An
    outer row with a non-empty group therefore joins exactly one grouped row,
    whose aggregate ranges over exactly that group; an outer row with an

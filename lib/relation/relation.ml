@@ -99,12 +99,8 @@ let select keep t =
   end
 
 let dedup t =
-  let seen = Hashtbl.create 64 in
-  select
-    (fun tp ->
-      let k = Tuple.key tp in
-      (not (Hashtbl.mem seen k)) && (Hashtbl.add seen k (); true))
-    t
+  let seen = Tuple.Tbl.create (max 64 t.len) in
+  select (Tuple.add_unseen seen) t
 
 let add t tp =
   check_row "Relation.add" t.schema tp;
@@ -144,12 +140,14 @@ let union t1 t2 =
   in
   { (append t1 src t2.len) with name = None }
 
+(* Multiplicity counters, keyed by each tuple's first occurrence. *)
 let counts t =
-  let h = Hashtbl.create 64 in
+  let h = Tuple.Tbl.create 64 in
   iter
     (fun tp ->
-      let k = Tuple.key tp in
-      Hashtbl.replace h k (1 + Option.value ~default:0 (Hashtbl.find_opt h k)))
+      match Tuple.Tbl.find_opt h tp with
+      | Some c -> incr c
+      | None -> Tuple.Tbl.add h tp (ref 1))
     t;
   h
 
@@ -161,10 +159,9 @@ let against ~keep_taken t1 t2 =
   let r =
     select
       (fun tp ->
-        let k = Tuple.key tp in
-        match Hashtbl.find_opt left k with
-        | Some n when n > 0 ->
-            Hashtbl.replace left k (n - 1);
+        match Tuple.Tbl.find_opt left tp with
+        | Some c when !c > 0 ->
+            decr c;
             keep_taken
         | _ -> not keep_taken)
       t1
@@ -181,8 +178,8 @@ let intersect t1 t2 =
     invalid_arg "Relation.intersect: schema mismatch";
   against ~keep_taken:true t1 t2
 
-(* Signed deltas: multiplicities keyed by [Tuple.key] — the same canonical
-   serialization [dedup]/[minus]/[intersect] use, so Null matches Null and
+(* Signed deltas: multiplicities keyed by [Tuple.Tbl] — the same tuple
+   equality [dedup]/[minus]/[intersect] use, so Null matches Null and
    Int 1 matches Float 1.0 under either null-logic convention. *)
 
 let apply_delta t (delta : (Tuple.t * int) list) =
@@ -191,7 +188,7 @@ let apply_delta t (delta : (Tuple.t * int) list) =
       if not (Schema.equal_names (Tuple.schema tp) t.schema) then
         invalid_arg "Relation.apply_delta: tuple schema mismatch")
     delta;
-  let to_remove = Hashtbl.create 16 in
+  let to_remove = Tuple.Tbl.create 16 in
   let inserts =
     List.concat_map
       (fun (tp, n) ->
@@ -199,30 +196,29 @@ let apply_delta t (delta : (Tuple.t * int) list) =
         if n > 0 then List.init n (fun _ -> tp)
         else begin
           if n < 0 then begin
-            let k = Tuple.key tp in
-            Hashtbl.replace to_remove k
-              (-n + Option.value ~default:0 (Hashtbl.find_opt to_remove k))
+            match Tuple.Tbl.find_opt to_remove tp with
+            | Some c -> c := !c - n
+            | None -> Tuple.Tbl.add to_remove tp (ref (-n))
           end;
           []
         end)
       delta
   in
   let kept =
-    if Hashtbl.length to_remove = 0 then t
+    if Tuple.Tbl.length to_remove = 0 then t
     else
       select
         (fun tp ->
-          let k = Tuple.key tp in
-          match Hashtbl.find_opt to_remove k with
-          | Some n when n > 0 ->
-              Hashtbl.replace to_remove k (n - 1);
+          match Tuple.Tbl.find_opt to_remove tp with
+          | Some c when !c > 0 ->
+              decr c;
               false
           | _ -> true)
         t
   in
-  Hashtbl.iter
-    (fun _ n ->
-      if n > 0 then
+  Tuple.Tbl.iter
+    (fun _ c ->
+      if !c > 0 then
         invalid_arg "Relation.apply_delta: delete exceeds multiplicity")
     to_remove;
   let inserts = Array.of_list inserts in
@@ -231,22 +227,21 @@ let apply_delta t (delta : (Tuple.t * int) list) =
 let diff_signed t_old t_new =
   if not (Schema.equal_names t_old.schema t_new.schema) then
     invalid_arg "Relation.diff_signed: schema mismatch";
-  let reps = Hashtbl.create 64 in
+  let net = Tuple.Tbl.create 64 in
   let tally sign rel =
     iter
       (fun tp ->
         let tp = align_to t_old.schema tp in
-        let k = Tuple.key tp in
-        match Hashtbl.find_opt reps k with
-        | Some (rep, n) -> Hashtbl.replace reps k (rep, n + sign)
-        | None -> Hashtbl.add reps k (tp, sign))
+        match Tuple.Tbl.find_opt net tp with
+        | Some c -> c := !c + sign
+        | None -> Tuple.Tbl.add net tp (ref sign))
       rel
   in
   tally 1 t_new;
   tally (-1) t_old;
-  Hashtbl.fold
-    (fun _ (tp, n) acc -> if n = 0 then acc else (tp, n) :: acc)
-    reps []
+  Tuple.Tbl.fold
+    (fun tp c acc -> if !c = 0 then acc else (tp, !c) :: acc)
+    net []
   |> List.sort (fun (a, _) (b, _) -> Tuple.compare a b)
 
 let join t1 t2 =
@@ -287,21 +282,13 @@ let sort t =
   Array.stable_sort Tuple.compare a;
   of_array ?name:t.name t.schema a
 
-let equal_rows eq s1 s2 =
-  s1.len = s2.len
-  &&
-  let rec go i =
-    i = s1.len || (eq s1.buf.data.(i) s2.buf.data.(i) && go (i + 1))
-  in
-  go 0
-
-let equal_set t1 t2 =
-  Schema.equal_names t1.schema t2.schema
-  && equal_rows Tuple.equal (sort (dedup t1)) (sort (dedup t2))
-
+(* Same size and nothing left of [t1] after taking away [t2]'s rows. *)
 let equal_bag t1 t2 =
   Schema.equal_names t1.schema t2.schema
-  && equal_rows Tuple.equal (sort t1) (sort t2)
+  && t1.len = t2.len
+  && is_empty (against ~keep_taken:false t1 t2)
+
+let equal_set t1 t2 = equal_bag (dedup t1) (dedup t2)
 
 let to_table t =
   let attrs = Schema.attrs t.schema in

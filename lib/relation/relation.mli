@@ -82,7 +82,7 @@ val join : t -> t -> t
 
     A signed delta is a list of [(tuple, multiplicity)] pairs: positive
     multiplicities insert copies, negative ones delete occurrences matched
-    by {!Tuple.key} — the canonical serialization {!dedup} uses, so
+    by {!Tuple.equal} — the tuple equality {!dedup} uses, so
     [Null] matches [Null] (under both 2VL and 3VL, as in GROUP
     BY/DISTINCT) and [Int 1] matches [Float 1.0]. These are the atoms the
     incremental view maintenance layer ([Arc_ivm]) propagates. *)

@@ -33,7 +33,7 @@ val key_parts : t -> string array
 
 val sorted_ixs : t -> int array
 (** Cell index of each sorted attribute (internal to {!Tuple.key},
-    {!Tuple.equal} and {!Tuple.compare}). *)
+    {!Tuple.equal}, {!Tuple.compare} and the {!Tuple.Tbl} hash). *)
 
 val equal_names : t -> t -> bool
 (** Same attribute sets, ignoring order. O(1) on a physically equal

@@ -1,23 +1,15 @@
 module Value = Arc_value.Value
 
-(* [key_cache] memoizes the canonical key: tuples are immutable and key
-   computation (canonical cell serialization) dominates dedup/diff/group
-   hot paths. Never exposed — equality and polymorphic hashing on [t]
-   are not used anywhere (all hashing goes through [key] strings). *)
-type t = {
-  schema : Schema.t;
-  cells : Value.t array;
-  mutable key_cache : string option;
-}
+type t = { schema : Schema.t; cells : Value.t array }
 
 let make schema cells =
   if Array.length cells <> Schema.arity schema then
     invalid_arg "Tuple.make: arity mismatch";
-  { schema; cells; key_cache = None }
+  { schema; cells }
 
 let of_alist pairs =
   let schema = Schema.make (List.map fst pairs) in
-  { schema; cells = Array.of_list (List.map snd pairs); key_cache = None }
+  { schema; cells = Array.of_list (List.map snd pairs) }
 
 let schema t = t.schema
 let get t name = t.cells.(Schema.index t.schema name)
@@ -26,18 +18,17 @@ let values t = Array.to_list t.cells
 
 let project t names =
   let schema = Schema.project t.schema names in
-  { schema; cells = Array.of_list (List.map (get t) names); key_cache = None }
+  { schema; cells = Array.of_list (List.map (get t) names) }
 
 let rename_schema t schema' =
   if Schema.arity schema' <> Array.length t.cells then
     invalid_arg "Tuple.rename_schema: arity mismatch";
-  { schema = schema'; cells = t.cells; key_cache = None }
+  { schema = schema'; cells = t.cells }
 
 let concat t1 t2 =
   {
     schema = Schema.union t1.schema t2.schema;
     cells = Array.append t1.cells t2.cells;
-    key_cache = None;
   }
 
 let sorted_attrs t = Schema.sorted_attrs t.schema
@@ -46,20 +37,14 @@ let sorted_attrs t = Schema.sorted_attrs t.schema
    attribute names or string values can make two distinct tuples collide
    (the old "A=x|B=y" form collided with values containing '|' or '='). *)
 let key t =
-  match t.key_cache with
-  | Some k -> k
-  | None ->
-      let parts = Schema.key_parts t.schema
-      and ixs = Schema.sorted_ixs t.schema in
-      let buf = Buffer.create 32 in
-      Array.iteri
-        (fun i p ->
-          Buffer.add_string buf p;
-          Buffer.add_string buf (Value.canonical t.cells.(ixs.(i))))
-        parts;
-      let k = Buffer.contents buf in
-      t.key_cache <- Some k;
-      k
+  let parts = Schema.key_parts t.schema and ixs = Schema.sorted_ixs t.schema in
+  let buf = Buffer.create 32 in
+  Array.iteri
+    (fun i p ->
+      Buffer.add_string buf p;
+      Buffer.add_string buf (Value.canonical t.cells.(ixs.(i))))
+    parts;
+  Buffer.contents buf
 
 (* Both orders walk the cells in sorted-attribute order. Over the same
    attribute set, the i-th sorted attribute is the same name in both
@@ -77,17 +62,51 @@ let for_sorted_cells t1 t2 f =
   go 0
 
 let equal t1 t2 =
-  match (t1.key_cache, t2.key_cache) with
-  | Some k1, Some k2 -> k1 = k2 (* key is injective up to [equal] *)
-  | _ ->
-      Schema.equal_names t1.schema t2.schema
-      && for_sorted_cells t1 t2 (fun a b -> if Value.equal a b then 0 else 1)
-         = 0
+  Schema.equal_names t1.schema t2.schema
+  && for_sorted_cells t1 t2 (fun a b -> if Value.key_equal a b then 0 else 1)
+     = 0
 
 let compare t1 t2 =
   if Schema.equal_names t1.schema t2.schema then
     for_sorted_cells t1 t2 Value.compare
   else Stdlib.compare (sorted_attrs t1) (sorted_attrs t2)
+
+let hash_step h v = (h * 31) + Value.key_hash v
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+
+  (* cells in sorted-attribute order, so that the hash agrees with the
+     name-based [equal] whatever the attribute order *)
+  let hash t =
+    let ixs = Schema.sorted_ixs t.schema in
+    let h = ref 0 in
+    for i = 0 to Array.length ixs - 1 do
+      h := hash_step !h t.cells.(ixs.(i))
+    done;
+    !h land max_int
+end)
+
+(* [replace] hashes once and adds only when absent. *)
+let add_unseen seen tp =
+  let n = Tbl.length seen in
+  Tbl.replace seen tp ();
+  Tbl.length seen > n
+
+module Key_tbl = Hashtbl.Make (struct
+  type t = Value.t array
+
+  let equal k1 k2 =
+    let n = Array.length k1 in
+    n = Array.length k2
+    &&
+    let rec go i = i = n || (Value.key_equal k1.(i) k2.(i) && go (i + 1)) in
+    go 0
+
+  let hash k = Array.fold_left hash_step 0 k land max_int
+end)
 
 let to_string t =
   "("

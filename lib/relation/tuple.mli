@@ -26,18 +26,34 @@ val concat : t -> t -> t
 (** Schema union; raises {!Schema.Duplicate_attribute} on overlap. *)
 
 val equal : t -> t -> bool
-(** Name-based: equal iff same attribute set and each attribute maps to an
-    equal value ([Null] = [Null], per grouping/dedup semantics). *)
+(** Name-based: equal iff same attribute set and each attribute maps to a
+    {!Arc_value.Value.key_equal} value ([Null] = [Null], per
+    grouping/dedup semantics; [Int 1] = [Float 1.0]). The equality of
+    {!Tbl} and of {!key}. *)
 
 val compare : t -> t -> int
 (** Deterministic total order: by sorted attribute names, then cell by
     cell in sorted-attribute order. Tuples over the same attribute set
     compare positionally, without name lookups. *)
 
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by whole tuples under {!equal}. The hash walks the
+    cells in sorted-attribute order, so attribute order does not matter. *)
+
+val add_unseen : unit Tbl.t -> t -> bool
+(** [add_unseen seen tp] adds [tp] to the set [seen] and is [true] iff
+    no equal tuple was there yet. *)
+
+module Key_tbl : Hashtbl.S with type key = Arc_value.Value.t array
+(** Hash tables keyed by value arrays, compared cell by cell with
+    {!Arc_value.Value.key_equal}: composite join and grouping keys. *)
+
 val key : t -> string
 (** Canonical string key (sorted by attribute name, length-prefixed
-    {!Arc_value.Value.canonical} cells) for hashing/grouping. Injective up
-    to {!equal}: two tuples share a key iff they are [equal]. *)
+    {!Arc_value.Value.canonical} cells). Injective up to {!equal}: two
+    tuples share a key iff they are [equal]. Built on every call; for
+    the oracles (the SQL evaluator, bag comparisons in tests), not for
+    hashing in the engine (use {!Tbl}). *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -34,14 +34,10 @@ let kind_of_string s =
   | _ -> None
 
 let dedup values =
-  let seen = Hashtbl.create 16 in
+  let seen = Value.Tbl.create 16 in
   List.filter
     (fun v ->
-      let key = Value.canonical v in
-      if Hashtbl.mem seen key then false
-      else (
-        Hashtbl.add seen key ();
-        true))
+      (not (Value.Tbl.mem seen v)) && (Value.Tbl.add seen v (); true))
     values
 
 let non_null values = List.filter (fun v -> not (Value.is_null v)) values

@@ -149,7 +149,10 @@ let to_string = function
 
 let pp fmt v = Format.pp_print_string fmt (to_string v)
 
-(* Injective (up to [equal]) serialization for hash keys. Every form is
+(* The floats [canonical] serializes as integers. *)
+let int_key f = Float.is_integer f && Float.abs f <= 4.0e18
+
+(* Injective (up to [key_equal]) serialization for hash keys. Every form is
    self-delimiting — tagged, and either fixed-width, terminated by ';', or
    length-prefixed — so concatenations of canonical forms can never collide
    the way naive [to_string] concatenations do. Int/Float values that
@@ -160,10 +163,48 @@ let canonical = function
   | Bool false -> "b0;"
   | Int x -> "d" ^ string_of_int x ^ ";"
   | Float f ->
-      if Float.is_integer f && Float.abs f <= 4.0e18 then
+      if int_key f then
         "d" ^ string_of_int (int_of_float f) ^ ";"
       else "f" ^ Printf.sprintf "%h" f ^ ";"
   | Str s -> "s" ^ string_of_int (String.length s) ^ ":" ^ s
+
+(* Hash-key equality and hash, consistent with [canonical]: [key_equal a
+   b] iff [canonical a = canonical b], without building either string. A
+   float is an integer key exactly when [canonical] prints it in the "d"
+   form, so [-0.0] keys as [Int 0]; other floats key by value, NaNs by
+   sign as their "%h" forms do. *)
+let key_equal a b =
+  match (a, b) with
+  | Null, Null -> true
+  | Int x, Int y -> x = y
+  | Int x, Float f | Float f, Int x -> int_key f && int_of_float f = x
+  | Float x, Float y ->
+      x = y
+      || Float.is_nan x && Float.is_nan y
+         && Bool.equal (Float.sign_bit x) (Float.sign_bit y)
+  | Str x, Str y -> String.equal x y
+  | Bool x, Bool y -> Bool.equal x y
+  | _ -> false
+
+(* Multiply-xorshift: spreads an int's bits into the low bits that pick a
+   hash bucket, without a call into the runtime. *)
+let hash_int x =
+  let h = x * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 29)) land max_int
+
+let key_hash = function
+  | Null -> 0x2f1
+  | Bool b -> if b then 0x3a7 else 0x1c5
+  | Int x -> hash_int x
+  | Float f -> if int_key f then hash_int (int_of_float f) else Hashtbl.hash f
+  | Str s -> Hashtbl.hash s
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = key_equal
+  let hash = key_hash
+end)
 
 let int x = Int x
 let str s = Str s

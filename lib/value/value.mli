@@ -68,10 +68,25 @@ val to_string : t -> string
     when needed). *)
 
 val canonical : t -> string
-(** Serialization for hash keys: injective up to {!equal} (so [Int 1] and
+(** Serialization for hash keys: injective up to {!key_equal} (so [Int 1] and
     [Float 1.0] agree), and self-delimiting (tagged and length-prefixed or
     terminated), so concatenating canonical forms cannot collide the way
     concatenating {!to_string} forms can. Not meant for display. *)
+
+val key_equal : t -> t -> bool
+(** Hash-key equality: [key_equal a b] iff [canonical a = canonical b],
+    computed without building either string. [Null] equals [Null];
+    [Int i] equals [Float f] exactly when [f] is integral, [|f| <= 4e18]
+    and [int_of_float f = i] (so [-0.0] equals [Int 0]). Unlike
+    {!equal}, which compares Int/Float through [float_of_int], it never
+    equates two values whose canonical forms differ. Whether a NULL key
+    may match at all (three-valued logic) is the caller's decision. *)
+
+val key_hash : t -> int
+(** A hash consistent with {!key_equal}. *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by values under {!key_equal}. *)
 
 val int : int -> t
 val str : string -> t

@@ -1181,6 +1181,101 @@ let tc_ladder_flat () =
       "minor words per output row: %.0f at chain 384 > 1.5 x %.0f at chain 48"
       large small
 
+(* Which rows are the same: the plan engine's hash tables (join, semi and
+   anti join, grouping, set dedup, the fixpoint's seen-set and its
+   persistent join tables) key on typed values, the reference evaluator's
+   grouping on canonical strings. On NULL keys and Int/Float mixes
+   (1 = 1.0, -0.0 = 0, 2.5) both engines must agree under every
+   convention: a 3VL NULL key matches nothing, a 2VL one matches NULL.
+   Results compare as bags of canonical tuple keys, so which of two equal
+   representatives (Int 1 or Float 1.0) a set keeps does not matter. *)
+let key_semantics_parity () =
+  let module Exec = Arc_engine.Exec in
+  let module Tuple = Arc_relation.Tuple in
+  let f = V.float in
+  let db =
+    Database.of_list
+      [
+        ( "R",
+          Relation.of_rows [ "k"; "a" ]
+            [
+              [ i 1; s "r1" ]; [ f 2.0; s "r2" ]; [ V.Null; s "r3" ];
+              [ f 2.5; s "r4" ]; [ f (-0.0); s "r5" ]; [ i 3; s "r6" ];
+              [ i 1; s "r7" ]; [ V.Null; s "r8" ];
+            ] );
+        ( "S",
+          Relation.of_rows [ "k"; "c" ]
+            [
+              [ f 1.0; s "s1" ]; [ i 2; s "s2" ]; [ V.Null; s "s3" ];
+              [ i 0; s "s4" ]; [ f 2.5; s "s5" ]; [ f 1.0; s "s6" ];
+            ] );
+        (* a chain whose hops meet only through Int/Float equal keys, and
+           through NULL under 2VL *)
+        ( "E",
+          Relation.of_rows [ "s"; "t" ]
+            [
+              [ i 1; f 2.0 ]; [ i 2; i 3 ]; [ f 3.0; V.Null ];
+              [ V.Null; i 5 ]; [ f 5.0; f (-0.0) ]; [ i 0; i 7 ];
+            ] );
+      ]
+  in
+  let queries =
+    [
+      ( "hash join",
+        "{Q(a, c) | exists r in R, s in S[r.k = s.k and Q.a = r.a and Q.c = \
+         s.c]}" );
+      ( "semi join",
+        "{Q(a) | exists r in R[Q.a = r.a and exists s in S[s.k = r.k]]}" );
+      ( "anti join",
+        "{Q(a) | exists r in R[Q.a = r.a and not exists s in S[s.k = r.k]]}" );
+      ( "group-by",
+        "{Q(k, n) | exists r in R, gamma_{r.k} [Q.k = r.k and Q.n = \
+         count(r.a)]}" );
+      ( "dedup",
+        "{Q(k) | exists r in R[Q.k = r.k] or exists s in S[Q.k = s.k]}" );
+      ( "recursion",
+        "def A := {A(s, t) | exists e in E[A.s = e.s and A.t = e.t] or exists \
+         e in E, b in A[A.s = e.s and e.t = b.s and b.t = A.t]} {Q(s, t) | \
+         exists a in A[Q.s = a.s and Q.t = a.t]}" );
+    ]
+  in
+  let bag r = List.sort compare (List.map Tuple.key (Relation.tuples r)) in
+  List.iter
+    (fun (name, text) ->
+      let prog = Arc_syntax.Parser.program_of_string text in
+      List.iter
+        (fun (cn, conv) ->
+          let reference = bag (Eval.run_rows ~conv ~db prog) in
+          List.iter
+            (fun (sn, strategy) ->
+              Alcotest.(check (list string))
+                (Printf.sprintf "%s, %s, %s" name cn sn)
+                reference
+                (bag (Exec.run_rows ~conv ~strategy ~db prog)))
+            [ ("naive", Eval.Naive); ("seminaive", Eval.Seminaive) ])
+        [
+          ("sql", Conventions.sql);
+          ("sql_set", Conventions.sql_set);
+          ("souffle", Conventions.souffle);
+          ("2vl bag", { Conventions.sql with null_logic = Two_valued });
+        ])
+    queries;
+  (* the keys do what the comment above says, not just the same thing in
+     both engines *)
+  let prog text = Arc_syntax.Parser.program_of_string text in
+  let card conv text =
+    Relation.cardinality (Exec.run_rows ~conv ~db (prog text))
+  in
+  let join = snd (List.hd queries) and recursion = snd (List.nth queries 5) in
+  Alcotest.(check int) "3VL join: 1 = 1.0, 2.0 = 2, 2.5, -0.0 = 0" 7
+    (card Conventions.sql join);
+  Alcotest.(check int) "2VL join: and NULL = NULL" 9
+    (card { Conventions.sql with null_logic = Two_valued } join);
+  Alcotest.(check int) "3VL closure stops at NULL" 12
+    (card Conventions.sql_set recursion);
+  Alcotest.(check int) "2VL closure crosses NULL" 21
+    (card Conventions.souffle recursion)
+
 let () =
   Alcotest.run "arc_engine"
     [
@@ -1240,6 +1335,7 @@ let () =
           Alcotest.test_case "dedup via grouping" `Quick dedup_via_grouping;
           Alcotest.test_case "grouping key collision regression" `Quick
             grouping_key_collisions;
+          Alcotest.test_case "typed key parity" `Quick key_semantics_parity;
         ] );
       ( "count bug",
         [

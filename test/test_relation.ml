@@ -77,6 +77,36 @@ let rel_dedup_collisions () =
   Alcotest.(check string) "key is order-insensitive" (Tuple.key t1)
     (Tuple.key t2)
 
+(* Int 2^53+1 and Float 2^53 compare equal through [float_of_int], but
+   their canonical keys differ, so they are distinct rows. [Tuple.equal]
+   says so whether or not the tuples have been hashed, and [dedup],
+   [equal_set] and [equal_bag] all agree with it. *)
+let tuple_equal_is_key_equality () =
+  let ti = Tuple.of_alist [ ("a", V.Int 9007199254740993) ] in
+  let tf = Tuple.of_alist [ ("a", V.Float 9007199254740992.) ] in
+  Alcotest.(check bool) "distinct before hashing" false (Tuple.equal ti tf);
+  let seen = Tuple.Tbl.create 4 in
+  Alcotest.(check bool) "first is unseen" true (Tuple.add_unseen seen ti);
+  Alcotest.(check bool) "second is unseen" true (Tuple.add_unseen seen tf);
+  Alcotest.(check bool) "keys differ" true (Tuple.key ti <> Tuple.key tf);
+  Alcotest.(check bool) "distinct after hashing" false (Tuple.equal ti tf);
+  Alcotest.(check bool) "Int 1 = Float 1.0" true
+    (Tuple.equal
+       (Tuple.of_alist [ ("a", i 1) ])
+       (Tuple.of_alist [ ("a", V.Float 1.0) ]));
+  let rel rows = Relation.make (Tuple.schema ti) rows in
+  let both = rel [ ti; tf ] in
+  Alcotest.(check int) "dedup keeps both" 2
+    (Relation.cardinality (Relation.dedup both));
+  Alcotest.(check bool) "equal_set: the pair is not one row" false
+    (Relation.equal_set (rel [ ti ]) (rel [ tf ]));
+  Alcotest.(check bool) "equal_set ignores row order" true
+    (Relation.equal_set both (rel [ tf; ti ]));
+  Alcotest.(check bool) "equal_bag ignores row order" true
+    (Relation.equal_bag both (rel [ tf; ti ]));
+  Alcotest.(check bool) "equal_set sees both rows" false
+    (Relation.equal_set both (rel [ ti; ti ]))
+
 let rel_ops () =
   let r = Relation.of_rows [ "A" ] [ [ i 1 ]; [ i 2 ]; [ i 2 ] ] in
   let s = Relation.of_rows [ "A" ] [ [ i 2 ]; [ i 3 ] ] in
@@ -402,6 +432,8 @@ let () =
         [
           Alcotest.test_case "access" `Quick tuple_access;
           Alcotest.test_case "concat" `Quick tuple_concat;
+          Alcotest.test_case "equality is key equality" `Quick
+            tuple_equal_is_key_equality;
         ] );
       ( "relation",
         [

@@ -184,6 +184,105 @@ let prop_compare_total =
     (QCheck.pair gen gen)
     (fun (a, b) -> compare (V.compare a b) 0 = compare 0 (V.compare b a))
 
+(* Values near the edges of [canonical]'s integer form: Int/Float pairs
+   at +-2^53 +-1 (where [float_of_int] rounds) and at the +-4e18 bound,
+   -0.0, NULL, NaNs, and strings made of the characters canonical forms
+   are built from. *)
+let key_gen =
+  let p53 = 9007199254740992 and b = 4_000_000_000_000_000_000 in
+  let ints =
+    List.concat_map
+      (fun n -> [ n; -n ])
+      [ 0; 1; 2; p53 - 1; p53; p53 + 1; b - 1; b; b + 1; max_int ]
+  in
+  let floats =
+    [ -0.0; 1.5; -2.5; 4.0e18; -4.0e18; Float.succ 4.0e18;
+      Float.pred (-4.0e18); Float.infinity; Float.nan; -.Float.nan ]
+    @ List.map float_of_int ints
+  in
+  let str =
+    QCheck.Gen.(string_size ~gen:(oneofl [ ';'; ':'; 'd'; 's'; '1'; '0'; '-' ])
+                  (int_bound 4))
+  in
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return V.Null);
+        (1, map V.bool bool);
+        (3, map V.int (oneofl ints));
+        (3, map V.float (oneofl floats));
+        (2, map V.str str);
+      ])
+
+(* Near misses and equal keys must be common, not lucky draws: a value's
+   numeric twin (the same number in the other type, which may round) and
+   its float negation (0.0 vs -0.0, NaN vs -NaN). *)
+let twin = function
+  | V.Int n -> V.Float (float_of_int n)
+  | V.Float f when Float.is_integer f && Float.abs f <= 4.0e18 ->
+      V.Int (int_of_float f)
+  | v -> v
+
+let negated = function
+  | V.Float f -> V.Float (-.f)
+  | V.Int n -> V.Float (-.float_of_int n)
+  | v -> v
+
+let key_pair_gen =
+  QCheck.Gen.(
+    key_gen >>= fun a ->
+    frequency
+      [
+        (1, return (a, a));
+        (2, return (a, twin a));
+        (1, return (a, negated a));
+        (2, map (fun b -> (a, b)) key_gen);
+      ])
+
+let print_pair (a, b) = V.to_string a ^ ", " ^ V.to_string b
+
+let prop_key_equal_is_canonical =
+  QCheck.Test.make ~name:"key_equal = canonical equality" ~count:2000
+    (QCheck.make ~print:print_pair key_pair_gen)
+    (fun (a, b) ->
+      let eq = V.key_equal a b in
+      eq = (V.canonical a = V.canonical b)
+      && ((not eq) || V.key_hash a = V.key_hash b))
+
+(* The same at tuple level, over a random attribute order on each side:
+   [Tuple.equal] is [Tuple.key] equality, and a [Tuple.Tbl] holding one
+   tuple finds the other exactly when they are equal. *)
+let prop_tuple_key_equal =
+  let module Tuple = Arc_relation.Tuple in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 4) key_pair_gen >>= fun cells ->
+      shuffle_l (List.mapi (fun k c -> (k, c)) cells) >>= fun perm ->
+      return (cells, perm))
+  in
+  let print (cells, _) = String.concat "; " (List.map print_pair cells) in
+  QCheck.Test.make ~name:"tuple key_equal over attribute orders" ~count:1000
+    (QCheck.make ~print gen)
+    (fun (cells, perm) ->
+      let name k = Printf.sprintf "a%d" k in
+      let t1 =
+        Tuple.of_alist (List.mapi (fun k (a, _) -> (name k, a)) cells)
+      in
+      let t2 =
+        Tuple.of_alist (List.map (fun (k, (_, b)) -> (name k, b)) perm)
+      in
+      let tbl = Tuple.Tbl.create 4 in
+      Tuple.Tbl.add tbl t1 ();
+      let eq = Tuple.equal t1 t2 in
+      eq = (Tuple.key t1 = Tuple.key t2)
+      && Tuple.Tbl.mem tbl t2 = eq
+      && Tuple.Key_tbl.mem
+           (let k = Tuple.Key_tbl.create 4 in
+            Tuple.Key_tbl.add k (Array.of_list (List.map fst cells)) ();
+            k)
+           (Array.of_list (List.map snd cells))
+         = List.for_all (fun (a, b) -> V.key_equal a b) cells)
+
 let prop_bool3_demorgan =
   let gen = QCheck.oneofl [ B3.True; B3.False; B3.Unknown ] in
   QCheck.Test.make ~name:"Kleene De Morgan" ~count:100 (QCheck.pair gen gen)
@@ -229,5 +328,12 @@ let () =
       ( "conventions", [ Alcotest.test_case "presets" `Quick conventions ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_like_percent; prop_compare_total; prop_bool3_demorgan; prop_sum_append ] );
+          [
+            prop_like_percent;
+            prop_compare_total;
+            prop_bool3_demorgan;
+            prop_sum_append;
+            prop_key_equal_is_canonical;
+            prop_tuple_key_equal;
+          ] );
     ]
