@@ -1027,6 +1027,7 @@ module Internal = struct
   let eval_gterm = eval_gterm
   let eval_pred = eval_pred
   let eval_pred_values = eval_pred_values
+  let cmp_values = cmp_values
   let eval_formula = eval_formula
   let eval_gformula = eval_gformula
   let source_rows = source_rows

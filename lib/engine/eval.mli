@@ -156,6 +156,11 @@ module Internal : sig
   val eval_pred_values :
     ctx -> pred -> Arc_value.Value.t list -> Arc_value.Bool3.t
 
+  val cmp_values :
+    ctx -> cmp_op -> Arc_value.Value.t -> Arc_value.Value.t ->
+    Arc_value.Bool3.t
+  (** [eval_pred_values] of a comparison, without the value list. *)
+
   val eval_formula : ctx -> benv -> formula -> Arc_value.Bool3.t
 
   val eval_gformula :

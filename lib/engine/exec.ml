@@ -16,11 +16,12 @@ module Decorrelate = Arc_plan.Decorrelate
 module I = Eval.Internal
 
 (* The physical engine: executes the Arc_plan IR with hash-based join,
-   semi/anti-join, aggregation and deduplication operators. All per-row
-   semantics — term, predicate and formula evaluation, governed scans and
-   deferred resolution — are delegated to Eval.Internal, so the two engines
-   share one notion of what a row means and can only differ in what they
-   enumerate. *)
+   semi/anti-join, aggregation and deduplication operators over
+   positional rows ([Row]). Terms, predicates and keys compile once per
+   plan node into closures with the reference's semantics; formulas,
+   governed scans, deferred resolution and every error message come from
+   Eval.Internal, so the two engines share one notion of what a row means
+   and can only differ in what they enumerate. *)
 
 exception Eval_error = Eval.Eval_error
 
@@ -39,9 +40,9 @@ let raise_kind kind = raise (Eval_error (Err.make kind))
    across rounds, so each round only probes it with the current delta. *)
 type fix_cache = {
   fc_stable : (int, unit) Hashtbl.t;
-  fc_rows : (int, I.benv array) Hashtbl.t;
+  fc_rows : (int, Row.t array) Hashtbl.t;
   fc_joins : (int, [ `Left | `Right ]) Hashtbl.t;
-  fc_tables : (int, I.benv Tuple.Key_tbl.t) Hashtbl.t;
+  fc_tables : (int, Row.t Tuple.Key_tbl.t) Hashtbl.t;
 }
 
 (* A subtree is stable when no scan under it resolves a [banned] relation
@@ -122,7 +123,8 @@ let make_fix_cache banned did (d : Ir.disjunct_plan) =
    records per-node actuals keyed by the stable ids of [Ir.program_ids].
    When absent the executor takes a branch per node and nothing else.
    [fix] is only set while executing a delta rule inside the indexed
-   seminaive fixpoint. *)
+   seminaive fixpoint. [outer] is the enclosing by-name environment: a
+   lateral's input row, empty for top-level pipelines. *)
 type env = {
   ctx : I.ctx;
   outer : I.benv;
@@ -137,13 +139,6 @@ let clock = Arc_obs.Metrics.now_ns
 let with_actual env id f =
   match env.stats with None -> () | Some st -> f (Ir.touch st id)
 
-let pred_true env full p = I.eval_pred env.ctx full p = B3.True
-let formula_true env full f = I.eval_formula env.ctx full f = B3.True
-
-let group_key env (full : I.benv) keys =
-  Array.of_list
-    (List.map (fun (v, a) -> I.eval_term env.ctx full (Attr (v, a))) keys)
-
 (* ------------------------------------------------------------------ *)
 (* Block helpers                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -153,68 +148,72 @@ let group_key env (full : I.benv) keys =
    cost. *)
 let block_rows = 256
 
-(* [row @ env.outer] without the append when there is no outer context —
-   the common case for top-level pipelines. *)
-let full_of env (row : I.benv) =
-  match env.outer with [] -> row | o -> row @ o
+(* The array of a list consed in reverse, [n] its length: the rows a loop
+   emitted onto [l], in emission order, without reversing the list. *)
+let of_rev_list n = function
+  | [] -> [||]
+  | x :: _ as l ->
+      let a = Array.make n x in
+      List.iteri (fun i y -> a.(n - 1 - i) <- y) l;
+      a
 
-(* Composite hash key: the values of [terms] under [row @ outer], for a
-   [Tuple.Key_tbl], which equates values whose canonical forms agree
-   (Int 1 and Float 1.0) and nothing else. Under three-valued logic a
-   NULL key component can never satisfy an equality, so the row is
-   excluded from matching ([None]); under two-valued logic NULL is an
-   ordinary value. *)
-let key_of env (row : I.benv) (terms : term array) =
-  let full = full_of env row in
-  let nulls_match =
-    match (I.conv env.ctx).Conventions.null_logic with
-    | Conventions.Three_valued -> false
-    | _ -> true
-  in
-  let n = Array.length terms in
-  let k = Array.make n V.Null in
-  let rec go i =
-    i = n
-    ||
-    let v = I.eval_term env.ctx full terms.(i) in
-    k.(i) <- v;
-    (nulls_match || not (V.is_null v)) && go (i + 1)
-  in
-  if go 0 then Some k else None
-
-(* The build (inner) and probe (outer) terms of a join's keys. *)
-let key_terms keys =
-  ( Array.of_list (List.map (fun k -> k.Ir.inner) keys),
-    Array.of_list (List.map (fun k -> k.Ir.outer) keys) )
-
-(* A hash table of [rows] by their [terms] keys; rows [key_of] excludes
-   are left out. *)
-let build_table env (rows : I.benv array) terms =
+(* A hash table of [rows] by their [key]s ([Row.key]); rows without a
+   key are left out. *)
+let build_table env (key : V.t array option Row.fn) (rows : Row.t array) =
   let tbl = Tuple.Key_tbl.create (max 16 (Array.length rows)) in
   Array.iter
     (fun row ->
-      match key_of env row terms with
+      match key env.outer row with
       | Some k -> Tuple.Key_tbl.add tbl k row
       | None -> ())
     rows;
   tbl
 
-(* Filter an array of rows, probing the governor once per block. *)
-let filter_block env pass (rows : I.benv array) : I.benv array =
+(* Probes [tbl] with the [key] of each [probe] row, emitting [join prow
+   brow] per match and probing the governor once per block. Returns the
+   joined rows and the match count. *)
+let probe_table env tbl key (probe : Row.t array) join =
+  let g = gov env in
+  let n = Array.length probe in
+  let out = ref [] in
+  let matches = ref 0 in
+  let i = ref 0 in
+  while !i < n do
+    Gov.tick g;
+    let stop = min n (!i + block_rows) in
+    while !i < stop do
+      let prow = probe.(!i) in
+      (match key env.outer prow with
+      | Some k ->
+          List.iter
+            (fun brow ->
+              incr matches;
+              out := join prow brow :: !out)
+            (Tuple.Key_tbl.find_all tbl k)
+      | None -> ());
+      incr i
+    done
+  done;
+  (of_rev_list !matches !out, !matches)
+
+(* Filter an array, probing the governor once per block. *)
+let filter_block env pass (rows : 'a array) : 'a array =
   let g = gov env in
   let n = Array.length rows in
-  let out = ref [] in
+  let out = ref [] and kept = ref 0 in
   let i = ref 0 in
   while !i < n do
     Gov.tick g;
     let stop = min n (!i + block_rows) in
     while !i < stop do
       let row = rows.(!i) in
-      if pass row then out := row :: !out;
+      if pass row then (
+        out := row :: !out;
+        incr kept);
       incr i
     done
   done;
-  Array.of_list (List.rev !out)
+  if !kept = n then rows else of_rev_list !kept !out
 
 (* Runs [f] inside the governor's collection scope (already entered):
    leaves it on every exit path and attributes errors to collection
@@ -235,17 +234,25 @@ let charge_rows env tuples =
     if allowed >= n then tuples else I.take allowed tuples
 
 (* ------------------------------------------------------------------ *)
-(* Pipeline execution: benv-level operators                            *)
+(* Pipeline compilation and execution                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Every operator is a wrapper around an [_inner] worker: with stats on,
-   [timed] brackets the worker with two clock reads and accumulates
-   invocations / rows / inclusive time on the node's id; with stats off it
-   is a single branch. Child ids use the same arithmetic as
-   [Ir.child_ids] / [Explain]. Pipelines never deduplicate: each
-   derivation is its own row, which the incremental maintenance hooks rely
-   on to count derivations. Governor probes are amortized per block, hash
-   keys are value arrays ([key_of]), and grouping appends are O(1). *)
+(* A plan compiles once into runners: every node fixes the layout of its
+   rows ([Row]) and compiles its terms, predicates and keys against its
+   inputs' layouts, so the runners read bound attributes by (slot,
+   column) and never by name. Rows convert to by-name environments only
+   where the reference evaluator takes over: residual formulas, deferred
+   resolution, a lateral's outer environment, and the maintenance hooks'
+   [exec_pipeline].
+
+   Every runner is wrapped by [timed]: with stats on, it brackets the
+   node with two clock reads and accumulates invocations / rows /
+   inclusive time on the node's id; with stats off it is a single branch.
+   Child ids use the same arithmetic as [Ir.child_ids] / [Explain].
+   Pipelines never deduplicate: each derivation is its own row, which the
+   incremental maintenance hooks rely on to count derivations. Governor
+   probes are amortized per block, hash keys are value arrays, and
+   grouping appends are O(1). *)
 let timed env id count f =
   match env.stats with
   | None -> f ()
@@ -259,322 +266,348 @@ let timed env id count f =
       a.Ir.a_incl_ns <- Int64.add a.Ir.a_incl_ns (Int64.sub t1 t0);
       r
 
-(* one single-variable row per tuple of [r] *)
-let bind_rows var r : I.benv array =
-  Array.init (Relation.cardinality r) (fun i -> [ (var, Relation.get r i) ])
+(* one single-slot row per tuple of [r] *)
+let bind_rows r : Row.t array =
+  Array.init (Relation.cardinality r) (fun i -> [| Relation.get r i |])
 
-let rec exec_block env id (t : Ir.t) : I.benv array =
-  timed env id Array.length (fun () -> exec_block_inner env id t)
-
-and exec_block_inner env id (t : Ir.t) : I.benv array =
-  (* Inside an indexed fixpoint rule, maximal component-free subtrees are
-     memoized: round 1 computes them, every later round reuses the rows. *)
+(* Inside an indexed fixpoint rule, maximal component-free subtrees are
+   memoized: round 1 computes them, every later round reuses the rows. *)
+let memoized env id node =
   match env.fix with
   | Some fc when Hashtbl.mem fc.fc_stable id -> (
       match Hashtbl.find_opt fc.fc_rows id with
       | Some rows -> rows
       | None ->
-          let rows = exec_block_node env id t in
+          let rows = node env in
           Hashtbl.replace fc.fc_rows id rows;
           rows)
-  | _ -> exec_block_node env id t
+  | _ -> node env
 
-and exec_block_node env id (t : Ir.t) : I.benv array =
+(* A compiled pipeline: the layout of its rows and its runner. *)
+type block = { layout : Row.layout; run : env -> Row.t array }
+
+(* A head attribute without an assignment fails on the first row that
+   needs it, as in the reference. *)
+let unassigned (head : head) a _ _ =
+  raise_kind (Err.Head_unassigned { head = head.head_name; attr = a })
+
+let key_terms keys =
+  ( List.map (fun k -> k.Ir.inner) keys,
+    List.map (fun k -> k.Ir.outer) keys )
+
+let rec compile_block ctx id (t : Ir.t) : block =
+  let layout, node = compile_node ctx id t in
+  {
+    layout;
+    run = (fun env -> timed env id Array.length (fun () -> memoized env id node));
+  }
+
+(* A node's layout follows [Ir.bound_vars]: a join's rows are its right
+   row then its left row, a lateral or resolved binding comes first, a
+   prune keeps [keep]'s order, and every branch of an append is permuted
+   to the order in which its branches first bind each variable. *)
+and compile_node ctx id (t : Ir.t) : Row.layout * (env -> Row.t array) =
   match t with
-  | One -> [| [] |]
+  | One -> ([||], fun _ -> [| [||] |])
   | Scan { var; rel; filters; _ } ->
-      let rows = bind_rows var (I.source_rows env.ctx env.outer (Base rel)) in
-      if filters = [] then rows
-      else
-        filter_block env
-          (fun row -> List.for_all (pred_true env (full_of env row)) filters)
-          rows
-  | Subquery { var; plan } -> bind_rows var (exec_coll env (id + 1) plan)
+      let layout = [| var |] in
+      let pass = Row.preds ctx layout filters in
+      ( layout,
+        fun env ->
+          let r = I.source_rows env.ctx env.outer (Base rel) in
+          let n = Relation.cardinality r in
+          if filters = [] || n = 0 then bind_rows r
+          else
+            (* the predicates see each tuple through one scratch row;
+               only passing tuples get a row of their own *)
+            let scratch = [| Relation.get r 0 |] in
+            Array.map
+              (fun tp -> [| tp |])
+              (filter_block env
+                 (fun tp ->
+                   scratch.(0) <- tp;
+                   pass env.outer scratch)
+                 (Array.init n (Relation.get r))) )
+  | Subquery { var; plan } ->
+      let coll = compile_coll ctx (id + 1) plan in
+      ([| var |], fun env -> bind_rows (coll env))
   | Lateral { input; var; plan } ->
-      let rows = exec_block env (id + 1) input in
-      let plan_id = id + 1 + Ir.size input in
-      let out = ref [] in
-      Array.iter
-        (fun (row : I.benv) ->
-          let r =
-            exec_coll { env with outer = row @ env.outer } plan_id plan
-          in
-          Relation.iter (fun tp -> out := ((var, tp) :: row) :: !out) r)
-        rows;
-      Array.of_list (List.rev !out)
+      let inb = compile_block ctx (id + 1) input in
+      let coll = compile_coll ctx (id + 1 + Ir.size input) plan in
+      ( Array.append [| var |] inb.layout,
+        fun env ->
+          let out = ref [] and n = ref 0 in
+          Array.iter
+            (fun row ->
+              let outer = Row.to_benv ~outer:env.outer inb.layout row in
+              Relation.iter
+                (fun tp ->
+                  out := Row.cons tp row :: !out;
+                  incr n)
+                (coll { env with outer }))
+            (inb.run env);
+          of_rev_list !n !out )
   | Product { left; right } ->
-      let l = exec_block env (id + 1) left in
-      let r = exec_block env (id + 1 + Ir.size left) right in
-      let nl = Array.length l and nr = Array.length r in
-      if nl = 0 || nr = 0 then [||]
-      else begin
-        let out = Array.make (nl * nr) [] in
-        for i = 0 to nl - 1 do
-          let lr = l.(i) in
-          for j = 0 to nr - 1 do
-            out.((i * nr) + j) <- r.(j) @ lr
-          done
-        done;
-        out
-      end
-  | Hash_join { left; right; keys }
-    when (match env.fix with
-         | Some fc -> Hashtbl.mem fc.fc_joins id
-         | None -> false) -> (
-      match env.fix with
-      | Some fc ->
-          exec_indexed_join env fc id left right keys
-            (Hashtbl.find fc.fc_joins id)
-      | None -> assert false)
+      let lb = compile_block ctx (id + 1) left in
+      let rb = compile_block ctx (id + 1 + Ir.size left) right in
+      ( Array.append rb.layout lb.layout,
+        fun env ->
+          let l = lb.run env in
+          let r = rb.run env in
+          let nl = Array.length l and nr = Array.length r in
+          if nl = 0 || nr = 0 then [||]
+          else begin
+            let out = Array.make (nl * nr) [||] in
+            for i = 0 to nl - 1 do
+              let lr = l.(i) in
+              for j = 0 to nr - 1 do
+                out.((i * nr) + j) <- Array.append r.(j) lr
+              done
+            done;
+            out
+          end )
   | Hash_join { left; right; keys } ->
-      Gov.tick (gov env);
-      let build = exec_block env (id + 1 + Ir.size left) right in
-      let probe = exec_block env (id + 1) left in
+      let lb = compile_block ctx (id + 1) left in
+      let rb = compile_block ctx (id + 1 + Ir.size left) right in
       let inner_terms, outer_terms = key_terms keys in
-      let tbl = build_table env build inner_terms in
-      let g = gov env in
-      let n = Array.length probe in
-      let out = ref [] in
-      let matches = ref 0 in
-      let i = ref 0 in
-      while !i < n do
-        Gov.tick g;
-        let stop = min n (!i + block_rows) in
-        while !i < stop do
-          let lrow = probe.(!i) in
-          (match key_of env lrow outer_terms with
-          | Some k ->
-              List.iter
-                (fun rrow ->
-                  incr matches;
-                  out := (rrow @ lrow) :: !out)
-                (Tuple.Key_tbl.find_all tbl k)
-          | None -> ());
-          incr i
-        done
-      done;
-      with_actual env id (fun a ->
-          a.Ir.a_build <- a.Ir.a_build + Array.length build;
-          a.Ir.a_probe <- a.Ir.a_probe + Array.length probe;
-          a.Ir.a_matches <- a.Ir.a_matches + !matches);
-      Array.of_list (List.rev !out)
+      let inner_key = Row.key ctx rb.layout inner_terms in
+      let outer_key = Row.key ctx lb.layout outer_terms in
+      ( Array.append rb.layout lb.layout,
+        fun env ->
+          match env.fix with
+          | Some fc when Hashtbl.mem fc.fc_joins id ->
+              indexed_join env fc id lb rb inner_key outer_key
+                (Hashtbl.find fc.fc_joins id)
+          | _ ->
+              Gov.tick (gov env);
+              let build = rb.run env in
+              let probe = lb.run env in
+              let tbl = build_table env inner_key build in
+              let out, matches =
+                probe_table env tbl outer_key probe (fun lrow rrow ->
+                    Array.append rrow lrow)
+              in
+              with_actual env id (fun a ->
+                  a.Ir.a_build <- a.Ir.a_build + Array.length build;
+                  a.Ir.a_probe <- a.Ir.a_probe + Array.length probe;
+                  a.Ir.a_matches <- a.Ir.a_matches + matches);
+              out )
   | Filter { input; preds } ->
-      filter_block env
-        (fun row -> List.for_all (pred_true env (full_of env row)) preds)
-        (exec_block env (id + 1) input)
+      let inb = compile_block ctx (id + 1) input in
+      let pass = Row.preds ctx inb.layout preds in
+      (inb.layout, fun env -> filter_block env (pass env.outer) (inb.run env))
   | Residual { input; conjs } ->
-      filter_block env
-        (fun row -> List.for_all (formula_true env (full_of env row)) conjs)
-        (exec_block env (id + 1) input)
+      let inb = compile_block ctx (id + 1) input in
+      let pass = Row.formulas ctx inb.layout conjs in
+      (inb.layout, fun env -> filter_block env (pass env.outer) (inb.run env))
   | Semi { anti; input; sub; keys; residual; _ } ->
-      Gov.tick (gov env);
-      let sub_rows = exec_block env (id + 1 + Ir.size input) sub in
-      let witness row candidates =
-        List.exists
-          (fun (srow : I.benv) ->
-            List.for_all (pred_true env (srow @ row @ env.outer)) residual)
-          candidates
+      let inb = compile_block ctx (id + 1) input in
+      let sb = compile_block ctx (id + 1 + Ir.size input) sub in
+      (* residual predicates see a candidate's row before the input row *)
+      let residual_pass =
+        Row.preds ctx (Array.append sb.layout inb.layout) residual
       in
-      let rows = exec_block env (id + 1) input in
-      let kept =
-        match keys with
-        | [] ->
-            let cands = Array.to_list sub_rows in
-            filter_block env (fun row -> witness row cands <> anti) rows
-        | _ ->
-            let inner_terms, outer_terms = key_terms keys in
-            let tbl = build_table env sub_rows inner_terms in
-            filter_block env
-              (fun row ->
-                let found =
-                  match key_of env row outer_terms with
-                  | Some k -> witness row (Tuple.Key_tbl.find_all tbl k)
-                  | None -> false
-                in
-                found <> anti)
-              rows
-      in
-      with_actual env id (fun a ->
-          a.Ir.a_build <- a.Ir.a_build + Array.length sub_rows;
-          a.Ir.a_probe <- a.Ir.a_probe + Array.length rows;
-          a.Ir.a_matches <- a.Ir.a_matches + Array.length kept);
-      kept
+      let inner_terms, outer_terms = key_terms keys in
+      let inner_key = Row.key ctx sb.layout inner_terms in
+      let outer_key = Row.key ctx inb.layout outer_terms in
+      ( inb.layout,
+        fun env ->
+          Gov.tick (gov env);
+          let sub_rows = sb.run env in
+          let witness row candidates =
+            if residual = [] then candidates <> []
+            else
+              List.exists
+                (fun srow -> residual_pass env.outer (Array.append srow row))
+                candidates
+          in
+          let rows = inb.run env in
+          let kept =
+            match keys with
+            | [] ->
+                let cands = Array.to_list sub_rows in
+                filter_block env (fun row -> witness row cands <> anti) rows
+            | _ ->
+                let tbl = build_table env inner_key sub_rows in
+                filter_block env
+                  (fun row ->
+                    let found =
+                      match outer_key env.outer row with
+                      | Some k -> witness row (Tuple.Key_tbl.find_all tbl k)
+                      | None -> false
+                    in
+                    found <> anti)
+                  rows
+          in
+          with_actual env id (fun a ->
+              a.Ir.a_build <- a.Ir.a_build + Array.length sub_rows;
+              a.Ir.a_probe <- a.Ir.a_probe + Array.length rows;
+              a.Ir.a_matches <- a.Ir.a_matches + Array.length kept);
+          kept )
   | Resolve { input; binding; scope } ->
-      Gov.tick (gov env);
-      let rows = exec_block env (id + 1) input in
-      Array.of_list
-        (I.resolve_deferred env.ctx env.outer scope (Array.to_list rows)
-           [ binding ])
+      let inb = compile_block ctx (id + 1) input in
+      let layout = Array.append [| binding.var |] inb.layout in
+      ( layout,
+        fun env ->
+          Gov.tick (gov env);
+          let rows = inb.run env in
+          Array.of_list
+            (List.map (Row.of_benv layout)
+               (I.resolve_deferred env.ctx env.outer scope
+                  (List.map (Row.to_benv inb.layout) (Array.to_list rows))
+                  [ binding ])) )
   | Prune { input; keep } ->
-      Array.map
-        (fun (row : I.benv) ->
-          List.filter (fun (v, _) -> List.mem v keep) row)
-        (exec_block env (id + 1) input)
+      let inb = compile_block ctx (id + 1) input in
+      let layout =
+        Array.of_list
+          (List.filter (fun v -> Row.slot inb.layout v <> None) keep)
+      in
+      ( layout,
+        match Row.permutation ~source:inb.layout ~target:layout with
+        | None -> inb.run
+        | Some perm -> fun env -> Array.map (Row.permute perm) (inb.run env) )
   | Append ts ->
-      Array.concat
-        (List.map2 (fun cid b -> exec_block env cid b) (Ir.child_ids id t) ts)
+      let bs = List.map2 (compile_block ctx) (Ir.child_ids id t) ts in
+      let layout = Row.union (List.map (fun b -> b.layout) bs) in
+      let runs =
+        List.map
+          (fun b ->
+            match Row.permutation ~source:b.layout ~target:layout with
+            | None -> b.run
+            | Some perm -> fun env -> Array.map (Row.permute perm) (b.run env))
+          bs
+      in
+      (layout, fun env -> Array.concat (List.map (fun run -> run env) runs))
 
 (* A hash join inside an indexed fixpoint rule with a stable [side]: that
    side's hash table is built once, kept in the rule's cache, and probed
    by each round with the side that reaches the __delta__ scan. When the
-   stable side is the left one the roles swap, but output rows still
-   concatenate right-rows before left-rows, so downstream attribute
-   lookups see the usual layout; only row order can differ, which the
-   set-level fixpoint ignores. *)
-and exec_indexed_join env fc id left right keys side : I.benv array =
+   stable side is the left one the roles swap, but output rows still put
+   the right row before the left one: the node's layout. Only row order
+   can differ, which the set-level fixpoint ignores. *)
+and indexed_join env fc id lb rb inner_key outer_key side : Row.t array =
   Gov.tick (gov env);
-  let inner_terms, outer_terms = key_terms keys in
-  let lid = id + 1 and rid = id + 1 + Ir.size left in
-  let build_id, build_plan, build_terms, probe_id, probe_plan, probe_terms =
+  let build, build_key, probe, probe_key, join =
     match side with
-    | `Right -> (rid, right, inner_terms, lid, left, outer_terms)
-    | `Left -> (lid, left, outer_terms, rid, right, inner_terms)
+    | `Right ->
+        (rb, inner_key, lb, outer_key, fun prow brow -> Array.append brow prow)
+    | `Left ->
+        (lb, outer_key, rb, inner_key, fun prow brow -> Array.append prow brow)
   in
   let tbl =
     match Hashtbl.find_opt fc.fc_tables id with
     | Some tbl -> tbl
     | None ->
-        let rows = exec_block env build_id build_plan in
-        let tbl = build_table env rows build_terms in
+        let rows = build.run env in
+        let tbl = build_table env build_key rows in
         Hashtbl.replace fc.fc_tables id tbl;
         with_actual env id (fun a ->
             a.Ir.a_build <- a.Ir.a_build + Array.length rows);
         tbl
   in
-  let probe = exec_block env probe_id probe_plan in
-  let g = gov env in
-  let n = Array.length probe in
-  let out = ref [] in
-  let matches = ref 0 in
-  let i = ref 0 in
-  while !i < n do
-    Gov.tick g;
-    let stop = min n (!i + block_rows) in
-    while !i < stop do
-      let prow = probe.(!i) in
-      (match key_of env prow probe_terms with
-      | Some k ->
-          List.iter
-            (fun brow ->
-              incr matches;
-              out :=
-                (match side with
-                | `Right -> brow @ prow
-                | `Left -> prow @ brow)
-                :: !out)
-            (Tuple.Key_tbl.find_all tbl k)
-      | None -> ());
-      incr i
-    done
-  done;
+  let probe = probe.run env in
+  let out, matches = probe_table env tbl probe_key probe join in
   with_actual env id (fun a ->
-      a.Ir.a_probe <- a.Ir.a_probe + n;
-      a.Ir.a_matches <- a.Ir.a_matches + !matches);
-  Array.of_list (List.rev !out)
+      a.Ir.a_probe <- a.Ir.a_probe + Array.length probe;
+      a.Ir.a_matches <- a.Ir.a_matches + matches);
+  out
 
 (* ------------------------------------------------------------------ *)
 (* Disjuncts and collections                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* [schema] is the head's, built once by the caller and shared by every
-   emitted tuple and the relation collecting them. *)
-and exec_disjunct env id (head : head) schema (d : Ir.disjunct_plan) :
-    Tuple.t list =
-  timed env id List.length (fun () -> exec_disjunct_inner env id head schema d)
+(* [schema] is the head's, built once and shared by every emitted tuple
+   and the relation collecting them. *)
+and compile_disjunct ctx id (head : head) schema (d : Ir.disjunct_plan) :
+    env -> Tuple.t list =
+  let node = compile_disjunct_node ctx id head schema d in
+  fun env -> timed env id List.length (fun () -> node env)
 
-and exec_disjunct_inner env id (head : head) schema (d : Ir.disjunct_plan) :
-    Tuple.t list =
-  let assign_term assigns a =
+and compile_disjunct_node ctx id (head : head) schema (d : Ir.disjunct_plan) =
+  let assign compile assigns a =
     match List.assoc_opt a assigns with
-    | Some t -> t
-    | None ->
-        raise_kind (Err.Head_unassigned { head = head.head_name; attr = a })
-  in
-  let emit_group scope_vars post assigns (rep, group) =
-    if
-      List.for_all
-        (fun f -> I.eval_gformula env.ctx ~rep ~group ~scope_vars f = B3.True)
-        post
-    then
-      Some
-        (Tuple.make schema
-           (Array.of_list
-              (List.map
-                 (fun a ->
-                   I.eval_gterm env.ctx ~rep ~group ~scope_vars
-                     (assign_term assigns a))
-                 head.head_attrs)))
-    else None
+    | Some t -> compile t
+    | None -> unassigned head a
   in
   match d with
   | Project { input; assigns } ->
-      let rows = exec_block env (id + 1) input in
-      Array.to_list
-        (Array.map
-           (fun (row : I.benv) ->
-             let full = full_of env row in
-             Tuple.make schema
-               (Array.of_list
-                  (List.map
-                     (fun a ->
-                       I.eval_term env.ctx full (assign_term assigns a))
-                     head.head_attrs)))
-           rows)
-  | Aggregate { input; keys; scope_vars; post; assigns } ->
-      let rows = exec_block env (id + 1) input in
-      Gov.tick (gov env);
-      let groups =
-        if keys = [] then
-          let full =
-            Array.to_list (Array.map (fun r -> full_of env r) rows)
-          in
-          [ ((match full with [] -> env.outer | r :: _ -> r), full) ]
-        else begin
-          (* groups accumulate in reversed ref cells: O(1) append *)
-          let tbl = Tuple.Key_tbl.create (max 16 (Array.length rows / 4)) in
-          let order = ref [] in
-          Array.iter
-            (fun (row : I.benv) ->
-              let full = full_of env row in
-              let k = group_key env full keys in
-              match Tuple.Key_tbl.find_opt tbl k with
-              | Some cell -> cell := full :: !cell
-              | None ->
-                  let cell = ref [ full ] in
-                  order := cell :: !order;
-                  Tuple.Key_tbl.add tbl k cell)
-            rows;
-          List.rev_map
-            (fun cell ->
-              let group = List.rev !cell in
-              (List.hd group, group))
-            !order
-        end
+      let inb = compile_block ctx (id + 1) input in
+      let fs =
+        Array.of_list
+          (List.map (assign (Row.term ctx inb.layout) assigns) head.head_attrs)
       in
-      List.filter_map (emit_group scope_vars post assigns) groups
-
-and exec_coll env id (p : Ir.coll_plan) : Relation.t =
-  timed env id Relation.cardinality (fun () -> exec_coll_inner env id p)
-
-and exec_coll_inner env id ({ head; disjuncts } as p : Ir.coll_plan) :
-    Relation.t =
-  let name = head.head_name in
-  Gov.tick (gov env);
-  if not (Gov.enter_collection (gov env)) then
-    Relation.empty ~name head.head_attrs
-  else
-    in_collection env name (fun () ->
-        let schema = Schema.make head.head_attrs in
-        let tuples =
-          List.concat
-            (List.map2
-               (fun did d -> exec_disjunct env did head schema d)
-               (Ir.coll_child_ids id p) disjuncts)
+      fun env ->
+        let rows = inb.run env in
+        let schema = Lazy.force schema in
+        Array.to_list
+          (Array.map
+             (fun row -> Tuple.make schema (Array.map (fun f -> f env.outer row) fs))
+             rows)
+  | Aggregate { input; keys; scope_vars; post; assigns } ->
+      let inb = compile_block ctx (id + 1) input in
+      let l = inb.layout in
+      let key = Row.group_key ctx l keys in
+      let post = List.map (Row.gformula ctx l scope_vars) post in
+      let fs =
+        Array.of_list
+          (List.map
+             (assign (Row.gterm ctx l scope_vars) assigns)
+             head.head_attrs)
+      in
+      fun env ->
+        let rows = inb.run env in
+        Gov.tick (gov env);
+        let outer = env.outer in
+        let groups =
+          if keys = [] then [ Array.to_list rows ]
+          else begin
+            (* groups accumulate in reversed ref cells: O(1) append *)
+            let tbl = Tuple.Key_tbl.create (max 16 (Array.length rows / 4)) in
+            let order = ref [] in
+            Array.iter
+              (fun row ->
+                let k = key outer row in
+                match Tuple.Key_tbl.find_opt tbl k with
+                | Some cell -> cell := row :: !cell
+                | None ->
+                    let cell = ref [ row ] in
+                    order := cell :: !order;
+                    Tuple.Key_tbl.add tbl k cell)
+              rows;
+            List.rev_map (fun cell -> List.rev !cell) !order
+          end
         in
-        let r = Relation.make ~name schema (charge_rows env tuples) in
-        match (I.conv env.ctx).Conventions.collection with
-        | Conventions.Set -> Relation.dedup r
-        | Conventions.Bag -> r)
+        let schema = Lazy.force schema in
+        List.filter_map
+          (fun group ->
+            if List.for_all (fun f -> f outer group = B3.True) post then
+              Some (Tuple.make schema (Array.map (fun f -> f outer group) fs))
+            else None)
+          groups
+
+and compile_coll ctx id ({ head; disjuncts } as p : Ir.coll_plan) :
+    env -> Relation.t =
+  let name = head.head_name in
+  let schema = lazy (Schema.make head.head_attrs) in
+  let ds =
+    List.map2
+      (fun did d -> compile_disjunct ctx did head schema d)
+      (Ir.coll_child_ids id p) disjuncts
+  in
+  fun env ->
+    timed env id Relation.cardinality @@ fun () ->
+    Gov.tick (gov env);
+    if not (Gov.enter_collection (gov env)) then
+      Relation.empty ~name head.head_attrs
+    else
+      in_collection env name (fun () ->
+          let tuples = List.concat_map (fun d -> d env) ds in
+          let r =
+            Relation.make ~name (Lazy.force schema) (charge_rows env tuples)
+          in
+          match (I.conv env.ctx).Conventions.collection with
+          | Conventions.Set -> Relation.dedup r
+          | Conventions.Bag -> r)
 
 (* ------------------------------------------------------------------ *)
 (* Recursive strata: hash-based fixpoints over plans                   *)
@@ -624,6 +657,9 @@ let fixpoint_share env id ran f =
    so a round changed it iff [next] is larger. *)
 let naive_fixpoint env (dps : (Ir.def_plan * int) list) =
   let ctx = env.ctx in
+  let colls =
+    List.map (fun (dp, id) -> compile_coll ctx id dp.Ir.dplan) dps
+  in
   let changed = ref true in
   let iterations = ref 0 in
   while !changed do
@@ -633,22 +669,19 @@ let naive_fixpoint env (dps : (Ir.def_plan * int) list) =
     if Gov.iteration_allowed (gov env) !iterations && not (Gov.stopped (gov env))
     then begin
       let t0 = clock () in
-      List.iter
-        (fun (dp, id) ->
+      List.iter2
+        (fun (dp, id) coll ->
           fixpoint_share env id [ id ] @@ fun () ->
           let n = dp.Ir.dname in
           let current = Option.get (I.idb_get ctx n) in
-          let next =
-            Relation.dedup
-              (Relation.union current (exec_coll env id dp.Ir.dplan))
-          in
+          let next = Relation.dedup (Relation.union current (coll env)) in
           let delta = Relation.cardinality next - Relation.cardinality current in
           with_actual env id (fun a -> a.Ir.a_deltas <- delta :: a.Ir.a_deltas);
           if delta <> 0 then begin
             I.idb_set ctx n next;
             changed := true
           end)
-        dps;
+        dps colls;
       record_round env dps t0
     end
   done;
@@ -684,7 +717,8 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
            first delta is the seed minus the start (the whole seed when
            starting from empty) *)
         let start = Option.get (I.idb_get ctx n) in
-        let seed = exec_coll env id dp.Ir.dplan in
+        let schema = Schema.make head.head_attrs in
+        let seed = compile_coll ctx id dp.Ir.dplan env in
         let seen =
           Tuple.Tbl.create
             (max 64
@@ -703,9 +737,11 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
               let subst = (Ir.subst_scan component i dp.Ir.dplan).disjuncts in
               let d = Ir.occurrence_disjunct component i dp.Ir.dplan in
               let sd = List.nth subst d and did = List.nth dids d in
-              (sd, did, make_fix_cache banned did sd))
+              ( compile_disjunct ctx did head (Lazy.from_val schema) sd,
+                did,
+                make_fix_cache banned did sd ))
         in
-        (n, id, head, Schema.make head.head_attrs, rules, seen))
+        (n, id, schema, rules, seen))
       dps
   in
   record_round env dps t0;
@@ -722,18 +758,16 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
       let t0 = clock () in
       let new_deltas =
         List.map
-          (fun (n, id, head, schema, rules, seen) ->
+          (fun (n, id, schema, rules, seen) ->
             fixpoint_share env id (List.map (fun (_, did, _) -> did) rules)
             @@ fun () ->
             let fresh = ref [] in
             List.iter
-              (fun (sd, did, fc) ->
+              (fun (rule, _, fc) ->
                 Gov.tick (gov env);
                 if Gov.enter_collection (gov env) then
                   in_collection env n (fun () ->
-                      charge_rows env
-                        (exec_disjunct { env with fix = Some fc } did head
-                           schema sd))
+                      charge_rows env (rule { env with fix = Some fc }))
                   |> List.iter (fun tp ->
                          if Tuple.add_unseen seen tp then
                            fresh := tp :: !fresh))
@@ -758,7 +792,7 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
     end
   done;
   List.iter
-    (fun (_, id, _, _, _, _) ->
+    (fun (_, id, _, _, _) ->
       with_actual env id (fun a -> a.Ir.a_iterations <- !iterations))
     defs;
   List.iter (fun n -> I.idb_remove ctx (delta_name n)) component
@@ -802,7 +836,8 @@ let run_fixpoint env base (dps : Ir.def_plan list) =
 let exec_stratum env base (s : Ir.stratum) =
   let ctx = env.ctx in
   match s with
-  | Ir.Nonrecursive dp -> I.idb_set ctx dp.dname (exec_coll env base dp.dplan)
+  | Ir.Nonrecursive dp ->
+      I.idb_set ctx dp.dname (compile_coll ctx base dp.dplan env)
   | Ir.Recursive dps ->
       List.iter
         (fun dp ->
@@ -865,7 +900,8 @@ let exec_program ?stats ctx (pp : Ir.program_plan) : Eval.outcome =
   try
     List.iter (fun s -> exec_stratum env (base s) s) pp.strata;
     match pp.main with
-    | Ir.Main_coll p -> Eval.Rows (exec_coll env (Option.get main_id) p)
+    | Ir.Main_coll p ->
+        Eval.Rows (compile_coll ctx (Option.get main_id) p env)
     | Ir.Main_sentence f -> Eval.Truth (I.eval_formula ctx [] f)
   with
   | Err.Guard_error e -> raise (Eval_error e)
@@ -901,11 +937,16 @@ let run_truth ?conv ?externals ?strategy ?guard ~db prog =
 
 let hook_env ctx = { ctx; outer = []; stats = None; fix = None }
 
+(* Rows leave as by-name environments in the pipeline's layout order: one
+   variable order for every row of a pipeline. *)
 let exec_pipeline ctx (t : Ir.t) : I.benv list =
-  Array.to_list (exec_block (hook_env ctx) 0 t)
+  let b = compile_block ctx 0 t in
+  Array.fold_right
+    (fun row benvs -> Row.to_benv b.layout row :: benvs)
+    (b.run (hook_env ctx)) []
 
 let exec_collection ctx (p : Ir.coll_plan) : Relation.t =
-  exec_coll (hook_env ctx) 0 p
+  compile_coll ctx 0 p (hook_env ctx)
 
 let exec_stratum_plan ctx (s : Ir.stratum) : unit =
   exec_stratum (hook_env ctx) 0 s

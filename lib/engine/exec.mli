@@ -1,9 +1,12 @@
 (** Physical plan executor: runs the {!Arc_plan} IR with hash-based join,
     semi/anti-join, aggregation and deduplication operators. Every
-    collection lowers to a plan; per-row semantics (terms, predicates,
-    residual formulas, governed scans, deferred resolution) are shared with
-    {!Eval} via its internals, so the two engines can only differ in what
-    they enumerate — which is exactly what the differential tests check. *)
+    collection lowers to a plan, and a plan compiles once into runners over
+    positional rows ({!Row}): terms, predicates and keys read fixed (slot,
+    column) positions. Per-row semantics (residual formulas, governed
+    scans, deferred resolution, by-name fallbacks and error messages) are
+    shared with {!Eval} via its internals, so the two engines can only
+    differ in what they enumerate — which is exactly what the differential
+    tests check. *)
 
 open Arc_core.Ast
 
@@ -114,7 +117,9 @@ val exec_pipeline :
   Eval.Internal.ctx -> Arc_plan.Ir.t -> Eval.Internal.benv list
 (** Runs the pipeline block-at-a-time and returns its binding
     environments: one per derivation, before projection and
-    deduplication, which is what counting-based maintenance needs. *)
+    deduplication, which is what counting-based maintenance needs. Every
+    environment binds the pipeline's variables in one order, its row
+    layout's. *)
 
 val exec_collection :
   Eval.Internal.ctx -> Arc_plan.Ir.coll_plan -> Arc_relation.Relation.t

@@ -32,13 +32,41 @@ let rank = function
   | Float _ -> 2
   | Str _ -> 3
 
+(* The floats [canonical] serializes as integers. *)
+let int_key f = Float.is_integer f && Float.abs f <= 4.0e18
+
+(* Floats order as [Stdlib.compare] orders them (NaN below every number),
+   except that NaNs of different signs differ, as their hash keys do. *)
+let compare_float x y =
+  match Stdlib.compare x y with
+  | 0 when Float.is_nan x ->
+      Bool.compare (Float.sign_bit y) (Float.sign_bit x)
+  | c -> c
+
+(* An int against a float, exactly: no rounding of [x] to a float, so
+   [2^53 + 1] is above [2^53.]. The two compare equal exactly when they
+   are one hash key ([key_equal]); an integral float beyond the integer
+   keys that equals [x] orders right after it. *)
+let compare_int_float x f =
+  if Float.is_nan f then 1
+  else if f >= 0x1p62 then -1
+  else if f < -0x1p62 then 1
+  else
+    (* [f] is within the int range, so its truncation is exact *)
+    let i = Float.to_int f in
+    if x <> i then Int.compare x i
+    else
+      match Float.compare (Float.of_int i) f with
+      | 0 -> if int_key f then 0 else -1
+      | c -> c
+
 let compare a b =
   match (a, b) with
   | Null, Null -> 0
   | Int x, Int y -> Stdlib.compare x y
-  | Float x, Float y -> Stdlib.compare x y
-  | Int x, Float y -> Stdlib.compare (float_of_int x) y
-  | Float x, Int y -> Stdlib.compare x (float_of_int y)
+  | Float x, Float y -> compare_float x y
+  | Int x, Float y -> compare_int_float x y
+  | Float x, Int y -> -compare_int_float y x
   | Str x, Str y -> Stdlib.compare x y
   | Bool x, Bool y -> Stdlib.compare x y
   | _ -> Stdlib.compare (rank a) (rank b)
@@ -148,9 +176,6 @@ let to_string = function
   | Bool b -> string_of_bool b
 
 let pp fmt v = Format.pp_print_string fmt (to_string v)
-
-(* The floats [canonical] serializes as integers. *)
-let int_key f = Float.is_integer f && Float.abs f <= 4.0e18
 
 (* Injective (up to [key_equal]) serialization for hash keys. Every form is
    self-delimiting — tagged, and either fixed-width, terminated by ';', or

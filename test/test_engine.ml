@@ -1276,6 +1276,230 @@ let key_semantics_parity () =
   Alcotest.(check int) "2VL closure crosses NULL" 21
     (card Conventions.souffle recursion)
 
+(* The plan engine's rows are positional: each node fixes the order of
+   the variables its rows bind, and compiles its terms, predicates and
+   keys against that layout. These are the shapes where a layout is not
+   just its input's: outer-join appends whose branches bind variables in
+   different orders, prunes, recursive rules whose persistent join table
+   is built from the left side, a lateral re-run per outer row that reads
+   the outer row's attributes through a non-equality, scalar terms in
+   join keys, HAVING over a grouped join, an external binding resolved
+   by name, and NULL keys. Plan = reference under all 8 conventions and
+   both recursion strategies, errors included. *)
+let all_conventions =
+  List.concat_map
+    (fun cs ->
+      List.concat_map
+        (fun nl ->
+          List.map
+            (fun ae ->
+              Conventions.{ collection = cs; null_logic = nl; agg_empty = ae })
+            [ Conventions.Agg_null; Conventions.Agg_zero ])
+        [ Conventions.Two_valued; Conventions.Three_valued ])
+    [ Conventions.Set; Conventions.Bag ]
+
+(* every pipeline node of a program plan *)
+let plan_nodes (pp : Arc_plan.Ir.program_plan) =
+  let module Ir = Arc_plan.Ir in
+  let rec nodes (t : Ir.t) =
+    t
+    ::
+    (match t with
+    | Ir.One | Ir.Scan _ -> []
+    | Ir.Subquery { plan; _ } -> coll plan
+    | Ir.Lateral { input; plan; _ } -> nodes input @ coll plan
+    | Ir.Product { left; right } | Ir.Hash_join { left; right; _ } ->
+        nodes left @ nodes right
+    | Ir.Filter { input; _ }
+    | Ir.Residual { input; _ }
+    | Ir.Resolve { input; _ }
+    | Ir.Prune { input; _ } ->
+        nodes input
+    | Ir.Semi { input; sub; _ } -> nodes input @ nodes sub
+    | Ir.Append ts -> List.concat_map nodes ts)
+  and coll (p : Ir.coll_plan) =
+    List.concat_map
+      (function Ir.Project { input; _ } | Ir.Aggregate { input; _ } -> nodes input)
+      p.disjuncts
+  in
+  List.concat_map
+    (function
+      | Ir.Nonrecursive dp -> coll dp.Ir.dplan
+      | Ir.Recursive dps -> List.concat_map (fun dp -> coll dp.Ir.dplan) dps)
+    pp.strata
+  @ match pp.main with Ir.Main_coll p -> coll p | Ir.Main_sentence _ -> []
+
+let layout_db =
+  let f = V.float in
+  Database.of_list
+    [
+      ( "R",
+        Relation.of_rows [ "k"; "a" ]
+          [
+            [ i 1; s "r1" ]; [ f 2.0; s "r2" ]; [ V.Null; s "r3" ];
+            [ i 3; s "r4" ]; [ i 1; s "r5" ]; [ f 2.5; s "r6" ];
+          ] );
+      ( "S",
+        Relation.of_rows [ "k"; "c" ]
+          [
+            [ f 1.0; i 5 ]; [ i 2; i 6 ]; [ V.Null; i 7 ]; [ i 4; V.Null ];
+            [ i 3; f 6.0 ]; [ i 2; i 9 ];
+          ] );
+      ( "T",
+        Relation.of_rows [ "c"; "d" ]
+          [ [ i 5; i 1 ]; [ f 6.0; i 2 ]; [ i 9; V.Null ]; [ V.Null; i 4 ] ] );
+      ( "P",
+        Relation.of_rows [ "s"; "t" ]
+          [
+            [ i 1; i 2 ]; [ i 2; f 3.0 ]; [ i 3; i 4 ]; [ i 4; i 1 ];
+            [ V.Null; i 2 ]; [ i 4; V.Null ]; [ f 5.0; i 6 ];
+          ] );
+    ]
+
+let layout_parity () =
+  let module Exec = Arc_engine.Exec in
+  let module Ir = Arc_plan.Ir in
+  let module Tuple = Arc_relation.Tuple in
+  let tc rule =
+    "def A := {A(s, t) | exists p in P[A.s = p.s and A.t = p.t] or " ^ rule
+    ^ "} {Q(s, t) | exists a in A[Q.s = a.s and Q.t = a.t]}"
+  in
+  let component_free (t : Ir.t) =
+    List.for_all
+      (function Ir.Scan { rel; _ } -> rel <> "A" | _ -> true)
+      (plan_nodes
+         { Ir.strata = [];
+           main =
+             Ir.Main_coll
+               { head = { head_name = "x"; head_attrs = [] };
+                 disjuncts = [ Ir.Project { input = t; assigns = [] } ] } })
+  in
+  let cases =
+    [
+      ( "outer-join pads",
+        "{Q(a, c, d) | exists r in R, s in S, t in T, full(r, left(s, t))[r.k \
+         = s.k and s.c = t.c and Q.a = r.a and Q.c = s.c and Q.d = t.d]}",
+        function
+        | Ir.Append (b :: bs) ->
+            List.exists (fun b' -> Ir.bound_vars b' <> Ir.bound_vars b) bs
+        | _ -> false );
+      ( "prune",
+        "{Q(a, d) | exists r in R, s in S, t in T[r.k = s.k and s.c = t.c and \
+         Q.a = r.a and Q.d = t.d]}",
+        function Ir.Prune _ -> true | _ -> false );
+      ( "recursive rule, stable left side",
+        tc
+          "exists p in P, q in P, b in A[A.s = p.s and p.t = q.s and q.t = \
+           b.s and b.t = A.t]",
+        function
+        | Ir.Hash_join { left; right; _ } ->
+            component_free left && not (component_free right)
+        | _ -> false );
+      ( "correlated lateral, non-equality",
+        "{Q(a, n) | exists r in R, c in {C(n) | exists s in S, gamma_0[s.k < \
+         r.k and C.n = count(s.c)]}[Q.a = r.a and Q.n = c.n]}",
+        function Ir.Lateral _ -> true | _ -> false );
+      ( "scalar join key",
+        "{Q(a, c) | exists r in R, s in S[r.k + 1 = s.k and Q.a = r.a and Q.c \
+         = s.c]}",
+        function
+        | Ir.Hash_join { keys; _ } ->
+            List.exists
+              (fun k ->
+                match (k.Ir.outer, k.Ir.inner) with
+                | Scalar _, _ | _, Scalar _ -> true
+                | _ -> false)
+              keys
+        | _ -> false );
+      ( "having over a grouped join",
+        "{Q(k, n) | exists r in R, s in S, gamma_{r.k}[r.k = s.k and Q.k = r.k \
+         and Q.n = sum(s.c) and count(s.c) >= 1]}",
+        function Ir.Hash_join _ -> true | _ -> false );
+      ( "external binding",
+        "{Q(a, x) | exists r in R, f in \"Add\"[r.k = 1 and f.left = r.k and \
+         f.right = 1 and Q.a = r.a and Q.x = f.out]}",
+        function Ir.Resolve _ -> true | _ -> false );
+      ( "NULL keys",
+        "{Q(a, n) | exists r in R, s in S, gamma_{r.a}[r.k = s.k and Q.a = \
+         r.a and Q.n = count(s.c)] or exists r in R[Q.a = r.a and Q.n = 0 and \
+         not exists s in S[s.k = r.k]]}",
+        function Ir.Semi { anti = true; _ } -> true | _ -> false );
+    ]
+  in
+  let run f =
+    match f () with
+    | r ->
+        Ok (List.sort compare (List.map Tuple.key (Relation.tuples r)))
+    | exception Eval.Eval_error e -> Error (Eval.error_to_string e)
+  in
+  List.iter
+    (fun (name, text, shape) ->
+      let prog = Arc_syntax.Parser.program_of_string text in
+      let _, _, optimized, _ = Exec.compile ~db:layout_db prog in
+      if not (List.exists shape (plan_nodes optimized)) then
+        Alcotest.failf "%s: the plan lacks the shape under test" name;
+      List.iter
+        (fun conv ->
+          let reference = run (fun () -> Eval.run_rows ~conv ~db:layout_db prog) in
+          List.iter
+            (fun strategy ->
+              let plan =
+                run (fun () -> Exec.run_rows ~conv ~strategy ~db:layout_db prog)
+              in
+              if plan <> reference then
+                Alcotest.failf "%s under %s, %s: plan differs from reference"
+                  name (Conventions.to_string conv)
+                  (match strategy with
+                  | Eval.Naive -> "naive"
+                  | Eval.Seminaive -> "seminaive"))
+            [ Eval.Naive; Eval.Seminaive ])
+        all_conventions)
+    cases
+
+(* Int and Float compare exactly: 2^53 + 1 is not the float 2^53, which
+   [float_of_int] would round it to. The reference's comparison, the plan
+   engine's hash keys and its compiled filters must all say so. *)
+let int_float_exact () =
+  let module Exec = Arc_engine.Exec in
+  let module Tuple = Arc_relation.Tuple in
+  let f = V.float in
+  let db =
+    Database.of_list
+      [
+        ( "R",
+          Relation.of_rows [ "k"; "a" ]
+            [
+              [ i 9007199254740993; s "r1" ]; [ i 9007199254740992; s "r2" ];
+              [ f 1.0; s "r3" ];
+            ] );
+        ( "S",
+          Relation.of_rows [ "k"; "c" ]
+            [ [ f 9007199254740992.; s "s1" ]; [ i 1; s "s2" ] ] );
+      ]
+  in
+  let bag r = List.sort compare (List.map Tuple.key (Relation.tuples r)) in
+  List.iter
+    (fun (name, text, expected) ->
+      let prog = Arc_syntax.Parser.program_of_string text in
+      let reference = bag (Eval.run_rows ~db prog) in
+      Alcotest.(check int) (name ^ ": reference rows") expected
+        (List.length reference);
+      Alcotest.(check (list string)) (name ^ ": plan = reference") reference
+        (bag (Exec.run_rows ~db prog)))
+    [
+      ( "hash join",
+        "{Q(a, c) | exists r in R, s in S[r.k = s.k and Q.a = r.a and Q.c = \
+         s.c]}",
+        2 );
+      ( "filter",
+        "{Q(a, c) | exists r in R, s in S[r.k >= s.k and r.k <= s.k and Q.a = \
+         r.a and Q.c = s.c]}",
+        2 );
+      ( "constant filter",
+        "{Q(a) | exists r in R[r.k = 9007199254740992.0 and Q.a = r.a]}",
+        1 );
+    ]
+
 let () =
   Alcotest.run "arc_engine"
     [
@@ -1336,6 +1560,9 @@ let () =
           Alcotest.test_case "grouping key collision regression" `Quick
             grouping_key_collisions;
           Alcotest.test_case "typed key parity" `Quick key_semantics_parity;
+          Alcotest.test_case "exact Int/Float comparison" `Quick
+            int_float_exact;
+          Alcotest.test_case "positional layout parity" `Quick layout_parity;
         ] );
       ( "count bug",
         [

@@ -13,7 +13,13 @@ let value_compare () =
     (V.compare (i 1) (V.Float 1.5) < 0);
   Alcotest.(check bool) "1 = 1.0" true (V.equal (i 1) (V.Float 1.));
   Alcotest.(check bool) "null = null (grouping)" true (V.equal V.Null V.Null);
-  Alcotest.(check bool) "str order" true (V.compare (V.Str "a") (V.Str "b") < 0)
+  Alcotest.(check bool) "str order" true (V.compare (V.Str "a") (V.Str "b") < 0);
+  Alcotest.(check bool) "2^53 + 1 > 2^53 as a float" true
+    (V.compare (i 9007199254740993) (V.Float 9007199254740992.) > 0);
+  Alcotest.(check bool) "-(2^53 + 1) < -2^53 as a float" true
+    (V.compare (i (-9007199254740993)) (V.Float (-9007199254740992.)) < 0);
+  Alcotest.(check bool) "NaN below every int" true
+    (V.compare (V.Float Float.nan) (i min_int) < 0)
 
 let value_cmp3 () =
   Alcotest.(check bool) "null vs x is None" true (V.cmp3 V.Null (i 1) = None);
@@ -121,6 +127,28 @@ let agg_basic () =
     (V.equal (apply Agg.Avg [ i 1; i 3 ]) (V.Float 2.));
   Alcotest.(check bool) "min" true (V.equal (apply Agg.Min [ i 3; i 1 ]) (i 1));
   Alcotest.(check bool) "max" true (V.equal (apply Agg.Max [ i 3; i 1 ]) (i 3))
+
+let agg_float_sum () =
+  let apply k vs = Agg.apply Conv.Agg_null k vs in
+  let f = V.float in
+  Alcotest.(check bool) "exact cancellation" true
+    (V.equal (apply Agg.Sum [ f 1e100; f 1.0; f (-1e100) ]) (f 1.0));
+  Alcotest.(check bool) "mixed int/float sum" true
+    (V.equal (apply Agg.Sum [ i 1; f 0.5; V.Null ]) (f 1.5));
+  Alcotest.(check bool) "int beyond 2^53 summed exactly" true
+    (V.equal
+       (apply Agg.Sum [ i 9007199254740993; i 1; f 0.0 ])
+       (f 9007199254740994.));
+  let avg vs =
+    match apply Agg.Avg vs with V.Float x -> Int64.bits_of_float x | _ -> 0L
+  in
+  Alcotest.(check int64) "avg(0.5, 1.0, 1e-7) in any order"
+    (avg [ f 0.5; f 1.0; f 1e-7 ])
+    (avg [ f 1e-7; f 1.0; f 0.5 ]);
+  Alcotest.(check bool) "all-int sums stay ints" true
+    (V.equal (apply Agg.Sum [ i 2; i 3 ]) (i 5));
+  Alcotest.(check bool) "infinities" true
+    (V.equal (apply Agg.Sum [ f Float.infinity; f 1.0 ]) (f Float.infinity))
 
 let agg_distinct () =
   let apply k vs = Agg.apply Conv.Agg_null k vs in
@@ -283,6 +311,76 @@ let prop_tuple_key_equal =
            (Array.of_list (List.map snd cells))
          = List.for_all (fun (a, b) -> V.key_equal a b) cells)
 
+(* [compare] is exact across Int and Float, so it agrees with the hash
+   keys: a hash join matches exactly the pairs an equality predicate
+   accepts. *)
+let prop_compare_is_key_equal =
+  QCheck.Test.make ~name:"compare a b = 0 iff key_equal a b" ~count:2000
+    (QCheck.make ~print:print_pair key_pair_gen)
+    (fun (a, b) -> (V.compare a b = 0) = V.key_equal a b)
+
+let prop_compare_antisymmetric_keys =
+  QCheck.Test.make ~name:"compare is antisymmetric at the key edges"
+    ~count:2000
+    (QCheck.make ~print:print_pair key_pair_gen)
+    (fun (a, b) -> Int.compare (V.compare a b) 0 = - Int.compare (V.compare b a) 0)
+
+(* Int/Float triples at +-2^53 +-1 and around the 4e18 integer-key bound,
+   where rounding an int to a float used to make [compare] intransitive. *)
+let edge_num_gen =
+  let p53 = 9007199254740992 and b = 4_000_000_000_000_000_000 in
+  let ints =
+    List.concat_map
+      (fun n -> [ n; -n ])
+      [ p53 - 1; p53; p53 + 1; p53 + 2; b - 1; b; b + 1; b + 512; b + 1024 ]
+  in
+  let floats =
+    List.concat_map
+      (fun f -> [ f; -.f; Float.succ f; Float.pred f ])
+      [ 0x1p53; 4.0e18; Float.succ 4.0e18 ]
+  in
+  QCheck.Gen.(
+    oneof [ map V.int (oneofl ints); map V.float (oneofl floats) ])
+
+let prop_compare_transitive =
+  let print (a, b, c) =
+    String.concat ", " (List.map V.to_string [ a; b; c ])
+  in
+  QCheck.Test.make ~name:"compare is transitive on Int/Float edges"
+    ~count:3000
+    (QCheck.make ~print QCheck.Gen.(triple edge_num_gen edge_num_gen edge_num_gen))
+    (fun (a, b, c) ->
+      let ab = V.compare a b and bc = V.compare b c and ac = V.compare a c in
+      (not (ab <= 0 && bc <= 0) || ac <= 0)
+      && (not (ab < 0 && bc <= 0) || ac < 0)
+      && (not (ab = 0 && bc = 0) || ac = 0))
+
+(* Float SUM and AVG are correctly rounded, so no order of the group's
+   rows changes their last bit. *)
+let prop_float_agg_order =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 12)
+        (oneof
+           [
+             map V.float (float_bound_exclusive 1.0);
+             map V.float (oneofl [ 0.5; 1.0; 1e-7; 1e16; -1e16; 0.1; 3.0 ]);
+             map V.int (int_range (-1000) 1000);
+           ])
+      >>= fun vs ->
+      shuffle_l vs >>= fun perm -> return (V.float 0.25 :: vs, V.float 0.25 :: perm))
+  in
+  let print (vs, _) = String.concat "; " (List.map V.to_string vs) in
+  QCheck.Test.make ~name:"float sum/avg do not depend on row order"
+    ~count:1000 (QCheck.make ~print gen)
+    (fun (vs, perm) ->
+      let same k =
+        match (Agg.apply Conv.Agg_null k vs, Agg.apply Conv.Agg_null k perm) with
+        | V.Float x, V.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+        | _ -> false
+      in
+      same Agg.Sum && same Agg.Avg)
+
 let prop_bool3_demorgan =
   let gen = QCheck.oneofl [ B3.True; B3.False; B3.Unknown ] in
   QCheck.Test.make ~name:"Kleene De Morgan" ~count:100 (QCheck.pair gen gen)
@@ -322,6 +420,8 @@ let () =
         [
           Alcotest.test_case "basic" `Quick agg_basic;
           Alcotest.test_case "distinct variants" `Quick agg_distinct;
+          Alcotest.test_case "float sums are correctly rounded" `Quick
+            agg_float_sum;
           Alcotest.test_case "empty-input convention" `Quick agg_empty_convention;
           Alcotest.test_case "names" `Quick agg_names;
         ] );
@@ -335,5 +435,9 @@ let () =
             prop_sum_append;
             prop_key_equal_is_canonical;
             prop_tuple_key_equal;
+            prop_compare_is_key_equal;
+            prop_compare_antisymmetric_keys;
+            prop_compare_transitive;
+            prop_float_agg_order;
           ] );
     ]
