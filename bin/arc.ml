@@ -935,9 +935,9 @@ let catalog_markdown () =
   print_endline "";
   print_endline
     "The bench harness also writes machine-readable per-experiment \
-     wall-times and\nper-operator counters to `BENCH_1.json`; traces of \
-     individual runs are\navailable via `arc trace` — see \
-     [docs/observability.md](docs/observability.md).";
+     wall-times and\nper-operator counters to `BENCH.json`, one record per \
+     measurement; traces of\nindividual runs are available via `arc trace` \
+     — see\n[docs/observability.md](docs/observability.md).";
   print_endline "";
   print_endline "## Guarded runs";
   print_endline "";
@@ -972,7 +972,7 @@ let catalog_markdown () =
     "`arc chaos` smoke-tests the fault-injection harness (retry \
      transparency,\ntyped exhaustion, latency injection); the \
      guarded-vs-unguarded timing\nablation is Part 6 of `dune exec \
-     bench/main.exe`, written to `BENCH_3.json`.";
+     bench/main.exe`, written to `BENCH.json`.";
   print_endline "";
   print_endline "## Engine ablation: reference evaluator vs compiled plans";
   print_endline "";
@@ -982,7 +982,7 @@ let catalog_markdown () =
      plans — see\n[docs/planner.md](docs/planner.md) and `arc explain`. \
      Part 7 of `dune exec\nbench/main.exe` checks bag-equality of the two \
      engines on its workloads and\nwrites the timing ablation to \
-     `BENCH_4.json`. Measured on this checkout\n(seed evaluator vs PR-4 \
+     `BENCH.json`. Measured on this checkout\n(seed evaluator vs the first \
      plan engine, times per run):";
   print_endline "";
   print_endline "| workload | reference | plan | speedup |";
@@ -1000,7 +1000,7 @@ let catalog_markdown () =
      reference\nenumerates scopes as cross products; the recursive chain is \
      dominated by\nfixpoint dedup/union work both engines share, so the \
      hash join there only\ntrims the per-iteration joins. Re-measure with \
-     `dune exec bench/main.exe`\n(numbers land in `BENCH_4.json`).";
+     `dune exec bench/main.exe`\n(numbers land in `BENCH.json`).";
   List.iter
     (fun (e : Arc_catalog.Catalog.entry) ->
       Printf.printf "\n## %s — %s\n\n*Paper:* %s\n\n"

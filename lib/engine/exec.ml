@@ -652,6 +652,14 @@ let fixpoint_share env id ran f =
       a.Ir.a_incl_ns <- Int64.add head0 ns;
       r
 
+(* A recursive head's rows are what its fixpoint added, the sum of its
+   deltas: [timed] alone would count only the head's own invocations (the
+   seed, or every naive round's full output), not the closure. *)
+let finish_head env id iterations =
+  with_actual env id (fun a ->
+      a.Ir.a_iterations <- iterations;
+      a.Ir.a_rows <- List.fold_left ( + ) 0 a.Ir.a_deltas)
+
 (* The naive fixpoint re-runs every definition each round until none
    grows. [current] is a set, and dedup keeps it as the prefix of [next],
    so a round changed it iff [next] is larger. *)
@@ -685,9 +693,7 @@ let naive_fixpoint env (dps : (Ir.def_plan * int) list) =
       record_round env dps t0
     end
   done;
-  List.iter
-    (fun (_, id) -> with_actual env id (fun a -> a.Ir.a_iterations <- !iterations))
-    dps
+  List.iter (fun (_, id) -> finish_head env id !iterations) dps
 
 (* The indexed seminaive fixpoint: each round evaluates only delta rules,
    and does so incrementally in three ways. One delta rule per
@@ -791,10 +797,7 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
         continue_ := false
     end
   done;
-  List.iter
-    (fun (_, id, _, _, _) ->
-      with_actual env id (fun a -> a.Ir.a_iterations <- !iterations))
-    defs;
+  List.iter (fun (_, id, _, _, _) -> finish_head env id !iterations) defs;
   List.iter (fun n -> I.idb_remove ctx (delta_name n)) component
 
 (* The fixpoint a recursive stratum runs under the context's strategy. *)

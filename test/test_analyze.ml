@@ -285,13 +285,30 @@ let metrics_export () =
 (* trace, analyze and metrics are renderings of one record: per operator,
    the rows (and hash-join build/probe/matches) summed over the rendered
    spans, over analyze_info's actuals and over export_stats's series
-   agree *)
+   agree; and a recursive head's rows are its closure, under both
+   fixpoints *)
 let views_agree () =
   List.iter
-    (fun (name, db, prog) ->
-      let ctx, _raw, optimized, _report = Exec.compile ~db prog in
+    (fun ((name, db, prog), strategy) ->
+      let name =
+        if strategy = Eval.Naive then name ^ " (naive)" else name
+      in
+      let ctx, _raw, optimized, _report = Exec.compile ~strategy ~db prog in
       let stats = Ir.fresh_stats () in
       ignore (Exec.exec_program ~stats ctx optimized);
+      List.iter
+        (fun ni ->
+          match ni.Explain.ni_actual with
+          | Some a when a.Ir.a_iterations > 0 ->
+              let closure =
+                Option.get (Eval.Internal.idb_get ctx ni.Explain.ni_def)
+              in
+              Alcotest.(check int)
+                (Printf.sprintf "%s: head %s act = closure size" name
+                   ni.Explain.ni_def)
+                (Relation.cardinality closure) a.Ir.a_rows
+          | _ -> ())
+        (Explain.analyze_info optimized ~stats);
       let rec flatten (sp : Obs.span) =
         sp :: List.concat_map flatten sp.Obs.children
       in
@@ -365,7 +382,9 @@ let views_agree () =
               (actual_sum (fun a -> a.Ir.a_matches))
           end)
         ops)
-    analyze_workloads
+    (List.concat_map
+       (fun w -> [ (w, Eval.Seminaive); (w, Eval.Naive) ])
+       analyze_workloads)
 
 let () =
   Alcotest.run "arc_analyze"
