@@ -242,8 +242,7 @@ let charge_rows env tuples =
    inputs' layouts, so the runners read bound attributes by (slot,
    column) and never by name. Rows convert to by-name environments only
    where the reference evaluator takes over: residual formulas, deferred
-   resolution, a lateral's outer environment, and the maintenance hooks'
-   [exec_pipeline].
+   resolution and a lateral's outer environment.
 
    Every runner is wrapped by [timed]: with stats on, it brackets the
    node with two clock reads and accumulates invocations / rows /
@@ -286,10 +285,41 @@ let memoized env id node =
 (* A compiled pipeline: the layout of its rows and its runner. *)
 type block = { layout : Row.layout; run : env -> Row.t array }
 
-(* A head attribute without an assignment fails on the first row that
-   needs it, as in the reference. *)
-let unassigned (head : head) a _ _ =
-  raise_kind (Err.Head_unassigned { head = head.head_name; attr = a })
+(* A disjunct's head compiled against its input's layout, for the
+   executor and for incremental maintenance alike. A head attribute
+   without an assignment fails on the first row that needs it, as in the
+   reference. *)
+let head_fns (head : head) compile assigns =
+  Array.of_list
+    (List.map
+       (fun a ->
+         match List.assoc_opt a assigns with
+         | Some t -> compile t
+         | None ->
+             fun _ _ ->
+               raise_kind
+                 (Err.Head_unassigned { head = head.head_name; attr = a }))
+       head.head_attrs)
+
+let project_head ctx head schema layout assigns : Tuple.t Row.fn =
+  let fs = head_fns head (Row.term ctx layout) assigns in
+  fun outer row ->
+    Tuple.make (Lazy.force schema) (Array.map (fun f -> f outer row) fs)
+
+(* An empty group emits only under γ∅, whose one group is the whole,
+   possibly empty, input. *)
+let aggregate_head ctx head schema layout ~keys scope_vars post assigns :
+    Tuple.t option Row.gfn =
+  let post = List.map (Row.gformula ctx layout scope_vars) post in
+  let fs = head_fns head (Row.gterm ctx layout scope_vars) assigns in
+  fun outer group ->
+    if
+      (keys <> [] && group = [])
+      || not (List.for_all (fun f -> f outer group = B3.True) post)
+    then None
+    else
+      let schema = Lazy.force schema in
+      Some (Tuple.make schema (Array.map (fun f -> f outer group) fs))
 
 let key_terms keys =
   ( List.map (fun k -> k.Ir.inner) keys,
@@ -524,35 +554,16 @@ and compile_disjunct ctx id (head : head) schema (d : Ir.disjunct_plan) :
   fun env -> timed env id List.length (fun () -> node env)
 
 and compile_disjunct_node ctx id (head : head) schema (d : Ir.disjunct_plan) =
-  let assign compile assigns a =
-    match List.assoc_opt a assigns with
-    | Some t -> compile t
-    | None -> unassigned head a
-  in
   match d with
   | Project { input; assigns } ->
       let inb = compile_block ctx (id + 1) input in
-      let fs =
-        Array.of_list
-          (List.map (assign (Row.term ctx inb.layout) assigns) head.head_attrs)
-      in
-      fun env ->
-        let rows = inb.run env in
-        let schema = Lazy.force schema in
-        Array.to_list
-          (Array.map
-             (fun row -> Tuple.make schema (Array.map (fun f -> f env.outer row) fs))
-             rows)
+      let project = project_head ctx head schema inb.layout assigns in
+      fun env -> Array.to_list (Array.map (project env.outer) (inb.run env))
   | Aggregate { input; keys; scope_vars; post; assigns } ->
       let inb = compile_block ctx (id + 1) input in
-      let l = inb.layout in
-      let key = Row.group_key ctx l keys in
-      let post = List.map (Row.gformula ctx l scope_vars) post in
-      let fs =
-        Array.of_list
-          (List.map
-             (assign (Row.gterm ctx l scope_vars) assigns)
-             head.head_attrs)
+      let key = Row.group_key ctx inb.layout keys in
+      let emit =
+        aggregate_head ctx head schema inb.layout ~keys scope_vars post assigns
       in
       fun env ->
         let rows = inb.run env in
@@ -577,13 +588,7 @@ and compile_disjunct_node ctx id (head : head) schema (d : Ir.disjunct_plan) =
             List.rev_map (fun cell -> List.rev !cell) !order
           end
         in
-        let schema = Lazy.force schema in
-        List.filter_map
-          (fun group ->
-            if List.for_all (fun f -> f outer group = B3.True) post then
-              Some (Tuple.make schema (Array.map (fun f -> f outer group) fs))
-            else None)
-          groups
+        List.filter_map (emit outer) groups
 
 and compile_coll ctx id ({ head; disjuncts } as p : Ir.coll_plan) :
     env -> Relation.t =
@@ -940,13 +945,9 @@ let run_truth ?conv ?externals ?strategy ?guard ~db prog =
 
 let hook_env ctx = { ctx; outer = []; stats = None; fix = None }
 
-(* Rows leave as by-name environments in the pipeline's layout order: one
-   variable order for every row of a pipeline. *)
-let exec_pipeline ctx (t : Ir.t) : I.benv list =
+let exec_pipeline ctx (t : Ir.t) : Row.layout * Row.t array =
   let b = compile_block ctx 0 t in
-  Array.fold_right
-    (fun row benvs -> Row.to_benv b.layout row :: benvs)
-    (b.run (hook_env ctx)) []
+  (b.layout, b.run (hook_env ctx))
 
 let exec_collection ctx (p : Ir.coll_plan) : Relation.t =
   compile_coll ctx 0 p (hook_env ctx)

@@ -111,15 +111,40 @@ val spans_of_stats :
     Raw operator entry points for {!Arc_ivm}: execute a bare pipeline, a
     collection plan, or one definition stratum against an explicit
     context (stats off), on the same block pipeline as {!exec_program}, or
-    resume a recursive stratum's fixpoint from the values it holds. *)
+    resume a recursive stratum's fixpoint from the values it holds; and
+    compile a disjunct's head as the executor does. *)
 
 val exec_pipeline :
-  Eval.Internal.ctx -> Arc_plan.Ir.t -> Eval.Internal.benv list
-(** Runs the pipeline block-at-a-time and returns its binding
-    environments: one per derivation, before projection and
-    deduplication, which is what counting-based maintenance needs. Every
-    environment binds the pipeline's variables in one order, its row
-    layout's. *)
+  Eval.Internal.ctx -> Arc_plan.Ir.t -> Row.layout * Row.t array
+(** Runs the pipeline block-at-a-time and returns its positional rows
+    with their layout: one row per derivation, before projection and
+    deduplication, which is what counting-based maintenance needs. Plans
+    that differ only in the relations their scans read have one layout. *)
+
+val project_head :
+  Eval.Internal.ctx ->
+  head ->
+  Arc_relation.Schema.t Lazy.t ->
+  Row.layout ->
+  (attr * term) list ->
+  Arc_relation.Tuple.t Row.fn
+(** A projection head's tuple for one row of the layout. A head
+    attribute without an assignment raises {!Eval.Eval_error}
+    ([Head_unassigned]) on the first row. *)
+
+val aggregate_head :
+  Eval.Internal.ctx ->
+  head ->
+  Arc_relation.Schema.t Lazy.t ->
+  Row.layout ->
+  keys:grouping ->
+  var list ->
+  formula list ->
+  (attr * term) list ->
+  Arc_relation.Tuple.t option Row.gfn
+(** An aggregate head's tuple for one group (scope variables, HAVING
+    conditions, assignments): none when HAVING does not hold, or when the
+    group is empty and [keys] is not: only γ∅ aggregates an empty input. *)
 
 val exec_collection :
   Eval.Internal.ctx -> Arc_plan.Ir.coll_plan -> Arc_relation.Relation.t
@@ -138,8 +163,10 @@ val resume_stratum_plan :
     and the naive fixpoint iterates from them directly. For a monotone
     stratum started from a subset of its least fixpoint over the current
     inputs, the result is that least fixpoint. DRed maintenance resumes
-    from the survivors of its over-delete phase. Fixpoint rounds count
-    against the context's governor as usual. *)
+    from the survivors of its over-delete phase, always on the indexed
+    fixpoint: its strata are seminaive-eligible and it runs under the
+    default seminaive strategy. Fixpoint rounds count against the
+    context's governor as usual. *)
 
 val run :
   ?conv:Arc_value.Conventions.t ->

@@ -1,5 +1,4 @@
 open Arc_core.Ast
-module B3 = Arc_value.Bool3
 module Conventions = Arc_value.Conventions
 module Relation = Arc_relation.Relation
 module Tuple = Arc_relation.Tuple
@@ -9,6 +8,7 @@ module Depend = Arc_core.Depend
 module Ir = Arc_plan.Ir
 module Eval = Arc_engine.Eval
 module Exec = Arc_engine.Exec
+module Row = Arc_engine.Row
 module I = Eval.Internal
 module Gov = Arc_guard.Gov
 module Metrics = Arc_obs.Metrics
@@ -78,17 +78,12 @@ let disjunct_blocker = function
 (* Maintenance state                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type disj_state =
-  | DProj of { assigns : (attr * term) list; input : Ir.t }
-  | DAgg of {
-      input : Ir.t;
-      keys : grouping;
-      scope_vars : var list;
-      post : formula list;
-      assigns : (attr * term) list;
-      groups : I.benv list Tuple.Key_tbl.t;  (* gkey -> support rows *)
-      outs : Tuple.t list Tuple.Key_tbl.t;  (* gkey -> emitted tuples *)
-    }
+(* The groups of an aggregate disjunct; a projection leaves them empty. *)
+type disj_state = {
+  plan : Ir.disjunct_plan;
+  groups : Row.t list Tuple.Key_tbl.t;  (* gkey -> support rows *)
+  outs : Tuple.t Tuple.Key_tbl.t;  (* gkey -> emitted tuple *)
+}
 
 type coll_state =
   | CCounting of {
@@ -132,7 +127,6 @@ type base_cache = {
 
 type t = {
   conv : Conventions.t;
-  strategy : Eval.recursion_strategy option;
   metrics : Metrics.t option;
   mutable tdb : Database.t;
   mutable tviews : view list;  (* registration order *)
@@ -157,8 +151,8 @@ type change = {
   ch_eff : (Tuple.t * int) list;
 }
 
-let create ?(conv = Conventions.sql_set) ?strategy ?metrics ~db () =
-  { conv; strategy; metrics; tdb = db; tviews = []; tbase = Hashtbl.create 16 }
+let create ?(conv = Conventions.sql_set) ?metrics ~db () =
+  { conv; metrics; tdb = db; tviews = []; tbase = Hashtbl.create 16 }
 
 let conv t = t.conv
 let db t = t.tdb
@@ -221,40 +215,13 @@ let base_cache_for t r (rel : Relation.t) =
 let rel_of_rows ~name (like : Relation.t) rows =
   Relation.make ~name (Relation.schema like) rows
 
-let project_tuple ctx schema (head : head) assigns (row : I.benv) =
-  Tuple.make schema
-    (Array.of_list
-       (List.map
-          (fun a ->
-            match List.assoc_opt a assigns with
-            | Some tm -> I.eval_term ctx row tm
-            | None ->
-                fail "head attribute %s.%s is unassigned" head.head_name a)
-          head.head_attrs))
-
-let group_key ctx (full : I.benv) keys =
-  Array.of_list
-    (List.map (fun (v, a) -> I.eval_term ctx full (Attr (v, a))) keys)
-
-(* Binding rows as sets of (variable, tuple) pairs, for exact-match
-   deletion from group support tables. Rows of one pipeline bind their
-   variables in the same order, so they compare pair by pair; rows that
-   differ in order compare sorted by variable. *)
-let benv_equal (r1 : I.benv) (r2 : I.benv) =
-  let pairwise =
-    List.equal (fun (v1, t1) (v2, t2) ->
-        String.equal v1 v2 && Tuple.equal t1 t2)
-  in
-  if List.equal (fun (v1, _) (v2, _) -> String.equal v1 v2) r1 r2 then
-    pairwise r1 r2
-  else
-    let sort = List.stable_sort (fun (a, _) (b, _) -> String.compare a b) in
-    pairwise (sort r1) (sort r2)
-
-let remove_benv rows row =
+(* Removes one copy of [row] from a group's support rows. Rows of one
+   pipeline share a layout, so they compare slot by slot. *)
+let remove_row rows row =
   let rec go = function
     | [] -> fail "maintenance state underflow: support row not found"
-    | r :: rest -> if benv_equal r row then rest else r :: go rest
+    | r :: rest ->
+        if Array.for_all2 Tuple.equal r row then rest else r :: go rest
   in
   go rows
 
@@ -292,10 +259,11 @@ let occurrence_rule rels j rename (p : Ir.coll_plan) : Ir.coll_plan =
 
 (* Signed derivation delta of a multilinear pipeline:
    Δf = Σ_j f(new_1…new_{j-1}, Δ_j, old_{j+1}…), each Δ_j split into its
-   insertion (+1) and deletion (−1) sides. Changed relations are renamed
-   per occurrence, so no scan resolves a changed name directly. *)
-let signed_rows ctx (changed : (rel_name, change) Hashtbl.t) (t : Ir.t) :
-    (I.benv * int) list =
+   insertion (+1) and deletion (−1) sides, as runs of rows with their
+   layout and sign. Changed relations are renamed per occurrence, so no
+   scan resolves a changed name directly. *)
+let signed_runs ctx (changed : (rel_name, change) Hashtbl.t) (t : Ir.t) :
+    (Row.layout * Row.t array * int) list =
   let rels = Hashtbl.fold (fun r _ acc -> r :: acc) changed [] in
   let occs = occurrence_rels_t rels t in
   let side sign rj =
@@ -317,10 +285,11 @@ let signed_rows ctx (changed : (rel_name, change) Hashtbl.t) (t : Ir.t) :
                  else Some (nm_old rel))
                t
            in
-           List.map (fun row -> (row, sign)) (Exec.exec_pipeline ctx plan)
+           let layout, rows = Exec.exec_pipeline ctx plan in
+           (layout, rows, sign)
          in
-         (if side 1 rj then [] else run 1 (nm_pos rj))
-         @ (if side (-1) rj then [] else run (-1) (nm_neg rj)))
+         (if side 1 rj then [] else [ run 1 (nm_pos rj) ])
+         @ if side (-1) rj then [] else [ run (-1) (nm_neg rj) ])
        occs)
 
 (* ------------------------------------------------------------------ *)
@@ -355,78 +324,81 @@ let fold_count conv counts out tp s =
       if c = 0 && c' > 0 then Delta.add out tp 1
       else if c > 0 && c' = 0 then Delta.add out tp (-1)
 
-let agg_outputs ctx conv out (head : head) keys scope_vars post assigns groups
-    outs gk counts =
-  let group = Option.value ~default:[] (Tuple.Key_tbl.find_opt groups gk) in
-  let old_outs = Option.value ~default:[] (Tuple.Key_tbl.find_opt outs gk) in
-  let new_outs =
-    if keys <> [] && group = [] then []
-    else
-      let rep = match group with [] -> [] | r :: _ -> r in
-      if
-        List.for_all
-          (fun f -> I.eval_gformula ctx ~rep ~group ~scope_vars f = B3.True)
-          post
-      then
-        let schema = Schema.make head.head_attrs in
-        [
-          Tuple.make schema
-            (Array.of_list
-               (List.map
-                  (fun a ->
-                    match List.assoc_opt a assigns with
-                    | Some tm ->
-                        I.eval_gterm ctx ~rep ~group ~scope_vars tm
-                    | None ->
-                        fail "head attribute %s.%s is unassigned"
-                          head.head_name a)
-                  head.head_attrs));
-        ]
-      else []
-  in
-  List.iter (fun tp -> fold_count conv counts out tp (-1)) old_outs;
-  List.iter (fun tp -> fold_count conv counts out tp 1) new_outs;
-  if keys <> [] && group = [] then begin
-    Tuple.Key_tbl.remove groups gk;
-    Tuple.Key_tbl.remove outs gk
-  end
-  else Tuple.Key_tbl.replace outs gk new_outs
+let disj_input (d : disj_state) =
+  match d.plan with Ir.Project { input; _ } | Ir.Aggregate { input; _ } -> input
+
+(* Errors of a counting collection name it, as the executor's do. *)
+let in_collection (head : head) f =
+  try f ()
+  with Eval.Eval_error e ->
+    raise (Eval.Eval_error (Arc_guard.Error.in_collection head.head_name e))
+
+(* Folds signed runs of a disjunct's pipeline into the collection's
+   derivation counts, accumulating the visible-level output delta in
+   [out]. An aggregate folds the runs into its groups' support rows and
+   re-aggregates each group whose support changed; [seed] also
+   re-aggregates the empty key's group, γ∅'s one group, which emits on an
+   empty input too. *)
+let fold_runs ctx conv head counts out ~seed d runs =
+  let schema = lazy (Schema.make head.head_attrs) in
+  match (d.plan, runs) with
+  | Ir.Project { assigns; _ }, _ ->
+      List.iter
+        (fun (layout, rows, s) ->
+          let project = Exec.project_head ctx head schema layout assigns in
+          Array.iter
+            (fun row -> fold_count conv counts out (project [] row) s)
+            rows)
+        runs
+  | Ir.Aggregate _, [] -> ()
+  | Ir.Aggregate { keys; scope_vars; post; assigns; _ }, (layout, _, _) :: _ ->
+      let dirty = Tuple.Key_tbl.create 16 in
+      if seed then Tuple.Key_tbl.replace dirty [||] ();
+      let key = Row.group_key ctx layout keys in
+      List.iter
+        (fun (_, rows, s) ->
+          Array.iter
+            (fun row ->
+              let gk = key [] row in
+              let cur =
+                Option.value ~default:[] (Tuple.Key_tbl.find_opt d.groups gk)
+              in
+              Tuple.Key_tbl.replace d.groups gk
+                (if s > 0 then row :: cur else remove_row cur row);
+              Tuple.Key_tbl.replace dirty gk ())
+            rows)
+        runs;
+      let emit =
+        Exec.aggregate_head ctx head schema layout ~keys scope_vars post assigns
+      in
+      Tuple.Key_tbl.iter
+        (fun gk () ->
+          let group =
+            Option.value ~default:[] (Tuple.Key_tbl.find_opt d.groups gk)
+          in
+          Option.iter
+            (fun tp -> fold_count conv counts out tp (-1))
+            (Tuple.Key_tbl.find_opt d.outs gk);
+          Tuple.Key_tbl.remove d.outs gk;
+          if group = [] then Tuple.Key_tbl.remove d.groups gk;
+          Option.iter
+            (fun tp ->
+              fold_count conv counts out tp 1;
+              Tuple.Key_tbl.replace d.outs gk tp)
+            (emit [] group))
+        dirty
 
 (* Initial materialization: full pipeline runs establish derivation
    counts (which collection-level dedup would destroy) and group
    support. *)
 let seed_counting ctx conv head disjs counts =
-  let scratch = Delta.create () in
-  List.iter
-    (function
-      | DProj { assigns; input } ->
-          let schema = Schema.make head.head_attrs in
-          List.iter
-            (fun row ->
-              Delta.add counts (project_tuple ctx schema head assigns row) 1)
-            (Exec.exec_pipeline ctx input)
-      | DAgg { input; keys; scope_vars; post; assigns; groups; outs } ->
-          let rows = Exec.exec_pipeline ctx input in
-          let dirty = Tuple.Key_tbl.create 16 in
-          if keys = [] then begin
-            Tuple.Key_tbl.replace groups [||] rows;
-            Tuple.Key_tbl.replace dirty [||] ()
-          end
-          else
-            List.iter
-              (fun row ->
-                let gk = group_key ctx row keys in
-                Tuple.Key_tbl.replace groups gk
-                  (Option.value ~default:[] (Tuple.Key_tbl.find_opt groups gk)
-                  @ [ row ]);
-                Tuple.Key_tbl.replace dirty gk ())
-              rows;
-          Tuple.Key_tbl.iter
-            (fun gk () ->
-              agg_outputs ctx conv scratch head keys scope_vars post assigns
-                groups outs gk counts)
-            dirty)
-    disjs;
+  in_collection head (fun () ->
+      List.iter
+        (fun d ->
+          let layout, rows = Exec.exec_pipeline ctx (disj_input d) in
+          fold_runs ctx conv head counts (Delta.create ()) ~seed:true d
+            [ (layout, rows, 1) ])
+        disjs);
   Relation.sort (visible_of_counts conv head counts)
 
 (* Returns the new visible value plus the signed output delta that got
@@ -435,35 +407,12 @@ let seed_counting ctx conv head disjs counts =
    delta (plus, for deletions, one cached-key filter pass). *)
 let maintain_counting ctx conv head disjs counts changed old_r =
   let out = Delta.create () in
-  List.iter
-    (function
-      | DProj { assigns; input } ->
-          let schema = Schema.make head.head_attrs in
-          List.iter
-            (fun (row, s) ->
-              fold_count conv counts out
-                (project_tuple ctx schema head assigns row)
-                s)
-            (signed_rows ctx changed input)
-      | DAgg { input; keys; scope_vars; post; assigns; groups; outs } ->
-          let runs = signed_rows ctx changed input in
-          let dirty = Tuple.Key_tbl.create 16 in
-          List.iter
-            (fun (row, s) ->
-              let gk = group_key ctx row keys in
-              let cur =
-                Option.value ~default:[] (Tuple.Key_tbl.find_opt groups gk)
-              in
-              Tuple.Key_tbl.replace groups gk
-                (if s > 0 then cur @ [ row ] else remove_benv cur row);
-              Tuple.Key_tbl.replace dirty gk ())
-            runs;
-          Tuple.Key_tbl.iter
-            (fun gk () ->
-              agg_outputs ctx conv out head keys scope_vars post assigns
-                groups outs gk counts)
-            dirty)
-    disjs;
+  in_collection head (fun () ->
+      List.iter
+        (fun d ->
+          fold_runs ctx conv head counts out ~seed:false d
+            (signed_runs ctx changed (disj_input d)))
+        disjs);
   let eff =
     List.sort
       (fun (a, _) (b, _) -> Tuple.compare a b)
@@ -565,33 +514,23 @@ let maintain_dred ctx defs (dps : Ir.def_plan list)
 (* ------------------------------------------------------------------ *)
 
 let classify_coll (plan : Ir.coll_plan) : coll_state =
-  let rec build acc = function
-    | [] -> Ok (List.rev acc)
-    | d :: rest -> (
-        match disjunct_blocker d with
-        | Some why -> Error why
-        | None ->
-            let st =
-              match d with
-              | Ir.Project { input; assigns } -> DProj { assigns; input }
-              | Ir.Aggregate { input; keys; scope_vars; post; assigns } ->
-                  DAgg
-                    {
-                      input;
-                      keys;
-                      scope_vars;
-                      post;
-                      assigns;
-                      groups = Tuple.Key_tbl.create 64;
-                      outs = Tuple.Key_tbl.create 64;
-                    }
-            in
-            build (st :: acc) rest)
-  in
-  match build [] plan.disjuncts with
-  | Ok disjs ->
-      CCounting { head = plan.head; plan; disjs; counts = Delta.create () }
-  | Error why -> CRecompute { plan; reason = why }
+  match List.find_map disjunct_blocker plan.disjuncts with
+  | Some why -> CRecompute { plan; reason = why }
+  | None ->
+      let state d =
+        {
+          plan = d;
+          groups = Tuple.Key_tbl.create 16;
+          outs = Tuple.Key_tbl.create 16;
+        }
+      in
+      CCounting
+        {
+          head = plan.head;
+          plan;
+          disjs = List.map state plan.disjuncts;
+          counts = Delta.create ();
+        }
 
 let coll_plan_blocker (plan : Ir.coll_plan) =
   List.fold_left
@@ -672,7 +611,7 @@ let register t ~name (prog : program) =
   | Sentence _ -> fail "sentence queries cannot be maintained as views"
   | Coll _ -> ());
   let ctx, _raw, plan, _report =
-    Exec.compile ~conv:t.conv ?strategy:t.strategy ~db:t.tdb prog
+    Exec.compile ~conv:t.conv ~db:t.tdb prog
   in
   let strata = List.map classify_stratum plan.Ir.strata in
   let main_cs, main_deps =
@@ -778,11 +717,9 @@ let maintain_coll t v ctx (cs : coll_state) changed old_r :
         Delta.to_list counts
         |> List.iter (fun (tp, n) -> Delta.add counts tp (-n));
         List.iter
-          (function
-            | DProj _ -> ()
-            | DAgg { groups; outs; _ } ->
-                Tuple.Key_tbl.reset groups;
-                Tuple.Key_tbl.reset outs)
+          (fun d ->
+            Tuple.Key_tbl.reset d.groups;
+            Tuple.Key_tbl.reset d.outs)
           disjs;
         (seed_counting ctx t.conv head disjs counts, None))
   | CRecompute { plan; reason } ->
@@ -802,7 +739,7 @@ let maintain_view t v guard changed_base =
     }
   else begin
     let ctx, _ =
-      I.prepare ~conv:t.conv ?strategy:t.strategy ?guard ~db:t.tdb v.v_prog
+      I.prepare ~conv:t.conv ?guard ~db:t.tdb v.v_prog
     in
     (* Old derived values under their natural names; as strata are
        maintained these are flipped to the new values, so downstream
@@ -904,12 +841,10 @@ let state_rows t =
         | CCounting { counts; disjs; _ } ->
             Delta.cardinality counts
             + List.fold_left
-                (fun a -> function
-                  | DProj _ -> a
-                  | DAgg { groups; _ } ->
-                      Tuple.Key_tbl.fold
-                        (fun _ rows a -> a + List.length rows)
-                        groups a)
+                (fun a d ->
+                  Tuple.Key_tbl.fold
+                    (fun _ rows a -> a + List.length rows)
+                    d.groups a)
                 0 disjs
         | CRecompute _ -> 0
       in
@@ -1024,7 +959,7 @@ let check t =
   List.filter_map
     (fun v ->
       let ctx, _, plan, _ =
-        Exec.compile ~conv:t.conv ?strategy:t.strategy ~db:t.tdb v.v_prog
+        Exec.compile ~conv:t.conv ~db:t.tdb v.v_prog
       in
       match Exec.exec_program ctx plan with
       | Eval.Truth _ -> fail "sentence queries cannot be maintained as views"

@@ -7,8 +7,9 @@
     - {b counting} — non-recursive collections whose disjunct pipelines
       use only multilinear operators (scan, product, hash join, filter,
       prune, relation-free residuals). Projections maintain a signed
-      derivation-count table; grouped aggregates persist group tables
-      (binding rows with support) and re-aggregate only dirty groups.
+      derivation-count table; grouped aggregates keep each group's
+      support, the executor's positional rows, and re-aggregate only
+      dirty groups with the executor's compiled head.
       Deltas are propagated by executing scan-substituted plans — the
       same rewrite the seminaive fixpoint uses ({!Arc_plan.Ir.subst_scan}).
     - {b DRed} — recursive strata eligible for seminaive substitution:
@@ -36,7 +37,6 @@ type t
 
 val create :
   ?conv:Arc_value.Conventions.t ->
-  ?strategy:Arc_engine.Eval.recursion_strategy ->
   ?metrics:Arc_obs.Metrics.t ->
   db:Arc_relation.Database.t ->
   unit ->

@@ -16,6 +16,8 @@ module Tuple = Arc_relation.Tuple
 module Schema = Arc_relation.Schema
 module Database = Arc_relation.Database
 module Eval = Arc_engine.Eval
+module Exec = Arc_engine.Exec
+module Ir = Arc_plan.Ir
 module Ivm = Arc_ivm.Ivm
 module Delta = Arc_ivm.Delta
 
@@ -159,6 +161,89 @@ let agg_incremental conv =
   Alcotest.(check int)
     "aggregate stays on the counting path" 0 (Ivm.fallback_total ivm)
 
+(* Aggregates over a join (a two-slot row layout), with MIN, MAX, AVG,
+   COUNT DISTINCT and HAVING, and a γ∅ view whose input is deleted down
+   to empty, where the empty group's row depends on agg_empty. *)
+let rollup_prog =
+  Arc_syntax.Parser.program_of_string
+    "{T(region, lo, hi, a, d) | exists o in O, c in C, gamma_{c.region}[o.c \
+     = c.c and T.region = c.region and T.lo = min(o.v) and T.hi = max(o.v) \
+     and T.a = avg(o.v) and T.d = count_distinct(o.v) and count(o.v) >= 2]}"
+
+let empty_prog =
+  Arc_syntax.Parser.program_of_string
+    "{E(n, t) | exists o in O, gamma_0[E.n = count(o.v) and E.t = sum(o.v)]}"
+
+let rollup_db () =
+  Database.of_list
+    [
+      ( "O",
+        Relation.of_rows [ "k"; "c"; "v" ]
+          [
+            [ i 1; i 1; i 10 ];
+            [ i 2; i 1; i 10 ];
+            [ i 3; i 2; i 5 ];
+            [ i 4; i 3; i 7 ];
+          ] );
+      ( "C",
+        Relation.of_rows [ "c"; "region" ]
+          [ [ i 1; i 1 ]; [ i 2; i 1 ]; [ i 3; i 2 ] ] );
+    ]
+
+let positional_aggregates conv =
+  let db = rollup_db () in
+  let ivm = Ivm.create ~conv ~db () in
+  Ivm.register ivm ~name:"T" rollup_prog;
+  Ivm.register ivm ~name:"E" empty_prog;
+  let o k c v = row db "O" [ i k; i c; i v ] in
+  List.iter
+    (fun batch ->
+      ignore (Ivm.apply ivm batch);
+      check_against_scratch ~conv ivm "T" rollup_prog;
+      check_against_scratch ~conv ivm "E" empty_prog)
+    [
+      (* region 2 passes HAVING; region 1's MIN and MAX move *)
+      [ ("O", [ (o 5 3 9, 1); (o 6 1 2, 1); (o 3 2 5, -1) ]) ];
+      (* a customer moves region: whole groups change support *)
+      [
+        ( "C",
+          [ (row db "C" [ i 3; i 2 ], -1); (row db "C" [ i 3; i 1 ], 1) ] );
+      ];
+      (* every order goes: the γ∅ row falls back to its empty value *)
+      [
+        ( "O",
+          [ (o 1 1 10, -1); (o 2 1 10, -1); (o 4 3 7, -1); (o 5 3 9, -1);
+            (o 6 1 2, -1) ] );
+      ];
+      [ ("O", [ (o 7 2 4, 1) ]) ];
+      [ ("O", [ (o 7 2 4, -1) ]) ];
+    ];
+  (* seeding over an empty input emits the γ∅ row too *)
+  Ivm.register ivm ~name:"E0" empty_prog;
+  check_against_scratch ~conv ivm "E0" empty_prog;
+  Alcotest.(check int)
+    (Printf.sprintf "[%s] aggregates stay on the counting path"
+       (Conventions.to_string conv))
+    0 (Ivm.fallback_total ivm)
+
+(* Counting maintenance runs scan-substituted copies of a pipeline and
+   keeps their rows as one group's support: a substituted plan has the
+   seeded pipeline's layout. *)
+let delta_plan_layout () =
+  let db = rollup_db () in
+  let db = Database.add db "O2" (Database.find db "O") in
+  let ctx, _, plan, _ = Exec.compile ~db rollup_prog in
+  match plan.Ir.main with
+  | Ir.Main_coll { disjuncts = [ Ir.Aggregate { input; _ } ]; _ } ->
+      let layout, rows = Exec.exec_pipeline ctx input in
+      let delta = Ir.subst_scans_with_t [ "O" ] (fun _ _ -> Some "O2") input in
+      let delta_layout, delta_rows = Exec.exec_pipeline ctx delta in
+      Alcotest.(check int) "two slots" 2 (Array.length layout);
+      Alcotest.(check (array string)) "same layout" layout delta_layout;
+      Alcotest.(check int)
+        "same rows" (Array.length rows) (Array.length delta_rows)
+  | _ -> Alcotest.fail "expected one aggregate disjunct"
+
 (* ------------------------------------------------------------------ *)
 (* Recursive: transitive closure under DRed                            *)
 (* ------------------------------------------------------------------ *)
@@ -229,34 +314,24 @@ let tc_incremental conv =
 (* DRed shapes: cycles, non-linear and mutual recursion                *)
 (* ------------------------------------------------------------------ *)
 
-let strategies = [ Eval.Seminaive; Eval.Naive ]
-
-let strategy_name = function
-  | Eval.Seminaive -> "seminaive"
-  | Eval.Naive -> "naive"
-
-(* Every convention × both recursion strategies: each batch must leave the
-   view bag-equal to scratch, and the recursive stratum must stay on the
-   DRed path (no fallback). Under [Naive] maintenance resumes the naive
-   fixpoint from the survivors, under [Seminaive] the indexed one. *)
+(* Every convention: each batch must leave the view bag-equal to
+   scratch, and the recursive stratum must stay on the DRed path (no
+   fallback), which resumes the indexed fixpoint from the survivors. *)
 let dred_case ~db ~prog batches () =
   List.iter
-    (fun strategy ->
+    (fun conv ->
+      let ivm = Ivm.create ~conv ~db () in
+      Ivm.register ivm ~name:"V" prog;
       List.iter
-        (fun conv ->
-          let ivm = Ivm.create ~conv ~strategy ~db () in
-          Ivm.register ivm ~name:"V" prog;
-          List.iter
-            (fun batch ->
-              ignore (Ivm.apply ivm (batch db));
-              check_against_scratch ~conv ivm "V" prog)
-            batches;
-          Alcotest.(check int)
-            (Printf.sprintf "[%s/%s] stays on the DRed path"
-               (Conventions.to_string conv) (strategy_name strategy))
-            0 (Ivm.fallback_total ivm))
-        all_convs)
-    strategies
+        (fun batch ->
+          ignore (Ivm.apply ivm (batch db));
+          check_against_scratch ~conv ivm "V" prog)
+        batches;
+      Alcotest.(check int)
+        (Printf.sprintf "[%s] stays on the DRed path"
+           (Conventions.to_string conv))
+        0 (Ivm.fallback_total ivm))
+    all_convs
 
 let edges es =
   Database.of_list
@@ -424,6 +499,32 @@ let budget_error_typed () =
   | exception Eval.Eval_error _ -> ()
   | exception e ->
       Alcotest.failf "budget trip escaped untyped: %s" (Printexc.to_string e)
+
+(* A head attribute without an assignment raises the executor's typed
+   error, naming its collection, from registration and from a batch. *)
+let unassigned_head_typed () =
+  let prog =
+    Arc_syntax.Parser.program_of_string "{Q(A, B) | exists r in R[Q.A = r.A]}"
+  in
+  let r_db rows = Database.of_list [ ("R", Relation.of_rows [ "A" ] rows) ] in
+  let expect what f =
+    match ignore (f ()) with
+    | () -> Alcotest.failf "%s: expected Eval_error" what
+    | exception
+        Eval.Eval_error
+          { kind = Arc_guard.Error.Head_unassigned { head; attr }; context } ->
+        Alcotest.(check (list string)) (what ^ ": attribute") [ "Q"; "B" ]
+          [ head; attr ];
+        Alcotest.(check (list string)) (what ^ ": context") [ "Q" ] context
+  in
+  let db = r_db [ [ i 1 ] ] in
+  expect "Exec.run" (fun () -> Exec.run ~db prog);
+  expect "register" (fun () ->
+      Ivm.register (Ivm.create ~db ()) ~name:"Q" prog);
+  let ivm = Ivm.create ~db:(r_db []) () in
+  Ivm.register ivm ~name:"Q" prog;
+  expect "apply" (fun () ->
+      Ivm.apply ivm [ ("R", [ (row db "R" [ i 1 ], 1) ]) ])
 
 (* ------------------------------------------------------------------ *)
 (* Fallback: anti-join views recompute but stay correct                *)
@@ -594,6 +695,10 @@ let () =
             (for_all_convs join_incremental);
           Alcotest.test_case "grouped aggregate, all convs" `Quick
             (for_all_convs agg_incremental);
+          Alcotest.test_case "aggregates over a join, γ∅ to empty, all convs"
+            `Quick (for_all_convs positional_aggregates);
+          Alcotest.test_case "delta plans keep the pipeline's layout" `Quick
+            delta_plan_layout;
         ] );
       ( "dred",
         [
@@ -628,5 +733,7 @@ let () =
             reserved_view_names_rejected;
           Alcotest.test_case "budget trip raises Eval_error" `Quick
             budget_error_typed;
+          Alcotest.test_case "unassigned head raises Eval_error" `Quick
+            unassigned_head_typed;
         ] );
     ]
