@@ -217,7 +217,7 @@ let grouped_db n =
 
 let ablation_rows () =
   section
-    "PART 3 — Ablations: FIO vs FOI cost, translation, parsing, recursion";
+    "PART 3 — Ablations: FIO vs FOI cost, translation, parsing";
   let fio n =
     let db = grouped_db n in
     fun () -> ignore (Eval.run_rows ~db (program Data.eq3))
@@ -243,17 +243,6 @@ let ablation_rows () =
       (grouped, 40, "FOI (eq7)", foi 40);
       (grouped, 160, "FIO (eq3)", fio 160);
       (grouped, 160, "FOI (eq7)", foi 160);
-      ( Gate.tc,
-        24,
-        "reference, naive",
-        fun () ->
-          ignore (Eval.run_rows ~strategy:Eval.Naive ~db:(chain 24) eq16) );
-      ( Gate.tc,
-        24,
-        "reference, seminaive",
-        fun () ->
-          ignore (Eval.run_rows ~strategy:Eval.Seminaive ~db:(chain 24) eq16)
-      );
       (* tracer overhead: the explicit null tracer must cost the same as
          the default (no tracer argument) path; the collecting tracer shows
          the price of a full trace *)
@@ -359,17 +348,8 @@ let traced_rows () =
     [
       ( Gate.tc,
         24,
-        "reference, naive",
-        fun tracer ->
-          ignore
-            (Eval.run_rows ~strategy:Eval.Naive ~tracer ~db:(chain 24) eq16) );
-      ( Gate.tc,
-        24,
-        "reference, seminaive",
-        fun tracer ->
-          ignore
-            (Eval.run_rows ~strategy:Eval.Seminaive ~tracer ~db:(chain 24) eq16)
-      );
+        "reference",
+        fun tracer -> ignore (Eval.run_rows ~tracer ~db:(chain 24) eq16) );
       ( grouped,
         40,
         "FIO (eq3)",

@@ -308,13 +308,13 @@ let profile_flag =
 
 (* Compile a program and run it on the plan engine with per-node actuals
    on: the one record that analyze, trace and --profile render. *)
-let plan_run ~conv ?strategy ?guard ~db prog =
+let plan_run ~conv ?guard ~db prog =
   let ctx, _raw, optimized, _report =
-    Arc_engine.Exec.compile ~conv ?strategy ?guard ~db prog
+    Arc_engine.Exec.compile ~conv ?guard ~db prog
   in
   let stats = Ir.fresh_stats () in
   let outcome = Arc_engine.Exec.exec_program ~stats ctx optimized in
-  (ctx, optimized, stats, outcome)
+  (optimized, stats, outcome)
 
 (* budget / governance flags *)
 
@@ -463,7 +463,7 @@ let eval_run lang conv engine tables profile timeout max_rows max_iterations
                 ( Arc_engine.Eval.run ~conv ~tracer ~guard ~db prog,
                   fun () -> metrics_of_spans (Obs.spans tracer) )
             | `Plan when profile ->
-                let _, optimized, stats, outcome =
+                let optimized, stats, outcome =
                   plan_run ~conv ~guard ~db prog
                 in
                 ( outcome,
@@ -521,20 +521,7 @@ let trace_out =
     & info [ "out" ] ~docv:"FILE"
         ~doc:"Write the trace to $(docv) instead of stdout ('-' is stdout).")
 
-let strategy_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("seminaive", Arc_engine.Eval.Seminaive);
-             ("naive", Arc_engine.Eval.Naive);
-           ])
-        Arc_engine.Eval.Seminaive
-    & info [ "strategy" ] ~docv:"STRATEGY"
-        ~doc:"Recursion strategy: seminaive (default) or naive.")
-
-let trace_run lang conv engine strategy fmt out tables text =
+let trace_run lang conv engine fmt out tables text =
   wrap (fun () ->
       let tables = List.map parse_table tables in
       let db = Database.of_list tables in
@@ -549,13 +536,11 @@ let trace_run lang conv engine strategy fmt out tables text =
         match engine with
         | `Reference ->
             let tracer = Obs.collector () in
-            let outcome = Arc_engine.Eval.run ~conv ~strategy ~tracer ~db prog in
+            let outcome = Arc_engine.Eval.run ~conv ~tracer ~db prog in
             (outcome, Obs.spans tracer)
         | `Plan ->
-            let ctx, optimized, stats, outcome =
-              plan_run ~conv ~strategy ~db prog
-            in
-            (outcome, Arc_engine.Exec.spans_of_stats ctx optimized stats)
+            let optimized, stats, outcome = plan_run ~conv ~db prog in
+            (outcome, Arc_engine.Exec.spans_of_stats optimized stats)
       in
       let emit = write_out ~label:"trace" out in
       match fmt with
@@ -580,8 +565,8 @@ let trace_cmd =
           conceptual evaluation strategy. SQL input is translated to ARC.")
     Term.(
       ret
-        (const trace_run $ input_lang $ conv_arg $ engine_arg $ strategy_arg
-       $ trace_fmt $ trace_out $ tables_arg $ query_arg))
+        (const trace_run $ input_lang $ conv_arg $ engine_arg $ trace_fmt
+       $ trace_out $ tables_arg $ query_arg))
 
 (* ------------------------------------------------------------------ *)
 (* explain                                                             *)
@@ -748,8 +733,7 @@ let analyze_json infos =
          Json.Obj (base @ actual))
        infos)
 
-let analyze_run lang conv strategy tables warn_q fmt out metrics_out no_stats
-    text =
+let analyze_run lang conv tables warn_q fmt out metrics_out no_stats text =
   wrap (fun () ->
       let tables = List.map parse_table tables in
       let db = Database.of_list tables in
@@ -761,7 +745,7 @@ let analyze_run lang conv strategy tables warn_q fmt out metrics_out no_stats
           tables
       in
       let prog = parse_input lang text schemas in
-      let _, optimized, stats, outcome = plan_run ~conv ~strategy ~db prog in
+      let optimized, stats, outcome = plan_run ~conv ~db prog in
       let cenv =
         if Database.analyzed db then Some (Database.stats_bindings db)
         else None
@@ -803,9 +787,9 @@ let analyze_cmd =
           metrics (Prometheus text or JSON).")
     Term.(
       ret
-        (const analyze_run $ input_lang $ conv_arg $ strategy_arg
-       $ tables_arg $ warn_q_arg $ analyze_fmt $ analyze_out
-       $ metrics_out_arg $ no_stats_flag $ query_arg))
+        (const analyze_run $ input_lang $ conv_arg $ tables_arg $ warn_q_arg
+       $ analyze_fmt $ analyze_out $ metrics_out_arg $ no_stats_flag
+       $ query_arg))
 
 (* ------------------------------------------------------------------ *)
 (* stats                                                               *)
@@ -1428,8 +1412,8 @@ let fuzz_cmd =
        ~doc:
          "Differential fuzzing: generate random validated ARC cores and \
           NULL-bearing databases, run them through the reference evaluator \
-          and the plan engine under every convention combination and both \
-          recursion strategies, round-trip them through the SQL / Datalog / \
+          and the plan engine under every convention combination, \
+          round-trip them through the SQL / Datalog / \
           TRC frontends where the fragment permits, and greedily shrink any \
           divergence into a replayable repro directory. Exits nonzero if \
           any divergence was found. See docs/fuzzing.md. With \

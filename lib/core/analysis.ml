@@ -202,7 +202,7 @@ type error =
   | Reserved_relation_name of rel_name
 
 (* Names the engine mangles into the shared relation namespace: the
-   fixpoints register "__delta__<def>" entries (Exec/Eval seminaive) and
+   plan engine's fixpoint registers "__delta__<def>" entries and
    the maintenance layer registers "__ivm__…" working relations. A user
    relation in either namespace would silently collide with them. *)
 let reserved_prefixes = [ "__delta__"; "__ivm__" ]

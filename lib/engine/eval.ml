@@ -21,11 +21,8 @@ let error_to_string = Err.to_string
 
 type outcome = Rows of Relation.t | Truth of B3.t
 
-type recursion_strategy = Naive | Seminaive
-
 type ctx = {
   conv : Conventions.t;
-  strategy : recursion_strategy;
   db : Database.t;
   idb : (string, Relation.t) Hashtbl.t;
   abstracts : (string * collection) list;
@@ -730,37 +727,12 @@ and eval_collection_raw ctx benv (c : collection) : Relation.t =
 (* Definitions: stratified least-fixed-point computation               *)
 (* ------------------------------------------------------------------ *)
 
-let rec compute_idb ctx (defs : definition list) =
-  let scc_list, adj = Arc_core.Depend.sccs defs in
-  let find_def n = List.find (fun d -> d.def_name = n) defs in
-  List.iter
-    (fun component ->
-      let recursive = Arc_core.Depend.is_recursive adj component in
-      if not recursive then
-        let d = find_def (List.hd component) in
-        Hashtbl.replace ctx.idb d.def_name (eval_collection ctx [] d.def_body)
-      else begin
-        List.iter
-          (fun n ->
-            List.iter
-              (fun (m, negative) ->
-                if negative && List.mem m component then
-                  raise_kind (Err.Unstratifiable { name = n; dep = m }))
-              (List.assoc n adj))
-          component;
-        List.iter
-          (fun n ->
-            let d = find_def n in
-            Hashtbl.replace ctx.idb n
-              (Relation.empty ~name:n d.def_body.head.head_attrs))
-          component;
-        match ctx.strategy with
-        | Naive -> naive_fixpoint ctx find_def component
-        | Seminaive -> seminaive_fixpoint ctx find_def component
-      end)
-    scc_list
-
-and naive_fixpoint ctx find_def component =
+(* The least fixed point, computed literally: every round re-evaluates
+   each definition of the stratum against the relations as they stand and
+   adds what it derives, until a round adds nothing. The plan engine's
+   delta rules are checked against this loop, not against a second copy
+   of themselves. *)
+let naive_fixpoint ctx find_def component =
   let sp = Obs.enter ctx.tracer "fixpoint:naive" in
   if Obs.enabled ctx.tracer then
     Obs.set sp "stratum" (Obs.Str (String.concat "," component));
@@ -801,128 +773,33 @@ and naive_fixpoint ctx find_def component =
   Obs.set sp "iterations" (Obs.Int !iterations);
   Obs.leave ctx.tracer sp
 
-(* Semi-naive evaluation: each round re-derives only through tuples that are
-   new since the previous round. For every occurrence of a binding to a
-   relation of the same SCC, a body variant is evaluated in which exactly
-   that occurrence ranges over the delta; the union of the variants, minus
-   the tuples already known, is the next delta. *)
-and seminaive_fixpoint ctx find_def component =
-  let delta_name n = "__delta__" ^ n in
-  (* count/substitute occurrences of component bindings, preorder *)
-  let count_occurrences body =
-    let k = ref 0 in
-    let rec walk_f = function
-      | True | Pred _ -> ()
-      | And fs | Or fs -> List.iter walk_f fs
-      | Not f -> walk_f f
-      | Exists sc ->
-          List.iter
-            (fun b ->
-              match b.source with
-              | Base m -> if List.mem m component then incr k
-              | Nested c -> walk_f c.body)
-            sc.bindings;
-          walk_f sc.body
-    in
-    walk_f body;
-    !k
-  in
-  let substitute body i =
-    let k = ref (-1) in
-    let rec walk_f f =
-      match f with
-      | True | Pred _ -> f
-      | And fs -> And (List.map walk_f fs)
-      | Or fs -> Or (List.map walk_f fs)
-      | Not f -> Not (walk_f f)
-      | Exists sc ->
-          let bindings =
-            List.map
-              (fun b ->
-                match b.source with
-                | Base m when List.mem m component ->
-                    incr k;
-                    if !k = i then { b with source = Base (delta_name m) }
-                    else b
-                | Base _ -> b
-                | Nested c ->
-                    { b with source = Nested { c with body = walk_f c.body } })
-              sc.bindings
-          in
-          Exists { sc with bindings; body = walk_f sc.body }
-    in
-    walk_f body
-  in
-  let sp = Obs.enter ctx.tracer "fixpoint:seminaive" in
-  if Obs.enabled ctx.tracer then
-    Obs.set sp "stratum" (Obs.Str (String.concat "," component));
-  (* round 0: recursive refs are empty, the plain evaluation seeds delta *)
-  let ssp = Obs.enter ctx.tracer "seed" in
+let compute_idb ctx (defs : definition list) =
+  let scc_list, adj = Arc_core.Depend.sccs defs in
+  let find_def n = List.find (fun d -> d.def_name = n) defs in
   List.iter
-    (fun n ->
-      let d = find_def n in
-      let seed = Relation.dedup (eval_collection ctx [] d.def_body) in
-      Hashtbl.replace ctx.idb n seed;
-      Hashtbl.replace ctx.idb (delta_name n) seed;
-      if Obs.enabled ctx.tracer then
-        Obs.set ssp ("delta:" ^ n) (Obs.Int (Relation.cardinality seed)))
-    component;
-  Obs.leave ctx.tracer ssp;
-  let iterations = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    incr iterations;
-    Gov.tick ctx.gov;
-    if
-      (not (Gov.iteration_allowed ctx.gov !iterations))
-      || Gov.stopped ctx.gov
-    then continue_ := false
-    else begin
-    let isp = Obs.enter ctx.tracer "iteration" in
-    let new_deltas =
-      List.map
-        (fun n ->
-          let d = find_def n in
-          let occurrences = count_occurrences d.def_body.body in
-          let derived =
-            List.init occurrences (fun i ->
-                eval_collection ctx []
-                  { d.def_body with body = substitute d.def_body.body i })
-          in
-          let full = Hashtbl.find ctx.idb n in
-          let fresh =
-            List.fold_left
-              (fun acc r ->
-                Relation.union acc
-                  (Relation.minus (Relation.dedup r) full))
-              (Relation.empty ~name:n d.def_body.head.head_attrs)
-              derived
-          in
-          (n, Relation.dedup fresh))
-        component
-    in
-    (* commit all deltas simultaneously *)
-    List.iter
-      (fun (n, fresh) ->
-        Hashtbl.replace ctx.idb n
-          (Relation.dedup (Relation.union (Hashtbl.find ctx.idb n) fresh)))
-      new_deltas;
-    List.iter
-      (fun (n, fresh) -> Hashtbl.replace ctx.idb (delta_name n) fresh)
-      new_deltas;
-    if Obs.enabled ctx.tracer then
-      List.iter
-        (fun (n, fresh) ->
-          Obs.set isp ("delta:" ^ n) (Obs.Int (Relation.cardinality fresh)))
-        new_deltas;
-    Obs.leave ctx.tracer isp;
-    if List.for_all (fun (_, fresh) -> Relation.is_empty fresh) new_deltas
-    then continue_ := false
-    end
-  done;
-  Obs.set sp "iterations" (Obs.Int !iterations);
-  Obs.leave ctx.tracer sp;
-  List.iter (fun n -> Hashtbl.remove ctx.idb (delta_name n)) component
+    (fun component ->
+      let recursive = Arc_core.Depend.is_recursive adj component in
+      if not recursive then
+        let d = find_def (List.hd component) in
+        Hashtbl.replace ctx.idb d.def_name (eval_collection ctx [] d.def_body)
+      else begin
+        List.iter
+          (fun n ->
+            List.iter
+              (fun (m, negative) ->
+                if negative && List.mem m component then
+                  raise_kind (Err.Unstratifiable { name = n; dep = m }))
+              (List.assoc n adj))
+          component;
+        List.iter
+          (fun n ->
+            let d = find_def n in
+            Hashtbl.replace ctx.idb n
+              (Relation.empty ~name:n d.def_body.head.head_attrs))
+          component;
+        naive_fixpoint ctx find_def component
+      end)
+    scc_list
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
@@ -932,7 +809,7 @@ and seminaive_fixpoint ctx find_def component =
    caller decides how the safe definitions are materialized (the reference
    fixpoint below, or the plan executor via [Internal]). *)
 let prepare ?(conv = Conventions.sql_set) ?(externals = Externals.standard)
-    ?(strategy = Seminaive) ?(tracer = Obs.null) ?guard ~db (prog : program) =
+    ?(tracer = Obs.null) ?guard ~db (prog : program) =
   let gov = match guard with Some g -> g | None -> Gov.default () in
   let aenv =
     Analysis.env
@@ -954,7 +831,6 @@ let prepare ?(conv = Conventions.sql_set) ?(externals = Externals.standard)
   let ctx =
     {
       conv;
-      strategy;
       db;
       idb = Hashtbl.create 16;
       abstracts = List.map (fun d -> (d.def_name, d.def_body)) unsafe;
@@ -967,8 +843,8 @@ let prepare ?(conv = Conventions.sql_set) ?(externals = Externals.standard)
   in
   (ctx, safe)
 
-let make_ctx ?conv ?externals ?strategy ?tracer ?guard ~db (prog : program) =
-  let ctx, safe = prepare ?conv ?externals ?strategy ?tracer ?guard ~db prog in
+let make_ctx ?conv ?externals ?tracer ?guard ~db (prog : program) =
+  let ctx, safe = prepare ?conv ?externals ?tracer ?guard ~db prog in
   let tracer = ctx.tracer in
   if safe <> [] then begin
     let sp = Obs.enter tracer "definitions" in
@@ -982,9 +858,9 @@ let make_ctx ?conv ?externals ?strategy ?tracer ?guard ~db (prog : program) =
   end;
   ctx
 
-let run ?conv ?externals ?strategy ?tracer ?guard ~db (prog : program) =
+let run ?conv ?externals ?tracer ?guard ~db (prog : program) =
   try
-    let ctx = make_ctx ?conv ?externals ?strategy ?tracer ?guard ~db prog in
+    let ctx = make_ctx ?conv ?externals ?tracer ?guard ~db prog in
     match prog.main with
     | Coll c -> Rows (eval_collection ctx [] c)
     | Sentence f -> Truth (eval_formula ctx [] f)
@@ -994,13 +870,13 @@ let run ?conv ?externals ?strategy ?tracer ?guard ~db (prog : program) =
       (* ill-typed data meets an operator: a typed failure, not a crash *)
       raise (Eval_error { Err.kind = Err.Msg ("type error: " ^ m); context = [] })
 
-let run_rows ?conv ?externals ?strategy ?tracer ?guard ~db prog =
-  match run ?conv ?externals ?strategy ?tracer ?guard ~db prog with
+let run_rows ?conv ?externals ?tracer ?guard ~db prog =
+  match run ?conv ?externals ?tracer ?guard ~db prog with
   | Rows r -> r
   | Truth _ -> fail "expected a collection result, got a sentence"
 
-let run_truth ?conv ?externals ?strategy ?tracer ?guard ~db prog =
-  match run ?conv ?externals ?strategy ?tracer ?guard ~db prog with
+let run_truth ?conv ?externals ?tracer ?guard ~db prog =
+  match run ?conv ?externals ?tracer ?guard ~db prog with
   | Truth t -> t
   | Rows _ -> fail "expected a sentence result, got a collection"
 
@@ -1017,7 +893,6 @@ module Internal = struct
 
   let prepare = prepare
   let conv ctx = ctx.conv
-  let strategy ctx = ctx.strategy
   let gov ctx = ctx.gov
   let db ctx = ctx.db
   let idb_set ctx name r = Hashtbl.replace ctx.idb name r

@@ -33,12 +33,6 @@ exception Eval_error of Arc_guard.Error.t
 val error_to_string : Arc_guard.Error.t -> string
 (** Alias of {!Arc_guard.Error.to_string}. *)
 
-type recursion_strategy =
-  | Naive  (** re-derive everything each round *)
-  | Seminaive
-      (** re-derive only through last round's new tuples (the default);
-          identical results, asymptotically fewer re-derivations *)
-
 type outcome =
   | Rows of Arc_relation.Relation.t
   | Truth of Arc_value.Bool3.t  (** For [Sentence] queries (Fig 9). *)
@@ -46,14 +40,14 @@ type outcome =
 val run :
   ?conv:Arc_value.Conventions.t ->
   ?externals:Externals.impl list ->
-  ?strategy:recursion_strategy ->
   ?tracer:Arc_obs.Obs.t ->
   ?guard:Arc_guard.Gov.t ->
   db:Arc_relation.Database.t ->
   program ->
   outcome
 (** Evaluates a program: computes safe (intensional) definitions bottom-up —
-    recursive ones by least fixed point under set semantics, with a
+    recursive ones by least fixed point under set semantics, iterated
+    naively (each round re-evaluates the whole definition), with a
     stratification check — registers unsafe (abstract) definitions for
     in-context membership resolution, then evaluates the main query.
     Defaults: [conv = Conventions.sql_set], [externals = Externals.standard].
@@ -63,8 +57,8 @@ val run :
     ([bindings], [deferred], [rows_out], [tuples_scanned]), [join]
     ([candidates], [survivors], [rows_out]), [deferred] ([resolutions]),
     [group] ([rows_in], [keys], [buckets]), and per-stratum
-    [fixpoint:naive] / [fixpoint:seminaive] spans whose [iteration]
-    children carry [delta:<relation>] sizes. Tracing never changes
+    [fixpoint:naive] spans whose [iteration] children carry
+    [delta:<relation>] sizes. Tracing never changes
     results.
 
     [guard] (default {!Arc_guard.Gov.default}, seed-equivalent) enforces
@@ -84,7 +78,6 @@ val run :
 val run_rows :
   ?conv:Arc_value.Conventions.t ->
   ?externals:Externals.impl list ->
-  ?strategy:recursion_strategy ->
   ?tracer:Arc_obs.Obs.t ->
   ?guard:Arc_guard.Gov.t ->
   db:Arc_relation.Database.t ->
@@ -96,7 +89,6 @@ val run_rows :
 val run_truth :
   ?conv:Arc_value.Conventions.t ->
   ?externals:Externals.impl list ->
-  ?strategy:recursion_strategy ->
   ?tracer:Arc_obs.Obs.t ->
   ?guard:Arc_guard.Gov.t ->
   db:Arc_relation.Database.t ->
@@ -128,8 +120,7 @@ module Internal : sig
   val prepare :
     ?conv:Arc_value.Conventions.t ->
     ?externals:Externals.impl list ->
-    ?strategy:recursion_strategy ->
-    ?tracer:Arc_obs.Obs.t ->
+      ?tracer:Arc_obs.Obs.t ->
     ?guard:Arc_guard.Gov.t ->
     db:Arc_relation.Database.t ->
     program ->
@@ -139,7 +130,6 @@ module Internal : sig
       must materialize (in dependency order). *)
 
   val conv : ctx -> Arc_value.Conventions.t
-  val strategy : ctx -> recursion_strategy
   val gov : ctx -> Arc_guard.Gov.t
   val db : ctx -> Arc_relation.Database.t
   val idb_set : ctx -> rel_name -> Arc_relation.Relation.t -> unit

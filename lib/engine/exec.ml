@@ -31,7 +31,7 @@ let raise_kind kind = raise (Eval_error (Err.make kind))
 (* Fixpoint index caches                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Persistent per-delta-rule state for the indexed seminaive fixpoint.
+(* Persistent per-delta-rule state for a seminaive stratum's fixpoint.
    [fc_stable] marks the maximal subtrees of the rule's plan that scan
    neither the recursive component nor its __delta__ relations: their
    result cannot change between rounds, so [fc_rows] memoizes it on first
@@ -50,8 +50,8 @@ type fix_cache = {
    (laterals, subqueries, deferred resolution) are conservatively treated
    as unstable — they may evaluate under a different outer row each time.
    Residual formulas and filters cannot reference the component at all
-   here: [Ir.seminaive_eligible] rejects opaque component references
-   before a stratum ever reaches the seminaive path. *)
+   here: a stratum with such opaque references fails
+   [Ir.seminaive_eligible], and its rules run without a cache. *)
 let rec stable_subtree banned (t : Ir.t) =
   match t with
   | Ir.One -> true
@@ -122,8 +122,8 @@ let make_fix_cache banned did (d : Ir.disjunct_plan) =
 (* [stats] is the EXPLAIN ANALYZE sink: when present, every operator
    records per-node actuals keyed by the stable ids of [Ir.program_ids].
    When absent the executor takes a branch per node and nothing else.
-   [fix] is only set while executing a delta rule inside the indexed
-   seminaive fixpoint. [outer] is the enclosing by-name environment: a
+   [fix] is only set while executing a delta rule of a seminaive
+   stratum's fixpoint. [outer] is the enclosing by-name environment: a
    lateral's input row, empty for top-level pipelines. *)
 type env = {
   ctx : I.ctx;
@@ -615,13 +615,13 @@ and compile_coll ctx id ({ head; disjuncts } as p : Ir.coll_plan) :
           | Conventions.Bag -> r)
 
 (* ------------------------------------------------------------------ *)
-(* Recursive strata: hash-based fixpoints over plans                   *)
+(* Recursive strata: the hash-based fixpoint over plans               *)
 (* ------------------------------------------------------------------ *)
 
 (* The delta-substitution helpers ([delta_name], [count_scans_coll],
    [subst_scan], [opaque_refs_coll], [seminaive_eligible]) live in
    [Arc_plan.Ir] so the incremental maintenance layer (Arc_ivm) shares
-   them with the fixpoints below. *)
+   them with the fixpoint below. *)
 let delta_name = Ir.delta_name
 
 (* Appends the wall-clock of one fixpoint round, begun at [t0], to every
@@ -659,63 +659,40 @@ let fixpoint_share env id ran f =
 
 (* A recursive head's rows are what its fixpoint added, the sum of its
    deltas: [timed] alone would count only the head's own invocations (the
-   seed, or every naive round's full output), not the closure. *)
+   seed), not the closure. *)
 let finish_head env id iterations =
   with_actual env id (fun a ->
       a.Ir.a_iterations <- iterations;
       a.Ir.a_rows <- List.fold_left ( + ) 0 a.Ir.a_deltas)
 
-(* The naive fixpoint re-runs every definition each round until none
-   grows. [current] is a set, and dedup keeps it as the prefix of [next],
-   so a round changed it iff [next] is larger. *)
-let naive_fixpoint env (dps : (Ir.def_plan * int) list) =
-  let ctx = env.ctx in
-  let colls =
-    List.map (fun (dp, id) -> compile_coll ctx id dp.Ir.dplan) dps
-  in
-  let changed = ref true in
-  let iterations = ref 0 in
-  while !changed do
-    incr iterations;
-    Gov.tick (gov env);
-    changed := false;
-    if Gov.iteration_allowed (gov env) !iterations && not (Gov.stopped (gov env))
-    then begin
-      let t0 = clock () in
-      List.iter2
-        (fun (dp, id) coll ->
-          fixpoint_share env id [ id ] @@ fun () ->
-          let n = dp.Ir.dname in
-          let current = Option.get (I.idb_get ctx n) in
-          let next = Relation.dedup (Relation.union current (coll env)) in
-          let delta = Relation.cardinality next - Relation.cardinality current in
-          with_actual env id (fun a -> a.Ir.a_deltas <- delta :: a.Ir.a_deltas);
-          if delta <> 0 then begin
-            I.idb_set ctx n next;
-            changed := true
-          end)
-        dps colls;
-      record_round env dps t0
-    end
-  done;
-  List.iter (fun (_, id) -> finish_head env id !iterations) dps
+(* The fixpoint a recursive stratum runs, an observable property of its
+   plans: delta rules when every component reference is a plan scan
+   ([Ir.seminaive_eligible]), whole-definition rules otherwise. *)
+let fixpoint_kind (dps : Ir.def_plan list) =
+  if Ir.seminaive_eligible (List.map (fun d -> d.Ir.dname) dps) dps then
+    `Seminaive
+  else `Naive
 
-(* The indexed seminaive fixpoint: each round evaluates only delta rules,
-   and does so incrementally in three ways. One delta rule per
-   component-scan occurrence, restricted to the single disjunct that
-   contains the occurrence — the other disjuncts are independent of that
-   delta and are skipped instead of re-run every round. Per-rule caches
-   ([fix_cache]) memoize every component-free subtree and keep hash-join
-   build tables alive across rounds, so the stable side of a delta join
-   is built once and only probed thereafter. And a per-definition seen-set
-   of tuples ([Tuple.Tbl]) replaces the per-round dedup/minus against the
-   accumulated relation, so per-round cost tracks the delta, not the
-   closure: the union that accumulates a round's delta appends it in
-   place. Budgets charge a tick plus a row charge per rule run and check
-   iterations once per round. *)
-let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
-    =
+(* The indexed fixpoint. Round 0, the seed, runs every definition whole;
+   each later round runs only the definition's rules, and a
+   per-definition seen-set of tuples ([Tuple.Tbl]) replaces the per-round
+   dedup/minus against the accumulated relation: the union that
+   accumulates a round's delta appends it in place, and all definitions
+   of a round commit together. The rules are chosen by [fixpoint_kind].
+   A seminaive stratum runs one delta rule per component-scan occurrence,
+   restricted to the single disjunct that contains the occurrence (the
+   other disjuncts do not read that delta), with a per-rule cache
+   ([fix_cache]) that memoizes every component-free subtree and keeps
+   hash-join build tables alive across rounds, so the stable side of a
+   delta join is built once and only probed thereafter: per-round cost
+   tracks the delta, not the closure. A naive stratum hides a component
+   reference in a formula the plan cannot substitute, so it runs one rule
+   per disjunct that re-runs the whole definition, uncached:
+   [stable_subtree] cannot see such references. Budgets charge a tick
+   plus a row charge per rule run and check iterations once per round. *)
+let indexed_fixpoint env component (dps : (Ir.def_plan * int) list) =
   let ctx = env.ctx in
+  let seminaive = fixpoint_kind (List.map fst dps) = `Seminaive in
   let banned = component @ List.map delta_name component in
   let t0 = clock () in
   let defs =
@@ -742,15 +719,20 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
         with_actual env id (fun a ->
             a.Ir.a_deltas <- Relation.cardinality delta :: a.Ir.a_deltas);
         let dids = Ir.coll_child_ids id dp.Ir.dplan in
-        let occurrences = Ir.count_scans_coll component dp.Ir.dplan in
+        let rule did d fix =
+          (compile_disjunct ctx did head (Lazy.from_val schema) d, did, fix)
+        in
         let rules =
-          List.init occurrences (fun i ->
-              let subst = (Ir.subst_scan component i dp.Ir.dplan).disjuncts in
-              let d = Ir.occurrence_disjunct component i dp.Ir.dplan in
-              let sd = List.nth subst d and did = List.nth dids d in
-              ( compile_disjunct ctx did head (Lazy.from_val schema) sd,
-                did,
-                make_fix_cache banned did sd ))
+          if seminaive then
+            List.init (Ir.count_scans_coll component dp.Ir.dplan) (fun i ->
+                let subst = (Ir.subst_scan component i dp.Ir.dplan).disjuncts in
+                let d = Ir.occurrence_disjunct component i dp.Ir.dplan in
+                let sd = List.nth subst d and did = List.nth dids d in
+                rule did sd (Some (make_fix_cache banned did sd)))
+          else
+            List.map2
+              (fun did d -> rule did d None)
+              dids dp.Ir.dplan.disjuncts
         in
         (n, id, schema, rules, seen))
       dps
@@ -774,11 +756,11 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
             @@ fun () ->
             let fresh = ref [] in
             List.iter
-              (fun (rule, _, fc) ->
+              (fun (rule, _, fix) ->
                 Gov.tick (gov env);
                 if Gov.enter_collection (gov env) then
                   in_collection env n (fun () ->
-                      charge_rows env (rule { env with fix = Some fc }))
+                      charge_rows env (rule { env with fix }))
                   |> List.iter (fun tp ->
                          if Tuple.add_unseen seen tp then
                            fresh := tp :: !fresh))
@@ -805,14 +787,6 @@ let indexed_seminaive_fixpoint env component (dps : (Ir.def_plan * int) list)
   List.iter (fun (_, id, _, _, _) -> finish_head env id !iterations) defs;
   List.iter (fun n -> I.idb_remove ctx (delta_name n)) component
 
-(* The fixpoint a recursive stratum runs under the context's strategy. *)
-let fixpoint_kind ctx (dps : Ir.def_plan list) =
-  match I.strategy ctx with
-  | Eval.Seminaive
-    when Ir.seminaive_eligible (List.map (fun d -> d.Ir.dname) dps) dps ->
-      `Seminaive
-  | _ -> `Naive
-
 (* Runs a recursive stratum's fixpoint from its definitions' current IDB
    values. [base] is the id of the stratum's first definition;
    consecutive definitions follow at offsets of [Ir.size_coll], mirroring
@@ -836,9 +810,7 @@ let run_fixpoint env base (dps : Ir.def_plan list) =
             raise_kind (Err.Unstratifiable { name = dp.Ir.dname; dep = m }))
         (Depend.collection_deps dp.Ir.dcoll))
     dps;
-  match fixpoint_kind env.ctx dps with
-  | `Seminaive -> indexed_seminaive_fixpoint env component dps_ids
-  | `Naive -> naive_fixpoint env dps_ids
+  indexed_fixpoint env component dps_ids
 
 (* Install empty component relations, then run the fixpoint from them. *)
 let exec_stratum env base (s : Ir.stratum) =
@@ -860,12 +832,12 @@ let exec_stratum env base (s : Ir.stratum) =
 
 (* The AST-level front of [compile]: magic sets, validation and the
    lowering environment. *)
-let front ?conv ?externals ?strategy ?guard ~db (prog : program) =
+let front ?conv ?externals ?guard ~db (prog : program) =
   (* goal-directed recursion: restrict recursive definitions to the
      constants the main query demands (AST-level, before validation, so
      the magic relation is prepared and stratified like any other def) *)
   let prog, magic_changed = Opt.magic_sets prog in
-  let ctx, safe = I.prepare ?conv ?externals ?strategy ?guard ~db prog in
+  let ctx, safe = I.prepare ?conv ?externals ?guard ~db prog in
   let lenv =
     Lower.env_of_db ~db ~defs:(List.map (fun d -> d.def_name) safe)
   in
@@ -874,9 +846,9 @@ let front ?conv ?externals ?strategy ?guard ~db (prog : program) =
 (* Lower and optimize a program against a database: returns the context
    (with abstracts registered, IDB empty), the raw and optimized plans, and
    the per-pass change report. *)
-let compile ?conv ?externals ?strategy ?guard ~db (prog : program) =
+let compile ?conv ?externals ?guard ~db (prog : program) =
   let prog, magic_changed, ctx, safe, lenv =
-    front ?conv ?externals ?strategy ?guard ~db prog
+    front ?conv ?externals ?guard ~db prog
   in
   let raw =
     try Lower.lower_program lenv ~safe prog
@@ -915,22 +887,22 @@ let exec_program ?stats ctx (pp : Ir.program_plan) : Eval.outcome =
   | Err.Guard_error e -> raise (Eval_error e)
   | V.Type_error m -> raise (Eval_error { Err.kind = Err.Msg ("type error: " ^ m); context = [] })
 
-let run ?conv ?externals ?strategy ?guard ~db (prog : program) =
+let run ?conv ?externals ?guard ~db (prog : program) =
   try
     let ctx, _, optimized, _ =
-      compile ?conv ?externals ?strategy ?guard ~db prog
+      compile ?conv ?externals ?guard ~db prog
     in
     exec_program ctx optimized
   with V.Type_error m -> raise (Eval_error { Err.kind = Err.Msg ("type error: " ^ m); context = [] })
 
-let run_rows ?conv ?externals ?strategy ?guard ~db prog =
-  match run ?conv ?externals ?strategy ?guard ~db prog with
+let run_rows ?conv ?externals ?guard ~db prog =
+  match run ?conv ?externals ?guard ~db prog with
   | Eval.Rows r -> r
   | Eval.Truth _ ->
       raise_kind (Err.Msg "expected a collection result, got a sentence")
 
-let run_truth ?conv ?externals ?strategy ?guard ~db prog =
-  match run ?conv ?externals ?strategy ?guard ~db prog with
+let run_truth ?conv ?externals ?guard ~db prog =
+  match run ?conv ?externals ?guard ~db prog with
   | Eval.Truth t -> t
   | Eval.Rows _ ->
       raise_kind (Err.Msg "expected a sentence result, got a collection")
@@ -997,7 +969,7 @@ let export_stats (m : Metrics.t) (pp : Ir.program_plan) (stats : Ir.stats) =
    its duration to cover them (seminaive delta rules run a head's
    disjuncts outside the head). Spans are built as placers awaiting their
    parent and start; ids are preorder, so parents precede children. *)
-let spans_of_stats ctx (pp : Ir.program_plan) (stats : Ir.stats) =
+let spans_of_stats (pp : Ir.program_plan) (stats : Ir.stats) =
   let next_id = ref 0 in
   let rec lay parent start = function
     | [] -> []
@@ -1063,10 +1035,9 @@ let spans_of_stats ctx (pp : Ir.program_plan) (stats : Ir.stats) =
     match heads with
     | [] -> []
     | (_, _, a) :: _ ->
-        let kind = fixpoint_kind ctx dps in
         let round i ns =
           span
-            (if i = 0 && kind = `Seminaive then "seed" else "iteration")
+            (if i = 0 then "seed" else "iteration")
             (List.filter_map
                (fun (n, deltas, _) ->
                  Option.map
@@ -1077,8 +1048,9 @@ let spans_of_stats ctx (pp : Ir.program_plan) (stats : Ir.stats) =
         in
         [
           span
-            (if kind = `Seminaive then "fixpoint:seminaive"
-             else "fixpoint:naive")
+            (match fixpoint_kind dps with
+            | `Seminaive -> "fixpoint:seminaive"
+            | `Naive -> "fixpoint:naive")
             [
               ( "stratum",
                 Obs.Str

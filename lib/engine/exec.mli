@@ -13,7 +13,6 @@ open Arc_core.Ast
 val compile :
   ?conv:Arc_value.Conventions.t ->
   ?externals:Externals.impl list ->
-  ?strategy:Eval.recursion_strategy ->
   ?guard:Arc_guard.Gov.t ->
   db:Arc_relation.Database.t ->
   program ->
@@ -47,24 +46,26 @@ val exec_program :
   Arc_plan.Ir.program_plan ->
   Eval.outcome
 (** Execute a compiled plan: materializes definition strata into the
-    context's IDB (hash-based naive or seminaive fixpoints for recursive
-    strata), then runs the main plan. Raises {!Eval.Eval_error} like the
+    context's IDB (the indexed fixpoint for recursive strata), then runs
+    the main plan. Raises {!Eval.Eval_error} like the
     reference evaluator.
 
     Operators run block-at-a-time: they work on row arrays with amortized
     governor probes, typed hash keys ({!Arc_relation.Tuple.Key_tbl}
     over the key terms' values), and constant-time group appends.
 
-    Recursive strata run the seminaive fixpoint when the strategy is
-    seminaive and the stratum passes {!Arc_plan.Ir.seminaive_eligible},
-    and the naive fixpoint otherwise. The seminaive fixpoint is indexed:
-    it runs one delta rule per component-scan occurrence with persistent
-    caches — hash-join build tables and component-free subtree results
-    survive across rounds, and a seen-set of tuples
-    ({!Arc_relation.Tuple.Tbl}) replaces per-round dedup/diff. Each round
-    appends its delta to the accumulated relation in place
-    ({!Arc_relation.Relation.union}), so a round costs O(delta), not
-    O(closure).
+    A recursive stratum runs one fixpoint loop: a seed round evaluates
+    every definition whole, then each round runs the stratum's rules, a
+    seen-set of tuples ({!Arc_relation.Tuple.Tbl}) replaces per-round
+    dedup/diff, and the round's delta is appended to the accumulated
+    relation in place ({!Arc_relation.Relation.union}). The rules depend
+    on the stratum. One that passes {!Arc_plan.Ir.seminaive_eligible}
+    runs one delta rule per component-scan occurrence with persistent
+    caches (hash-join build tables and component-free subtree results
+    survive across rounds), so a round costs O(delta), not O(closure);
+    its trace span is [fixpoint:seminaive]. One that hides a component
+    reference in a formula runs its whole definition every round,
+    uncached; its span is [fixpoint:naive].
 
     When [stats] is given, every operator additionally records per-node
     actuals (invocations, rows emitted, inclusive wall-clock, hash
@@ -93,7 +94,6 @@ val export_stats :
     time). *)
 
 val spans_of_stats :
-  Eval.Internal.ctx ->
   Arc_plan.Ir.program_plan ->
   Arc_plan.Ir.stats ->
   Arc_obs.Obs.span list
@@ -103,7 +103,8 @@ val spans_of_stats :
     [build], [probe], [matches] on hash and semi/anti joins;
     [fixpoint_ns] on a recursive head). Each
     recursive stratum is preceded by a [fixpoint:seminaive|naive] span
-    whose [seed] and [iteration] children last one round each and carry
+    (delta rules or whole-definition rules, see {!exec_program}) whose
+    [seed] and [iteration] children last one round each and carry
     [delta:<name>]. *)
 
 (** {1 Incremental-maintenance hooks}
@@ -151,27 +152,24 @@ val exec_collection :
 
 val exec_stratum_plan : Eval.Internal.ctx -> Arc_plan.Ir.stratum -> unit
 (** Materializes the stratum's definitions into the context's IDB,
-    running the naive or indexed seminaive fixpoint for recursive strata
-    (with the same stratification check as {!exec_program}). *)
+    running the indexed fixpoint for recursive strata (with the same
+    stratification check as {!exec_program}). *)
 
 val resume_stratum_plan :
   Eval.Internal.ctx -> Arc_plan.Ir.def_plan list -> unit
 (** Runs a recursive component's fixpoint, exactly as
     {!exec_stratum_plan} does, but from the definitions' current IDB values
-    instead of from empty: those values seed the indexed fixpoint's
-    seen-set (its first delta is the first rule application minus them),
-    and the naive fixpoint iterates from them directly. For a monotone
-    stratum started from a subset of its least fixpoint over the current
-    inputs, the result is that least fixpoint. DRed maintenance resumes
-    from the survivors of its over-delete phase, always on the indexed
-    fixpoint: its strata are seminaive-eligible and it runs under the
-    default seminaive strategy. Fixpoint rounds count against the
-    context's governor as usual. *)
+    instead of from empty: those values seed the fixpoint's seen-set (its
+    first delta is the seed round minus them). For a monotone stratum
+    started from a subset of its least fixpoint over the current inputs,
+    the result is that least fixpoint. DRed maintenance resumes from the
+    survivors of its over-delete phase, always on delta rules: its strata
+    are seminaive-eligible. Fixpoint rounds count against the context's
+    governor as usual. *)
 
 val run :
   ?conv:Arc_value.Conventions.t ->
   ?externals:Externals.impl list ->
-  ?strategy:Eval.recursion_strategy ->
   ?guard:Arc_guard.Gov.t ->
   db:Arc_relation.Database.t ->
   program ->
@@ -181,7 +179,6 @@ val run :
 val run_rows :
   ?conv:Arc_value.Conventions.t ->
   ?externals:Externals.impl list ->
-  ?strategy:Eval.recursion_strategy ->
   ?guard:Arc_guard.Gov.t ->
   db:Arc_relation.Database.t ->
   program ->
@@ -190,7 +187,6 @@ val run_rows :
 val run_truth :
   ?conv:Arc_value.Conventions.t ->
   ?externals:Externals.impl list ->
-  ?strategy:Eval.recursion_strategy ->
   ?guard:Arc_guard.Gov.t ->
   db:Arc_relation.Database.t ->
   program ->

@@ -1,6 +1,6 @@
 (** One differential-testing case: an ARC program plus the database it runs
-    against. Conventions and strategies are not part of the case — the
-    oracle sweeps all of them. *)
+    against. Conventions are not part of the case — the oracle sweeps all
+    of them. *)
 
 type t = {
   prog : Arc_core.Ast.program;

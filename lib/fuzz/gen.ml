@@ -408,15 +408,35 @@ let gen_recursive_def st tables =
             B.eq (B.attr "T" "y") (B.attr "e" c1) ]
          @ guard))
   in
+  (* about 1 step in 4 hides its [T] reference in an ∃ under a
+     disjunction: edges leaving a node [T] reaches. The plan cannot turn
+     that reference into a delta scan, so the stratum runs its
+     whole-definition fixpoint (and IVM its counted fallback). *)
   let step =
-    B.exists
-      [ B.bind "t" "T"; B.bind "e" r0.rel ]
-      (B.conj
-         [
-           B.eq (B.attr "t" "y") (B.attr "e" c0);
-           B.eq (B.attr "T" "x") (B.attr "t" "x");
-           B.eq (B.attr "T" "y") (B.attr "e" c1);
-         ])
+    if chance st 0.25 then
+      B.exists
+        [ B.bind "e" r0.rel ]
+        (B.conj
+           [
+             B.eq (B.attr "T" "x") (B.attr "e" c0);
+             B.eq (B.attr "T" "y") (B.attr "e" c1);
+             B.disj
+               [
+                 B.eq (B.attr "e" c0) (B.cint (Random.State.int st 4));
+                 B.exists
+                   [ B.bind "t" "T" ]
+                   (B.eq (B.attr "e" c0) (B.attr "t" "y"));
+               ];
+           ])
+    else
+      B.exists
+        [ B.bind "t" "T"; B.bind "e" r0.rel ]
+        (B.conj
+           [
+             B.eq (B.attr "t" "y") (B.attr "e" c0);
+             B.eq (B.attr "T" "x") (B.attr "t" "x");
+             B.eq (B.attr "T" "y") (B.attr "e" c1);
+           ])
   in
   B.define "T" (B.collection "T" [ "x"; "y" ] (B.disj [ base; step ]))
 

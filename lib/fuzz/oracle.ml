@@ -3,7 +3,8 @@
     A case passes when every observable agrees:
 
     - {b eval-vs-exec}: reference evaluator vs plan engine, under all 8
-      convention combinations × both recursion strategies;
+      convention combinations: the reference's naive fixpoint checks the
+      plan engine's delta rules;
     - {b arc-roundtrip}: print (ASCII) → re-parse → structurally equal
       program;
     - {b sql-*}: where {!Arc_sql.Of_arc} supports the core, the printed SQL
@@ -38,7 +39,7 @@ type outcome =
 
 type divergence = {
   d_kind : string;  (** e.g. ["eval-vs-exec"], ["sql-roundtrip"] *)
-  d_conv : string;  (** convention / strategy label, [""] when irrelevant *)
+  d_conv : string;  (** convention label, [""] when irrelevant *)
   d_detail : string;
 }
 
@@ -96,15 +97,11 @@ let agree a b =
 
 let guard () = Gov.make ~on_limit:`Fail fuzz_budget
 
-let run_eval ?(conv = Conventions.sql_set) ?(strategy = Eval.Seminaive) ~db
-    prog =
-  outcome_of (fun () ->
-      Eval.run ~conv ~strategy ~guard:(guard ()) ~db prog)
+let run_eval ?(conv = Conventions.sql_set) ~db prog =
+  outcome_of (fun () -> Eval.run ~conv ~guard:(guard ()) ~db prog)
 
-let run_exec ?(conv = Conventions.sql_set) ?(strategy = Eval.Seminaive) ~db
-    prog =
-  outcome_of (fun () ->
-      Exec.run ~conv ~strategy ~guard:(guard ()) ~db prog)
+let run_exec ?(conv = Conventions.sql_set) ~db prog =
+  outcome_of (fun () -> Exec.run ~conv ~guard:(guard ()) ~db prog)
 
 (* every convention combination: 2 collection × 2 null-logic × 2 agg-empty *)
 let all_conventions : (string * Conventions.t) list =
@@ -124,31 +121,26 @@ let all_conventions : (string * Conventions.t) list =
         [ (Conventions.Two_valued, "2vl"); (Conventions.Three_valued, "3vl") ])
     [ (Conventions.Set, "set"); (Conventions.Bag, "bag") ]
 
-let strategies = [ ("naive", Eval.Naive); ("seminaive", Eval.Seminaive) ]
-
 (* ------------------------------------------------------------------ *)
 (* Check 1: reference evaluator vs plan engine                         *)
 (* ------------------------------------------------------------------ *)
 
 let check_engines (case : Case.t) =
-  List.concat_map
+  List.filter_map
     (fun (cname, conv) ->
-      List.filter_map
-        (fun (sname, strategy) ->
-          let reference = run_eval ~conv ~strategy ~db:case.Case.db case.prog in
-          let plan = run_exec ~conv ~strategy ~db:case.db case.prog in
-          if agree reference plan then None
-          else
-            Some
-              {
-                d_kind = "eval-vs-exec";
-                d_conv = cname ^ "," ^ sname;
-                d_detail =
-                  Printf.sprintf "reference %s, plan %s"
-                    (outcome_to_string reference)
-                    (outcome_to_string plan);
-              })
-        strategies)
+      let reference = run_eval ~conv ~db:case.Case.db case.prog in
+      let plan = run_exec ~conv ~db:case.db case.prog in
+      if agree reference plan then None
+      else
+        Some
+          {
+            d_kind = "eval-vs-exec";
+            d_conv = cname;
+            d_detail =
+              Printf.sprintf "reference %s, plan %s"
+                (outcome_to_string reference)
+                (outcome_to_string plan);
+          })
     all_conventions
 
 (* ------------------------------------------------------------------ *)

@@ -216,11 +216,11 @@ type actual = {
   mutable a_build : int;  (* hash-table build-side rows *)
   mutable a_probe : int;  (* probe-side rows *)
   mutable a_matches : int;  (* probe hits that produced output *)
-  mutable a_iterations : int;  (* fixpoint rounds (collection heads) *)
-  mutable a_deltas : int list;  (* per-iteration delta sizes, reversed *)
+  mutable a_iterations : int;  (* fixpoint rounds after the seed *)
+  mutable a_deltas : int list;  (* per-round delta sizes, newest first *)
   mutable a_rounds_ns : int64 list;
       (* per-round fixpoint wall-clock of the head's stratum, aligned with
-         [a_deltas] (the seminaive seed first), reversed *)
+         [a_deltas] (the seed first), reversed *)
   mutable a_fix_ns : int64;
       (* a recursive head's fixpoint time outside every plan node: seen-set
          probes, accumulator appends, round bookkeeping *)
@@ -419,7 +419,7 @@ let occurrence_disjunct component i (p : coll_plan) : int =
    component relation is a plan [Scan]; references hidden inside fragments
    the reference evaluator executes as callbacks (residual formulas,
    resolve scopes, aggregate post-conditions) cannot be substituted, so
-   such components run the naive iteration instead. *)
+   such components run whole-definition rules instead. *)
 let mentions_component component deps =
   List.exists (fun (n, _) -> List.mem n component) deps
 

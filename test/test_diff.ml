@@ -1,7 +1,7 @@
 (* Differential testing: the plan engine (Exec) against the reference
    evaluator (Eval) on the full Fig/Eq catalog plus queries drawn from the
-   examples/ programs, under every convention combination and both
-   recursion strategies. The two engines must agree bag-for-bag (or both
+   examples/ programs, under every convention combination. The two
+   engines must agree bag-for-bag (or both
    raise an evaluation error). *)
 
 open Arc_core.Ast
@@ -39,8 +39,8 @@ type run_result =
   | Truth of B3.t
   | Errored of string
 
-let outcome_of ~engine ~conv ~strategy ~db prog =
-  match engine ~conv ~strategy ~db prog with
+let outcome_of ~engine ~conv ~db prog =
+  match engine ~conv ~db prog with
   | Eval.Rows r ->
       Bag (List.sort compare (List.map Tuple.key (Relation.tuples r)))
   | Eval.Truth t -> Truth t
@@ -62,26 +62,18 @@ let check_case name ~db ?(defs = []) main () =
   let prog = program ~defs main in
   List.iter
     (fun (cname, conv) ->
-      List.iter
-        (fun (sname, strategy) ->
-          let reference =
-            outcome_of
-              ~engine:(fun ~conv ~strategy ~db p ->
-                Eval.run ~conv ~strategy ~db p)
-              ~conv ~strategy ~db prog
-          in
-          let plan =
-            outcome_of
-              ~engine:(fun ~conv ~strategy ~db p ->
-                Exec.run ~conv ~strategy ~db p)
-              ~conv ~strategy ~db prog
-          in
-          if not (agree reference plan) then
-            Alcotest.failf "%s [%s, %s]: reference %s, plan %s" name cname
-              sname
-              (result_to_string reference)
-              (result_to_string plan))
-        [ ("naive", Eval.Naive); ("seminaive", Eval.Seminaive) ])
+      let reference =
+        outcome_of ~engine:(fun ~conv ~db p -> Eval.run ~conv ~db p) ~conv ~db
+          prog
+      in
+      let plan =
+        outcome_of ~engine:(fun ~conv ~db p -> Exec.run ~conv ~db p) ~conv ~db
+          prog
+      in
+      if not (agree reference plan) then
+        Alcotest.failf "%s [%s]: reference %s, plan %s" name cname
+          (result_to_string reference)
+          (result_to_string plan))
     all_conventions
 
 (* ---------------------------------------------------------------- *)

@@ -310,8 +310,8 @@ let recursion_cycle () =
        [ [ i 1; i 2 ]; [ i 2; i 1 ]; [ i 1; i 1 ]; [ i 2; i 2 ] ])
     result
 
-(* naive and semi-naive recursion agree (and with the closure oracle) *)
-let recursion_strategies_agree () =
+(* the reference's naive fixpoint and the plan's delta rules agree *)
+let naive_agrees_with_delta_rules () =
   let anc =
     define "A"
       (collection "A" [ "s"; "t" ]
@@ -349,9 +349,9 @@ let recursion_strategies_agree () =
     in
     let db = Database.of_list [ ("P", Relation.of_rows [ "s"; "t" ] edges) ] in
     let prog = program ~defs:[ anc ] q in
-    let naive = Eval.run_rows ~strategy:Eval.Naive ~db prog in
-    let semi = Eval.run_rows ~strategy:Eval.Seminaive ~db prog in
-    Alcotest.(check bool) "strategies agree" true
+    let naive = Eval.run_rows ~db prog in
+    let semi = Arc_engine.Exec.run_rows ~db prog in
+    Alcotest.(check bool) "reference naive = plan seminaive" true
       (Relation.equal_set naive semi)
   done
 
@@ -393,8 +393,8 @@ let recursion_nonlinear () =
             [ eq (attr "Q" "s") (attr "a" "s"); eq (attr "Q" "t") (attr "a" "t") ]))
   in
   let prog = program ~defs:[ anc ] q in
-  let naive = Eval.run_rows ~strategy:Eval.Naive ~db prog in
-  let semi = Eval.run_rows ~strategy:Eval.Seminaive ~db prog in
+  let naive = Eval.run_rows ~db prog in
+  let semi = Arc_engine.Exec.run_rows ~db prog in
   Alcotest.(check int) "closure of a 5-chain" 10 (Relation.cardinality semi);
   Alcotest.(check bool) "nonlinear recursion agrees" true
     (Relation.equal_set naive semi)
@@ -1245,14 +1245,10 @@ let key_semantics_parity () =
       let prog = Arc_syntax.Parser.program_of_string text in
       List.iter
         (fun (cn, conv) ->
-          let reference = bag (Eval.run_rows ~conv ~db prog) in
-          List.iter
-            (fun (sn, strategy) ->
-              Alcotest.(check (list string))
-                (Printf.sprintf "%s, %s, %s" name cn sn)
-                reference
-                (bag (Exec.run_rows ~conv ~strategy ~db prog)))
-            [ ("naive", Eval.Naive); ("seminaive", Eval.Seminaive) ])
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s, %s" name cn)
+            (bag (Eval.run_rows ~conv ~db prog))
+            (bag (Exec.run_rows ~conv ~db prog)))
         [
           ("sql", Conventions.sql);
           ("sql_set", Conventions.sql_set);
@@ -1284,8 +1280,8 @@ let key_semantics_parity () =
    is built from the left side, a lateral re-run per outer row that reads
    the outer row's attributes through a non-equality, scalar terms in
    join keys, HAVING over a grouped join, an external binding resolved
-   by name, and NULL keys. Plan = reference under all 8 conventions and
-   both recursion strategies, errors included. *)
+   by name, and NULL keys. Plan = reference under all 8 conventions,
+   errors included. *)
 let all_conventions =
   List.concat_map
     (fun cs ->
@@ -1441,18 +1437,10 @@ let layout_parity () =
       List.iter
         (fun conv ->
           let reference = run (fun () -> Eval.run_rows ~conv ~db:layout_db prog) in
-          List.iter
-            (fun strategy ->
-              let plan =
-                run (fun () -> Exec.run_rows ~conv ~strategy ~db:layout_db prog)
-              in
-              if plan <> reference then
-                Alcotest.failf "%s under %s, %s: plan differs from reference"
-                  name (Conventions.to_string conv)
-                  (match strategy with
-                  | Eval.Naive -> "naive"
-                  | Eval.Seminaive -> "seminaive"))
-            [ Eval.Naive; Eval.Seminaive ])
+          let plan = run (fun () -> Exec.run_rows ~conv ~db:layout_db prog) in
+          if plan <> reference then
+            Alcotest.failf "%s under %s: plan differs from reference" name
+              (Conventions.to_string conv))
         all_conventions)
     cases
 
@@ -1527,7 +1515,7 @@ let () =
           Alcotest.test_case "ancestor chain" `Quick recursion_ancestor;
           Alcotest.test_case "ancestor cycle" `Quick recursion_cycle;
           Alcotest.test_case "naive = semi-naive" `Quick
-            recursion_strategies_agree;
+            naive_agrees_with_delta_rules;
           Alcotest.test_case "nonlinear recursion" `Quick recursion_nonlinear;
           Alcotest.test_case "TC ladder: flat words per output row" `Quick
             tc_ladder_flat;

@@ -171,6 +171,33 @@ let driver_clean_ivm_campaign () =
   Alcotest.(check (list string)) "no ivm findings" []
     (List.map (fun f -> f.Driver.f_name) findings)
 
+(* The recursive grammar draws both kinds of recursive stratum: ones the
+   plan runs as delta rules, and ones whose recursive reference hides in
+   an ∃ under a disjunction, which run whole-definition rules. *)
+let gen_both_fixpoint_kinds () =
+  let kinds =
+    List.concat_map
+      (fun i ->
+        let c = Gen.gen_case (Random.State.make [| 5; i |]) in
+        match Arc_engine.Exec.compile ~db:c.Case.db c.Case.prog with
+        | _, _, optimized, _ ->
+            List.filter_map
+              (function
+                | Arc_plan.Ir.Recursive dps ->
+                    Some
+                      (Arc_plan.Ir.seminaive_eligible
+                         (List.map (fun d -> d.Arc_plan.Ir.dname) dps)
+                         dps)
+                | Arc_plan.Ir.Nonrecursive _ -> None)
+              optimized.Arc_plan.Ir.strata
+        | exception Arc_engine.Eval.Eval_error _ -> [])
+      (List.init 200 Fun.id)
+  in
+  Alcotest.(check bool) "some strata run delta rules" true
+    (List.mem true kinds);
+  Alcotest.(check bool) "some strata run whole-definition rules" true
+    (List.mem false kinds)
+
 let () =
   Alcotest.run "arc_fuzz"
     [
@@ -193,5 +220,10 @@ let () =
             driver_clean_campaign;
           Alcotest.test_case "fixed-seed ivm campaign is clean" `Quick
             driver_clean_ivm_campaign;
+        ] );
+      ( "generator",
+        [
+          Alcotest.test_case "recursive cases reach both fixpoint kinds"
+            `Quick gen_both_fixpoint_kinds;
         ] );
     ]

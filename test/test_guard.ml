@@ -68,18 +68,21 @@ let expect_budget_error ~resource name f =
             (Budget.resource_to_string resource)
             (Err.to_string e))
 
-(* (a) a divergent fixpoint is stopped by the iteration budget under both
-   recursion strategies, with a typed error naming the resource *)
+(* (a) a divergent fixpoint is stopped by the iteration budget on both
+   engines, with a typed error naming the resource *)
 let iteration_budget () =
   List.iter
-    (fun strategy ->
+    (fun run ->
       expect_budget_error ~resource:Budget.Fixpoint_iterations "divergent"
         (fun () ->
           let guard =
             Gov.make { Budget.unlimited with Budget.max_iterations = Some 20 }
           in
-          Eval.run ~strategy ~guard ~db:db_seed divergent))
-    [ Eval.Naive; Eval.Seminaive ];
+          run ~guard ~db:db_seed divergent))
+    [
+      (fun ~guard ~db p -> Eval.run ~guard ~db p);
+      (fun ~guard ~db p -> Arc_engine.Exec.run ~guard ~db p);
+    ];
   (* truncate mode instead returns the partial fixpoint: counting up with a
      cap of k iterations yields at least k distinct values of N *)
   let guard =

@@ -1,6 +1,6 @@
 (* Plan library tests: lowering shapes (via the explain renderer), each
    optimizer rewrite pass preserving results, hash-key NULL semantics under
-   both null logics, plan-level seminaive fixpoints, governor integration,
+   both null logics, plan-level fixpoints, governor integration,
    the span rendering of per-node actuals, and join-annotated scopes whose
    leaves are not finite or not bound. *)
 
@@ -147,7 +147,7 @@ let catalog_lowering () =
 (* A join-annotated scope whose tree names a non-finite relation (an
    external, an abstract definition) or an unbound variable: the plan
    engine lowers it like any other scope and fails exactly as the
-   reference does, under every convention and both strategies. *)
+   reference does, under every convention. *)
 let same_error_as_reference src () =
   let db =
     Database.of_list
@@ -161,13 +161,9 @@ let same_error_as_reference src () =
   in
   List.iter
     (fun (cname, conv) ->
-      List.iter
-        (fun (sname, strategy) ->
-          Alcotest.(check string)
-            (Printf.sprintf "%s/%s" cname sname)
-            (error (fun () -> Eval.run ~conv ~strategy ~db prog))
-            (error (fun () -> Exec.run ~conv ~strategy ~db prog)))
-        [ ("naive", Eval.Naive); ("seminaive", Eval.Seminaive) ])
+      Alcotest.(check string) cname
+        (error (fun () -> Eval.run ~conv ~db prog))
+        (error (fun () -> Exec.run ~conv ~db prog)))
     all_convs
 
 let external_leaf =
@@ -312,31 +308,29 @@ let db_chain n =
           (List.init n (fun i -> [ V.Int i; V.Int (i + 1) ])) );
     ]
 
+(* the plan's delta rules against the reference's naive fixpoint *)
 let plan_seminaive () =
   let db = db_chain 16 in
   let prog = program ~defs:tc_defs (Coll tc_main) in
-  let naive = Exec.run_rows ~strategy:Eval.Naive ~db prog in
-  let semi = Exec.run_rows ~strategy:Eval.Seminaive ~db prog in
   let reference = Eval.run_rows ~db prog in
+  let plan = Exec.run_rows ~db prog in
   Alcotest.(check int) "chain closure size" (16 * 17 / 2)
-    (Relation.cardinality naive);
-  check_same_bag "plan naive = plan seminaive" naive semi;
-  check_same_bag "plan = reference on TC" reference semi
+    (Relation.cardinality reference);
+  check_same_bag "reference naive = plan seminaive on TC" reference plan
 
 (* Runs a program on the plan engine with per-node actuals on and renders
    them as spans, as [arc trace] does. *)
-let traced ?strategy ~db prog =
-  let ctx, _, optimized, _ = Exec.compile ?strategy ~db prog in
+let traced ~db prog =
+  let ctx, _, optimized, _ = Exec.compile ~db prog in
   let stats = Ir.fresh_stats () in
   ignore (Exec.exec_program ~stats ctx optimized);
-  (optimized, stats, Exec.spans_of_stats ctx optimized stats)
+  (optimized, stats, Exec.spans_of_stats optimized stats)
 
 let plan_seminaive_actually_runs () =
   (* the seminaive fixpoint must be chosen (not silently degrade to naive)
      for a plain scan-only recursive definition *)
   let _, _, spans =
-    traced ~strategy:Eval.Seminaive ~db:(db_chain 6)
-      (program ~defs:tc_defs (Coll tc_main))
+    traced ~db:(db_chain 6) (program ~defs:tc_defs (Coll tc_main))
   in
   Alcotest.(check bool) "fixpoint:seminaive span present" true
     (Obs.find_spans spans "fixpoint:seminaive" <> []);
@@ -351,42 +345,140 @@ let tracer_spans () =
         (Obs.find_spans spans name <> []))
     [ "collection:Q"; "hash_join"; "scan" ]
 
-(* The fixpoint span renders the recursive head's actuals round by round:
-   one iteration span per iteration, the deltas in order (the seminaive
-   seed first), and round times that fit inside the fixpoint span. *)
+(* A stratum the plan cannot delta-rewrite: the recursive reference sits
+   in an ∃ under a disjunction, so it lowers into a residual formula and
+   [Ir.seminaive_eligible] fails. Over the cycle 1→2→3→4→5→1 its fixpoint
+   runs the whole definition each round: a seed of two edges, then one
+   edge per round until a round adds none. *)
+let opaque_text =
+  "def A := {A(s, t) | exists p in P[A.s = p.s and A.t = p.t and p.s <= 2] \
+   or exists p in P[A.s = p.s and A.t = p.t and (p.s = 0 or exists a2 in \
+   A[p.s = a2.t])]} {Q(s, t) | exists a in A[Q.s = a.s and Q.t = a.t]}"
+
+(* the same shape, split over a mutually recursive pair: A takes the edges
+   leaving B's targets, B those leaving A's *)
+let opaque_mutual_text =
+  "def A := {A(s, t) | exists p in P[A.s = p.s and A.t = p.t and p.s <= 1] \
+   or exists p in P[A.s = p.s and A.t = p.t and (p.s = 0 or exists b in \
+   B[p.s = b.t])]} def B := {B(s, t) | exists p in P[B.s = p.s and B.t = \
+   p.t and (p.s = 0 or exists a in A[p.s = a.t])]} {Q(s, t) | exists a in \
+   A[Q.s = a.s and Q.t = a.t] or exists b in B[Q.s = b.s and Q.t = b.t]}"
+
+let db_p_cycle =
+  Database.of_list
+    [
+      ( "P",
+        Relation.of_rows [ "s"; "t" ]
+          (List.init 5 (fun i -> [ V.Int (i + 1); V.Int (((i + 1) mod 5) + 1) ]))
+      );
+    ]
+
+let recursive_strata (pp : Ir.program_plan) =
+  List.filter_map
+    (function Ir.Recursive dps -> Some dps | Ir.Nonrecursive _ -> None)
+    pp.Ir.strata
+
+let eligible dps = Ir.seminaive_eligible (List.map (fun d -> d.Ir.dname) dps) dps
+
+(* The fixpoint span renders the recursive heads' actuals round by round:
+   a seed span, one iteration span per iteration, the deltas in order,
+   and round times that fit inside the fixpoint span. Delta rules render
+   as [fixpoint:seminaive], whole-definition rules as [fixpoint:naive]. *)
 let fixpoint_spans () =
   List.iter
-    (fun (strategy, kind, seeded) ->
-      let optimized, stats, spans =
-        traced ~strategy ~db:(db_chain 6)
-          (program ~defs:tc_defs (Coll tc_main))
-      in
+    (fun (kind, db, prog, heads) ->
+      let optimized, stats, spans = traced ~db prog in
       let fx =
         match Obs.find_spans spans ("fixpoint:" ^ kind) with
         | [ fx ] -> fx
         | l -> Alcotest.failf "%s: %d fixpoint spans" kind (List.length l)
       in
-      let a =
-        Option.get
-          (Ir.actual_of stats (List.assoc "T" (fst (Ir.program_ids optimized))))
-      in
       let rounds = fx.Obs.children in
       let named n = List.filter (fun s -> s.Obs.name = n) rounds in
-      Alcotest.(check int) (kind ^ ": seed spans") (if seeded then 1 else 0)
+      Alcotest.(check int) (kind ^ ": seed spans") 1
         (List.length (named "seed"));
-      Alcotest.(check int) (kind ^ ": iteration spans = a_iterations")
-        a.Ir.a_iterations
-        (List.length (named "iteration"));
-      Alcotest.(check (list int)) (kind ^ ": round deltas = a_deltas")
-        (List.rev a.Ir.a_deltas)
-        (List.map (fun s -> Option.get (Obs.attr_int s "delta:T")) rounds);
+      Alcotest.(check int) (kind ^ ": seed comes first") 0
+        (List.length
+           (List.filter (fun s -> s.Obs.name = "seed") (List.tl rounds)));
+      List.iter
+        (fun head ->
+          let a =
+            Option.get
+              (Ir.actual_of stats
+                 (List.assoc head (fst (Ir.program_ids optimized))))
+          in
+          Alcotest.(check int) (kind ^ ": iteration spans = a_iterations")
+            a.Ir.a_iterations
+            (List.length (named "iteration"));
+          Alcotest.(check (option int))
+            (kind ^ ": span iterations = a_iterations")
+            (Some a.Ir.a_iterations)
+            (Obs.attr_int fx "iterations");
+          Alcotest.(check (list int)) (kind ^ ": round deltas = a_deltas")
+            (List.rev a.Ir.a_deltas)
+            (List.map
+               (fun s -> Option.get (Obs.attr_int s ("delta:" ^ head)))
+               rounds))
+        heads;
       let summed =
         List.fold_left (fun acc s -> Int64.add acc s.Obs.duration_ns) 0L rounds
       in
       Alcotest.(check bool) (kind ^ ": round times fit the fixpoint span")
         true
         (summed > 0L && Int64.compare summed fx.Obs.duration_ns <= 0))
-    [ (Eval.Seminaive, "seminaive", true); (Eval.Naive, "naive", false) ]
+    [
+      ("seminaive", db_chain 6, program ~defs:tc_defs (Coll tc_main), [ "T" ]);
+      ( "naive",
+        db_p_cycle,
+        Arc_syntax.Parser.program_of_string opaque_text,
+        [ "A" ] );
+      ( "naive",
+        db_p_cycle,
+        Arc_syntax.Parser.program_of_string opaque_mutual_text,
+        [ "A"; "B" ] );
+    ]
+
+(* The whole-definition path: the fixtures' strata are not eligible, the
+   plan agrees with the reference under every convention, each head's
+   act is its 5-edge closure, and the single definition's rounds are the
+   ones the comment on [opaque_text] describes. The mutual pair commits
+   both definitions of a round together, where the reference commits
+   them one after the other; the closures still agree. *)
+let whole_definition_fixpoint () =
+  List.iter
+    (fun (name, text, heads) ->
+      let prog = Arc_syntax.Parser.program_of_string text in
+      let optimized, stats, _ = traced ~db:db_p_cycle prog in
+      Alcotest.(check (list bool)) (name ^ ": not seminaive-eligible")
+        [ false ]
+        (List.map eligible (recursive_strata optimized));
+      List.iter
+        (fun (cname, conv) ->
+          check_same_bag
+            (Printf.sprintf "%s %s: plan = reference" name cname)
+            (Eval.run_rows ~conv ~db:db_p_cycle prog)
+            (Exec.run_rows ~conv ~db:db_p_cycle prog))
+        all_convs;
+      List.iter
+        (fun (head, rounds) ->
+          let a =
+            Option.get
+              (Ir.actual_of stats
+                 (List.assoc head (fst (Ir.program_ids optimized))))
+          in
+          Alcotest.(check int) (name ^ ": head act = closure") 5 a.Ir.a_rows;
+          Option.iter
+            (fun deltas ->
+              Alcotest.(check (list int)) (name ^ ": seed, then a round each")
+                deltas (List.rev a.Ir.a_deltas);
+              Alcotest.(check int) (name ^ ": iterations after the seed")
+                (List.length deltas - 1) a.Ir.a_iterations)
+            rounds)
+        heads)
+    [
+      ("single", opaque_text, [ ("A", Some [ 2; 1; 1; 1; 0 ]) ]);
+      ("mutual", opaque_mutual_text, [ ("A", None); ("B", None) ]);
+    ]
 
 let guard_truncates () =
   let guard = Gov.make ~on_limit:`Truncate { Budget.default with max_rows = Some 2 } in
@@ -470,23 +562,31 @@ let db_cycle n =
           (List.init n (fun i -> [ V.Int i; V.Int ((i + 1) mod n) ])) );
     ]
 
-(* indexed seminaive fixpoint ≡ naive ≡ reference, on a chain and a
-   cycle, under every convention combination *)
+(* Both kinds of plan rules ≡ the reference's naive fixpoint, on a chain
+   and a cycle, under every convention combination: TC runs delta rules,
+   reachability from node 0 written as the whole-definition fixture
+   ([opaque_text]) runs whole-definition rules. *)
 let fixpoint_modes_agree () =
   let prog = program ~defs:tc_defs (Coll tc_main) in
+  let opaque =
+    Arc_syntax.Parser.program_of_string
+      "def T := {T(src, dst) | exists e in E[T.src = e.src and T.dst = e.dst \
+       and e.src <= 0] or exists e in E[T.src = e.src and T.dst = e.dst and \
+       (e.src = 0 or exists t in T[e.src = t.dst])]} {Q(src, dst) | exists \
+       t in T[Q.src = t.src and Q.dst = t.dst]}"
+  in
   List.iter
     (fun (dbname, db) ->
       List.iter
         (fun (cname, conv) ->
-          let reference = Eval.run_rows ~conv ~db prog in
           check_same_bag
             (Printf.sprintf "%s %s indexed" dbname cname)
-            reference
+            (Eval.run_rows ~conv ~db prog)
             (Exec.run_rows ~conv ~db prog);
           check_same_bag
             (Printf.sprintf "%s %s naive" dbname cname)
-            reference
-            (Exec.run_rows ~conv ~strategy:Eval.Naive ~db prog))
+            (Eval.run_rows ~conv ~db opaque)
+            (Exec.run_rows ~conv ~db opaque))
         all_convs)
     [ ("chain-12", db_chain 12); ("cycle-8", db_cycle 8) ]
 
@@ -758,6 +858,8 @@ let () =
             tracer_spans;
           Alcotest.test_case "fixpoint spans render the head's rounds" `Quick
             fixpoint_spans;
+          Alcotest.test_case "whole-definition fixpoint = reference" `Quick
+            whole_definition_fixpoint;
           Alcotest.test_case "row budget truncates plan output" `Quick
             guard_truncates;
           Alcotest.test_case "explain renders program plans" `Quick
