@@ -1,7 +1,7 @@
-(* The bench gate: the checks a fresh report must pass before it may
-   replace the committed baseline. [check] returns one message per failed
-   check, each starting with the name of its check; [] means the report
-   passes. *)
+(* The bench gate: the checks a fresh report must pass, some of them
+   against the committed baseline, BENCH.json. [check] returns one message
+   per failed check, each starting with the name of its check; [] means
+   the report passes. *)
 
 open Report
 

@@ -1,17 +1,17 @@
 (* The benchmark harness: regenerates every table/figure behavior the paper
    reports (Part 1), times each experiment and the library's main code paths
-   with Bechamel (Parts 2-3), reports modality-size metrics as a proxy for
-   the paper's cited user studies (Part 4), and measures operator counters,
-   the guard, the plan engine, EXPLAIN ANALYZE, IVM and magic sets (Parts
-   5-10). Every measurement is one [Report.row]; the rows go to BENCH.json
-   once [Gate.check] has passed them against the BENCH.json already there.
-   A failing run leaves that baseline alone, writes BENCH.failed.json
-   instead and exits non-zero.
+   (Parts 2-3), reports modality-size metrics as a proxy for the paper's
+   cited user studies (Part 4), and measures the guard, the plan engine,
+   EXPLAIN ANALYZE, IVM and magic sets (Parts 6-10). Part 5, the
+   per-operator counters of traced reference runs, is retired: [arc trace
+   --engine reference] prints the same spans. One timer, [min_group_ns],
+   takes every time. Every measurement is one [Report.row]. [Gate.check]
+   holds the rows against the committed BENCH.json, and every run, passing
+   or failing, writes them to BENCH.run.json; no run rewrites the
+   baseline, so a new one is a commit. A failing run exits non-zero.
 
-   Run with:  dune exec bench/main.exe *)
+   Run with:  dune exec --release bench/main.exe *)
 
-open Bechamel
-open Toolkit
 module Catalog = Arc_catalog.Catalog
 module Data = Arc_catalog.Data
 module V = Arc_value.Value
@@ -20,7 +20,6 @@ module Database = Arc_relation.Database
 module Eval = Arc_engine.Eval
 module Exec = Arc_engine.Exec
 module Tuple = Arc_relation.Tuple
-module Obs = Arc_obs.Obs
 module Json = Arc_obs.Json
 module Metrics = Arc_obs.Metrics
 module Ir = Arc_plan.Ir
@@ -29,7 +28,7 @@ module Report = Arc_bench.Report
 module Gate = Arc_bench.Gate
 
 let bench_file = "BENCH.json"
-let failed_file = "BENCH.failed.json"
+let run_file = "BENCH.run.json"
 
 let rule () = print_endline (String.make 78 '=')
 
@@ -59,63 +58,48 @@ let show (r : Report.row) =
 (* Timers                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let bechamel_limit = 1000
-let bechamel_quota_s = 0.2
-let bechamel_kde = 500
-
-(* Bechamel's OLS estimate of one run of [f], in ns. Each test runs on its
-   own, so its estimate is the one row of the analysis. *)
-let bechamel f =
-  let cfg =
-    Benchmark.cfg ~limit:bechamel_limit
-      ~quota:(Time.second bechamel_quota_s)
-      ~kde:(Some bechamel_kde) ()
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let raw =
-    Benchmark.all cfg Instance.[ monotonic_clock ]
-      (Test.make ~name:"run" (Staged.stage f))
-  in
-  Hashtbl.fold
-    (fun _ o _ ->
-      match Analyze.OLS.estimates o with Some (e :: _) -> e | _ -> Float.nan)
-    (Analyze.all ols Instance.monotonic_clock raw)
-    Float.nan
-
-let timed_row ?scale ?rows_out ?bag_equal ~workload ~arm f =
-  show (Report.row ?scale ?rows_out ?bag_equal ~workload ~arm (bechamel f))
-
 let min_warmup = 3
 let min_repeats = 21
 
-(* The timer for every measurement Bechamel does not take. An arm is a
-   setup that returns the thunk to time: the setup (a fresh compile, a
-   freshly registered IVM view) runs untimed before each sample, and a
-   plain arm just returns its thunk. The two arms are sampled interleaved,
-   so heap growth and GC drift move both alike instead of reading as a gap
-   between back-to-back blocks. Each arm reports its minimum, the
-   least-interfered sample: by the later parts the major heap is large
-   and any one sample can eat a collection. *)
-let min_pair_ns arm1 arm2 =
+(* The one timer. An arm is a setup that returns the thunk to time: the
+   setup (a fresh compile, a freshly registered IVM view, a new governor)
+   runs untimed before each sample, and a plain arm just returns its
+   thunk. The arms of one comparison form a group and are sampled
+   interleaved, round by round, so heap growth and GC drift move them
+   alike instead of reading as a gap between back-to-back blocks; each
+   round starts from the next arm, so no arm always runs first or always
+   follows the same neighbour. Each arm reports its minimum over the timed
+   rounds, the least-interfered sample: by the later parts the major heap
+   is large and any one sample can eat a collection. *)
+let min_group_ns arms =
   Gc.compact ();
-  let sample arm =
-    let run = arm () in
-    let t0 = Metrics.now_ns () in
-    run ();
-    Int64.to_float (Int64.sub (Metrics.now_ns ()) t0)
-  in
-  for _ = 1 to min_warmup do
-    ignore (sample arm1);
-    ignore (sample arm2)
+  let arms = Array.of_list arms in
+  let n = Array.length arms in
+  let best = Array.make n Float.infinity in
+  for round = 0 to min_warmup + min_repeats - 1 do
+    for k = 0 to n - 1 do
+      let i = (round + k) mod n in
+      let run = arms.(i) () in
+      let t0 = Metrics.now_ns () in
+      run ();
+      let ns = Int64.to_float (Int64.sub (Metrics.now_ns ()) t0) in
+      if round >= min_warmup then best.(i) <- Float.min best.(i) ns
+    done
   done;
-  let best1 = ref Float.infinity and best2 = ref Float.infinity in
-  for _ = 1 to min_repeats do
-    best1 := Float.min !best1 (sample arm1);
-    best2 := Float.min !best2 (sample arm2)
-  done;
-  (!best1, !best2)
+  Array.to_list best
+
+(* Times a group of arms, each paired with the row, still unmeasured,
+   that its time fills in. *)
+let timed_group arms =
+  List.map2
+    (fun ((row : Report.row), _) ns -> { row with ns })
+    arms
+    (min_group_ns (List.map snd arms))
+
+(* A row compared with nothing: a group of one plain arm. *)
+let timed_row ?scale ?bag_equal ~workload ~arm f =
+  let row = Report.row ?scale ?bag_equal ~workload ~arm Float.nan in
+  show (List.hd (timed_group [ (row, fun () -> f) ]))
 
 (* ------------------------------------------------------------------ *)
 (* Shared workload data                                                *)
@@ -173,8 +157,8 @@ let grouped = "grouped aggregate"
 (* Parts 1-2: paper reproduction, and one timing per experiment        *)
 (* ------------------------------------------------------------------ *)
 
-(* One row per catalog experiment: its Bechamel time per run, and
-   [bag_equal] when every check of the experiment reproduced. *)
+(* One row per catalog experiment: its time per run, and [bag_equal] when
+   every check of the experiment reproduced. *)
 let catalog_rows () =
   section "PART 1 — Paper reproduction: every figure and equation";
   let total = ref 0 and failed = ref 0 in
@@ -218,12 +202,15 @@ let grouped_db n =
 let ablation_rows () =
   section
     "PART 3 — Ablations: FIO vs FOI cost, translation, parsing";
-  let fio n =
-    let db = grouped_db n in
-    fun () -> ignore (Eval.run_rows ~db (program Data.eq3))
-  and foi n =
-    let db = grouped_db n in
-    fun () -> ignore (Eval.run_rows ~db (program Data.eq7))
+  (* FIO against FOI, one group per scale *)
+  let fio_foi scale =
+    let db = grouped_db scale in
+    let arm name q =
+      let run () = ignore (Eval.run_rows ~db (program q)) in
+      (Report.row ~workload:grouped ~scale ~arm:name Float.nan, fun () -> run)
+    in
+    List.map show
+      (timed_group [ arm "FIO (eq3)" Data.eq3; arm "FOI (eq7)" Data.eq7 ])
   in
   let sql_text = Data.sql_fig6a in
   let sql_schemas = [ ("R", [ "empl"; "dept" ]); ("S", [ "empl"; "sal" ]) ] in
@@ -233,28 +220,10 @@ let ablation_rows () =
   in
   let eq22 = Arc_core.Ast.Coll Data.eq22 in
   let comp_text = Arc_syntax.Printer.query eq22 in
-  let unique ?tracer () =
-    ignore (Eval.run_rows ?tracer ~db:Data.db_beers (program Data.eq22))
-  in
-  List.map
+  List.concat_map fio_foi [ 40; 160 ]
+  @ List.map
     (fun (workload, scale, arm, f) -> timed_row ~workload ~scale ~arm f)
     [
-      (grouped, 40, "FIO (eq3)", fio 40);
-      (grouped, 40, "FOI (eq7)", foi 40);
-      (grouped, 160, "FIO (eq3)", fio 160);
-      (grouped, 160, "FOI (eq7)", foi 160);
-      (* tracer overhead: the explicit null tracer must cost the same as
-         the default (no tracer argument) path; the collecting tracer shows
-         the price of a full trace *)
-      (unique_set, 5, "reference", fun () -> unique ());
-      ( unique_set,
-        5,
-        "reference, null tracer",
-        fun () -> unique ~tracer:Obs.null () );
-      ( unique_set,
-        5,
-        "reference, collecting tracer",
-        fun () -> unique ~tracer:(Obs.collector ()) () );
       ( "Fig 6a",
         0,
         "translate SQL → ARC",
@@ -336,57 +305,6 @@ let modality_metrics () =
     (Arc_core.Pattern.to_string p7)
 
 (* ------------------------------------------------------------------ *)
-(* Part 5: per-operator counters from traced workloads                 *)
-(* ------------------------------------------------------------------ *)
-
-(* One row per operator of a traced reference run: its total time over
-   all calls and, when the operator counts them, the rows it emitted. The
-   other counters are printed here and by [arc trace]. *)
-let traced_rows () =
-  section "PART 5 — Operator counters (traced workloads)";
-  let workloads =
-    [
-      ( Gate.tc,
-        24,
-        "reference",
-        fun tracer -> ignore (Eval.run_rows ~tracer ~db:(chain 24) eq16) );
-      ( grouped,
-        40,
-        "FIO (eq3)",
-        fun tracer ->
-          ignore (Eval.run_rows ~tracer ~db:(grouped_db 40) (program Data.eq3))
-      );
-      ( unique_set,
-        5,
-        "reference",
-        fun tracer ->
-          ignore (Eval.run_rows ~tracer ~db:Data.db_beers (program Data.eq22))
-      );
-    ]
-  in
-  List.concat_map
-    (fun (workload, scale, arm, run) ->
-      let tracer = Obs.collector () in
-      run tracer;
-      Printf.printf "\n%s n=%d, %s\n" workload scale arm;
-      List.map
-        (fun (a : Obs.agg) ->
-          Printf.printf "    %-24s calls=%-6d %s\n" a.Obs.agg_name a.Obs.calls
-            (String.concat ", "
-               (List.map
-                  (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-                  a.Obs.counters));
-          let rows_out =
-            List.find_map
-              (fun k -> List.assoc_opt k a.Obs.counters)
-              [ "rows_emitted"; "rows_out" ]
-          in
-          Report.row ~workload ~scale ~arm ~phase:a.Obs.agg_name ?rows_out
-            (Int64.to_float a.Obs.total_ns))
-        (Obs.summary (Obs.spans tracer)))
-    workloads
-
-(* ------------------------------------------------------------------ *)
 (* Part 6: guard ablation (governed vs ungoverned evaluation)          *)
 (* ------------------------------------------------------------------ *)
 
@@ -397,8 +315,9 @@ module Budget = Arc_guard.Budget
    (seed-equivalent 100k fixpoint cap, probes inactive), a fully unlimited
    governor (probes inactive, not even the fixpoint cap), and an active
    governor with generous limits nothing ever trips — the last one prices
-   the per-probe bookkeeping itself. Governors are single-use (the deadline
-   starts at [Gov.make]), so each run builds a fresh one. *)
+   the per-probe bookkeeping itself. The three are timed as one group.
+   Governors are single-use (the deadline starts at [Gov.make]), so each
+   sample builds a fresh one, untimed. *)
 let guard_rows () =
   section "PART 6 — Guard ablation: governed vs ungoverned evaluation";
   let db_chain = chain 24 in
@@ -433,11 +352,16 @@ let guard_rows () =
   List.concat_map
     (fun (workload, scale, run) ->
       let rows =
-        List.map
-          (fun (variant, mk) ->
-            timed_row ~workload ~scale ~arm:(variant ^ " guard") (fun () ->
-                run (mk ())))
-          variants
+        List.map show
+          (timed_group
+             (List.map
+                (fun (variant, mk) ->
+                  ( Report.row ~workload ~scale ~arm:(variant ^ " guard")
+                      Float.nan,
+                    fun () ->
+                      let guard = mk () in
+                      fun () -> run guard ))
+                variants))
       in
       (match rows with
       | [ base; unl; act ] ->
@@ -493,19 +417,24 @@ let engine_rows () =
       let bag_equal = bag reference = bag plan in
       if not bag_equal then
         Printf.printf "!!! %s: plan engine diverges from reference\n" workload;
-      let rows_out = Relation.cardinality plan in
-      let r =
-        timed_row ~workload ~scale ~arm:Gate.reference
-          ~rows_out:(Relation.cardinality reference) (fun () ->
-            ignore (Eval.run_rows ~db prog))
+      let rows =
+        List.map show
+          (timed_group
+             [
+               ( Report.row ~workload ~scale ~arm:Gate.reference
+                   ~rows_out:(Relation.cardinality reference) Float.nan,
+                 fun () () -> ignore (Eval.run_rows ~db prog) );
+               ( Report.row ~workload ~scale ~arm:Gate.plan
+                   ~rows_out:(Relation.cardinality plan) ~bag_equal Float.nan,
+                 fun () () -> ignore (Exec.run_rows ~db prog) );
+             ])
       in
-      let p =
-        timed_row ~workload ~scale ~arm:Gate.plan ~rows_out ~bag_equal
-          (fun () -> ignore (Exec.run_rows ~db prog))
-      in
-      Printf.printf "%s: reference/plan speedup %.2fx\n" workload
-        (r.ns /. p.ns);
-      [ r; p ])
+      (match rows with
+      | [ r; p ] ->
+          Printf.printf "%s: reference/plan speedup %.2fx\n" workload
+            (r.ns /. p.ns)
+      | _ -> ());
+      rows)
     (engine_workloads ())
 
 (* ------------------------------------------------------------------ *)
@@ -516,8 +445,7 @@ let engine_rows () =
    actual rows; a node that never ran has neither), plus the cost of
    collecting it: the same plan executed with and without a stats table.
    The off arm is the price everyone pays; the gap is what collecting the
-   actuals costs (mirroring the Part 3 tracer and Part 6 governor
-   ablations). *)
+   actuals costs (mirroring the Part 6 governor ablation). *)
 let analyze_rows () =
   section "PART 8 — EXPLAIN ANALYZE: per-node actuals and metrics overhead";
   List.concat_map
@@ -555,15 +483,27 @@ let analyze_rows () =
         let stats = if metrics then Some (Ir.fresh_stats ()) else None in
         fun () -> ignore (Exec.exec_program ?stats ctx opt)
       in
-      let off, on = min_pair_ns (arm ~metrics:false) (arm ~metrics:true) in
-      Printf.printf
-        "%s:\n    %d plan nodes, worst q-error %.1f\n    metrics off %.2f \
-         ms, on %.2f ms, overhead %+.2f%%\n"
-        workload (List.length infos) worst_q (off /. 1e6) (on /. 1e6)
-        ((on -. off) /. off *. 100.0);
-      Report.row ~workload ~scale ~arm:"metrics=off" ~phase:"exec" off
-      :: Report.row ~workload ~scale ~arm:"metrics=on" ~phase:"exec" on
-      :: nodes)
+      let timed =
+        timed_group
+          [
+            ( Report.row ~workload ~scale ~arm:"metrics=off" ~phase:"exec"
+                Float.nan,
+              arm ~metrics:false );
+            ( Report.row ~workload ~scale ~arm:"metrics=on" ~phase:"exec"
+                Float.nan,
+              arm ~metrics:true );
+          ]
+      in
+      (match timed with
+      | [ off; on ] ->
+          Printf.printf
+            "%s:\n    %d plan nodes, worst q-error %.1f\n    metrics off \
+             %.2f ms, on %.2f ms, overhead %+.2f%%\n"
+            workload (List.length infos) worst_q (off.ns /. 1e6)
+            (on.ns /. 1e6)
+            ((on.ns -. off.ns) /. off.ns *. 100.0)
+      | _ -> ());
+      timed @ nodes)
     (engine_workloads ())
 
 (* ------------------------------------------------------------------ *)
@@ -649,26 +589,31 @@ let ivm_rows () =
             Printf.printf "!!! %s / %s: maintained result diverges\n" workload
               phase;
           let updated = Ivm.db t0 in
-          let incr_ns, reeval_ns =
-            min_pair_ns
-              (fun () ->
-                let t, batch = fresh () in
-                fun () -> ignore (Ivm.apply t batch))
-              (fun () () -> ignore (Exec.run_rows ~db:updated prog))
+          let rows =
+            timed_group
+              [
+                ( Report.row ~workload ~scale ~arm:r.Ivm.vr_mode ~phase
+                    ~rows_out:r.Ivm.vr_out_delta ~bag_equal:check_ok Float.nan,
+                  fun () ->
+                    let t, batch = fresh () in
+                    fun () -> ignore (Ivm.apply t batch) );
+                ( Report.row ~workload ~scale ~arm:Gate.reeval ~phase
+                    ~rows_out:
+                      (Relation.cardinality (Exec.run_rows ~db:updated prog))
+                    Float.nan,
+                  fun () () -> ignore (Exec.run_rows ~db:updated prog) );
+              ]
           in
-          Printf.printf
-            "%s n=%d / %s:\n    mode=%s |Δout|=%d fallbacks=%d\n    \
-             incremental %8.1f µs, re-eval %8.1f µs, speedup %.1fx\n"
-            workload scale phase r.Ivm.vr_mode r.Ivm.vr_out_delta
-            r.Ivm.vr_fallbacks (incr_ns /. 1e3) (reeval_ns /. 1e3)
-            (reeval_ns /. incr_ns);
-          [
-            Report.row ~workload ~scale ~arm:r.Ivm.vr_mode ~phase
-              ~rows_out:r.Ivm.vr_out_delta ~bag_equal:check_ok incr_ns;
-            Report.row ~workload ~scale ~arm:Gate.reeval ~phase
-              ~rows_out:(Relation.cardinality (Exec.run_rows ~db:updated prog))
-              reeval_ns;
-          ])
+          (match rows with
+          | [ incr; reeval ] ->
+              Printf.printf
+                "%s n=%d / %s:\n    mode=%s |Δout|=%d fallbacks=%d\n    \
+                 incremental %8.1f µs, re-eval %8.1f µs, speedup %.1fx\n"
+                workload scale phase r.Ivm.vr_mode r.Ivm.vr_out_delta
+                r.Ivm.vr_fallbacks (incr.ns /. 1e3) (reeval.ns /. 1e3)
+                (reeval.ns /. incr.ns)
+          | _ -> ());
+          rows)
         batches)
     workloads
 
@@ -715,22 +660,20 @@ let magic_rows () =
     rows_of (Exec.exec_program ctx opt)
   in
   let reference = bag (Eval.run_rows ~db bound) in
-  let on_ns, off_ns =
-    min_pair_ns
-      (fun () () -> ignore (magic_on ()))
-      (fun () () -> ignore (magic_off ()))
+  let arm name run =
+    let r = run () in
+    ( Report.row ~workload:Gate.goal ~scale ~arm:name
+        ~rows_out:(Relation.cardinality r) ~bag_equal:(bag r = reference)
+        Float.nan,
+      fun () () -> ignore (run ()) )
   in
   let rows =
-    List.map
-      (fun (arm, run, ns) ->
-        let r = run () in
-        show
-          (Report.row ~workload:Gate.goal ~scale ~arm
-             ~rows_out:(Relation.cardinality r)
-             ~bag_equal:(bag r = reference) ns))
-      [ (Gate.magic_on, magic_on, on_ns); (Gate.magic_off, magic_off, off_ns) ]
+    List.map show
+      (timed_group [ arm Gate.magic_on magic_on; arm Gate.magic_off magic_off ])
   in
-  Printf.printf "magic-sets speedup %.2fx\n" (off_ns /. on_ns);
+  (match rows with
+  | [ on; off ] -> Printf.printf "magic-sets speedup %.2fx\n" (off.ns /. on.ns)
+  | _ -> ());
   rows
 
 (* ------------------------------------------------------------------ *)
@@ -785,7 +728,6 @@ let () =
   let catalog = catalog_rows () in
   let ablations = ablation_rows () in
   modality_metrics ();
-  let traced = traced_rows () in
   let guard = guard_rows () in
   let engine = engine_rows () in
   let analyze = analyze_rows () in
@@ -799,31 +741,26 @@ let () =
           ocaml_version = Sys.ocaml_version;
           iterations =
             [
-              ("bechamel_limit", Json.Int bechamel_limit);
-              ("bechamel_quota_s", Json.Float bechamel_quota_s);
-              ("bechamel_kde", Json.Int bechamel_kde);
               ("min_warmup", Json.Int min_warmup);
               ("min_repeats", Json.Int min_repeats);
             ];
         };
       rows =
         List.concat
-          [ catalog; ablations; traced; guard; engine; analyze; ivm; magic ];
+          [ catalog; ablations; guard; engine; analyze; ivm; magic ];
     }
   in
   section "Gate";
   if baseline = None then
     Printf.printf "no %s to hold the speedups to: regression check skipped\n"
       bench_file;
+  Report.write run_file report;
+  Printf.printf "%d rows written to %s\n" (List.length report.Report.rows)
+    run_file;
   match Gate.check ?baseline report with
-  | [] ->
-      Report.write bench_file report;
-      Printf.printf "all checks passed; %d rows written to %s\n"
-        (List.length report.Report.rows)
-        bench_file
+  | [] -> Printf.printf "all checks passed against %s\n" bench_file
   | failures ->
       List.iter (Printf.printf "FAIL %s\n") failures;
-      Report.write failed_file report;
-      Printf.printf "%d check(s) failed; %s left as it was, this run is in %s\n"
-        (List.length failures) bench_file failed_file;
+      Printf.printf "%d check(s) failed against %s\n" (List.length failures)
+        bench_file;
       exit 1

@@ -1,9 +1,10 @@
 (* The bench report: one record type for every measurement the harness
-   takes, and one file, BENCH.json, holding a header and the rows.
+   takes, and one file format holding a header and the rows: the committed
+   baseline BENCH.json, and BENCH.run.json, which every run writes.
 
    A row is one arm of one workload at one scale: [ns] is its time per run
-   (Bechamel's estimate or the min-of-N timer's best sample, NaN when
-   unmeasured), [rows_out] the rows it produced when that is known, and
+   (the min-of-N timer's best sample, NaN when unmeasured), [rows_out] the
+   rows it produced when that is known, and
    [bag_equal] whether its result matched the reference when that was
    checked. [phase] names the part of the run the row covers: "run" for a
    whole run, an operator or plan node for a breakdown, a batch for IVM. *)

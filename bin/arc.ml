@@ -918,9 +918,10 @@ let catalog_markdown () =
      executing the experiment, not\nby hand.";
   print_endline "";
   print_endline
-    "The bench harness also writes machine-readable per-experiment \
-     wall-times and\nper-operator counters to `BENCH.json`, one record per \
-     measurement; traces of\nindividual runs are available via `arc trace` \
+    "Each bench run also writes machine-readable per-experiment wall-times \
+     and\nper-plan-node actuals to `BENCH.run.json`, one record per \
+     measurement, and\nchecks them against the committed baseline \
+     `BENCH.json`; traces of individual\nruns are available via `arc trace` \
      — see\n[docs/observability.md](docs/observability.md).";
   print_endline "";
   print_endline "## Guarded runs";
@@ -956,7 +957,7 @@ let catalog_markdown () =
     "`arc chaos` smoke-tests the fault-injection harness (retry \
      transparency,\ntyped exhaustion, latency injection); the \
      guarded-vs-unguarded timing\nablation is Part 6 of `dune exec \
-     bench/main.exe`, written to `BENCH.json`.";
+     bench/main.exe`\n(its rows in `BENCH.json`).";
   print_endline "";
   print_endline "## Engine ablation: reference evaluator vs compiled plans";
   print_endline "";
@@ -965,26 +966,8 @@ let catalog_markdown () =
      plan`),\nwhich compiles ARC cores to hash-join/hash-aggregate physical \
      plans — see\n[docs/planner.md](docs/planner.md) and `arc explain`. \
      Part 7 of `dune exec\nbench/main.exe` checks bag-equality of the two \
-     engines on its workloads and\nwrites the timing ablation to \
-     `BENCH.json`. Measured on this checkout\n(seed evaluator vs the first \
-     plan engine, times per run):";
-  print_endline "";
-  print_endline "| workload | reference | plan | speedup |";
-  print_endline "|---|---|---|---|";
-  print_endline
-    "| join+aggregate: analytics rollup, 400 orders | 10.26 ms | 0.79 ms | \
-     13.0x |";
-  print_endline
-    "| matrix multiplication 16x16 (eq26) | 20.97 ms | 1.29 ms | 16.2x |";
-  print_endline
-    "| recursion: TC chain 48 (eq16) | 87.0 ms | 78.8 ms | 1.1x |";
-  print_endline "";
-  print_endline
-    "The join-heavy shapes win by an order of magnitude because the \
-     reference\nenumerates scopes as cross products; the recursive chain is \
-     dominated by\nfixpoint dedup/union work both engines share, so the \
-     hash join there only\ntrims the per-iteration joins. Re-measure with \
-     `dune exec bench/main.exe`\n(numbers land in `BENCH.json`).";
+     engines on its workloads and\ntimes them; the recorded times are the \
+     `reference` and `plan` rows of\n`BENCH.json` (Part 7).";
   List.iter
     (fun (e : Arc_catalog.Catalog.entry) ->
       Printf.printf "\n## %s — %s\n\n*Paper:* %s\n\n"
@@ -1368,9 +1351,8 @@ let rec mkdirs d =
 let fuzz_run seed count shrink ivm out metrics_out =
   wrap (fun () ->
       Option.iter mkdirs out;
-      let tracer = Obs.collector () in
       let stats, findings =
-        Arc_fuzz.Driver.run ~tracer ~shrink ~ivm ?out ~seed ~count ()
+        Arc_fuzz.Driver.run ~shrink ~ivm ?out ~seed ~count ()
       in
       List.iter
         (fun (f : Arc_fuzz.Driver.finding) ->
@@ -1383,28 +1365,19 @@ let fuzz_run seed count shrink ivm out metrics_out =
             (fun p -> Printf.printf "  repro: %s\n" p)
             f.Arc_fuzz.Driver.f_repro)
         findings;
-      let spans = Obs.spans tracer in
+      let { Arc_fuzz.Driver.generated; skipped; diverged } = stats in
       Printf.printf "fuzz: %d cases generated, %d skipped, %d diverged (seed %d)\n"
-        (Obs.counter_total spans "fuzz.generated")
-        (Obs.counter_total spans "fuzz.skipped")
-        (Obs.counter_total spans "fuzz.diverged")
-        seed;
+        generated skipped diverged seed;
       Option.iter
         (fun file ->
           let m = Metrics.create () in
-          Metrics.inc m
-            ~by:(Obs.counter_total spans "fuzz.generated")
-            "arc_fuzz_generated_total";
-          Metrics.inc m
-            ~by:(Obs.counter_total spans "fuzz.skipped")
-            "arc_fuzz_skipped_total";
-          Metrics.inc m
-            ~by:(Obs.counter_total spans "fuzz.diverged")
-            "arc_fuzz_diverged_total";
+          Metrics.inc m ~by:generated "arc_fuzz_generated_total";
+          Metrics.inc m ~by:skipped "arc_fuzz_skipped_total";
+          Metrics.inc m ~by:diverged "arc_fuzz_diverged_total";
           Metrics.set_gauge m "arc_fuzz_seed" (Float.of_int seed);
           write_metrics m file)
         metrics_out;
-      if stats.Arc_fuzz.Driver.diverged > 0 then exit 1)
+      if diverged > 0 then exit 1)
 
 let fuzz_cmd =
   Cmd.v

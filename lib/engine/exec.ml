@@ -687,8 +687,10 @@ let fixpoint_kind (dps : Ir.def_plan list) =
    delta join is built once and only probed thereafter: per-round cost
    tracks the delta, not the closure. A naive stratum hides a component
    reference in a formula the plan cannot substitute, so it runs one rule
-   per disjunct that re-runs the whole definition, uncached:
-   [stable_subtree] cannot see such references. Budgets charge a tick
+   per disjunct that reads the component (by a scan or inside a formula),
+   whole and uncached: [stable_subtree] cannot see such references. A
+   disjunct that reads no component adds nothing after the seed, so it
+   gets no rule. Budgets charge a tick
    plus a row charge per rule run and check iterations once per round. *)
 let indexed_fixpoint env component (dps : (Ir.def_plan * int) list) =
   let ctx = env.ctx in
@@ -730,9 +732,12 @@ let indexed_fixpoint env component (dps : (Ir.def_plan * int) list) =
                 let sd = List.nth subst d and did = List.nth dids d in
                 rule did sd (Some (make_fix_cache banned did sd)))
           else
-            List.map2
-              (fun did d -> rule did d None)
-              dids dp.Ir.dplan.disjuncts
+            List.combine dids dp.Ir.dplan.disjuncts
+            |> List.filter (fun (_, d) ->
+                   let one = { dp.Ir.dplan with disjuncts = [ d ] } in
+                   Ir.count_scans_coll component one > 0
+                   || Ir.opaque_refs_coll component one)
+            |> List.map (fun (did, d) -> rule did d None)
         in
         (n, id, schema, rules, seen))
       dps

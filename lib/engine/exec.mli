@@ -64,8 +64,9 @@ val exec_program :
     caches (hash-join build tables and component-free subtree results
     survive across rounds), so a round costs O(delta), not O(closure);
     its trace span is [fixpoint:seminaive]. One that hides a component
-    reference in a formula runs its whole definition every round,
-    uncached; its span is [fixpoint:naive].
+    reference in a formula re-runs, every round and uncached, each of its
+    disjuncts that reads a component relation; a disjunct that reads none
+    runs only in the seed. Its span is [fixpoint:naive].
 
     When [stats] is given, every operator additionally records per-node
     actuals (invocations, rows emitted, inclusive wall-clock, hash

@@ -6,12 +6,9 @@
     checks one ARC case; every 3rd additionally a TRC case and every 4th a
     Datalog case (frontend round-trips, see {!Oracle}).
 
-    Progress is observable through [tracer] counters [fuzz.generated],
-    [fuzz.skipped], and [fuzz.diverged]. Divergent ARC cases are greedily
-    shrunk (preserving the divergence kind) and written as replayable repro
-    directories under [out]. *)
-
-module Obs = Arc_obs.Obs
+    The returned [stats] count the cases generated, skipped and diverged.
+    Divergent ARC cases are greedily shrunk (preserving the divergence
+    kind) and written as replayable repro directories under [out]. *)
 
 type stats = {
   mutable generated : int;
@@ -36,14 +33,11 @@ let sanitize s =
 let same_kind kind divs =
   List.exists (fun d -> d.Oracle.d_kind = kind) divs
 
-let run ?(tracer = Obs.null) ?(shrink = true) ?(ivm = false) ?out ~seed
-    ~count () =
+let run ?(shrink = true) ?(ivm = false) ?out ~seed ~count () =
   let stats = { generated = 0; skipped = 0; diverged = 0 } in
-  let span = Obs.enter tracer "fuzz" in
   let findings = ref [] in
   let record ?(recheck = Oracle.check) label case divs =
     stats.diverged <- stats.diverged + 1;
-    Obs.count tracer "fuzz.diverged" 1;
     let repro =
       match (case, out) with
       | Some c, Some dir ->
@@ -82,11 +76,8 @@ let run ?(tracer = Obs.null) ?(shrink = true) ?(ivm = false) ?out ~seed
     let st = Random.State.make [| seed; i |] in
     let case = Gen.gen_case st in
     stats.generated <- stats.generated + 1;
-    Obs.count tracer "fuzz.generated" 1;
     (match Case.validate case with
-    | Error _ ->
-        stats.skipped <- stats.skipped + 1;
-        Obs.count tracer "fuzz.skipped" 1
+    | Error _ -> stats.skipped <- stats.skipped + 1
     | Ok () when ivm -> (
         (* IVM mode: replay random batches through incremental
            maintenance; the batch stream is a pure function of (seed, i),
@@ -111,17 +102,14 @@ let run ?(tracer = Obs.null) ?(shrink = true) ?(ivm = false) ?out ~seed
     (if (not ivm) && i mod 3 = 0 then
        let tc = Gen.gen_trc st in
        stats.generated <- stats.generated + 1;
-       Obs.count tracer "fuzz.generated" 1;
        match Oracle.check_trc tc with
        | [] -> ()
        | divs -> record (Printf.sprintf "s%d-c%d-trc" seed i) None divs);
     if (not ivm) && i mod 4 = 0 then
       let dc = Gen.gen_datalog st in
       stats.generated <- stats.generated + 1;
-      Obs.count tracer "fuzz.generated" 1;
       match Oracle.check_datalog dc with
       | [] -> ()
       | divs -> record (Printf.sprintf "s%d-c%d-datalog" seed i) None divs
   done;
-  Obs.leave tracer span;
   (stats, List.rev !findings)

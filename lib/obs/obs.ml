@@ -115,53 +115,6 @@ let counter_total roots k =
     (fun acc s -> match attr_int s k with Some i -> acc + i | None -> acc)
     0 roots
 
-type agg = {
-  agg_name : string;
-  calls : int;
-  total_ns : int64;
-  counters : (string * int) list;
-}
-
-let summary roots =
-  let order = ref [] in
-  let tbl = Hashtbl.create 16 in
-  fold_spans
-    (fun () s ->
-      let row =
-        match Hashtbl.find_opt tbl s.name with
-        | Some row -> row
-        | None ->
-            order := s.name :: !order;
-            let row =
-              { agg_name = s.name; calls = 0; total_ns = 0L; counters = [] }
-            in
-            Hashtbl.replace tbl s.name row;
-            row
-      in
-      let counters =
-        List.fold_left
-          (fun cs (k, v) ->
-            match v with
-            | Int i -> (
-                match List.assoc_opt k cs with
-                | Some j ->
-                    List.map
-                      (fun (k', v') -> if k' = k then (k, i + j) else (k', v'))
-                      cs
-                | None -> cs @ [ (k, i) ])
-            | _ -> cs)
-          row.counters s.attrs
-      in
-      Hashtbl.replace tbl s.name
-        {
-          row with
-          calls = row.calls + 1;
-          total_ns = Int64.add row.total_ns s.duration_ns;
-          counters;
-        })
-    () roots;
-  List.rev_map (fun n -> Hashtbl.find tbl n) !order
-
 let value_to_string = function
   | Int i -> string_of_int i
   | Float f -> Printf.sprintf "%g" f

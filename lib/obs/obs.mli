@@ -69,16 +69,4 @@ val find_spans : span list -> string -> span list
 val counter_total : span list -> string -> int
 (** Sum of an integer attribute over a whole forest. *)
 
-(** Aggregated per-operator totals, for profile summaries. *)
-type agg = {
-  agg_name : string;
-  calls : int;
-  total_ns : int64;
-  counters : (string * int) list;  (** summed integer attributes *)
-}
-
-val summary : span list -> agg list
-(** One row per span name, in order of first appearance. [total_ns] sums
-    every span of that name (nested same-name spans double-count). *)
-
 val value_to_string : value -> string

@@ -106,27 +106,6 @@ let add t tp =
   check_row "Relation.add" t.schema tp;
   append t [| tp |] 1
 
-let project attrs t =
-  let schema = Schema.project t.schema attrs in
-  of_array schema (map_rows (fun tp -> Tuple.project tp attrs) t)
-
-let rename mapping t =
-  let attrs' =
-    List.map
-      (fun a -> match List.assoc_opt a mapping with Some b -> b | None -> a)
-      (Schema.attrs t.schema)
-  in
-  let schema' = Schema.make attrs' in
-  of_array schema' (map_rows (fun tp -> Tuple.rename_schema tp schema') t)
-
-let product t1 t2 =
-  let schema = Schema.union t1.schema t2.schema in
-  of_array schema
-    (Array.of_list
-       (List.concat_map
-          (fun r1 -> List.map (fun r2 -> Tuple.concat r1 r2) (tuples t2))
-          (tuples t1)))
-
 let align_to schema tp =
   if Schema.equal (Tuple.schema tp) schema then tp
   else Tuple.project tp (Schema.attrs schema)
@@ -243,39 +222,6 @@ let diff_signed t_old t_new =
     (fun tp c acc -> if !c = 0 then acc else (tp, !c) :: acc)
     net []
   |> List.sort (fun (a, _) (b, _) -> Tuple.compare a b)
-
-let join t1 t2 =
-  let shared =
-    List.filter (fun a -> Schema.mem t2.schema a) (Schema.attrs t1.schema)
-  in
-  let rest2 =
-    List.filter (fun a -> not (Schema.mem t1.schema a)) (Schema.attrs t2.schema)
-  in
-  let schema = Schema.make (Schema.attrs t1.schema @ rest2) in
-  let matches r1 r2 =
-    List.for_all
-      (fun a ->
-        let v1 = Tuple.get r1 a and v2 = Tuple.get r2 a in
-        (* SQL-style: null never joins *)
-        (not (Value.is_null v1)) && (not (Value.is_null v2)) && Value.equal v1 v2)
-      shared
-  in
-  let rows =
-    List.concat_map
-      (fun r1 ->
-        List.filter_map
-          (fun r2 ->
-            if matches r1 r2 then
-              Some
-                (Tuple.make schema
-                   (Array.of_list
-                      (List.map (Tuple.get r1) (Schema.attrs t1.schema)
-                      @ List.map (Tuple.get r2) rest2)))
-            else None)
-          (tuples t2))
-      (tuples t1)
-  in
-  of_array schema (Array.of_list rows)
 
 let sort t =
   let a = Array.sub t.buf.data 0 t.len in

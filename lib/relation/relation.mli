@@ -52,18 +52,15 @@ val add : t -> Tuple.t -> t
 (** Appends one row. Raises [Invalid_argument] if its schema differs from
     the relation's. *)
 
-(** {1 Classic relational-algebra operations}
+(** {1 Bag operations}
 
-    Provided for the substrate's own tests and for oracle implementations in
-    property tests; the ARC engine evaluates comprehensions directly and does
-    not compile to these. *)
+    Used by the engines' fixpoints and by SQL set operations; the ARC
+    engines evaluate comprehensions directly and do not compile to
+    relational algebra. *)
 
 val select : (Tuple.t -> bool) -> t -> t
 (** Calls the predicate once per row, in row order. *)
 
-val project : string list -> t -> t
-val rename : (string * string) list -> t -> t
-val product : t -> t -> t
 val union : t -> t -> t
 (** Bag union (UNION ALL); apply {!dedup} for set union. The right
     operand's rows follow the left's, aligned to the left schema. *)
@@ -73,10 +70,6 @@ val minus : t -> t -> t
 
 val intersect : t -> t -> t
 (** Bag intersection: pointwise [min] of multiplicities. *)
-
-val join : t -> t -> t
-(** Natural join on shared attribute names (name-based equality,
-    [Null] ≠ [Null] here, as in SQL join predicates). *)
 
 (** {1 Signed deltas}
 

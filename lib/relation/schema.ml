@@ -48,8 +48,6 @@ let sorted_attrs t = t.sorted
 let key_parts t = t.key_parts
 let sorted_ixs t = t.sorted_ixs
 
-let union t1 t2 = make (t1.names @ t2.names)
-
 let project t names =
   List.iter (fun n -> if not (mem t n) then raise (Unknown_attribute n)) names;
   make names

@@ -43,9 +43,6 @@ val equal : t -> t -> bool
 (** Same attribute names in the same order. O(1) on a physically equal
     schema. *)
 
-val union : t -> t -> t
-(** Concatenation; raises {!Duplicate_attribute} on overlap. *)
-
 val project : t -> string list -> t
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -25,12 +25,6 @@ let rename_schema t schema' =
     invalid_arg "Tuple.rename_schema: arity mismatch";
   { schema = schema'; cells = t.cells }
 
-let concat t1 t2 =
-  {
-    schema = Schema.union t1.schema t2.schema;
-    cells = Array.append t1.cells t2.cells;
-  }
-
 let sorted_attrs t = Schema.sorted_attrs t.schema
 
 (* Length-prefixed attribute names plus Value.canonical cells: no choice of

@@ -22,9 +22,6 @@ val values : t -> Arc_value.Value.t list
 val project : t -> string list -> t
 val rename_schema : t -> Schema.t -> t
 
-val concat : t -> t -> t
-(** Schema union; raises {!Schema.Duplicate_attribute} on overlap. *)
-
 val equal : t -> t -> bool
 (** Name-based: equal iff same attribute set and each attribute maps to a
     {!Arc_value.Value.key_equal} value ([Null] = [Null], per

@@ -446,7 +446,7 @@ let fixpoint_spans () =
    them one after the other; the closures still agree. *)
 let whole_definition_fixpoint () =
   List.iter
-    (fun (name, text, heads) ->
+    (fun (name, text, base_rows, heads) ->
       let prog = Arc_syntax.Parser.program_of_string text in
       let optimized, stats, _ = traced ~db:db_p_cycle prog in
       Alcotest.(check (list bool)) (name ^ ": not seminaive-eligible")
@@ -467,6 +467,23 @@ let whole_definition_fixpoint () =
                  (List.assoc head (fst (Ir.program_ids optimized))))
           in
           Alcotest.(check int) (name ^ ": head act = closure") 5 a.Ir.a_rows;
+          (* A's first disjunct reads no component, so only the seed runs
+             it *)
+          (if head = "A" then
+             let id = List.assoc head (fst (Ir.program_ids optimized)) in
+             let dp =
+               List.find
+                 (fun d -> d.Ir.dname = head)
+                 (List.concat (recursive_strata optimized))
+             in
+             let base =
+               Option.get
+                 (Ir.actual_of stats
+                    (List.hd (Ir.coll_child_ids id dp.Ir.dplan)))
+             in
+             Alcotest.(check (pair int int))
+               (name ^ ": base disjunct runs once")
+               (1, base_rows) (base.Ir.a_invocations, base.Ir.a_rows));
           Option.iter
             (fun deltas ->
               Alcotest.(check (list int)) (name ^ ": seed, then a round each")
@@ -476,8 +493,8 @@ let whole_definition_fixpoint () =
             rounds)
         heads)
     [
-      ("single", opaque_text, [ ("A", Some [ 2; 1; 1; 1; 0 ]) ]);
-      ("mutual", opaque_mutual_text, [ ("A", None); ("B", None) ]);
+      ("single", opaque_text, 2, [ ("A", Some [ 2; 1; 1; 1; 0 ]) ]);
+      ("mutual", opaque_mutual_text, 1, [ ("A", None); ("B", None) ]);
     ]
 
 let guard_truncates () =

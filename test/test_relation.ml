@@ -1,4 +1,4 @@
-(* Relation substrate tests: schemas, tuples, bag/set relations, RA ops. *)
+(* Relation substrate tests: schemas, tuples, bag/set relations, bag ops. *)
 
 module V = Arc_value.Value
 module Schema = Arc_relation.Schema
@@ -32,15 +32,6 @@ let tuple_access () =
   Alcotest.(check int) "projected arity" 1 (Schema.arity (Tuple.schema p));
   let t2 = Tuple.of_alist [ ("B", i 2); ("A", i 1) ] in
   Alcotest.(check bool) "name-based equality" true (Tuple.equal t t2)
-
-let tuple_concat () =
-  let t1 = Tuple.of_alist [ ("A", i 1) ] in
-  let t2 = Tuple.of_alist [ ("B", i 2) ] in
-  let t = Tuple.concat t1 t2 in
-  Alcotest.(check bool) "concat fields" true
-    (V.equal (Tuple.get t "A") (i 1) && V.equal (Tuple.get t "B") (i 2));
-  Alcotest.check_raises "overlap" (Schema.Duplicate_attribute "A") (fun () ->
-      ignore (Tuple.concat t1 t1))
 
 let rel_dedup () =
   let r = Relation.of_rows [ "A" ] [ [ i 1 ]; [ i 1 ]; [ i 2 ] ] in
@@ -117,30 +108,12 @@ let rel_ops () =
     (Relation.cardinality (Relation.minus r s));
   (* bag intersect: min multiplicities *)
   Alcotest.(check int) "bag intersect" 1
-    (Relation.cardinality (Relation.intersect r s));
-  let p = Relation.product r (Relation.rename [ ("A", "B") ] s) in
-  Alcotest.(check int) "product" 6 (Relation.cardinality p)
+    (Relation.cardinality (Relation.intersect r s))
 
-let rel_select_project () =
+let rel_select () =
   let r = Relation.of_rows [ "A"; "B" ] [ [ i 1; i 2 ]; [ i 3; i 4 ] ] in
   let sel = Relation.select (fun t -> V.equal (Tuple.get t "A") (i 1)) r in
-  Alcotest.(check int) "select" 1 (Relation.cardinality sel);
-  let prj = Relation.project [ "B" ] r in
-  Alcotest.(check bool) "project schema" true
-    (Schema.attrs (Relation.schema prj) = [ "B" ])
-
-let rel_join () =
-  let r = Relation.of_rows [ "A"; "B" ] [ [ i 1; i 2 ]; [ i 3; i 4 ] ] in
-  let s = Relation.of_rows [ "B"; "C" ] [ [ i 2; i 9 ]; [ i 5; i 0 ] ] in
-  let j = Relation.join r s in
-  Alcotest.(check int) "natural join matches" 1 (Relation.cardinality j);
-  Alcotest.(check bool) "join schema" true
-    (Schema.attrs (Relation.schema j) = [ "A"; "B"; "C" ]);
-  (* NULL never joins *)
-  let rn = Relation.of_rows [ "A"; "B" ] [ [ i 1; V.Null ] ] in
-  let sn = Relation.of_rows [ "B"; "C" ] [ [ V.Null; i 9 ] ] in
-  Alcotest.(check int) "null does not join" 0
-    (Relation.cardinality (Relation.join rn sn))
+  Alcotest.(check int) "select" 1 (Relation.cardinality sel)
 
 let rel_equalities () =
   let r1 = Relation.of_rows [ "A" ] [ [ i 1 ]; [ i 1 ]; [ i 2 ] ] in
@@ -267,13 +240,6 @@ let prop_minus_then_union =
     (QCheck.pair gen_rel gen_rel) (fun (r, s) ->
       Relation.cardinality (Relation.minus r s)
       = Relation.cardinality r - Relation.cardinality (Relation.intersect r s))
-
-let prop_product_card =
-  QCheck.Test.make ~name:"product cardinality multiplies" ~count:100
-    (QCheck.pair gen_rel gen_rel) (fun (r, s) ->
-      let s = Relation.rename [ ("A", "C"); ("B", "D") ] s in
-      Relation.cardinality (Relation.product r s)
-      = Relation.cardinality r * Relation.cardinality s)
 
 (* signed deltas: exact bag updates, canonical-key matching *)
 
@@ -431,7 +397,6 @@ let () =
       ( "tuple",
         [
           Alcotest.test_case "access" `Quick tuple_access;
-          Alcotest.test_case "concat" `Quick tuple_concat;
           Alcotest.test_case "equality is key equality" `Quick
             tuple_equal_is_key_equality;
         ] );
@@ -441,8 +406,7 @@ let () =
           Alcotest.test_case "dedup collision regression" `Quick
             rel_dedup_collisions;
           Alcotest.test_case "bag ops" `Quick rel_ops;
-          Alcotest.test_case "select/project" `Quick rel_select_project;
-          Alcotest.test_case "natural join" `Quick rel_join;
+          Alcotest.test_case "select" `Quick rel_select;
           Alcotest.test_case "set/bag equality" `Quick rel_equalities;
           Alcotest.test_case "errors" `Quick rel_errors;
           Alcotest.test_case "table rendering" `Quick table_render;
@@ -457,7 +421,6 @@ let () =
             prop_dedup_idempotent;
             prop_union_card;
             prop_minus_then_union;
-            prop_product_card;
             prop_diff_then_apply;
             prop_delta_inverse;
             prop_shared_prefix;
