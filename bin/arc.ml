@@ -147,7 +147,6 @@ let wrap f = try `Ok (f ()) with
   | Arc_ivm.Ivm.Ivm_error m -> `Error (false, m)
   | Arc_relation.Database.Unknown_relation n ->
       `Error (false, Printf.sprintf "unknown relation %S" n)
-  | Arc_guard.Error.Guard_error e -> `Error (false, Arc_guard.Error.to_string e)
   | Arc_engine.Externals.External_error { relation; cause } ->
       `Error (false, Printf.sprintf "external relation %S failed: %s" relation cause)
   | Invalid_argument m -> `Error (false, m)
@@ -409,21 +408,12 @@ let engine_arg =
            reference (the paper's conceptual evaluation strategy, the \
            semantic oracle; same results).")
 
-let no_stats_flag =
-  Arg.(
-    value & flag
-    & info [ "no-stats" ]
-        ~doc:
-          "Skip the implicit ANALYZE of inline tables: the planner falls \
-           back to the legacy structural heuristic instead of \
-           statistics-driven selectivity estimates.")
-
 let eval_run lang conv engine tables profile timeout max_rows max_iterations
-    max_bindings max_depth on_limit no_stats text =
+    max_bindings max_depth on_limit text =
   wrap (fun () ->
       let tables = List.map parse_table tables in
       let db = Database.of_list tables in
-      let db = if no_stats then db else Database.analyze db in
+      let db = Database.analyze db in
       let schemas =
         List.map
           (fun (n, r) ->
@@ -469,7 +459,8 @@ let eval_run lang conv engine tables profile timeout max_rows max_iterations
                 ( outcome,
                   fun () ->
                     let m = Metrics.create () in
-                    Arc_engine.Exec.export_stats m optimized stats;
+                    Arc_engine.Exec.export_stats m
+                      ~cenv:(Database.stats_bindings db) optimized stats;
                     m )
             | `Plan ->
                 (Arc_engine.Exec.run ~conv ~guard ~db prog, Metrics.create)
@@ -496,8 +487,7 @@ let eval_cmd =
       ret
         (const eval_run $ input_lang $ conv_arg $ engine_arg $ tables_arg
        $ profile_flag $ timeout_arg $ max_rows_arg $ max_iterations_arg
-       $ max_bindings_arg $ max_depth_arg $ on_limit_arg $ no_stats_flag
-       $ query_arg))
+       $ max_bindings_arg $ max_depth_arg $ on_limit_arg $ query_arg))
 
 (* ------------------------------------------------------------------ *)
 (* trace                                                               *)
@@ -580,11 +570,11 @@ let no_opt_flag =
           "Print only the raw lowered logical plan, skipping the rewrite \
            pipeline.")
 
-let explain_run lang conv tables schemas no_opt no_stats text =
+let explain_run lang conv tables schemas no_opt text =
   wrap (fun () ->
       let tables = List.map parse_table tables in
       let db = Database.of_list tables in
-      let db = if no_stats then db else Database.analyze db in
+      let db = Database.analyze db in
       let schemas =
         List.map parse_schema schemas
         @ List.map
@@ -596,18 +586,15 @@ let explain_run lang conv tables schemas no_opt no_stats text =
       let _ctx, raw, optimized, report =
         Arc_engine.Exec.compile ~conv ~db prog
       in
-      let cenv =
-        if Database.analyzed db then Some (Database.stats_bindings db)
-        else None
-      in
+      let cenv = Database.stats_bindings db in
       if no_opt then
-        print_string (Arc_plan.Explain.program_plan_to_string ?cenv raw)
+        print_string (Arc_plan.Explain.program_plan_to_string ~cenv raw)
       else begin
         print_endline "-- logical plan (lowered) --";
-        print_string (Arc_plan.Explain.program_plan_to_string ?cenv raw);
+        print_string (Arc_plan.Explain.program_plan_to_string ~cenv raw);
         print_newline ();
         print_endline "-- physical plan (after rewrites) --";
-        print_string (Arc_plan.Explain.program_plan_to_string ?cenv optimized);
+        print_string (Arc_plan.Explain.program_plan_to_string ~cenv optimized);
         print_newline ();
         let decorrelated, sites =
           Arc_engine.Exec.decorrelation ~conv ~db prog
@@ -641,7 +628,7 @@ let explain_cmd =
     Term.(
       ret
         (const explain_run $ input_lang $ conv_arg $ tables_arg $ schemas_arg
-       $ no_opt_flag $ no_stats_flag $ query_arg))
+       $ no_opt_flag $ query_arg))
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)
@@ -733,11 +720,11 @@ let analyze_json infos =
          Json.Obj (base @ actual))
        infos)
 
-let analyze_run lang conv tables warn_q fmt out metrics_out no_stats text =
+let analyze_run lang conv tables warn_q fmt out metrics_out text =
   wrap (fun () ->
       let tables = List.map parse_table tables in
       let db = Database.of_list tables in
-      let db = if no_stats then db else Database.analyze db in
+      let db = Database.analyze db in
       let schemas =
         List.map
           (fun (n, r) ->
@@ -746,10 +733,7 @@ let analyze_run lang conv tables warn_q fmt out metrics_out no_stats text =
       in
       let prog = parse_input lang text schemas in
       let optimized, stats, outcome = plan_run ~conv ~db prog in
-      let cenv =
-        if Database.analyzed db then Some (Database.stats_bindings db)
-        else None
-      in
+      let cenv = Database.stats_bindings db in
       (match fmt with
       | `Pretty ->
           (match outcome with
@@ -759,17 +743,17 @@ let analyze_run lang conv tables warn_q fmt out metrics_out no_stats text =
               print_endline (Arc_value.Bool3.to_string t));
           print_newline ();
           write_out ~label:"analysis" out
-            (Explain.analyze_to_string ~warn_q_error:warn_q ?cenv ~stats
+            (Explain.analyze_to_string ~warn_q_error:warn_q ~cenv ~stats
                optimized)
       | `Json ->
           write_out ~label:"analysis" out
             (Json.pretty
-               (analyze_json (Explain.analyze_info ?cenv optimized ~stats))
+               (analyze_json (Explain.analyze_info ~cenv optimized ~stats))
             ^ "\n"));
       Option.iter
         (fun file ->
           let m = Metrics.create () in
-          Arc_engine.Exec.export_stats m optimized stats;
+          Arc_engine.Exec.export_stats m ~cenv optimized stats;
           write_metrics m file)
         metrics_out)
 
@@ -788,8 +772,7 @@ let analyze_cmd =
     Term.(
       ret
         (const analyze_run $ input_lang $ conv_arg $ tables_arg $ warn_q_arg
-       $ analyze_fmt $ analyze_out $ metrics_out_arg $ no_stats_flag
-       $ query_arg))
+       $ analyze_fmt $ analyze_out $ metrics_out_arg $ query_arg))
 
 (* ------------------------------------------------------------------ *)
 (* stats                                                               *)
@@ -820,8 +803,7 @@ let stats_cmd =
           statistics: row count, distinct count, null count, min/max \
           range, most-common values, and equi-depth histogram buckets — \
           the input to the plan engine's cost model. 'arc \
-          eval/explain/analyze' collect the same statistics implicitly; \
-          --no-stats disables that.")
+          eval/explain/analyze' collect the same statistics implicitly.")
     Term.(ret (const stats_run $ tables_arg $ only_arg))
 
 (* ------------------------------------------------------------------ *)

@@ -13,7 +13,7 @@ module Obs = Arc_obs.Obs
 module Gov = Arc_guard.Gov
 module Err = Arc_guard.Error
 
-exception Eval_error of Err.t
+exception Eval_error = Err.Guard_error
 
 let raise_kind kind = raise (Eval_error (Err.make kind))
 let fail fmt = Printf.ksprintf (fun s -> raise_kind (Err.Msg s)) fmt
@@ -616,10 +616,6 @@ and eval_collection ctx benv (c : collection) : Relation.t =
         (* attribute the failure to the collection being evaluated; nested
            failures accumulate a chain of contexts *)
         raise (Eval_error (Err.in_collection name e))
-    | exception Err.Guard_error e ->
-        Obs.leave ctx.tracer sp;
-        Gov.leave_collection ctx.gov;
-        raise (Eval_error (Err.in_collection name e))
     | exception e ->
         Obs.leave ctx.tracer sp;
         Gov.leave_collection ctx.gov;
@@ -848,13 +844,9 @@ let make_ctx ?conv ?externals ?tracer ?guard ~db (prog : program) =
   let tracer = ctx.tracer in
   if safe <> [] then begin
     let sp = Obs.enter tracer "definitions" in
-    (* budget trips between collection evaluations (fixpoint bookkeeping)
-       surface as Guard_error; convert them like eval_collection does *)
-    (try compute_idb ctx safe
-     with Err.Guard_error e ->
-       Obs.leave tracer sp;
-       raise (Eval_error e));
-    Obs.leave tracer sp
+    Fun.protect
+      ~finally:(fun () -> Obs.leave tracer sp)
+      (fun () -> compute_idb ctx safe)
   end;
   ctx
 
@@ -865,7 +857,6 @@ let run ?conv ?externals ?tracer ?guard ~db (prog : program) =
     | Coll c -> Rows (eval_collection ctx [] c)
     | Sentence f -> Truth (eval_formula ctx [] f)
   with
-  | Err.Guard_error e -> raise (Eval_error e)
   | V.Type_error m ->
       (* ill-typed data meets an operator: a typed failure, not a crash *)
       raise (Eval_error { Err.kind = Err.Msg ("type error: " ^ m); context = [] })

@@ -28,7 +28,8 @@ exception Eval_error of Arc_guard.Error.t
 (** Structured evaluation failure. The payload's [context] field carries the
     ["in collection %S"] chain (outermost first);
     {!Arc_guard.Error.to_string} renders exactly the historical string
-    messages. *)
+    messages. It is {!Arc_guard.Error.Guard_error} rebound, so a budget
+    trip is caught under either name. *)
 
 val error_to_string : Arc_guard.Error.t -> string
 (** Alias of {!Arc_guard.Error.to_string}. *)

@@ -221,7 +221,7 @@ let filter_block env pass (rows : 'a array) : 'a array =
 let in_collection env name f =
   match Fun.protect ~finally:(fun () -> Gov.leave_collection (gov env)) f with
   | r -> r
-  | exception (Eval_error e | Err.Guard_error e) ->
+  | exception Eval_error e ->
       raise (Eval_error (Err.in_collection name e))
 
 (* Charges a collection's output rows, clipping it to what the row budget
@@ -855,10 +855,7 @@ let compile ?conv ?externals ?guard ~db (prog : program) =
   let prog, magic_changed, ctx, safe, lenv =
     front ?conv ?externals ?guard ~db prog
   in
-  let raw =
-    try Lower.lower_program lenv ~safe prog
-    with Err.Guard_error e -> raise (Eval_error e)
-  in
+  let raw = Lower.lower_program lenv ~safe prog in
   let optimized, report = Opt.optimize lenv raw in
   let unnested =
     List.exists Decorrelate.fired (snd (Lower.decorrelate lenv prog))
@@ -888,9 +885,8 @@ let exec_program ?stats ctx (pp : Ir.program_plan) : Eval.outcome =
     | Ir.Main_coll p ->
         Eval.Rows (compile_coll ctx (Option.get main_id) p env)
     | Ir.Main_sentence f -> Eval.Truth (I.eval_formula ctx [] f)
-  with
-  | Err.Guard_error e -> raise (Eval_error e)
-  | V.Type_error m -> raise (Eval_error { Err.kind = Err.Msg ("type error: " ^ m); context = [] })
+  with V.Type_error m ->
+    raise (Eval_error { Err.kind = Err.Msg ("type error: " ^ m); context = [] })
 
 let run ?conv ?externals ?guard ~db (prog : program) =
   try
@@ -946,7 +942,8 @@ module Explain = Arc_plan.Explain
 (* Aggregates a run's per-node actuals into operator-level series: totals
    as counters, per-node distributions as histograms. This is what
    [arc eval --profile] prints and what [--metrics-out] exports. *)
-let export_stats (m : Metrics.t) (pp : Ir.program_plan) (stats : Ir.stats) =
+let export_stats (m : Metrics.t) ~cenv (pp : Ir.program_plan)
+    (stats : Ir.stats) =
   List.iter
     (fun ni ->
       match ni.Explain.ni_actual with
@@ -966,7 +963,7 @@ let export_stats (m : Metrics.t) (pp : Ir.program_plan) (stats : Ir.stats) =
           (match ni.Explain.ni_q with
           | Some q -> Metrics.observe m ~labels "arc_node_q_error" q
           | None -> ()))
-    (Explain.analyze_info pp ~stats)
+    (Explain.analyze_info ~cenv pp ~stats)
 
 (* Renders a run's per-node actuals as spans (see exec.mli). A span
    aggregates every invocation of its node, so it has no real start:

@@ -85,6 +85,7 @@ val exec_program :
 
 val export_stats :
   Arc_obs.Metrics.t ->
+  cenv:Arc_plan.Card.env ->
   Arc_plan.Ir.program_plan ->
   Arc_plan.Ir.stats ->
   unit
@@ -92,7 +93,9 @@ val export_stats :
     series ([arc_node_invocations_total], [arc_node_rows_total],
     [arc_node_excl_ns], [arc_node_rows], [arc_node_q_error], all labeled
     by [op]; and [arc_fixpoint_ns_total], the recursive heads' fixpoint
-    time). *)
+    time). The Q-errors score [Card]'s estimates under the statistics
+    [cenv], as {!Arc_plan.Explain.analyze_info} does with the same
+    [cenv]. *)
 
 val spans_of_stats :
   Arc_plan.Ir.program_plan ->

@@ -509,7 +509,7 @@ let check_ivm ?(batches = 3) ~rng (case : Case.t) =
             done;
             !divs
           with
-          | Eval.Eval_error _ | Err.Guard_error _ -> []  (* budget: skip *)
+          | Eval.Eval_error _ -> []  (* budget: skip *)
           | Ivm.Ivm_error m ->
               [ { d_kind = "ivm-error"; d_conv = cname; d_detail = m } ])
         all_conventions

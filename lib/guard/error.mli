@@ -43,8 +43,8 @@ type t = {
 
 exception Guard_error of t
 (** Raised by {!Gov}, by retry-exhausted externals and by the plan
-    lowering's rejections; the engine converts it into its own
-    [Eval_error], adding collection context on the way out. *)
+    lowering's rejections. The engine's [Eval_error] is this exception
+    rebound; collection context is added on the way out. *)
 
 val make : ?context:string list -> kind -> t
 val in_collection : string -> t -> t

@@ -9,8 +9,9 @@
 
     Enforcement policy is [on_limit]:
     - [`Fail] (default): crossing a limit raises
-      {!Error.Guard_error} with [Budget_exceeded]; the engine converts it to
-      a typed [Eval_error] carrying the collection context.
+      {!Error.Guard_error} with [Budget_exceeded]. The engine's
+      [Eval_error] is the same exception; collection context is added on
+      the way out.
     - [`Truncate]: graceful degradation. Charging calls clip their row
       allowance, fixpoint loops stop early, deeper collections evaluate to
       empty — evaluation completes with a partial result (a subset of the

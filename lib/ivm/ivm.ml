@@ -182,9 +182,6 @@ let metric_inc t ?labels name =
 let metric_observe t name v =
   match t.metrics with None -> () | Some m -> Metrics.observe m name v
 
-let metric_gauge t name v =
-  match t.metrics with None -> () | Some m -> Metrics.set_gauge m name v
-
 (* ------------------------------------------------------------------ *)
 (* Small helpers shared with the executor's semantics                  *)
 (* ------------------------------------------------------------------ *)
@@ -943,12 +940,14 @@ let apply ?guard t (batch : batch) =
     updates;
   metric_inc t "arc_ivm_batches_total";
   metric_observe t "arc_ivm_batch_delta_rows" (float_of_int (batch_rows batch));
-  (* budget trips surface typed, as from [Exec.exec_program] *)
   let reports =
-    try List.map (fun v -> maintain_view t v guard changed_base) t.tviews
-    with Arc_guard.Error.Guard_error e -> raise (Eval.Eval_error e)
+    List.map (fun v -> maintain_view t v guard changed_base) t.tviews
   in
-  metric_gauge t "arc_ivm_state_rows" (float_of_int (state_rows t));
+  (* walking every view's state costs a pass; only a registry reads it *)
+  Option.iter
+    (fun m ->
+      Metrics.set_gauge m "arc_ivm_state_rows" (float_of_int (state_rows t)))
+    t.metrics;
   reports
 
 (* ------------------------------------------------------------------ *)

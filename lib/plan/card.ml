@@ -2,22 +2,20 @@ open Arc_core.Ast
 module Stats = Arc_relation.Stats
 module V = Arc_value.Value
 
-(* The statistics-driven cardinality model. Replaces [Ir.estimate]'s magic
-   shifts with selectivity arithmetic over per-relation column statistics:
-   equality through MCVs and distinct counts, ranges through equi-depth
-   histograms, join cardinality through distinct-count overlap
-   (|L|·|R| / max(d_l, d_r), zero when key ranges are disjoint), and
-   independence across conjuncts.
+(* The planner's one cardinality model: selectivity arithmetic over
+   per-relation column statistics — equality through MCVs and distinct
+   counts, ranges through equi-depth histograms, join cardinality through
+   distinct-count overlap (|L|·|R| / max(d_l, d_r), zero when key ranges
+   are disjoint), and independence across conjuncts. Where no statistics
+   ground a decision it falls back to fixed guesses: a factor 2 per
+   predicate, 16 per join key, 4 per grouping, [default_card] rows for a
+   relation of unknown size.
 
    Every estimate carries a provenance tag so misestimates are
-   attributable: [Exact] (true base cardinalities, no guessing involved),
-   [Stats] (every selectivity decision backed by statistics), [Heuristic]
-   (no statistics contributed anywhere below), [Mixed] (some of each).
-
-   Compatibility invariant, tested in [test_stats.ml]: a [Heuristic] node
-   reports {e exactly} [Ir.estimate]'s number — with no statistics in the
-   environment this model degrades to the historical estimator, so plans
-   and explain output only change once [ANALYZE] has run. *)
+   attributable: [Exact] (counted base cardinalities, no guessing
+   involved), [Stats] (every selectivity decision backed by statistics),
+   [Heuristic] (no statistics contributed anywhere below), [Mixed] (some
+   of each). *)
 
 type env = (rel_name * Stats.t) list
 
@@ -45,6 +43,10 @@ let meet a b =
   | _ -> Mixed
 
 let cap = 1e9
+
+(* The guessed size of a relation whose rows were not counted: a
+   definition. *)
+let default_card = 64
 
 let rows { rows; _ } =
   if Float.is_nan rows then 1
@@ -107,7 +109,7 @@ let clamp01 f = Float.max 0.0 (Float.min 1.0 f)
 
 (* Selectivity of one predicate under a scan map: [Some (f, stale)] when
    statistics could ground it (with stale details discounted toward the
-   historical factor-2 default), [None] for the heuristic fallback. *)
+   factor-2 default), [None] for the heuristic fallback. *)
 let pred_sel env smap (p : pred) : (float * bool) option =
   let col = resolve_col env smap in
   let one s sel = Some (blend [ s ] ~default:0.5 sel) in
@@ -162,9 +164,8 @@ let pred_sel env smap (p : pred) : (float * bool) option =
       | None -> None)
   | Like _ -> None
 
-(* Fold predicate selectivities under independence; heuristic conjuncts
-   cost the historical factor-2 each (capped at 4 total, matching
-   [Ir.estimate]'s [lsr min 4 n]). *)
+(* Fold predicate selectivities under independence; ungrounded conjuncts
+   cost a factor 2 each, at most 16 together. *)
 let preds_sel env smap preds =
   let heur = ref 0 and sel = ref 1.0 and used = ref false and stale = ref false in
   List.iter
@@ -192,7 +193,7 @@ let preds_sel env smap preds =
 
 (* One equi-join key: with distinct counts on both sides, the classic
    containment bound 1/max(d_l, d_r), sharpened to 0 when the key ranges
-   cannot overlap; with one side, 1/d; with neither, the historical
+   cannot overlap; with one side, 1/d; with neither, the
    16-fold guess per key. Returns the selectivity (stale details discounted
    toward the per-key 1/16 default) and whether statistics grounded it,
    with the stale flag. *)
@@ -234,8 +235,7 @@ let keys_sel env lmap rmap keys =
       | `Heur -> ())
     keys;
   let heur = List.length keys - !grounded in
-  (* ungrounded keys contribute the historical 4-bit shift, capped at 12
-     bits across the node like [Ir.estimate] *)
+  (* ungrounded keys cost a factor 16 each, at most 4096 together *)
   let heur_sel = 1.0 /. float_of_int (1 lsl min 12 (4 * heur)) in
   let src =
     if keys = [] then Exact
@@ -250,170 +250,162 @@ let keys_sel env lmap rmap keys =
 (* Plan estimation                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* A [Heuristic] subtree reports exactly [Ir.estimate]'s number: with an
-   empty environment this function {e is} the historical estimator. *)
-let reconcile heur_of node e =
-  if e.src = Heuristic then { e with rows = float_of_int (heur_of node) }
-  else e
-
 let rec estimate env (t : Ir.t) : est =
-  reconcile Ir.estimate t
-    (match t with
-    | One -> { rows = 1.0; src = Exact }
-    | Scan { rel; card; filters; var } ->
-        let base, base_src =
-          match List.assoc_opt rel env with
-          | Some s -> (float_of_int s.Stats.s_rows, Exact)
-          | None -> (float_of_int card, Exact)
-        in
-        let sel, sel_src = preds_sel env [ (var, rel) ] filters in
-        { rows = base *. sel; src = meet base_src sel_src }
-    | Subquery { plan; _ } -> estimate_coll env plan
-    | Lateral { input; plan; _ } ->
-        let i = estimate env input in
-        let p = estimate_coll env plan in
-        { rows = i.rows *. p.rows; src = meet i.src p.src }
-    | Product { left; right } ->
-        let l = estimate env left and r = estimate env right in
-        { rows = l.rows *. r.rows; src = meet l.src r.src }
-    | Hash_join { left; right; keys } ->
-        let l = estimate env left and r = estimate env right in
-        let sel, ksrc = keys_sel env (scan_map left) (scan_map right) keys in
+  match t with
+  | One -> { rows = 1.0; src = Exact }
+  | Scan { rel; card; filters; var } ->
+      let base, base_src =
+        match (List.assoc_opt rel env, card) with
+        | Some s, _ -> (float_of_int s.Stats.s_rows, Exact)
+        | None, Some c -> (float_of_int c, Exact)
+        | None, None -> (float_of_int default_card, Heuristic)
+      in
+      let sel, sel_src = preds_sel env [ (var, rel) ] filters in
+      { rows = base *. sel; src = meet base_src sel_src }
+  | Subquery { plan; _ } -> estimate_coll env plan
+  | Lateral { input; plan; _ } ->
+      let i = estimate env input in
+      let p = estimate_coll env plan in
+      { rows = i.rows *. p.rows; src = meet i.src p.src }
+  | Product { left; right } ->
+      let l = estimate env left and r = estimate env right in
+      { rows = l.rows *. r.rows; src = meet l.src r.src }
+  | Hash_join { left; right; keys } ->
+      let l = estimate env left and r = estimate env right in
+      let sel, ksrc = keys_sel env (scan_map left) (scan_map right) keys in
+      {
+        rows = l.rows *. r.rows *. sel;
+        src = meet (meet l.src r.src) ksrc;
+      }
+  | Filter { input; preds } ->
+      let i = estimate env input in
+      let sel, src = preds_sel env (scan_map input) preds in
+      { rows = i.rows *. sel; src = meet i.src src }
+  | Residual { input; conjs } ->
+      let i = estimate env input in
+      let smap = scan_map input in
+      (* statistics only ground plain predicate conjuncts; anything else
+         keeps the factor-2 guess for the whole node *)
+      let sels =
+        List.map
+          (fun f ->
+            match f with Pred p -> pred_sel env smap p | _ -> None)
+          conjs
+      in
+      if List.for_all Option.is_some sels then
+        let stale = List.exists (fun s -> snd (Option.get s)) sels in
         {
-          rows = l.rows *. r.rows *. sel;
-          src = meet (meet l.src r.src) ksrc;
+          rows =
+            List.fold_left
+              (fun acc s -> acc *. fst (Option.get s))
+              i.rows sels;
+          src =
+            meet i.src
+              (if conjs = [] then Exact else if stale then Stale else Stats);
         }
-    | Filter { input; preds } ->
-        let i = estimate env input in
-        let sel, src = preds_sel env (scan_map input) preds in
-        { rows = i.rows *. sel; src = meet i.src src }
-    | Residual { input; conjs } ->
-        let i = estimate env input in
-        let smap = scan_map input in
-        (* statistics only ground plain predicate conjuncts; anything else
-           keeps the historical halving for the whole node *)
-        let sels =
-          List.map
-            (fun f ->
-              match f with Pred p -> pred_sel env smap p | _ -> None)
-            conjs
-        in
-        if List.for_all Option.is_some sels then
-          let stale = List.exists (fun s -> snd (Option.get s)) sels in
-          {
-            rows =
-              List.fold_left
-                (fun acc s -> acc *. fst (Option.get s))
-                i.rows sels;
-            src =
-              meet i.src
-                (if conjs = [] then Exact else if stale then Stale else Stats);
-          }
-        else { rows = i.rows /. 2.0; src = meet i.src Heuristic }
-    | Append ts ->
-        List.fold_left
-          (fun acc t ->
-            let e = estimate env t in
-            { rows = acc.rows +. e.rows; src = meet acc.src e.src })
-          { rows = 0.0; src = Exact }
-          ts
-    | Semi { anti; input; sub; keys; _ } ->
-        let i = estimate env input in
-        let s = estimate env sub in
-        let match_sel =
-          match keys with
-          | [] -> None
-          | _ -> (
-              let lmap = scan_map input and rmap = scan_map sub in
-              let grounded =
-                List.map
-                  (fun k ->
-                    let outer = resolve_col env lmap k.Ir.outer in
-                    let inner = resolve_col env rmap k.Ir.inner in
-                    match (outer, inner) with
-                    | Some (s1, c1), Some (s2, c2) ->
-                        let disjoint =
-                          match
-                            ( c1.Stats.c_min,
-                              c1.Stats.c_max,
-                              c2.Stats.c_min,
-                              c2.Stats.c_max )
-                          with
-                          | Some lo1, Some hi1, Some lo2, Some hi2 ->
-                              V.compare hi1 lo2 < 0 || V.compare hi2 lo1 < 0
-                          | _ -> false
-                        in
-                        let f =
-                          if disjoint then 0.0
-                          else if c1.Stats.c_distinct = 0 then 0.0
-                          else
-                            (* fraction of probe-side key values with a build
-                               partner, under containment *)
-                            clamp01
-                              (float_of_int c2.Stats.c_distinct
-                              /. float_of_int c1.Stats.c_distinct)
-                        in
-                        Some (f, [ s1; s2 ])
-                    | _ -> None)
-                  keys
+      else { rows = i.rows /. 2.0; src = meet i.src Heuristic }
+  | Append ts ->
+      List.fold_left
+        (fun acc t ->
+          let e = estimate env t in
+          { rows = acc.rows +. e.rows; src = meet acc.src e.src })
+        { rows = 0.0; src = Exact }
+        ts
+  | Semi { anti; input; sub; keys; _ } ->
+      let i = estimate env input in
+      let s = estimate env sub in
+      let match_sel =
+        match keys with
+        | [] -> None
+        | _ -> (
+            let lmap = scan_map input and rmap = scan_map sub in
+            let grounded =
+              List.map
+                (fun k ->
+                  let outer = resolve_col env lmap k.Ir.outer in
+                  let inner = resolve_col env rmap k.Ir.inner in
+                  match (outer, inner) with
+                  | Some (s1, c1), Some (s2, c2) ->
+                      let disjoint =
+                        match
+                          ( c1.Stats.c_min,
+                            c1.Stats.c_max,
+                            c2.Stats.c_min,
+                            c2.Stats.c_max )
+                        with
+                        | Some lo1, Some hi1, Some lo2, Some hi2 ->
+                            V.compare hi1 lo2 < 0 || V.compare hi2 lo1 < 0
+                        | _ -> false
+                      in
+                      let f =
+                        if disjoint then 0.0
+                        else if c1.Stats.c_distinct = 0 then 0.0
+                        else
+                          (* fraction of probe-side key values with a build
+                             partner, under containment *)
+                          clamp01
+                            (float_of_int c2.Stats.c_distinct
+                            /. float_of_int c1.Stats.c_distinct)
+                      in
+                      Some (f, [ s1; s2 ])
+                  | _ -> None)
+                keys
+            in
+            if List.for_all Option.is_some grounded then
+              let sel =
+                List.fold_left
+                  (fun acc s -> Float.min acc (fst (Option.get s)))
+                  1.0 grounded
               in
-              if List.for_all Option.is_some grounded then
-                let sel =
-                  List.fold_left
-                    (fun acc s -> Float.min acc (fst (Option.get s)))
-                    1.0 grounded
-                in
-                let ss = List.concat_map (fun s -> snd (Option.get s)) grounded in
-                Some (blend ss ~default:0.5 sel)
-              else None)
-        in
-        (match match_sel with
-        | Some (sel, stale) ->
-            let sel = if anti then 1.0 -. sel else sel in
-            {
-              rows = i.rows *. clamp01 sel;
-              src = meet (meet i.src s.src) (if stale then Stale else Stats);
-            }
-        | None -> { rows = i.rows /. 2.0; src = meet (meet i.src s.src) Heuristic })
-    | Resolve { input; _ } -> estimate env input
-    | Prune { input; _ } -> estimate env input)
+              let ss = List.concat_map (fun s -> snd (Option.get s)) grounded in
+              Some (blend ss ~default:0.5 sel)
+            else None)
+      in
+      (match match_sel with
+      | Some (sel, stale) ->
+          let sel = if anti then 1.0 -. sel else sel in
+          {
+            rows = i.rows *. clamp01 sel;
+            src = meet (meet i.src s.src) (if stale then Stale else Stats);
+          }
+      | None -> { rows = i.rows /. 2.0; src = meet (meet i.src s.src) Heuristic })
+  | Resolve { input; _ } -> estimate env input
+  | Prune { input; _ } -> estimate env input
 
 and estimate_disjunct env (d : Ir.disjunct_plan) : est =
-  reconcile Ir.estimate_disjunct d
-    (match d with
-    | Project { input; _ } -> estimate env input
-    | Aggregate { input; keys; _ } ->
-        let i = estimate env input in
-        if keys = [] then { rows = 1.0; src = i.src }
-        else
-          let smap = scan_map input in
-          let ds =
-            List.map
-              (fun (v, a) -> resolve_col env smap (Attr (v, a)))
-              keys
+  match d with
+  | Project { input; _ } -> estimate env input
+  | Aggregate { input; keys; _ } ->
+      let i = estimate env input in
+      if keys = [] then { rows = 1.0; src = i.src }
+      else
+        let smap = scan_map input in
+        let ds =
+          List.map
+            (fun (v, a) -> resolve_col env smap (Attr (v, a)))
+            keys
+        in
+        if List.for_all Option.is_some ds then
+          let groups =
+            List.fold_left
+              (fun acc c ->
+                acc
+                *. float_of_int (max 1 (snd (Option.get c)).Stats.c_distinct))
+              1.0 ds
           in
-          if List.for_all Option.is_some ds then
-            let groups =
-              List.fold_left
-                (fun acc c ->
-                  acc
-                  *. float_of_int (max 1 (snd (Option.get c)).Stats.c_distinct))
-                1.0 ds
-            in
-            let ss = List.map (fun c -> fst (Option.get c)) ds in
-            (* stale distinct counts widen toward the historical rows/4 *)
-            let groups, stale = blend ss ~default:(i.rows /. 4.0) groups in
-            {
-              rows = Float.min i.rows groups;
-              src = meet i.src (if stale then Stale else Stats);
-            }
-          else { rows = i.rows /. 4.0; src = meet i.src Heuristic })
+          let ss = List.map (fun c -> fst (Option.get c)) ds in
+          (* stale distinct counts widen toward the guessed rows/4 *)
+          let groups, stale = blend ss ~default:(i.rows /. 4.0) groups in
+          {
+            rows = Float.min i.rows groups;
+            src = meet i.src (if stale then Stale else Stats);
+          }
+        else { rows = i.rows /. 4.0; src = meet i.src Heuristic }
 
 and estimate_coll env (c : Ir.coll_plan) : est =
-  reconcile Ir.estimate_coll c
-    (List.fold_left
-       (fun acc d ->
-         let e = estimate_disjunct env d in
-         { rows = acc.rows +. e.rows; src = meet acc.src e.src })
-       { rows = 0.0; src = Exact }
-       c.disjuncts)
+  List.fold_left
+    (fun acc d ->
+      let e = estimate_disjunct env d in
+      { rows = acc.rows +. e.rows; src = meet acc.src e.src })
+    { rows = 0.0; src = Exact }
+    c.disjuncts

@@ -37,26 +37,19 @@ let assigns_to_string assigns =
    with box characters. *)
 type node = { label : string; children : node list }
 
-(* Estimates come from [Card] when a statistics environment is supplied
-   (so the annotation can say which estimator produced the number) and
-   fall back to the legacy heuristic otherwise — by [Card]'s reconcile
-   invariant the two agree when no statistics exist. *)
-let est_of cenv estimator heur node =
-  match cenv with
-  | None -> (heur node, None)
-  | Some env ->
-      let e = estimator env node in
-      (Card.rows e, Some (Card.src_name e.Card.src))
+(* Estimates come from [Card] under the statistics environment [cenv]
+   (none when absent), with the provenance of each number. *)
+let est_of cenv estimator node =
+  let e = estimator (Option.value cenv ~default:[]) node in
+  (Card.rows e, Card.src_name e.Card.src)
 
-let est_t cenv t = est_of cenv Card.estimate Ir.estimate t
-let est_d cenv d = est_of cenv Card.estimate_disjunct Ir.estimate_disjunct d
-let est_c cenv c = est_of cenv Card.estimate_coll Ir.estimate_coll c
+let est_t cenv t = est_of cenv Card.estimate t
+let est_d cenv d = est_of cenv Card.estimate_disjunct d
+let est_c cenv c = est_of cenv Card.estimate_coll c
 
 let est_suffix cenv t =
   let est, src = est_t cenv t in
-  match src with
-  | None -> Printf.sprintf "  (\xe2\x89\x88%d rows)" est
-  | Some s -> Printf.sprintf "  (\xe2\x89\x88%d rows, %s)" est s
+  Printf.sprintf "  (\xe2\x89\x88%d rows, %s)" est src
 
 (* Core (suffix-free) labels, shared by the plain explain rendering and the
    analyze rendering. *)
@@ -264,9 +257,8 @@ let excl_ns (stats : Ir.stats) id children =
 
 let node_suffix ~warn_q_error (stats : Ir.stats) id ~est ~src ~children
     ~extras_of =
-  let src_s = match src with None -> "" | Some s -> " src=" ^ s in
   match Ir.actual_of stats id with
-  | None -> Printf.sprintf "  [est=%d%s act=\xe2\x80\x93]" est src_s
+  | None -> Printf.sprintf "  [est=%d src=%s act=\xe2\x80\x93]" est src
   | Some a ->
       let q = Ir.q_error est a.Ir.a_rows in
       let inv =
@@ -277,7 +269,7 @@ let node_suffix ~warn_q_error (stats : Ir.stats) id ~est ~src ~children
       let warn =
         if q >= warn_q_error then "  \xe2\x9a\xa0 misestimate" else ""
       in
-      Printf.sprintf "  [est=%d%s act=%d q=%.1f excl=%s%s%s]%s" est src_s
+      Printf.sprintf "  [est=%d src=%s act=%d q=%.1f excl=%s%s%s]%s" est src
         a.Ir.a_rows q
         (ns_to_string (excl_ns stats id children))
         inv (extras_of a) warn
@@ -327,7 +319,7 @@ type node_info = {
   ni_op : string;
   ni_label : string;
   ni_est : int;
-  ni_src : string;  (* which estimator produced ni_est *)
+  ni_src : string;  (* the provenance of ni_est *)
   ni_actual : Ir.actual option;
   ni_excl_ns : int64;
   ni_q : float option;
@@ -352,7 +344,7 @@ let analyze_info ?cenv (pp : Ir.program_plan) ~(stats : Ir.stats) :
         ni_op = op;
         ni_label = label;
         ni_est = est;
-        ni_src = Option.value ~default:"heuristic" src;
+        ni_src = src;
         ni_actual = actual;
         ni_excl_ns = excl_ns stats id children;
         ni_q = q;

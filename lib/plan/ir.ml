@@ -7,7 +7,9 @@ type key = { outer : term; inner : term }
 
 type t =
   | One  (** The unit input: a single empty environment. *)
-  | Scan of { var : var; rel : rel_name; filters : pred list; card : int }
+  | Scan of { var : var; rel : rel_name; filters : pred list; card : int option }
+      (** [card] counts the relation's rows; [None] for a definition,
+          whose size [Card] guesses. *)
   | Subquery of { var : var; plan : coll_plan }
       (** Uncorrelated nested collection: materialized once per scope. *)
   | Lateral of { input : t; var : var; plan : coll_plan }
@@ -72,36 +74,6 @@ let rec bound_vars = function
   | Resolve { input; binding; _ } -> binding.var :: bound_vars input
   | Prune { keep; _ } -> keep
   | Append ts -> ( match ts with [] -> [] | t :: _ -> bound_vars t)
-
-let sat_mul a b =
-  let cap = 1_000_000_000 in
-  if a <= 0 || b <= 0 then 1 else if a > cap / b then cap else a * b
-
-let sat_add a b =
-  let cap = 1_000_000_000 in
-  if a > cap - b then cap else a + b
-
-let rec estimate = function
-  | One -> 1
-  | Scan { card; filters; _ } ->
-      max 1 (card lsr min 4 (List.length filters))
-  | Subquery _ -> 32
-  | Lateral { input; _ } -> sat_mul (estimate input) 8
-  | Product { left; right } -> sat_mul (estimate left) (estimate right)
-  | Hash_join { left; right; keys } ->
-      max 1 (sat_mul (estimate left) (estimate right) / (1 lsl min 12 (4 * List.length keys)))
-  | Filter { input; preds } -> max 1 (estimate input lsr min 4 (List.length preds))
-  | Residual { input; _ } | Semi { input; _ } -> max 1 (estimate input lsr 1)
-  | Resolve { input; _ } | Prune { input; _ } -> estimate input
-  | Append ts -> max 1 (List.fold_left (fun acc t -> sat_add acc (estimate t)) 0 ts)
-
-let estimate_disjunct = function
-  | Project { input; _ } -> estimate input
-  | Aggregate { input; keys; _ } ->
-      if keys = [] then 1 else max 1 (estimate input / 4)
-
-let estimate_coll p =
-  List.fold_left (fun acc d -> acc + estimate_disjunct d) 0 p.disjuncts
 
 (* ------------------------------------------------------------------ *)
 (* Stable node ids                                                     *)

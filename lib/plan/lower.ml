@@ -39,14 +39,11 @@ let env_of_db ~db ~defs =
     stats = Database.stats_bindings db;
   }
 
-let default_card = 64
-
 let source_finite env = function
   | Nested _ -> true
   | Base n -> List.mem_assoc n env.cards || List.mem n env.defs
 
-let card env n =
-  match List.assoc_opt n env.cards with Some c -> c | None -> default_card
+let card env n = List.assoc_opt n env.cards
 
 (* ------------------------------------------------------------------ *)
 (* Collection lowering                                                 *)

@@ -137,50 +137,48 @@ let pushdown_pipeline (t : Ir.t) : Ir.t =
   in
   go t
 
-(* With statistics, order each scan's filter list by ascending estimated
-   selectivity: the most selective predicate runs first, so later (more
-   expensive) predicates see fewer rows. Predicate evaluation is pure and
-   conjunction is commutative under both null logics, so only cost
-   changes. Without statistics the order is untouched. *)
+(* Order each scan's filter list by ascending estimated selectivity: the
+   most selective predicate runs first, so later (more expensive)
+   predicates see fewer rows. Predicate evaluation is pure and conjunction
+   is commutative under both null logics, so only cost changes. Without
+   statistics every predicate scores 0.5, so the order is untouched. *)
 let order_scan_filters (env : env) (t : Ir.t) : Ir.t =
-  if env.Lower.stats = [] then t
-  else
-    let sort_filters var rel filters =
-      let smap = [ (var, rel) ] in
-      let keyed =
-        List.mapi
-          (fun i p ->
-            let sel =
-              match Card.pred_sel env.Lower.stats smap p with
-              | Some (f, _) -> f
-              | None -> 0.5
-            in
-            ((sel, i), p))
-          filters
-      in
-      List.map snd (List.stable_sort (fun (a, _) (b, _) -> compare a b) keyed)
+  let sort_filters var rel filters =
+    let smap = [ (var, rel) ] in
+    let keyed =
+      List.mapi
+        (fun i p ->
+          let sel =
+            match Card.pred_sel env.Lower.stats smap p with
+            | Some (f, _) -> f
+            | None -> 0.5
+          in
+          ((sel, i), p))
+        filters
     in
-    let rec go t =
-      match t with
-      | Ir.One -> t
-      | Ir.Scan s when List.length s.filters > 1 ->
-          Ir.Scan { s with filters = sort_filters s.var s.rel s.filters }
-      | Ir.Scan _ -> t
-      | Ir.Subquery s -> Ir.Subquery { s with plan = map_pipelines go s.plan }
-      | Ir.Lateral l ->
-          Ir.Lateral
-            { l with input = go l.input; plan = map_pipelines go l.plan }
-      | Ir.Product p -> Ir.Product { left = go p.left; right = go p.right }
-      | Ir.Hash_join j ->
-          Ir.Hash_join { j with left = go j.left; right = go j.right }
-      | Ir.Filter f -> Ir.Filter { f with input = go f.input }
-      | Ir.Residual r -> Ir.Residual { r with input = go r.input }
-      | Ir.Semi s -> Ir.Semi { s with input = go s.input; sub = go s.sub }
-      | Ir.Resolve r -> Ir.Resolve { r with input = go r.input }
-      | Ir.Prune p -> Ir.Prune { p with input = go p.input }
-      | Ir.Append ts -> Ir.Append (List.map go ts)
-    in
-    go t
+    List.map snd (List.stable_sort (fun (a, _) (b, _) -> compare a b) keyed)
+  in
+  let rec go t =
+    match t with
+    | Ir.One -> t
+    | Ir.Scan s when List.length s.filters > 1 ->
+        Ir.Scan { s with filters = sort_filters s.var s.rel s.filters }
+    | Ir.Scan _ -> t
+    | Ir.Subquery s -> Ir.Subquery { s with plan = map_pipelines go s.plan }
+    | Ir.Lateral l ->
+        Ir.Lateral
+          { l with input = go l.input; plan = map_pipelines go l.plan }
+    | Ir.Product p -> Ir.Product { left = go p.left; right = go p.right }
+    | Ir.Hash_join j ->
+        Ir.Hash_join { j with left = go j.left; right = go j.right }
+    | Ir.Filter f -> Ir.Filter { f with input = go f.input }
+    | Ir.Residual r -> Ir.Residual { r with input = go r.input }
+    | Ir.Semi s -> Ir.Semi { s with input = go s.input; sub = go s.sub }
+    | Ir.Resolve r -> Ir.Resolve { r with input = go r.input }
+    | Ir.Prune p -> Ir.Prune { p with input = go p.input }
+    | Ir.Append ts -> Ir.Append (List.map go ts)
+  in
+  go t
 
 let pass_pushdown =
   {
@@ -309,11 +307,9 @@ let pass_decorrelate =
    and the other on the new unit alone; they are applied as filters at the
    first point all their variables are bound.
 
-   Estimates come from [Card]: with statistics they reflect selectivity
-   math, without they reconcile to the legacy heuristic, so plan shapes
-   only move once the database has been ANALYZEd. Each unit's estimate is
-   computed once and memoized (the previous code re-ran the recursive
-   estimator inside every sort comparison). *)
+   Estimates come from [Card]. Each unit's estimate is computed once and
+   memoized; each joinable candidate is ranked by the estimated output of
+   the join it would form. *)
 let reorder_region (env : env) (t : Ir.t) : Ir.t =
   let rec flatten t =
     match t with
@@ -389,16 +385,7 @@ let reorder_region (env : env) (t : Ir.t) : Ir.t =
         let next, keys =
           match candidates with
           | [] -> (List.hd (by_est !remaining), [])
-          | _ when stats = [] ->
-              (* heuristic mode: smallest joinable unit, memoized *)
-              List.hd
-                (List.stable_sort
-                   (fun (a, _) (b, _) -> compare (est a) (est b))
-                   candidates)
           | _ ->
-              (* statistics mode: rank each candidate by the estimated
-                 output of the join it would form, computed once per
-                 candidate rather than once per comparison *)
               let scored =
                 List.map
                   (fun (u, keys) ->
@@ -439,8 +426,8 @@ let reorder_region (env : env) (t : Ir.t) : Ir.t =
 (* Semi/anti placement: a semi-join whose outer references all live on one
    side of the join below it commutes with that join (each joined row
    passes iff its one-sided prefix does), so it can run before the join
-   and shrink the probe input. Only attempted in statistics mode, and only
-   kept when the estimated cost does not grow. *)
+   and shrink the probe input. Only kept when the estimated cost does not
+   grow. *)
 let reorder_pipeline (env : env) (t : Ir.t) : Ir.t =
   let cost t = Card.rows (Card.estimate env.Lower.stats t) in
   let rec sink_semi t =
@@ -496,8 +483,7 @@ let reorder_pipeline (env : env) (t : Ir.t) : Ir.t =
         reorder_region env t
     | Ir.Residual r -> Residual { r with input = go r.input }
     | Ir.Semi s ->
-        let t = Ir.Semi { s with input = go s.input } in
-        if env.Lower.stats = [] then t else sink_semi t
+        sink_semi (Ir.Semi { s with input = go s.input })
     | Ir.Resolve r -> Resolve { r with input = go r.input }
     | Ir.Lateral l -> Lateral { l with input = go l.input }
     | t -> t

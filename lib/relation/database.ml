@@ -44,7 +44,6 @@ let analyze ?only t =
 
 let stats t name = M.find_opt name t.stats
 let stats_bindings t = M.bindings t.stats
-let analyzed t = not (M.is_empty t.stats)
 
 let set_stats t name s =
   if M.mem name t.rels then { t with stats = M.add name s t.stats } else t

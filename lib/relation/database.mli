@@ -29,8 +29,6 @@ val analyze : ?only:string list -> t -> t
 
 val stats : t -> string -> Stats.t option
 val stats_bindings : t -> (string * Stats.t) list
-val analyzed : t -> bool
-(** Whether any relation has statistics. *)
 
 val set_stats : t -> string -> Stats.t -> t
 (** No-op when the relation does not exist. *)

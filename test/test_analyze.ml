@@ -264,7 +264,7 @@ let metrics_export () =
     | Eval.Truth _ -> Alcotest.fail "unexpected truth outcome"
   in
   let m = Metrics.create () in
-  Exec.export_stats m optimized stats;
+  Exec.export_stats m ~cenv:[] optimized stats;
   let prom = Metrics.to_prometheus m in
   if not (contains ~needle:"arc_node_invocations_total" prom) then
     Alcotest.failf "export lacks invocations counter:\n%s" prom;
@@ -300,14 +300,41 @@ let opaque_workload =
        in A[p.s = a2.t])]} {Q(s, t) | exists a in A[Q.s = a.s and Q.t = a.t]}"
   )
 
+(* the analytics-rollup shape on an ANALYZEd database: its estimates come
+   from statistics, so the metrics must score the same estimates *)
+let rollup_workload =
+  let module Database = Arc_relation.Database in
+  let module V = Arc_value.Value in
+  ( "analyzed rollup",
+    Database.analyze
+      (Database.of_list
+         [
+           ( "Orders",
+             Relation.of_rows [ "cust"; "amount" ]
+               (List.map
+                  (fun (c, a) -> [ V.Int c; V.Int a ])
+                  [ (1, 10); (1, 20); (2, 5); (3, 7); (2, 8) ]) );
+           ( "Customers",
+             Relation.of_rows [ "cust"; "region" ]
+               (List.map
+                  (fun (c, r) -> [ V.Int c; V.Str r ])
+                  [ (1, "east"); (2, "west"); (3, "east") ]) );
+         ]),
+    Arc_syntax.Parser.program_of_string
+      "{Q(region, total) | exists o in Orders, c in Customers, \
+       gamma_{c.region} [o.cust = c.cust and Q.region = c.region and \
+       Q.total = sum(o.amount)]}" )
+
 (* trace, analyze and metrics are renderings of one record: per operator,
    the rows (and hash-join build/probe/matches) summed over the rendered
    spans, over analyze_info's actuals and over export_stats's series
-   agree; and a recursive head's rows are its closure, under delta rules
-   and whole-definition rules *)
+   agree, and so do the q-errors of analyze_info and export_stats under
+   the database's statistics; and a recursive head's rows are its
+   closure, under delta rules and whole-definition rules *)
 let views_agree () =
   List.iter
     (fun (name, db, prog) ->
+      let cenv = Arc_relation.Database.stats_bindings db in
       let ctx, _raw, optimized, _report = Exec.compile ~db prog in
       let stats = Ir.fresh_stats () in
       ignore (Exec.exec_program ~stats ctx optimized);
@@ -336,14 +363,15 @@ let views_agree () =
         | [ "fixpoint"; _ ] | [ ("seed" | "iteration") ] -> None
         | _ -> Some sp.Obs.name
       in
+      let infos = Explain.analyze_info ~cenv optimized ~stats in
       let actuals =
         List.filter_map
           (fun ni ->
             Option.map (fun a -> (ni.Explain.ni_op, a)) ni.Explain.ni_actual)
-          (Explain.analyze_info optimized ~stats)
+          infos
       in
       let m = Metrics.create () in
-      Exec.export_stats m optimized stats;
+      Exec.export_stats m ~cenv optimized stats;
       let ops = List.sort_uniq compare (List.map fst actuals) in
       Alcotest.(check (list string))
         (name ^ ": operators with spans = executed operators")
@@ -370,6 +398,20 @@ let views_agree () =
               actual span
           in
           check "rows" (span_sum "rows") (actual_sum (fun a -> a.Ir.a_rows));
+          let qs =
+            List.filter_map
+              (fun ni -> if ni.Explain.ni_op = op then ni.Explain.ni_q else None)
+              infos
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "%s: %s q-error count, metrics = analyze" name op)
+            (List.length qs)
+            (Metrics.histogram_count m ~labels:[ ("op", op) ]
+               "arc_node_q_error");
+          Alcotest.(check (float 1e-9))
+            (Printf.sprintf "%s: %s q-error sum, metrics = analyze" name op)
+            (List.fold_left ( +. ) 0.0 qs)
+            (Metrics.histogram_sum m ~labels:[ ("op", op) ] "arc_node_q_error");
           Alcotest.(check int)
             (Printf.sprintf "%s: %s rows, metrics = analyze" name op)
             (actual_sum (fun a -> a.Ir.a_rows))
@@ -397,7 +439,33 @@ let views_agree () =
               (actual_sum (fun a -> a.Ir.a_matches))
           end)
         ops)
-    (analyze_workloads @ [ opaque_workload ])
+    (analyze_workloads @ [ opaque_workload; rollup_workload ])
+
+(* a scan's row count is exact only when it was counted: over an ANALYZEd
+   chain, eq16's main query scans the definition A at a guessed size *)
+let guessed_scan_is_heuristic () =
+  let db = Arc_relation.Database.analyze Data.db_parent in
+  let optimized, stats, _ =
+    run_with_stats db { defs = Data.eq16_defs; main = Coll Data.eq16_main }
+  in
+  let src_of ~def rel =
+    List.filter_map
+      (fun ni ->
+        if
+          ni.Explain.ni_def = def && ni.Explain.ni_op = "scan"
+          && contains ~needle:("scan " ^ rel ^ " as") ni.Explain.ni_label
+        then Some ni.Explain.ni_src
+        else None)
+      (Explain.analyze_info
+         ~cenv:(Arc_relation.Database.stats_bindings db)
+         optimized ~stats)
+  in
+  Alcotest.(check (list string)) "main's scan of A" [ "heuristic" ]
+    (src_of ~def:"main" "A");
+  match src_of ~def:"A" "P" with
+  | [] -> Alcotest.fail "no scan of P in A's plan"
+  | srcs ->
+      List.iter (Alcotest.(check string) "A's scans of P" "exact") srcs
 
 let () =
   Alcotest.run "arc_analyze"
@@ -418,6 +486,8 @@ let () =
             recursion_annotations;
           Alcotest.test_case "stale statistics flagged after IVM batches"
             `Quick stale_statistics_flagged;
+          Alcotest.test_case "a guessed scan size is heuristic" `Quick
+            guessed_scan_is_heuristic;
         ] );
       ( "q-error",
         [ Alcotest.test_case "q-error algebra" `Quick q_error_algebra ] );

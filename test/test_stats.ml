@@ -1,9 +1,8 @@
 (* Statistics and cost-model tests: ANALYZE must be exact (it is a full
-   pass), selectivity fractions must obey their algebra, the cost model
-   must reconcile to the heuristic estimator when no statistics exist, and
-   stats-driven estimates must beat the heuristic on the catalog suite
-   (lower median Q-error). Statistics are advisory: results never change,
-   only plans. *)
+   pass), selectivity fractions must obey their algebra, and the cost
+   model's estimates must be better with statistics than without on the
+   catalog suite (lower median Q-error). Statistics are advisory: results
+   never change, only plans. *)
 
 open Arc_core.Ast
 module V = Arc_value.Value
@@ -383,7 +382,9 @@ let staleness () =
   Alcotest.(check bool) "patched stats stale" true s'.Stats.s_stale;
   Alcotest.(check int) "patched rows" (s.Stats.s_rows + 5) s'.Stats.s_rows;
   let db = Database.analyze Data.db_rs in
-  Alcotest.(check bool) "analyze -> analyzed" true (Database.analyzed db);
+  Alcotest.(check bool)
+    "analyze -> analyzed" true
+    (Database.stats_bindings db <> []);
   let db' = Database.add db "R" r in
   Alcotest.(check bool)
     "add drops stats" true
@@ -413,23 +414,6 @@ let q_workloads =
     ("eq26", Data.db_matrices, { defs = []; main = Coll Data.eq26 });
   ]
 
-(* without ANALYZE the cost model reconciles to the heuristic estimator:
-   same numbers on every node, so plans cannot churn *)
-let reconcile_without_stats () =
-  List.iter
-    (fun (name, db, prog) ->
-      let _ctx, _raw, optimized, _report = Exec.compile ~db prog in
-      let stats = Ir.fresh_stats () in
-      let heur = Explain.analyze_info optimized ~stats in
-      let card = Explain.analyze_info ~cenv:[] optimized ~stats in
-      List.iter2
-        (fun h c ->
-          Alcotest.(check int)
-            (Printf.sprintf "%s node %d: est" name h.Explain.ni_id)
-            h.Explain.ni_est c.Explain.ni_est)
-        heur card)
-    q_workloads
-
 (* statistics are advisory: running with and without ANALYZE must return
    the same bags *)
 let modes_agree () =
@@ -448,10 +432,11 @@ let median xs =
   | [] -> nan
   | s -> List.nth s (List.length s / 2)
 
-(* the Q-error regression the whole refactor exists for: run each catalog
-   workload once under its ANALYZEd database, then score the same plan and
-   the same actuals under both estimators. The stats-driven estimates must
-   have strictly lower median (and mean) Q-error than the heuristic. *)
+(* the Q-error regression statistics exist for: run each catalog workload
+   once under its ANALYZEd database, then score the same plan and the same
+   actuals with the cost model given the statistics and given none. The
+   stats-driven estimates must have strictly lower median (and mean)
+   Q-error than the heuristic guesses. *)
 let q_error_collect () =
   let q_stats = ref [] and q_heur = ref [] in
   List.iter
@@ -520,8 +505,6 @@ let () =
         ] );
       ( "cost model",
         [
-          Alcotest.test_case "no stats: reconciles to the heuristic" `Quick
-            reconcile_without_stats;
           Alcotest.test_case
             "stats and batching never change result bags" `Quick
             modes_agree;
