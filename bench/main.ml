@@ -680,8 +680,11 @@ let magic_rows () =
 (* The report and its gate                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Resolve HEAD by hand (no git subprocess): .git/HEAD either holds the
-   sha directly (detached) or a ref, looked up loose then packed. *)
+(* Resolve HEAD by hand: .git/HEAD either holds the sha directly
+   (detached) or a ref, looked up loose then packed. The one git
+   subprocess marks a tree with uncommitted changes to tracked files:
+   [git diff --quiet] exits 1 then, and any other status (a clean tree,
+   no git) leaves the sha as read. *)
 let git_sha () =
   let read f =
     try Some (String.trim (In_channel.with_open_text f In_channel.input_all))
@@ -711,7 +714,10 @@ let git_sha () =
           | None -> packed_lookup r
         else Some head
       with
-      | Some sha -> sha
+      | Some sha ->
+          if Sys.command "git diff --quiet HEAD -- >/dev/null 2>&1" = 1 then
+            sha ^ "-dirty"
+          else sha
       | None -> "unknown")
 
 

@@ -249,7 +249,6 @@ let validate_cmd =
 (* eval                                                                *)
 (* ------------------------------------------------------------------ *)
 
-module Obs = Arc_obs.Obs
 module Sink = Arc_obs.Sink
 module Metrics = Arc_obs.Metrics
 module Json = Arc_obs.Json
@@ -273,37 +272,14 @@ let write_metrics m file =
   in
   write_out ~label:"metrics" (Some file) s
 
-(* Fold the reference evaluator's span forest into the metrics registry:
-   per-operator call counters, latency histograms, and every integer span
-   attribute as a labeled counter. *)
-let metrics_of_spans spans =
-  let m = Metrics.create () in
-  let rec walk (sp : Obs.span) =
-    let labels = [ ("op", sp.Obs.name) ] in
-    Metrics.inc m ~labels "arc_op_calls_total";
-    Metrics.observe m ~labels "arc_op_duration_ns"
-      (Int64.to_float sp.Obs.duration_ns);
-    List.iter
-      (fun (k, v) ->
-        match v with
-        | Obs.Int n when n >= 0 ->
-            Metrics.inc m
-              ~labels:(("counter", k) :: labels)
-              ~by:n "arc_op_counter_total"
-        | _ -> ())
-      sp.Obs.attrs;
-    List.iter walk sp.Obs.children
-  in
-  List.iter walk spans;
-  m
-
 let profile_flag =
   Arg.(
     value & flag
     & info [ "p"; "profile" ]
         ~doc:
-          "After the results, print per-operator invocation counts, row \
-           counts and timings.")
+          "After the results, print the plan engine's per-operator \
+           invocation counts, row counts and timings (not available with \
+           --engine reference).")
 
 (* Compile a program and run it on the plan engine with per-node actuals
    on: the one record that analyze, trace and --profile render. *)
@@ -410,71 +386,75 @@ let engine_arg =
 
 let eval_run lang conv engine tables profile timeout max_rows max_iterations
     max_bindings max_depth on_limit text =
-  wrap (fun () ->
-      let tables = List.map parse_table tables in
-      let db = Database.of_list tables in
-      let db = Database.analyze db in
-      let schemas =
-        List.map
-          (fun (n, r) ->
-            (n, Arc_relation.Schema.attrs (Relation.schema r)))
-          tables
-      in
-      let guard_requested =
-        timeout <> None || max_rows <> None || max_iterations <> None
-        || max_bindings <> None || max_depth <> None
-      in
-      match lang with
-      | `Sql ->
-          (* SQL input runs on the direct SQL evaluator, so SQL-only
-             features (ORDER BY, LIMIT) work without translation *)
-          if guard_requested then
-            prerr_endline
-              "warning: budget flags are ignored with -i sql (the direct \
-               SQL evaluator is not governed); translate through ARC to \
-               evaluate under a budget";
-          print_endline
-            (Relation.to_table (Arc_sql.Eval_sql.run_string ~db text));
-          if profile then
-            prerr_endline
-              "profile: SQL input runs on the direct SQL evaluator, which is \
-               not instrumented; use -i sql with 'arc trace' to trace the \
-               translated ARC program"
-      | _ -> (
-          let guard =
-            build_guard ~timeout ~max_rows ~max_iterations ~max_bindings
-              ~max_depth ~on_limit
-          in
-          let prog = parse_input lang text schemas in
-          let outcome, metrics =
-            match engine with
-            | `Reference ->
-                let tracer = if profile then Obs.collector () else Obs.null in
-                ( Arc_engine.Eval.run ~conv ~tracer ~guard ~db prog,
-                  fun () -> metrics_of_spans (Obs.spans tracer) )
-            | `Plan when profile ->
-                let optimized, stats, outcome =
-                  plan_run ~conv ~guard ~db prog
-                in
-                ( outcome,
-                  fun () ->
-                    let m = Metrics.create () in
-                    Arc_engine.Exec.export_stats m
-                      ~cenv:(Database.stats_bindings db) optimized stats;
-                    m )
-            | `Plan ->
-                (Arc_engine.Exec.run ~conv ~guard ~db prog, Metrics.create)
-          in
-          (match outcome with
-          | Arc_engine.Eval.Rows r ->
-              print_endline (Relation.to_table (Relation.sort r))
-          | Arc_engine.Eval.Truth t ->
-              print_endline (Arc_value.Bool3.to_string t));
-          print_guard_report guard;
-          if profile then begin
-            print_endline "\n-- profile: operator metrics --";
-            print_string (Metrics.summary (metrics ()))
-          end))
+  if profile && engine = `Reference then
+    `Error
+      ( true,
+        "--profile reports the plan engine's actuals; it cannot be combined \
+         with --engine reference" )
+  else
+    wrap (fun () ->
+        let tables = List.map parse_table tables in
+        let db = Database.of_list tables in
+        let db = Database.analyze db in
+        let schemas =
+          List.map
+            (fun (n, r) ->
+              (n, Arc_relation.Schema.attrs (Relation.schema r)))
+            tables
+        in
+        let guard_requested =
+          timeout <> None || max_rows <> None || max_iterations <> None
+          || max_bindings <> None || max_depth <> None
+        in
+        match lang with
+        | `Sql ->
+            (* SQL input runs on the direct SQL evaluator, so SQL-only
+               features (ORDER BY, LIMIT) work without translation *)
+            if guard_requested then
+              prerr_endline
+                "warning: budget flags are ignored with -i sql (the direct \
+                 SQL evaluator is not governed); translate through ARC to \
+                 evaluate under a budget";
+            print_endline
+              (Relation.to_table (Arc_sql.Eval_sql.run_string ~db text));
+            if profile then
+              prerr_endline
+                "profile: SQL input runs on the direct SQL evaluator, which is \
+                 not instrumented; use -i sql with 'arc trace' to trace the \
+                 translated ARC program"
+        | _ -> (
+            let guard =
+              build_guard ~timeout ~max_rows ~max_iterations ~max_bindings
+                ~max_depth ~on_limit
+            in
+            let prog = parse_input lang text schemas in
+            let outcome, metrics =
+              match engine with
+              | `Reference ->
+                  (Arc_engine.Eval.run ~conv ~guard ~db prog, Metrics.create)
+              | `Plan when profile ->
+                  let optimized, stats, outcome =
+                    plan_run ~conv ~guard ~db prog
+                  in
+                  ( outcome,
+                    fun () ->
+                      let m = Metrics.create () in
+                      Arc_engine.Exec.export_stats m
+                        ~cenv:(Database.stats_bindings db) optimized stats;
+                      m )
+              | `Plan ->
+                  (Arc_engine.Exec.run ~conv ~guard ~db prog, Metrics.create)
+            in
+            (match outcome with
+            | Arc_engine.Eval.Rows r ->
+                print_endline (Relation.to_table (Relation.sort r))
+            | Arc_engine.Eval.Truth t ->
+                print_endline (Arc_value.Bool3.to_string t));
+            print_guard_report guard;
+            if profile then begin
+              print_endline "\n-- profile: operator metrics --";
+              print_string (Metrics.summary (metrics ()))
+            end))
 
 let eval_cmd =
   Cmd.v
@@ -511,7 +491,7 @@ let trace_out =
     & info [ "out" ] ~docv:"FILE"
         ~doc:"Write the trace to $(docv) instead of stdout ('-' is stdout).")
 
-let trace_run lang conv engine fmt out tables text =
+let trace_run lang conv fmt out tables text =
   wrap (fun () ->
       let tables = List.map parse_table tables in
       let db = Database.of_list tables in
@@ -522,16 +502,8 @@ let trace_run lang conv engine fmt out tables text =
           tables
       in
       let prog = parse_input lang text schemas in
-      let outcome, spans =
-        match engine with
-        | `Reference ->
-            let tracer = Obs.collector () in
-            let outcome = Arc_engine.Eval.run ~conv ~tracer ~db prog in
-            (outcome, Obs.spans tracer)
-        | `Plan ->
-            let optimized, stats, outcome = plan_run ~conv ~db prog in
-            (outcome, Arc_engine.Exec.spans_of_stats optimized stats)
-      in
+      let optimized, stats, outcome = plan_run ~conv ~db prog in
+      let spans = Arc_engine.Exec.spans_of_stats optimized stats in
       let emit = write_out ~label:"trace" out in
       match fmt with
       | `Pretty ->
@@ -550,12 +522,12 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:
          "Evaluate a query and print an EXPLAIN ANALYZE-style span tree \
-          (or machine-readable JSONL / Chrome trace): one span per plan \
-          node and fixpoint round, or with --engine reference, the \
-          conceptual evaluation strategy. SQL input is translated to ARC.")
+          (or machine-readable JSONL / Chrome trace) of the plan engine: \
+          one span per plan node and fixpoint round. SQL input is \
+          translated to ARC.")
     Term.(
       ret
-        (const trace_run $ input_lang $ conv_arg $ engine_arg $ trace_fmt
+        (const trace_run $ input_lang $ conv_arg $ trace_fmt
        $ trace_out $ tables_arg $ query_arg))
 
 (* ------------------------------------------------------------------ *)

@@ -9,7 +9,6 @@ module Schema = Arc_relation.Schema
 module Database = Arc_relation.Database
 module Analysis = Arc_core.Analysis
 module External = Arc_core.External
-module Obs = Arc_obs.Obs
 module Gov = Arc_guard.Gov
 module Err = Arc_guard.Error
 
@@ -33,10 +32,9 @@ type ctx = {
   (* Singleton relations for literal join-tree leaves of the scope being
      evaluated (Fig 12). *)
   lits : (var * Tuple.t) list;
-  (* Trace/metrics tracer (Arc_obs); Obs.null makes every probe a no-op. *)
-  tracer : Obs.t;
-  (* Resource governor (Arc_guard); probed at the same operator boundaries
-     the tracer instruments. Gov.default reproduces seed behavior. *)
+  (* Resource governor (Arc_guard); probed at every operator boundary
+     (scan, scope, join, group, collection, fixpoint round).
+     Gov.default reproduces seed behavior. *)
   gov : Gov.t;
 }
 
@@ -164,10 +162,9 @@ let take n l =
 let rec source_rows ctx benv src =
   Gov.tick ctx.gov;
   let rows = source_rows_raw ctx benv src in
-  let n = Relation.cardinality rows in
-  if Obs.enabled ctx.tracer then Obs.count ctx.tracer "tuples_scanned" n;
   if not (Gov.active ctx.gov) then rows
-  else Relation.take (Gov.charge_bindings ctx.gov n) rows
+  else
+    Relation.take (Gov.charge_bindings ctx.gov (Relation.cardinality rows)) rows
 
 and source_rows_raw ctx benv = function
   | Base name -> (
@@ -227,7 +224,6 @@ and split_join_conditions ~heads (scope : scope) =
 
 and enum_join_tree ctx benv (scope : scope) ~attached : benv list =
   Gov.tick ctx.gov;
-  let sp = Obs.enter ctx.tracer "join" in
   let tree = Option.get scope.join in
   let node_preds node = Analysis.node_join_preds tree scope ~attached node in
   let binding_of v =
@@ -253,12 +249,7 @@ and enum_join_tree ctx benv (scope : scope) ~attached : benv list =
         let rows =
           bind_rows v (source_rows ctx benv (binding_of v).source) []
         in
-        let kept = List.filter (check mine) rows in
-        if Obs.enabled ctx.tracer then begin
-          Obs.add sp "candidates" (List.length rows);
-          Obs.add sp "survivors" (List.length kept)
-        end;
-        kept
+        List.filter (check mine) rows
     | J_lit _ -> fail "unexpanded literal leaf"
     | J_inner l ->
         let rows =
@@ -268,12 +259,7 @@ and enum_join_tree ctx benv (scope : scope) ~attached : benv list =
               List.concat_map (fun r -> List.map (fun c -> r @ c) crows) acc)
             [ [] ] l
         in
-        let kept = List.filter (check mine) rows in
-        if Obs.enabled ctx.tracer then begin
-          Obs.add sp "candidates" (List.length rows);
-          Obs.add sp "survivors" (List.length kept)
-        end;
-        kept
+        List.filter (check mine) rows
     | J_left (a, b) ->
         let ra = eval a and rb = eval b in
         List.concat_map
@@ -325,39 +311,20 @@ and enum_join_tree ctx benv (scope : scope) ~attached : benv list =
         && not (List.mem b.var (join_tree_vars tree)))
       scope.bindings
   in
-  let out =
-    List.concat_map
-      (fun r ->
-        List.fold_left
-          (fun acc b ->
-            List.concat_map
-              (fun (row : benv) ->
-                bind_rows b.var (source_rows ctx (row @ benv) b.source) row)
-              acc)
-          [ r ] missing)
-      tree_rows
-  in
-  if Obs.enabled ctx.tracer then Obs.set sp "rows_out" (Obs.Int (List.length out));
-  Obs.leave ctx.tracer sp;
-  out
+  List.concat_map
+    (fun r ->
+      List.fold_left
+        (fun acc b ->
+          List.concat_map
+            (fun (row : benv) ->
+              bind_rows b.var (source_rows ctx (row @ benv) b.source) row)
+            acc)
+        [ r ] missing)
+    tree_rows
 
 (* --- deferred (external / abstract) bindings ------------------------ *)
 
 and resolve_deferred ctx benv (scope : scope) rows deferred : benv list =
-  if deferred = [] then rows
-  else begin
-    let sp = Obs.enter ctx.tracer "deferred" in
-    let out = resolve_deferred_raw ctx benv scope rows deferred in
-    if Obs.enabled ctx.tracer then begin
-      Obs.set sp "bindings" (Obs.Int (List.length deferred));
-      Obs.set sp "rows_in" (Obs.Int (List.length rows));
-      Obs.set sp "resolutions" (Obs.Int (List.length out))
-    end;
-    Obs.leave ctx.tracer sp;
-    out
-  end
-
-and resolve_deferred_raw ctx benv (scope : scope) rows deferred : benv list =
   let conjs = conjuncts scope.body in
   List.fold_left
     (fun rows b ->
@@ -453,7 +420,6 @@ and resolve_deferred_raw ctx benv (scope : scope) rows deferred : benv list =
    each extending [benv]. *)
 and enum_scope ctx benv (scope : scope) ~heads : scope * benv list =
   Gov.tick ctx.gov;
-  let sp = Obs.enter ctx.tracer "scope" in
   let scope, lit_rows = prepare_literals scope in
   let ctx = { ctx with lits = lit_rows @ ctx.lits } in
   let deferred =
@@ -481,14 +447,9 @@ and enum_scope ctx benv (scope : scope) ~heads : scope * benv list =
         in
         (scope, rows)
   in
-  let out = resolve_deferred ctx benv scope rows deferred in
-  if Obs.enabled ctx.tracer then begin
-    Obs.set sp "bindings" (Obs.Int (List.length scope.bindings));
-    Obs.set sp "deferred" (Obs.Int (List.length deferred));
-    Obs.set sp "rows_out" (Obs.Int (List.length out))
-  end;
-  Obs.leave ctx.tracer sp;
-  (residual_scope, out)
+  ( residual_scope,
+    if deferred = [] then rows
+    else resolve_deferred ctx benv scope rows deferred )
 
 (* ------------------------------------------------------------------ *)
 (* Formula evaluation (boolean contexts)                               *)
@@ -535,17 +496,6 @@ and eval_scope_bool ctx benv scope : B3.t =
    full environments (row @ benv). *)
 and group_rows ctx benv keys pre rows : (benv * benv list) list =
   Gov.tick ctx.gov;
-  let sp = Obs.enter ctx.tracer "group" in
-  let groups = group_rows_raw ctx benv keys pre rows in
-  if Obs.enabled ctx.tracer then begin
-    Obs.set sp "rows_in" (Obs.Int (List.length rows));
-    Obs.set sp "keys" (Obs.Int (List.length keys));
-    Obs.set sp "buckets" (Obs.Int (List.length groups))
-  end;
-  Obs.leave ctx.tracer sp;
-  groups
-
-and group_rows_raw ctx benv keys pre rows : (benv * benv list) list =
   let rows =
     List.filter
       (fun (row : benv) ->
@@ -602,22 +552,16 @@ and eval_collection ctx benv (c : collection) : Relation.t =
        contributes nothing *)
     Relation.empty ~name c.head.head_attrs
   else
-    let sp = Obs.enter ctx.tracer ("collection:" ^ name) in
     match eval_collection_raw ctx benv c with
     | r ->
-        if Obs.enabled ctx.tracer then
-          Obs.set sp "rows_emitted" (Obs.Int (Relation.cardinality r));
-        Obs.leave ctx.tracer sp;
         Gov.leave_collection ctx.gov;
         r
     | exception Eval_error e ->
-        Obs.leave ctx.tracer sp;
         Gov.leave_collection ctx.gov;
         (* attribute the failure to the collection being evaluated; nested
            failures accumulate a chain of contexts *)
         raise (Eval_error (Err.in_collection name e))
     | exception e ->
-        Obs.leave ctx.tracer sp;
         Gov.leave_collection ctx.gov;
         raise e
 
@@ -729,9 +673,6 @@ and eval_collection_raw ctx benv (c : collection) : Relation.t =
    delta rules are checked against this loop, not against a second copy
    of themselves. *)
 let naive_fixpoint ctx find_def component =
-  let sp = Obs.enter ctx.tracer "fixpoint:naive" in
-  if Obs.enabled ctx.tracer then
-    Obs.set sp "stratum" (Obs.Str (String.concat "," component));
   let changed = ref true in
   let iterations = ref 0 in
   while !changed do
@@ -741,33 +682,21 @@ let naive_fixpoint ctx find_def component =
     (* a tripped budget in [`Truncate] mode leaves the partial fixpoint *)
     if Gov.iteration_allowed ctx.gov !iterations && not (Gov.stopped ctx.gov)
     then begin
-      let isp = Obs.enter ctx.tracer "iteration" in
       List.iter
         (fun n ->
           let d = find_def n in
-          let before =
-            if Obs.enabled ctx.tracer then
-              Relation.cardinality (Hashtbl.find ctx.idb n)
-            else 0
-          in
           let next =
             Relation.dedup
               (Relation.union (Hashtbl.find ctx.idb n)
                  (eval_collection ctx [] d.def_body))
           in
-          if Obs.enabled ctx.tracer then
-            Obs.set isp ("delta:" ^ n)
-              (Obs.Int (Relation.cardinality next - before));
           if not (Relation.equal_set next (Hashtbl.find ctx.idb n)) then begin
             Hashtbl.replace ctx.idb n next;
             changed := true
           end)
-        component;
-      Obs.leave ctx.tracer isp
+        component
     end
-  done;
-  Obs.set sp "iterations" (Obs.Int !iterations);
-  Obs.leave ctx.tracer sp
+  done
 
 let compute_idb ctx (defs : definition list) =
   let scc_list, adj = Arc_core.Depend.sccs defs in
@@ -805,7 +734,7 @@ let compute_idb ctx (defs : definition list) =
    caller decides how the safe definitions are materialized (the reference
    fixpoint below, or the plan executor via [Internal]). *)
 let prepare ?(conv = Conventions.sql_set) ?(externals = Externals.standard)
-    ?(tracer = Obs.null) ?guard ~db (prog : program) =
+    ?guard ~db (prog : program) =
   let gov = match guard with Some g -> g | None -> Gov.default () in
   let aenv =
     Analysis.env
@@ -833,26 +762,15 @@ let prepare ?(conv = Conventions.sql_set) ?(externals = Externals.standard)
       externals;
       params = [];
       lits = [];
-      tracer;
       gov;
     }
   in
   (ctx, safe)
 
-let make_ctx ?conv ?externals ?tracer ?guard ~db (prog : program) =
-  let ctx, safe = prepare ?conv ?externals ?tracer ?guard ~db prog in
-  let tracer = ctx.tracer in
-  if safe <> [] then begin
-    let sp = Obs.enter tracer "definitions" in
-    Fun.protect
-      ~finally:(fun () -> Obs.leave tracer sp)
-      (fun () -> compute_idb ctx safe)
-  end;
-  ctx
-
-let run ?conv ?externals ?tracer ?guard ~db (prog : program) =
+let run ?conv ?externals ?guard ~db (prog : program) =
   try
-    let ctx = make_ctx ?conv ?externals ?tracer ?guard ~db prog in
+    let ctx, safe = prepare ?conv ?externals ?guard ~db prog in
+    compute_idb ctx safe;
     match prog.main with
     | Coll c -> Rows (eval_collection ctx [] c)
     | Sentence f -> Truth (eval_formula ctx [] f)
@@ -861,18 +779,18 @@ let run ?conv ?externals ?tracer ?guard ~db (prog : program) =
       (* ill-typed data meets an operator: a typed failure, not a crash *)
       raise (Eval_error { Err.kind = Err.Msg ("type error: " ^ m); context = [] })
 
-let run_rows ?conv ?externals ?tracer ?guard ~db prog =
-  match run ?conv ?externals ?tracer ?guard ~db prog with
+let run_rows ?conv ?externals ?guard ~db prog =
+  match run ?conv ?externals ?guard ~db prog with
   | Rows r -> r
   | Truth _ -> fail "expected a collection result, got a sentence"
 
-let run_truth ?conv ?externals ?tracer ?guard ~db prog =
-  match run ?conv ?externals ?tracer ?guard ~db prog with
+let run_truth ?conv ?externals ?guard ~db prog =
+  match run ?conv ?externals ?guard ~db prog with
   | Truth t -> t
   | Rows _ -> fail "expected a sentence result, got a collection"
 
-let eval_collection_standalone ?conv ?externals ?tracer ?guard ~db c =
-  run_rows ?conv ?externals ?tracer ?guard ~db { defs = []; main = Coll c }
+let eval_collection_standalone ?conv ?externals ?guard ~db c =
+  run_rows ?conv ?externals ?guard ~db { defs = []; main = Coll c }
 
 (* ------------------------------------------------------------------ *)
 (* Internal surface for the plan executor (Arc_engine.Exec)            *)

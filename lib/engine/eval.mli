@@ -16,8 +16,8 @@
     not language features (Sections 2.6, 2.7).
 
     Evaluation runs under a resource governor ({!Arc_guard.Gov.t}): the
-    engine probes it at the same operator boundaries the tracer instruments,
-    so wall-clock deadlines, row/binding/depth caps, and cooperative
+    engine probes it at every operator boundary (scan, scope, join, group,
+    collection, fixpoint round), so wall-clock deadlines, row/binding/depth caps, and cooperative
     cancellation are honored within one operator step. The default guard is
     seed-equivalent — only the 100k fixpoint-iteration cap — and costs the
     hot paths nothing. *)
@@ -41,7 +41,6 @@ type outcome =
 val run :
   ?conv:Arc_value.Conventions.t ->
   ?externals:Externals.impl list ->
-  ?tracer:Arc_obs.Obs.t ->
   ?guard:Arc_guard.Gov.t ->
   db:Arc_relation.Database.t ->
   program ->
@@ -53,14 +52,9 @@ val run :
     in-context membership resolution, then evaluates the main query.
     Defaults: [conv = Conventions.sql_set], [externals = Externals.standard].
 
-    [tracer] (default {!Arc_obs.Obs.null}, a no-op) receives a span per
-    evaluated operator: [collection:<name>] (attr [rows_emitted]), [scope]
-    ([bindings], [deferred], [rows_out], [tuples_scanned]), [join]
-    ([candidates], [survivors], [rows_out]), [deferred] ([resolutions]),
-    [group] ([rows_in], [keys], [buckets]), and per-stratum
-    [fixpoint:naive] spans whose [iteration] children carry
-    [delta:<relation>] sizes. Tracing never changes
-    results.
+    The reference evaluator is the semantic oracle and keeps no trace;
+    per-operator actuals come from the plan engine
+    ({!Arc_engine.Exec.spans_of_stats}).
 
     [guard] (default {!Arc_guard.Gov.default}, seed-equivalent) enforces
     the budget it was built with. Under [`Fail] a crossed limit raises
@@ -79,7 +73,6 @@ val run :
 val run_rows :
   ?conv:Arc_value.Conventions.t ->
   ?externals:Externals.impl list ->
-  ?tracer:Arc_obs.Obs.t ->
   ?guard:Arc_guard.Gov.t ->
   db:Arc_relation.Database.t ->
   program ->
@@ -90,7 +83,6 @@ val run_rows :
 val run_truth :
   ?conv:Arc_value.Conventions.t ->
   ?externals:Externals.impl list ->
-  ?tracer:Arc_obs.Obs.t ->
   ?guard:Arc_guard.Gov.t ->
   db:Arc_relation.Database.t ->
   program ->
@@ -99,7 +91,6 @@ val run_truth :
 val eval_collection_standalone :
   ?conv:Arc_value.Conventions.t ->
   ?externals:Externals.impl list ->
-  ?tracer:Arc_obs.Obs.t ->
   ?guard:Arc_guard.Gov.t ->
   db:Arc_relation.Database.t ->
   collection ->
@@ -121,7 +112,6 @@ module Internal : sig
   val prepare :
     ?conv:Arc_value.Conventions.t ->
     ?externals:Externals.impl list ->
-      ?tracer:Arc_obs.Obs.t ->
     ?guard:Arc_guard.Gov.t ->
     db:Arc_relation.Database.t ->
     program ->
@@ -159,7 +149,7 @@ module Internal : sig
     Arc_value.Bool3.t
 
   val source_rows : ctx -> benv -> source -> Arc_relation.Relation.t
-  (** Governed scan (ticks, charges bindings, counts [tuples_scanned]):
+  (** Governed scan (ticks, charges bindings):
       the source's rows, truncated to the bindings the budget allows. *)
 
   val resolve_deferred :

@@ -1,8 +1,8 @@
 (** The resource governor: runtime enforcement of a {!Budget.t}.
 
     One governor is threaded through one evaluation. The engine probes it at
-    the same operator boundaries the tracer instruments — collection entry,
-    scope/join enumeration, grouping, fixpoint iterations — so a budget is
+    its operator boundaries — collection entry, scope/join enumeration,
+    grouping, fixpoint iterations — so a budget is
     honored within one operator step. Probes on a governor with no active
     limits are a single field test; the default governor (seed-equivalent
     100k fixpoint cap) activates nothing else.
@@ -53,9 +53,8 @@ val on_limit : t -> [ `Fail | `Truncate ]
 val active : t -> bool
 (** [true] when any per-probe limit is configured (deadline, rows,
     bindings, depth, or a cancel token). Guard any work done only to feed a
-    probe (e.g. [List.length] on a hot path) with this, exactly like
-    [Obs.enabled]. The fixpoint cap alone does not make a governor
-    active. *)
+    probe (e.g. [List.length] on a hot path) with this. The fixpoint cap
+    alone does not make a governor active. *)
 
 val tick : t -> unit
 (** Deadline and cancellation probe. Raises on a crossed deadline in

@@ -3,12 +3,11 @@
     Prometheus-style text exposition and a JSON exposition built on
     {!Json}.
 
-    The registry complements the span tracer ({!Obs}): spans answer
-    "where did this one run spend its time", the registry accumulates
-    "how much, how many, how distributed" across runs — per-operator
-    totals for [arc eval --profile], per-plan-node actuals for
-    [arc analyze], and campaign counters for [arc fuzz] / [arc chaos]
-    ([--metrics-out]).
+    The registry complements the plan engine's trace spans ({!Obs}):
+    spans answer "where did this one run spend its time", the registry
+    accumulates "how much, how many, how distributed" across runs —
+    per-plan-node actuals for [arc eval --profile] and [arc analyze], and
+    campaign counters for [arc fuzz] / [arc chaos] ([--metrics-out]).
 
     Families are registered implicitly on first use; using one name with
     two different instrument kinds raises [Invalid_argument]. Label

@@ -1,14 +1,12 @@
-(** Render a finished span forest ({!Obs.spans}).
+(** Render a span forest ({!Obs.span}, as built by
+    {!Arc_engine.Exec.spans_of_stats}).
 
     Three sinks, per the EXPLAIN ANALYZE use case:
     - {!pretty}: human-readable span tree with durations and attributes;
     - {!jsonl}: one flat JSON object per span per line (machine-readable,
       streaming-friendly; spans reference their parent by id);
     - {!chrome}: Chrome trace-event format (load in [chrome://tracing] or
-      Perfetto).
-
-    The fourth "sink" — the no-op — is {!Obs.null}: with it no spans exist
-    to render, and tracing costs nothing. *)
+      Perfetto). *)
 
 val pretty : Obs.span list -> string
 

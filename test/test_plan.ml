@@ -380,10 +380,20 @@ let recursive_strata (pp : Ir.program_plan) =
 
 let eligible dps = Ir.seminaive_eligible (List.map (fun d -> d.Ir.dname) dps) dps
 
+(* the paper's P(s, t) edges 0→1→…→n *)
+let db_p_chain n =
+  Database.of_list
+    [
+      ( "P",
+        Relation.of_rows [ "s"; "t" ]
+          (List.init n (fun i -> [ V.Int i; V.Int (i + 1) ])) );
+    ]
+
 (* The fixpoint span renders the recursive heads' actuals round by round:
    a seed span, one iteration span per iteration, the deltas in order,
-   and round times that fit inside the fixpoint span. Delta rules render
-   as [fixpoint:seminaive], whole-definition rules as [fixpoint:naive]. *)
+   deltas that sum to each head's final size, and round times that fit
+   inside the fixpoint span. Delta rules render as [fixpoint:seminaive],
+   whole-definition rules as [fixpoint:naive]. *)
 let fixpoint_spans () =
   List.iter
     (fun (kind, db, prog, heads) ->
@@ -401,7 +411,7 @@ let fixpoint_spans () =
         (List.length
            (List.filter (fun s -> s.Obs.name = "seed") (List.tl rounds)));
       List.iter
-        (fun head ->
+        (fun (head, size) ->
           let a =
             Option.get
               (Ir.actual_of stats
@@ -418,7 +428,9 @@ let fixpoint_spans () =
             (List.rev a.Ir.a_deltas)
             (List.map
                (fun s -> Option.get (Obs.attr_int s ("delta:" ^ head)))
-               rounds))
+               rounds);
+          Alcotest.(check int) (kind ^ ": deltas sum to |" ^ head ^ "|") size
+            (List.fold_left ( + ) 0 a.Ir.a_deltas))
         heads;
       let summed =
         List.fold_left (fun acc s -> Int64.add acc s.Obs.duration_ns) 0L rounds
@@ -427,15 +439,23 @@ let fixpoint_spans () =
         true
         (summed > 0L && Int64.compare summed fx.Obs.duration_ns <= 0))
     [
-      ("seminaive", db_chain 6, program ~defs:tc_defs (Coll tc_main), [ "T" ]);
+      ( "seminaive",
+        db_chain 6,
+        program ~defs:tc_defs (Coll tc_main),
+        [ ("T", 21) ] );
+      (* eq16's closure of a 12-edge chain: 12*13/2 pairs *)
+      ( "seminaive",
+        db_p_chain 12,
+        program ~defs:Data.eq16_defs (Coll Data.eq16_main),
+        [ ("A", 78) ] );
       ( "naive",
         db_p_cycle,
         Arc_syntax.Parser.program_of_string opaque_text,
-        [ "A" ] );
+        [ ("A", 5) ] );
       ( "naive",
         db_p_cycle,
         Arc_syntax.Parser.program_of_string opaque_mutual_text,
-        [ "A"; "B" ] );
+        [ ("A", 5); ("B", 5) ] );
     ]
 
 (* The whole-definition path: the fixtures' strata are not eligible, the
