@@ -3,8 +3,9 @@
    (Parts 2-3), reports modality-size metrics as a proxy for the paper's
    cited user studies (Part 4), and measures the guard, the plan engine,
    EXPLAIN ANALYZE, IVM and magic sets (Parts 6-10). Part 5, the
-   per-operator counters of traced reference runs, is retired: [arc trace
-   --engine reference] prints the same spans. One timer, [min_group_ns],
+   per-operator counters of traced reference runs, is retired: the
+   reference evaluator keeps no trace, and [arc analyze -f jsonl] prints
+   the plan engine's per-operator spans. One timer, [min_group_ns],
    takes every time. Every measurement is one [Report.row]. [Gate.check]
    holds the rows against the committed BENCH.json, and every run, passing
    or failing, writes them to BENCH.run.json; no run rewrites the

@@ -249,14 +249,13 @@ let validate_cmd =
 (* eval                                                                *)
 (* ------------------------------------------------------------------ *)
 
-module Sink = Arc_obs.Sink
 module Metrics = Arc_obs.Metrics
 module Json = Arc_obs.Json
 module Ir = Arc_plan.Ir
 module Explain = Arc_plan.Explain
 
-(* Output-file convention shared by trace/analyze/metrics flags: no file
-   or "-" means stdout. *)
+(* Output-file convention shared by analyze's --out and the metrics
+   flags: no file or "-" means stdout. *)
 let write_out ?label out s =
   match out with
   | None | Some "-" -> print_string s
@@ -272,21 +271,10 @@ let write_metrics m file =
   in
   write_out ~label:"metrics" (Some file) s
 
-let profile_flag =
-  Arg.(
-    value & flag
-    & info [ "p"; "profile" ]
-        ~doc:
-          "After the results, print the plan engine's per-operator \
-           invocation counts, row counts and timings (not available with \
-           --engine reference).")
-
 (* Compile a program and run it on the plan engine with per-node actuals
-   on: the one record that analyze, trace and --profile render. *)
-let plan_run ~conv ?guard ~db prog =
-  let ctx, _raw, optimized, _report =
-    Arc_engine.Exec.compile ~conv ?guard ~db prog
-  in
+   on: the one record that every analyze format renders. *)
+let plan_run ~conv ~db prog =
+  let ctx, _raw, optimized, _report = Arc_engine.Exec.compile ~conv ~db prog in
   let stats = Ir.fresh_stats () in
   let outcome = Arc_engine.Exec.exec_program ~stats ctx optimized in
   (optimized, stats, outcome)
@@ -296,72 +284,53 @@ let plan_run ~conv ?guard ~db prog =
 module Budget = Arc_guard.Budget
 module Gov = Arc_guard.Gov
 
-let timeout_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "timeout" ] ~docv:"MS"
-        ~doc:"Wall-clock budget for evaluation, in milliseconds.")
-
-let max_rows_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "max-rows" ] ~docv:"N"
-        ~doc:"Cap on rows materialized across all collection heads.")
-
-let max_iterations_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "max-iterations" ] ~docv:"N"
-        ~doc:
-          "Cap on fixpoint rounds per recursive stratum (default 100000).")
-
-let max_bindings_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "max-bindings" ] ~docv:"N"
-        ~doc:"Cap on scope binding environments enumerated.")
-
-let max_depth_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "max-depth" ] ~docv:"N"
-        ~doc:"Cap on collection nesting depth.")
-
-let on_limit_arg =
-  Arg.(
-    value
-    & opt (enum [ ("fail", `Fail); ("truncate", `Truncate) ]) `Fail
-    & info [ "on-limit" ] ~docv:"POLICY"
-        ~doc:
-          "What to do when a budget limit trips: fail (typed error, \
-           nonzero exit) or truncate (finish with a partial result and a \
-           truncation report on stderr).")
-
-let build_guard ~timeout ~max_rows ~max_iterations ~max_bindings ~max_depth
-    ~on_limit =
-  let budget =
-    {
-      Budget.default with
-      Budget.max_rows;
-      max_bindings;
-      max_depth;
-      max_iterations =
-        (match max_iterations with
-        | Some _ -> max_iterations
-        | None -> Budget.default.Budget.max_iterations);
-    }
+(* The budget flags of eval and ivm, as a factory of fresh governors:
+   each one starts its own deadline, and ivm governs every batch with its
+   own. *)
+let guard_term =
+  let limit names docv doc =
+    Arg.(value & opt (some int) None & info names ~docv ~doc)
   in
-  let budget =
-    match timeout with
-    | Some ms -> Budget.with_timeout_ms ms budget
-    | None -> budget
+  let make timeout max_rows max_iterations max_bindings max_depth on_limit ()
+      =
+    let budget =
+      {
+        Budget.default with
+        Budget.max_rows;
+        max_bindings;
+        max_depth;
+        max_iterations =
+          (match max_iterations with
+          | None -> Budget.default.Budget.max_iterations
+          | limit -> limit);
+      }
+    in
+    let budget =
+      match timeout with
+      | Some ms -> Budget.with_timeout_ms ms budget
+      | None -> budget
+    in
+    Gov.make ~on_limit budget
   in
-  Gov.make ~on_limit budget
+  Term.(
+    const make
+    $ limit [ "timeout" ] "MS"
+        "Wall-clock budget for evaluation, in milliseconds."
+    $ limit [ "max-rows" ] "N"
+        "Cap on rows materialized across all collection heads."
+    $ limit [ "max-iterations" ] "N"
+        "Cap on fixpoint rounds per recursive stratum (default 100000)."
+    $ limit [ "max-bindings" ] "N"
+        "Cap on scope binding environments enumerated."
+    $ limit [ "max-depth" ] "N" "Cap on collection nesting depth."
+    $ Arg.(
+        value
+        & opt (enum [ ("fail", `Fail); ("truncate", `Truncate) ]) `Fail
+        & info [ "on-limit" ] ~docv:"POLICY"
+            ~doc:
+              "What to do when a budget limit trips: fail (typed error, \
+               nonzero exit) or truncate (finish with a partial result and \
+               a truncation report on stderr)."))
 
 let print_guard_report gov =
   let r = Gov.report gov in
@@ -384,77 +353,41 @@ let engine_arg =
            reference (the paper's conceptual evaluation strategy, the \
            semantic oracle; same results).")
 
-let eval_run lang conv engine tables profile timeout max_rows max_iterations
-    max_bindings max_depth on_limit text =
-  if profile && engine = `Reference then
-    `Error
-      ( true,
-        "--profile reports the plan engine's actuals; it cannot be combined \
-         with --engine reference" )
-  else
-    wrap (fun () ->
-        let tables = List.map parse_table tables in
-        let db = Database.of_list tables in
-        let db = Database.analyze db in
-        let schemas =
-          List.map
-            (fun (n, r) ->
-              (n, Arc_relation.Schema.attrs (Relation.schema r)))
-            tables
-        in
-        let guard_requested =
-          timeout <> None || max_rows <> None || max_iterations <> None
-          || max_bindings <> None || max_depth <> None
-        in
-        match lang with
-        | `Sql ->
-            (* SQL input runs on the direct SQL evaluator, so SQL-only
-               features (ORDER BY, LIMIT) work without translation *)
-            if guard_requested then
-              prerr_endline
-                "warning: budget flags are ignored with -i sql (the direct \
-                 SQL evaluator is not governed); translate through ARC to \
-                 evaluate under a budget";
-            print_endline
-              (Relation.to_table (Arc_sql.Eval_sql.run_string ~db text));
-            if profile then
-              prerr_endline
-                "profile: SQL input runs on the direct SQL evaluator, which is \
-                 not instrumented; use -i sql with 'arc trace' to trace the \
-                 translated ARC program"
-        | _ -> (
-            let guard =
-              build_guard ~timeout ~max_rows ~max_iterations ~max_bindings
-                ~max_depth ~on_limit
-            in
-            let prog = parse_input lang text schemas in
-            let outcome, metrics =
-              match engine with
-              | `Reference ->
-                  (Arc_engine.Eval.run ~conv ~guard ~db prog, Metrics.create)
-              | `Plan when profile ->
-                  let optimized, stats, outcome =
-                    plan_run ~conv ~guard ~db prog
-                  in
-                  ( outcome,
-                    fun () ->
-                      let m = Metrics.create () in
-                      Arc_engine.Exec.export_stats m
-                        ~cenv:(Database.stats_bindings db) optimized stats;
-                      m )
-              | `Plan ->
-                  (Arc_engine.Exec.run ~conv ~guard ~db prog, Metrics.create)
-            in
-            (match outcome with
-            | Arc_engine.Eval.Rows r ->
-                print_endline (Relation.to_table (Relation.sort r))
-            | Arc_engine.Eval.Truth t ->
-                print_endline (Arc_value.Bool3.to_string t));
-            print_guard_report guard;
-            if profile then begin
-              print_endline "\n-- profile: operator metrics --";
-              print_string (Metrics.summary (metrics ()))
-            end))
+let eval_run lang conv engine tables guard text =
+  wrap (fun () ->
+      let tables = List.map parse_table tables in
+      let db = Database.of_list tables in
+      let db = Database.analyze db in
+      let schemas =
+        List.map
+          (fun (n, r) -> (n, Arc_relation.Schema.attrs (Relation.schema r)))
+          tables
+      in
+      match lang with
+      | `Sql ->
+          (* SQL input runs on the direct SQL evaluator, so SQL-only
+             features (ORDER BY, LIMIT) work without translation *)
+          if Gov.budget (guard ()) <> Budget.default then
+            prerr_endline
+              "warning: budget flags are ignored with -i sql (the direct \
+               SQL evaluator is not governed); translate through ARC to \
+               evaluate under a budget";
+          print_endline
+            (Relation.to_table (Arc_sql.Eval_sql.run_string ~db text))
+      | _ -> (
+          let guard = guard () in
+          let prog = parse_input lang text schemas in
+          let outcome =
+            match engine with
+            | `Reference -> Arc_engine.Eval.run ~conv ~guard ~db prog
+            | `Plan -> Arc_engine.Exec.run ~conv ~guard ~db prog
+          in
+          (match outcome with
+          | Arc_engine.Eval.Rows r ->
+              print_endline (Relation.to_table (Relation.sort r))
+          | Arc_engine.Eval.Truth t ->
+              print_endline (Arc_value.Bool3.to_string t));
+          print_guard_report guard))
 
 let eval_cmd =
   Cmd.v
@@ -466,69 +399,7 @@ let eval_cmd =
     Term.(
       ret
         (const eval_run $ input_lang $ conv_arg $ engine_arg $ tables_arg
-       $ profile_flag $ timeout_arg $ max_rows_arg $ max_iterations_arg
-       $ max_bindings_arg $ max_depth_arg $ on_limit_arg $ query_arg))
-
-(* ------------------------------------------------------------------ *)
-(* trace                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let trace_fmt =
-  Arg.(
-    value
-    & opt (enum [ ("pretty", `Pretty); ("jsonl", `Jsonl); ("chrome", `Chrome) ])
-        `Pretty
-    & info [ "f"; "format" ] ~docv:"FMT"
-        ~doc:
-          "Trace format: pretty (EXPLAIN ANALYZE-style span tree), jsonl \
-           (one flat JSON span per line), or chrome (Chrome trace-event \
-           JSON for chrome://tracing / Perfetto).")
-
-let trace_out =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "out" ] ~docv:"FILE"
-        ~doc:"Write the trace to $(docv) instead of stdout ('-' is stdout).")
-
-let trace_run lang conv fmt out tables text =
-  wrap (fun () ->
-      let tables = List.map parse_table tables in
-      let db = Database.of_list tables in
-      let schemas =
-        List.map
-          (fun (n, r) ->
-            (n, Arc_relation.Schema.attrs (Relation.schema r)))
-          tables
-      in
-      let prog = parse_input lang text schemas in
-      let optimized, stats, outcome = plan_run ~conv ~db prog in
-      let spans = Arc_engine.Exec.spans_of_stats optimized stats in
-      let emit = write_out ~label:"trace" out in
-      match fmt with
-      | `Pretty ->
-          (match outcome with
-          | Arc_engine.Eval.Rows r ->
-              print_endline (Relation.to_table (Relation.sort r))
-          | Arc_engine.Eval.Truth t ->
-              print_endline (Arc_value.Bool3.to_string t));
-          print_newline ();
-          emit (Sink.pretty spans)
-      | `Jsonl -> emit (Sink.jsonl spans)
-      | `Chrome -> emit (Sink.chrome spans))
-
-let trace_cmd =
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Evaluate a query and print an EXPLAIN ANALYZE-style span tree \
-          (or machine-readable JSONL / Chrome trace) of the plan engine: \
-          one span per plan node and fixpoint round. SQL input is \
-          translated to ARC.")
-    Term.(
-      ret
-        (const trace_run $ input_lang $ conv_arg $ trace_fmt
-       $ trace_out $ tables_arg $ query_arg))
+       $ guard_term $ query_arg))
 
 (* ------------------------------------------------------------------ *)
 (* explain                                                             *)
@@ -618,11 +489,22 @@ let warn_q_arg =
 let analyze_fmt =
   Arg.(
     value
-    & opt (enum [ ("pretty", `Pretty); ("json", `Json) ]) `Pretty
+    & opt
+        (enum
+           [
+             ("pretty", `Pretty);
+             ("json", `Json);
+             ("jsonl", `Jsonl);
+             ("chrome", `Chrome);
+           ])
+        `Pretty
     & info [ "f"; "format" ] ~docv:"FMT"
         ~doc:
-          "Output format: pretty (annotated plan tree) or json (flat \
-           per-node records).")
+          "Output format: pretty (the results, then the annotated plan \
+           tree), json (flat per-node records), jsonl (one trace span per \
+           plan node and fixpoint round, one JSON object per line) or \
+           chrome (the spans as Chrome trace-event JSON for \
+           chrome://tracing / Perfetto).")
 
 let analyze_out =
   Arg.(
@@ -706,22 +588,27 @@ let analyze_run lang conv tables warn_q fmt out metrics_out text =
       let prog = parse_input lang text schemas in
       let optimized, stats, outcome = plan_run ~conv ~db prog in
       let cenv = Database.stats_bindings db in
-      (match fmt with
-      | `Pretty ->
-          (match outcome with
-          | Arc_engine.Eval.Rows r ->
-              print_endline (Relation.to_table (Relation.sort r))
-          | Arc_engine.Eval.Truth t ->
-              print_endline (Arc_value.Bool3.to_string t));
-          print_newline ();
-          write_out ~label:"analysis" out
-            (Explain.analyze_to_string ~warn_q_error:warn_q ~cenv ~stats
-               optimized)
-      | `Json ->
-          write_out ~label:"analysis" out
-            (Json.pretty
-               (analyze_json (Explain.analyze_info ~cenv optimized ~stats))
-            ^ "\n"));
+      let spans () = Arc_engine.Exec.spans_of_stats optimized stats in
+      write_out ~label:"analysis" out
+        (match fmt with
+        | `Pretty ->
+            (match outcome with
+            | Arc_engine.Eval.Rows r ->
+                print_endline (Relation.to_table (Relation.sort r))
+            | Arc_engine.Eval.Truth t ->
+                print_endline (Arc_value.Bool3.to_string t));
+            print_newline ();
+            Explain.analyze_to_string ~warn_q_error:warn_q ~cenv ~stats
+              optimized
+        | `Json ->
+            Json.pretty
+              (analyze_json (Explain.analyze_info ~cenv optimized ~stats))
+            ^ "\n"
+        | `Jsonl ->
+            String.concat ""
+              (List.map (fun sp -> Json.to_string sp ^ "\n") (spans ()))
+        | `Chrome ->
+            Json.to_string (Arc_engine.Exec.chrome_trace (spans ())));
       Option.iter
         (fun file ->
           let m = Metrics.create () in
@@ -739,8 +626,10 @@ let analyze_cmd =
           per node, hash-join build/probe/match counts, and fixpoint \
           iteration deltas. Nodes whose Q-error reaches --warn-q-error are \
           flagged — those misestimates are what the join-order heuristic \
-          acted on. --metrics-out additionally exports operator-level \
-          metrics (Prometheus text or JSON).")
+          acted on. -f json, jsonl and chrome print the same run as \
+          per-node records or trace spans; --metrics-out additionally \
+          exports operator-level metrics (Prometheus text or JSON). SQL \
+          input is translated to ARC.")
     Term.(
       ret
         (const analyze_run $ input_lang $ conv_arg $ tables_arg $ warn_q_arg
@@ -875,8 +764,8 @@ let catalog_markdown () =
     "Each bench run also writes machine-readable per-experiment wall-times \
      and\nper-plan-node actuals to `BENCH.run.json`, one record per \
      measurement, and\nchecks them against the committed baseline \
-     `BENCH.json`; traces of individual\nruns are available via `arc trace` \
-     — see\n[docs/observability.md](docs/observability.md).";
+     `BENCH.json`; traces of individual\nruns are available via `arc \
+     analyze -f jsonl` — see\n[docs/observability.md](docs/observability.md).";
   print_endline "";
   print_endline "## Guarded runs";
   print_endline "";
@@ -1178,8 +1067,7 @@ let parse_view s =
           (String.sub s (k + 1) (String.length s - k - 1)) )
   | _ -> die "bad view %S (expected NAME={Q(...) | ...})" s
 
-let ivm_run conv tables views batches check timeout max_rows max_iterations
-    max_bindings max_depth on_limit metrics_out =
+let ivm_run conv tables views batches check guard metrics_out =
   wrap (fun () ->
       if views = [] then die "no views; pass --view NAME=QUERY at least once";
       let db = Database.of_list (List.map parse_table tables) in
@@ -1196,10 +1084,7 @@ let ivm_run conv tables views batches check timeout max_rows max_iterations
       List.iteri
         (fun bi file ->
           let batch = parse_batch_file (Ivm.db ivm) file in
-          let guard =
-            build_guard ~timeout ~max_rows ~max_iterations ~max_bindings
-              ~max_depth ~on_limit
-          in
+          let guard = guard () in
           let reports = Ivm.apply ~guard ivm batch in
           Printf.printf "batch %d (%s): %d row(s) over %d relation(s)\n"
             (bi + 1) file (Ivm.batch_rows batch) (List.length batch);
@@ -1247,8 +1132,7 @@ let ivm_cmd =
     Term.(
       ret
         (const ivm_run $ conv_arg $ tables_arg $ views_arg $ batches_arg
-       $ ivm_check_flag $ timeout_arg $ max_rows_arg $ max_iterations_arg
-       $ max_bindings_arg $ max_depth_arg $ on_limit_arg $ metrics_out_arg))
+       $ ivm_check_flag $ guard_term $ metrics_out_arg))
 
 (* ------------------------------------------------------------------ *)
 (* fuzz                                                                *)
@@ -1362,7 +1246,6 @@ let main_cmd =
           metalanguage for relational queries.")
     [
       render_cmd; validate_cmd; eval_cmd; explain_cmd; analyze_cmd; stats_cmd;
-      trace_cmd;
       fragment_cmd; compare_cmd; catalog_cmd; chaos_cmd; fuzz_cmd; ivm_cmd;
     ]
 

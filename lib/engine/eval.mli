@@ -53,8 +53,8 @@ val run :
     Defaults: [conv = Conventions.sql_set], [externals = Externals.standard].
 
     The reference evaluator is the semantic oracle and keeps no trace;
-    per-operator actuals come from the plan engine
-    ({!Arc_engine.Exec.spans_of_stats}).
+    per-operator actuals come from the plan engine ([arc analyze],
+    {!Arc_engine.Exec.spans_of_stats}).
 
     [guard] (default {!Arc_guard.Gov.default}, seed-equivalent) enforces
     the budget it was built with. Under [`Fail] a crossed limit raises

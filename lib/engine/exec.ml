@@ -936,12 +936,12 @@ let resume_stratum_plan ctx (dps : Ir.def_plan list) : unit =
 (* ------------------------------------------------------------------ *)
 
 module Metrics = Arc_obs.Metrics
-module Obs = Arc_obs.Obs
+module Json = Arc_obs.Json
 module Explain = Arc_plan.Explain
 
 (* Aggregates a run's per-node actuals into operator-level series: totals
    as counters, per-node distributions as histograms. This is what
-   [arc eval --profile] prints and what [--metrics-out] exports. *)
+   [arc analyze --metrics-out] exports. *)
 let export_stats (m : Metrics.t) ~cenv (pp : Ir.program_plan)
     (stats : Ir.stats) =
   List.iter
@@ -970,24 +970,35 @@ let export_stats (m : Metrics.t) ~cenv (pp : Ir.program_plan)
    [span] lays its children back to back from its own start and widens
    its duration to cover them (seminaive delta rules run a head's
    disjuncts outside the head). Spans are built as placers awaiting their
-   parent and start; ids are preorder, so parents precede children. *)
+   parent and start; a placed span returns its duration and its objects
+   in preorder, its own first, so ids are preorder and parents precede
+   children. *)
 let spans_of_stats (pp : Ir.program_plan) (stats : Ir.stats) =
   let next_id = ref 0 in
   let rec lay parent start = function
-    | [] -> []
+    | [] -> (0, [])
     | place :: rest ->
-        let sp = place parent start in
-        sp :: lay parent (Int64.add start sp.Obs.duration_ns) rest
+        let dur, objs = place parent start in
+        let rest_dur, rest_objs = lay parent (start + dur) rest in
+        (dur + rest_dur, objs @ rest_objs)
   in
   let span name attrs own kids parent start =
     let id = !next_id in
     incr next_id;
-    let children = lay (Some id) start kids in
-    let sum =
-      List.fold_left (fun t c -> Int64.add t c.Obs.duration_ns) 0L children
-    in
-    let duration_ns = max own sum in
-    { Obs.id; parent; name; start_ns = start; duration_ns; attrs; children }
+    let sum, descendants = lay (Some id) start kids in
+    let dur = max (Int64.to_int own) sum in
+    ( dur,
+      Json.Obj
+        [
+          ("id", Json.Int id);
+          ( "parent",
+            match parent with Some p -> Json.Int p | None -> Json.Null );
+          ("name", Json.Str name);
+          ("start_ns", Json.Int start);
+          ("dur_ns", Json.Int dur);
+          ("attrs", Json.Obj attrs);
+        ]
+      :: descendants )
   in
   let infos = Explain.analyze_info pp ~stats in
   let kids_of = Hashtbl.create 64 in
@@ -1002,20 +1013,20 @@ let spans_of_stats (pp : Ir.program_plan) (stats : Ir.stats) =
           match (ni.Explain.ni_op, ni.Explain.ni_head) with
           | "union", Some head when a.Ir.a_iterations > 0 ->
               ( "collection:" ^ head,
-                [ ("fixpoint_ns", Obs.Int (Int64.to_int a.Ir.a_fix_ns)) ] )
+                [ ("fixpoint_ns", Json.Int (Int64.to_int a.Ir.a_fix_ns)) ] )
           | "union", Some head -> ("collection:" ^ head, [])
           | ("hash_join" | "semi_join" | "anti_join" as op), _ ->
               ( op,
                 [
-                  ("build", Obs.Int a.Ir.a_build);
-                  ("probe", Obs.Int a.Ir.a_probe);
-                  ("matches", Obs.Int a.Ir.a_matches);
+                  ("build", Json.Int a.Ir.a_build);
+                  ("probe", Json.Int a.Ir.a_probe);
+                  ("matches", Json.Int a.Ir.a_matches);
                 ] )
           | op, _ -> (op, [])
         in
         span name
-          (("rows", Obs.Int a.Ir.a_rows)
-          :: ("invocations", Obs.Int a.Ir.a_invocations)
+          (("rows", Json.Int a.Ir.a_rows)
+          :: ("invocations", Json.Int a.Ir.a_invocations)
           :: hash)
           a.Ir.a_incl_ns
           (List.filter_map node
@@ -1043,7 +1054,7 @@ let spans_of_stats (pp : Ir.program_plan) (stats : Ir.stats) =
             (List.filter_map
                (fun (n, deltas, _) ->
                  Option.map
-                   (fun d -> ("delta:" ^ n, Obs.Int d))
+                   (fun d -> ("delta:" ^ n, Json.Int d))
                    (List.nth_opt deltas i))
                heads)
             ns []
@@ -1055,18 +1066,41 @@ let spans_of_stats (pp : Ir.program_plan) (stats : Ir.stats) =
             | `Naive -> "fixpoint:naive")
             [
               ( "stratum",
-                Obs.Str
+                Json.Str
                   (String.concat "," (List.map (fun dp -> dp.Ir.dname) dps)) );
-              ("iterations", Obs.Int a.Ir.a_iterations);
+              ("iterations", Json.Int a.Ir.a_iterations);
             ]
             0L
             (List.mapi round (List.rev a.Ir.a_rounds_ns));
         ]
   in
-  lay None 0L
-    (List.concat_map
-       (function
-         | Ir.Nonrecursive dp -> def dp
-         | Ir.Recursive dps -> fixpoint dps @ List.concat_map def dps)
-       pp.strata
-    @ Option.to_list (Option.bind main_id head))
+  snd
+    (lay None 0
+       (List.concat_map
+          (function
+            | Ir.Nonrecursive dp -> def dp
+            | Ir.Recursive dps -> fixpoint dps @ List.concat_map def dps)
+          pp.strata
+       @ Option.to_list (Option.bind main_id head)))
+
+(* One Chrome ["ph": "X"] duration event per span, in microseconds. *)
+let chrome_trace spans =
+  let field k sp = Option.value ~default:Json.Null (Json.member k sp) in
+  let us k sp =
+    let ns = Option.value ~default:0 (Json.to_int (field k sp)) in
+    Json.Float (Float.of_int ns /. 1e3)
+  in
+  Json.List
+    (List.map
+       (fun sp ->
+         Json.Obj
+           [
+             ("name", field "name" sp);
+             ("ph", Json.Str "X");
+             ("ts", us "start_ns" sp);
+             ("dur", us "dur_ns" sp);
+             ("pid", Json.Int 1);
+             ("tid", Json.Int 1);
+             ("args", field "attrs" sp);
+           ])
+       spans)

@@ -73,10 +73,10 @@ val exec_program :
     build/probe/match counts, fixpoint iterations, delta sizes,
     per-round wall-clock and the fixpoint's own time) into it, keyed by the stable node ids of
     {!Arc_plan.Ir.program_ids}. These actuals are the plan engine's only
-    instrumentation: [arc analyze]
-    ({!Arc_plan.Explain.analyze_to_string}), [arc trace]
-    ({!spans_of_stats}) and [arc eval --profile] ({!export_stats}) all
-    render them.
+    instrumentation: [arc analyze] renders them as the annotated plan
+    tree ({!Arc_plan.Explain.analyze_to_string}, [-f pretty]), as spans
+    ({!spans_of_stats}, [-f jsonl] and [-f chrome]) and as metrics
+    ({!export_stats}, [--metrics-out]).
 
     A recursive head's inclusive time covers its whole fixpoint, and its
     [a_fix_ns] is the part spent outside every plan node: seen-set
@@ -98,18 +98,25 @@ val export_stats :
     [cenv]. *)
 
 val spans_of_stats :
-  Arc_plan.Ir.program_plan ->
-  Arc_plan.Ir.stats ->
-  Arc_obs.Obs.span list
-(** Render a run's per-node actuals as spans for [arc trace]: one per
-    executed plan node, named by {!Arc_plan.Ir.op_name} (union heads as
-    [collection:<name>]) and carrying its actuals ([rows], [invocations];
-    [build], [probe], [matches] on hash and semi/anti joins;
-    [fixpoint_ns] on a recursive head). Each
-    recursive stratum is preceded by a [fixpoint:seminaive|naive] span
-    (delta rules or whole-definition rules, see {!exec_program}) whose
-    [seed] and [iteration] children last one round each and carry
-    [delta:<name>]. *)
+  Arc_plan.Ir.program_plan -> Arc_plan.Ir.stats -> Arc_obs.Json.t list
+(** Render a run's per-node actuals as spans for [arc analyze -f jsonl]:
+    one object [{"id", "parent", "name", "start_ns", "dur_ns", "attrs"}]
+    per executed plan node, in preorder (parents before children;
+    [parent] is [null] for roots). A node's span is named by
+    {!Arc_plan.Ir.op_name} (union heads as [collection:<name>]) and
+    carries its actuals ([rows], [invocations]; [build], [probe],
+    [matches] on hash and semi/anti joins; [fixpoint_ns] on a recursive
+    head). Each recursive stratum is preceded by a
+    [fixpoint:seminaive|naive] span (delta rules or whole-definition
+    rules, see {!exec_program}) whose [seed] and [iteration] children
+    last one round each and carry [delta:<name>]. A span aggregates
+    every invocation of its node, so its children are laid back to back
+    from its start, the first root at 0, and its duration covers them. *)
+
+val chrome_trace : Arc_obs.Json.t list -> Arc_obs.Json.t
+(** Spans as a Chrome trace-event array ([arc analyze -f chrome], for
+    [chrome://tracing] or Perfetto): one ["ph": "X"] duration event per
+    span, [ts] and [dur] in microseconds, [args] the span's [attrs]. *)
 
 (** {1 Incremental-maintenance hooks}
 

@@ -1,6 +1,7 @@
 (** A minimal JSON value type with a printer and a strict parser.
 
-    Kept deliberately tiny — enough for the trace sinks, the bench
+    Kept deliberately tiny — enough for [arc analyze]'s JSON, JSONL and
+    Chrome trace output ({!Arc_engine.Exec.spans_of_stats}), the bench
     harness's [BENCH_*.json] output, and round-trip validation in tests
     and CI — so the repo needs no external JSON dependency. *)
 

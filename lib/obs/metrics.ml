@@ -115,22 +115,6 @@ let histogram_count t ?(labels = []) name =
 let histogram_sum t ?(labels = []) name =
   match find t name labels with Some (Hist h) -> h.sum | _ -> 0.0
 
-let quantile t ?(labels = []) name q =
-  match find t name labels with
-  | Some (Hist h) when h.total > 0 ->
-      let target = q *. Float.of_int h.total in
-      let cum = ref 0 and res = ref infinity and found = ref false in
-      Array.iteri
-        (fun i c ->
-          cum := !cum + c;
-          if (not !found) && Float.of_int !cum >= target then begin
-            found := true;
-            res := (if i < Array.length bounds then bounds.(i) else infinity)
-          end)
-        h.counts;
-      Some !res
-  | _ -> None
-
 (* --- expositions ---------------------------------------------------- *)
 
 let escape_label v =
@@ -256,46 +240,3 @@ let to_json t =
             ] )
         :: !fams);
   Json.Obj (List.rev !fams)
-
-(* --- human summary -------------------------------------------------- *)
-
-let ns_to_string f =
-  if f >= 1e9 then Printf.sprintf "%.2fs" (f /. 1e9)
-  else if f >= 1e6 then Printf.sprintf "%.2fms" (f /. 1e6)
-  else if f >= 1e3 then Printf.sprintf "%.2fµs" (f /. 1e3)
-  else Printf.sprintf "%.0fns" f
-
-let contains_ns name =
-  let needle = "_ns" in
-  let nl = String.length needle and hl = String.length name in
-  let rec at k = k + nl <= hl && (String.sub name k nl = needle || at (k + 1)) in
-  at 0
-
-let render_value name f =
-  if contains_ns name then ns_to_string f else float_repr f
-
-let summary t =
-  let buf = Buffer.create 1024 in
-  iter_families t (fun name fam ->
-      iter_series fam (fun labels c ->
-          let series = name ^ labels_to_string labels in
-          match c with
-          | Counter r ->
-              Buffer.add_string buf (Printf.sprintf "%-64s %s\n" series
-                   (render_value name (Float.of_int !r)))
-          | Gauge r ->
-              Buffer.add_string buf
-                (Printf.sprintf "%-64s %s\n" series (render_value name !r))
-          | Hist h ->
-              let q p =
-                match quantile t ~labels name p with
-                | Some b -> render_value name b
-                | None -> "n/a"
-              in
-              Buffer.add_string buf
-                (Printf.sprintf
-                   "%-64s count=%d sum=%s p50<=%s p90<=%s max<=%s\n" series
-                   h.total
-                   (render_value name h.sum)
-                   (q 0.5) (q 0.9) (q 1.0))));
-  Buffer.contents buf

@@ -3,11 +3,12 @@
     Prometheus-style text exposition and a JSON exposition built on
     {!Json}.
 
-    The registry complements the plan engine's trace spans ({!Obs}):
-    spans answer "where did this one run spend its time", the registry
-    accumulates "how much, how many, how distributed" across runs —
-    per-plan-node actuals for [arc eval --profile] and [arc analyze], and
-    campaign counters for [arc fuzz] / [arc chaos] ([--metrics-out]).
+    The registry complements the plan engine's trace spans
+    ({!Arc_engine.Exec.spans_of_stats}): spans answer "where did this one
+    run spend its time", the registry accumulates "how much, how many,
+    how distributed" across runs — per-plan-node actuals for
+    [arc analyze --metrics-out], and campaign counters for [arc fuzz] /
+    [arc chaos] / [arc ivm] ([--metrics-out]).
 
     Families are registered implicitly on first use; using one name with
     two different instrument kinds raises [Invalid_argument]. Label
@@ -47,13 +48,6 @@ val gauge_value : t -> ?labels:(string * string) list -> string -> float option
 val histogram_count : t -> ?labels:(string * string) list -> string -> int
 val histogram_sum : t -> ?labels:(string * string) list -> string -> float
 
-val quantile :
-  t -> ?labels:(string * string) list -> string -> float -> float option
-(** [quantile t name q] is an upper bound for the [q]-quantile (0 ≤ q ≤ 1)
-    of a histogram series: the smallest bucket bound whose cumulative
-    count reaches [q]·total. [None] for an empty or unknown series;
-    [infinity] when the quantile falls in the +Inf bucket. *)
-
 (** {1 Expositions} *)
 
 val to_prometheus : t -> string
@@ -66,7 +60,3 @@ val to_json : t -> Json.t
     [{"type": …, "samples": [{"labels": …, …payload…}]}]. Histogram
     buckets are cumulative, mirroring the Prometheus exposition. *)
 
-val summary : t -> string
-(** Human-readable rendering: counters and gauges as single lines,
-    histograms as [count / sum / p50 / p90 / max] digests. Values of
-    families whose name mentions [_ns] are printed as durations. *)

@@ -1,6 +1,7 @@
-(* Observability tests: the sinks render the plan engine's trace spans
-   ([Exec.spans_of_stats]) in forms that parse and nest, hostile strings
-   survive them, and evaluation errors name their collection. *)
+(* Observability tests: the plan engine's trace spans
+   ([Exec.spans_of_stats]) and their JSONL and Chrome renderings parse
+   and nest, hostile strings survive them, and evaluation errors name
+   their collection. *)
 
 open Arc_core.Ast
 open Arc_core.Build
@@ -9,8 +10,6 @@ module Relation = Arc_relation.Relation
 module Database = Arc_relation.Database
 module Eval = Arc_engine.Eval
 module Exec = Arc_engine.Exec
-module Obs = Arc_obs.Obs
-module Sink = Arc_obs.Sink
 module Json = Arc_obs.Json
 module Data = Arc_catalog.Data
 
@@ -42,21 +41,26 @@ let chain n =
 
 let eq16 = { defs = Data.eq16_defs; main = Coll Data.eq16_main }
 
-(* Runs a program on the plan engine with per-node actuals on and renders
-   them as spans, as [arc trace] does. *)
-let plan_spans ~db prog =
+(* Runs a program on the plan engine with per-node actuals on, as
+   [arc analyze] does; returns the plan and its actuals. *)
+let plan_run ~db prog =
   let ctx, _, optimized, _ = Exec.compile ~db prog in
   let stats = Arc_plan.Ir.fresh_stats () in
   ignore (Exec.exec_program ~stats ctx optimized);
-  Exec.spans_of_stats optimized stats
+  (optimized, stats)
+
+(* [arc analyze -f jsonl]: one span object per line *)
+let jsonl spans =
+  String.concat "" (List.map (fun sp -> Json.to_string sp ^ "\n") spans)
 
 (* the spans a recursive plan trace must carry *)
 let recursive_span_names =
   [ "fixpoint:seminaive"; "iteration"; "collection:Q"; "scan" ]
 
-(* the JSONL sink parses line by line and spans nest correctly *)
+(* the JSONL trace parses line by line and spans nest correctly *)
 let jsonl_roundtrip () =
-  let out = Sink.jsonl (plan_spans ~db:(chain 6) eq16) in
+  let optimized, stats = plan_run ~db:(chain 6) eq16 in
+  let out = jsonl (Exec.spans_of_stats optimized stats) in
   let lines =
     List.filter (fun l -> l <> "") (String.split_on_char '\n' out)
   in
@@ -108,18 +112,37 @@ let jsonl_roundtrip () =
       if not (has name) then Alcotest.failf "no %S span in JSONL trace" name)
     recursive_span_names
 
-(* pretty sink shows the span names and chrome sink is one valid JSON doc *)
+(* the pretty format (the annotated plan tree) shows the recursive head's
+   rounds, and the chrome format is one valid JSON array of duration
+   events, one per span *)
 let sinks_smoke () =
-  let spans = plan_spans ~db:(chain 6) eq16 in
-  let pretty = Sink.pretty spans in
+  let optimized, stats = plan_run ~db:(chain 6) eq16 in
+  let pretty = Arc_plan.Explain.analyze_to_string ~stats optimized in
   List.iter
     (fun needle ->
       if not (contains ~needle pretty) then
         Alcotest.failf "pretty output lacks %S:\n%s" needle pretty)
-    ("rows=" :: recursive_span_names);
-  match Json.parse (Sink.chrome spans) with
-  | Ok (Json.List (_ :: _)) -> ()
-  | Ok _ -> Alcotest.fail "chrome trace is not a non-empty array"
+    [ "act="; "iters="; "deltas="; "scan" ];
+  let spans = Exec.spans_of_stats optimized stats in
+  match Json.parse (Json.to_string (Exec.chrome_trace spans)) with
+  | Ok (Json.List events) ->
+      Alcotest.(check int) "one event per span" (List.length spans)
+        (List.length events);
+      List.iter
+        (fun ev ->
+          if Json.member "ph" ev <> Some (Json.Str "X") then
+            Alcotest.failf "not a duration event: %s" (Json.to_string ev))
+        events;
+      List.iter
+        (fun name ->
+          if
+            not
+              (List.exists
+                 (fun ev -> Json.member "name" ev = Some (Json.Str name))
+                 events)
+          then Alcotest.failf "no %S event in the chrome trace" name)
+        recursive_span_names
+  | Ok _ -> Alcotest.fail "chrome trace is not an array"
   | Error msg -> Alcotest.failf "chrome trace unparsable: %s" msg
 
 (* errors are attributed to the collection being evaluated *)
@@ -209,39 +232,33 @@ let json_unicode_escapes () =
 (* spans whose names and attributes contain newlines, quotes and raw UTF-8
    still produce machine-parsable chrome and JSONL output *)
 let sinks_hostile_attrs () =
-  let inner =
-    {
-      Obs.id = 1;
-      parent = Some 0;
-      name = "inner,comma";
-      start_ns = 10L;
-      duration_ns = 5L;
-      attrs = [ ("n", Obs.Int 3) ];
-      children = [];
-    }
+  let span id parent name start dur attrs =
+    Json.Obj
+      [
+        ("id", Json.Int id);
+        ("parent", parent);
+        ("name", Json.Str name);
+        ("start_ns", Json.Int start);
+        ("dur_ns", Json.Int dur);
+        ("attrs", Json.Obj attrs);
+      ]
   in
-  let outer =
-    {
-      Obs.id = 0;
-      parent = None;
-      name = "outer \"op\"\nline2";
-      start_ns = 0L;
-      duration_ns = 20L;
-      attrs =
+  let spans =
+    [
+      span 0 Json.Null "outer \"op\"\nline2" 0 20
         [
-          ("note", Obs.Str "it's \"quoted\"\n\ttab \xe2\x9a\xa0");
-          ("caf\xc3\xa9", Obs.Str "\x01control\x7f");
+          ("note", Json.Str "it's \"quoted\"\n\ttab \xe2\x9a\xa0");
+          ("caf\xc3\xa9", Json.Str "\x01control\x7f");
         ];
-      children = [ inner ];
-    }
+      span 1 (Json.Int 0) "inner,comma" 10 5 [ ("n", Json.Int 3) ];
+    ]
   in
-  let spans = [ outer ] in
-  (match Json.parse (Sink.chrome spans) with
+  (match Json.parse (Json.to_string (Exec.chrome_trace spans)) with
   | Ok (Json.List (_ :: _)) -> ()
   | Ok _ -> Alcotest.fail "chrome trace is not a non-empty array"
   | Error msg -> Alcotest.failf "chrome trace unparsable: %s" msg);
   let lines =
-    List.filter (fun l -> l <> "") (String.split_on_char '\n' (Sink.jsonl spans))
+    List.filter (fun l -> l <> "") (String.split_on_char '\n' (jsonl spans))
   in
   Alcotest.(check int) "one JSONL line per span" 2 (List.length lines);
   List.iter

@@ -17,7 +17,7 @@ module Lower = Arc_plan.Lower
 module Opt = Arc_plan.Opt
 module Explain = Arc_plan.Explain
 module Ir = Arc_plan.Ir
-module Obs = Arc_obs.Obs
+module Json = Arc_obs.Json
 module Gov = Arc_guard.Gov
 module Budget = Arc_guard.Budget
 module Data = Arc_catalog.Data
@@ -319,12 +319,19 @@ let plan_seminaive () =
   check_same_bag "reference naive = plan seminaive on TC" reference plan
 
 (* Runs a program on the plan engine with per-node actuals on and renders
-   them as spans, as [arc trace] does. *)
+   them as spans, as [arc analyze -f jsonl] does. *)
 let traced ~db prog =
   let ctx, _, optimized, _ = Exec.compile ~db prog in
   let stats = Ir.fresh_stats () in
   ignore (Exec.exec_program ~stats ctx optimized);
   (optimized, stats, Exec.spans_of_stats optimized stats)
+
+(* spans are flat JSON objects; these read their fields *)
+let span_int k sp = Option.bind (Json.member k sp) Json.to_int
+let attr_int sp k = Option.bind (Json.member "attrs" sp) (span_int k)
+
+let find_spans spans name =
+  List.filter (fun sp -> Json.member "name" sp = Some (Json.Str name)) spans
 
 let plan_seminaive_actually_runs () =
   (* the seminaive fixpoint must be chosen (not silently degrade to naive)
@@ -333,16 +340,16 @@ let plan_seminaive_actually_runs () =
     traced ~db:(db_chain 6) (program ~defs:tc_defs (Coll tc_main))
   in
   Alcotest.(check bool) "fixpoint:seminaive span present" true
-    (Obs.find_spans spans "fixpoint:seminaive" <> []);
+    (find_spans spans "fixpoint:seminaive" <> []);
   Alcotest.(check bool) "no naive fixpoint span" true
-    (Obs.find_spans spans "fixpoint:naive" = [])
+    (find_spans spans "fixpoint:naive" = [])
 
 let tracer_spans () =
   let _, _, spans = traced ~db:Data.db_rs (program (Coll join_query)) in
   List.iter
     (fun name ->
       Alcotest.(check bool) (name ^ " span present") true
-        (Obs.find_spans spans name <> []))
+        (find_spans spans name <> []))
     [ "collection:Q"; "hash_join"; "scan" ]
 
 (* A stratum the plan cannot delta-rewrite: the recursive reference sits
@@ -399,17 +406,20 @@ let fixpoint_spans () =
     (fun (kind, db, prog, heads) ->
       let optimized, stats, spans = traced ~db prog in
       let fx =
-        match Obs.find_spans spans ("fixpoint:" ^ kind) with
+        match find_spans spans ("fixpoint:" ^ kind) with
         | [ fx ] -> fx
         | l -> Alcotest.failf "%s: %d fixpoint spans" kind (List.length l)
       in
-      let rounds = fx.Obs.children in
-      let named n = List.filter (fun s -> s.Obs.name = n) rounds in
+      let rounds =
+        List.filter
+          (fun sp -> Json.member "parent" sp = Json.member "id" fx)
+          spans
+      in
+      let named n = find_spans rounds n in
       Alcotest.(check int) (kind ^ ": seed spans") 1
         (List.length (named "seed"));
       Alcotest.(check int) (kind ^ ": seed comes first") 0
-        (List.length
-           (List.filter (fun s -> s.Obs.name = "seed") (List.tl rounds)));
+        (List.length (find_spans (List.tl rounds) "seed"));
       List.iter
         (fun (head, size) ->
           let a =
@@ -423,21 +433,20 @@ let fixpoint_spans () =
           Alcotest.(check (option int))
             (kind ^ ": span iterations = a_iterations")
             (Some a.Ir.a_iterations)
-            (Obs.attr_int fx "iterations");
+            (attr_int fx "iterations");
           Alcotest.(check (list int)) (kind ^ ": round deltas = a_deltas")
             (List.rev a.Ir.a_deltas)
             (List.map
-               (fun s -> Option.get (Obs.attr_int s ("delta:" ^ head)))
+               (fun s -> Option.get (attr_int s ("delta:" ^ head)))
                rounds);
           Alcotest.(check int) (kind ^ ": deltas sum to |" ^ head ^ "|") size
             (List.fold_left ( + ) 0 a.Ir.a_deltas))
         heads;
-      let summed =
-        List.fold_left (fun acc s -> Int64.add acc s.Obs.duration_ns) 0L rounds
-      in
+      let dur sp = Option.get (span_int "dur_ns" sp) in
+      let summed = List.fold_left (fun acc s -> acc + dur s) 0 rounds in
       Alcotest.(check bool) (kind ^ ": round times fit the fixpoint span")
         true
-        (summed > 0L && Int64.compare summed fx.Obs.duration_ns <= 0))
+        (summed > 0 && summed <= dur fx))
     [
       ( "seminaive",
         db_chain 6,
