@@ -273,8 +273,10 @@ let write_metrics m file =
 
 (* Compile a program and run it on the plan engine with per-node actuals
    on: the one record that every analyze format renders. *)
-let plan_run ~conv ~db prog =
-  let ctx, _raw, optimized, _report = Arc_engine.Exec.compile ~conv ~db prog in
+let plan_run ~guard ~conv ~db prog =
+  let ctx, _raw, optimized, _report =
+    Arc_engine.Exec.compile ~conv ~guard ~db prog
+  in
   let stats = Ir.fresh_stats () in
   let outcome = Arc_engine.Exec.exec_program ~stats ctx optimized in
   (optimized, stats, outcome)
@@ -284,9 +286,9 @@ let plan_run ~conv ~db prog =
 module Budget = Arc_guard.Budget
 module Gov = Arc_guard.Gov
 
-(* The budget flags of eval and ivm, as a factory of fresh governors:
-   each one starts its own deadline, and ivm governs every batch with its
-   own. *)
+(* The budget flags of eval, analyze and ivm, as a factory of fresh
+   governors: each one starts its own deadline, and ivm governs every batch
+   with its own. *)
 let guard_term =
   let limit names docv doc =
     Arg.(value & opt (some int) None & info names ~docv ~doc)
@@ -574,7 +576,7 @@ let analyze_json infos =
          Json.Obj (base @ actual))
        infos)
 
-let analyze_run lang conv tables warn_q fmt out metrics_out text =
+let analyze_run lang conv tables guard warn_q fmt out metrics_out text =
   wrap (fun () ->
       let tables = List.map parse_table tables in
       let db = Database.of_list tables in
@@ -586,7 +588,8 @@ let analyze_run lang conv tables warn_q fmt out metrics_out text =
           tables
       in
       let prog = parse_input lang text schemas in
-      let optimized, stats, outcome = plan_run ~conv ~db prog in
+      let guard = guard () in
+      let optimized, stats, outcome = plan_run ~guard ~conv ~db prog in
       let cenv = Database.stats_bindings db in
       let spans () = Arc_engine.Exec.spans_of_stats optimized stats in
       write_out ~label:"analysis" out
@@ -614,7 +617,8 @@ let analyze_run lang conv tables warn_q fmt out metrics_out text =
           let m = Metrics.create () in
           Arc_engine.Exec.export_stats m ~cenv optimized stats;
           write_metrics m file)
-        metrics_out)
+        metrics_out;
+      print_guard_report guard)
 
 let analyze_cmd =
   Cmd.v
@@ -629,11 +633,12 @@ let analyze_cmd =
           acted on. -f json, jsonl and chrome print the same run as \
           per-node records or trace spans; --metrics-out additionally \
           exports operator-level metrics (Prometheus text or JSON). SQL \
-          input is translated to ARC.")
+          input is translated to ARC. The budget flags (--timeout, \
+          --max-rows, ..., --on-limit) govern the run as they do for eval.")
     Term.(
       ret
-        (const analyze_run $ input_lang $ conv_arg $ tables_arg $ warn_q_arg
-       $ analyze_fmt $ analyze_out $ metrics_out_arg $ query_arg))
+        (const analyze_run $ input_lang $ conv_arg $ tables_arg $ guard_term
+       $ warn_q_arg $ analyze_fmt $ analyze_out $ metrics_out_arg $ query_arg))
 
 (* ------------------------------------------------------------------ *)
 (* stats                                                               *)

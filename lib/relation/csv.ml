@@ -8,15 +8,31 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Csv_error s)) fmt
 (* Writing                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let quote s =
-  let buf = Buffer.create (String.length s + 2) in
+(* Cells go straight into the output buffer: no string per cell. *)
+let add_quoted buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      if c = '"' then Buffer.add_string buf "\"\"" else Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+  if String.contains s '"' then
+    String.iter
+      (fun c ->
+        if c = '"' then Buffer.add_string buf "\"\"" else Buffer.add_char buf c)
+      s
+  else Buffer.add_string buf s;
+  Buffer.add_char buf '"'
+
+(* [string_of_int x], digit by digit; on the non-positive side, so that
+   [min_int] needs no special case *)
+let add_int buf x =
+  let rec digits v =
+    if v <> 0 then begin
+      digits (v / 10);
+      Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (v mod 10)))
+    end
+  in
+  if x = 0 then Buffer.add_char buf '0'
+  else if x < 0 then (
+    Buffer.add_char buf '-';
+    digits x)
+  else digits (-x)
 
 (* Bare header names are restricted to forms a bare value field can never
    take (no digits-only names, no [null]/[true]/[false]); anything else is
@@ -34,14 +50,17 @@ let plain_header s =
        s
   && not (List.mem (String.lowercase_ascii s) [ "null"; "true"; "false" ])
 
-let header_field s = if plain_header s then s else quote s
+let add_header buf s =
+  if plain_header s then Buffer.add_string buf s else add_quoted buf s
 
-let value_field = function
-  | Value.Null -> "null"
-  | Value.Int x -> string_of_int x
-  | Value.Float _ as v -> Value.to_string v (* always has '.' or exponent *)
-  | Value.Bool b -> string_of_bool b
-  | Value.Str s -> quote s
+let add_value buf = function
+  | Value.Null -> Buffer.add_string buf "null"
+  | Value.Int x -> add_int buf x
+  | Value.Float _ as v ->
+      (* always has '.' or exponent *)
+      Buffer.add_string buf (Value.to_string v)
+  | Value.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Value.Str s -> add_quoted buf s
 
 (* Every row of a relation carries the relation's schema in the same
    order ([Relation.make] checks), so column [i] is cell [i] of each row. *)
@@ -49,13 +68,17 @@ let write rel =
   let attrs = Schema.attrs (Relation.schema rel) in
   let arity = List.length attrs in
   let buf = Buffer.create 256 in
-  Buffer.add_string buf (String.concat "," (List.map header_field attrs));
+  List.iteri
+    (fun i a ->
+      if i > 0 then Buffer.add_char buf ',';
+      add_header buf a)
+    attrs;
   Buffer.add_char buf '\n';
   Relation.iter
     (fun tp ->
       for i = 0 to arity - 1 do
         if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (value_field (Tuple.cell tp i))
+        add_value buf (Tuple.cell tp i)
       done;
       Buffer.add_char buf '\n')
     rel;
@@ -131,8 +154,11 @@ let header_of = function
   | Quoted s -> s
   | Bare s -> if s = "" then fail "empty bare header field" else s
 
+(* [Value.to_string]'s float forms: a '.' or an exponent, or a non-finite
+   spelling, the sign of a NaN included *)
 let looks_float s =
   String.exists (function '.' | 'e' | 'E' -> true | _ -> false) s
+  || List.mem s [ "nan"; "-nan"; "inf"; "-inf" ]
 
 let value_of = function
   | Quoted s -> Value.Str s

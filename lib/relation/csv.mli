@@ -9,9 +9,9 @@
        doubled ([""]), so a quoted ["null"] is the three-letter string and
        a bare [null] is SQL NULL;}
     {- bare fields are typed: [null], [true], [false], integers, floats
-       (floats always carry a [.] or exponent, so the int/float split is
-       unambiguous and [Value.to_string]'s shortest-reparsing form is used
-       verbatim);}
+       (floats always carry a [.] or exponent, or are one of [nan],
+       [-nan], [inf] and [-inf], so the int/float split is unambiguous and
+       [Value.to_string]'s shortest-reparsing form is used verbatim);}
     {- header fields follow the same quoting rule, so attribute names with
        commas or quotes survive;}
     {- quoted fields may span lines (embedded newlines are data).}} *)

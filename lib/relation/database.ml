@@ -4,15 +4,36 @@ module M = Map.Make (String)
    advisory (the cost model's input, never a source of truth): [add]
    invalidates the replaced relation's entry, so a stats entry always
    describes either the current relation ([Stats.collect] at analyze time)
-   or a patched row count explicitly marked stale. *)
-type t = { rels : Relation.t M.t; stats : Stats.t M.t }
+   or a patched row count explicitly marked stale.
+
+   A relation value never changes (slots below its buffer's fill are never
+   written again), so [Stats.collect r] is a pure function of [r]. [memo]
+   keeps, per name, the last relation collected under that name with its
+   statistics; [analyze] reuses an entry only while the current relation
+   is that very value ([==]) and collects a changed one again. Every
+   database derived from one [of_list] (or first [add]) shares the memo,
+   which holds at most one entry per name. *)
+type entry = { e_rel : Relation.t; e_stats : Stats.t }
+
+type t = {
+  rels : Relation.t M.t;
+  stats : Stats.t M.t;
+  memo : (string, entry) Hashtbl.t;
+}
 
 exception Unknown_relation of string
 
-let empty = { rels = M.empty; stats = M.empty }
+(* never written: analyzing a database without relations collects nothing *)
+let empty = { rels = M.empty; stats = M.empty; memo = Hashtbl.create 0 }
 
+(* a database's first relation starts its own memo, so that databases
+   built apart never share one *)
 let add t name r =
-  { rels = M.add name r t.rels; stats = M.remove name t.stats }
+  {
+    rels = M.add name r t.rels;
+    stats = M.remove name t.stats;
+    memo = (if M.is_empty t.rels then Hashtbl.create 8 else t.memo);
+  }
 
 let of_list l = List.fold_left (fun acc (n, r) -> add acc n r) empty l
 
@@ -29,6 +50,14 @@ let names t = List.map fst (M.bindings t.rels)
 (* Statistics (ANALYZE)                                                *)
 (* ------------------------------------------------------------------ *)
 
+let collect t name r =
+  match Hashtbl.find_opt t.memo name with
+  | Some e when e.e_rel == r -> e.e_stats
+  | _ ->
+      let s = Stats.collect r in
+      Hashtbl.replace t.memo name { e_rel = r; e_stats = s };
+      s
+
 let analyze ?only t =
   Option.iter
     (List.iter (fun n -> if not (M.mem n t.rels) then raise (Unknown_relation n)))
@@ -38,7 +67,7 @@ let analyze ?only t =
     t with
     stats =
       M.fold
-        (fun n r acc -> if wanted n then M.add n (Stats.collect r) acc else acc)
+        (fun n r acc -> if wanted n then M.add n (collect t n r) acc else acc)
         t.rels t.stats;
   }
 

@@ -25,7 +25,14 @@ val names : t -> string list
 
 val analyze : ?only:string list -> t -> t
 (** Collect statistics for every relation (or just [only]). Raises
-    {!Unknown_relation} if [only] names a relation not in the database. *)
+    {!Unknown_relation} if [only] names a relation not in the database.
+
+    A relation value never changes, so its statistics are a pure function
+    of it: every database derived from one {!of_list} (or first {!add})
+    shares a memo of the last statistics collected per name, and
+    [analyze] collects a relation again only when it is not physically
+    the relation that entry was collected from. The result always equals
+    {!Stats.collect} of the current relation. *)
 
 val stats : t -> string -> Stats.t option
 val stats_bindings : t -> (string * Stats.t) list

@@ -89,42 +89,6 @@ let summarize ~nulls ~nonnull ~runs ~value ~count =
     c_hist = List.rev !hist;
   }
 
-(* LSD radix sort of [a.(0 .. n-1)], whose elements all lie in
-   [lo, lo + range] with [range >= 0], on [radix_bits]-bit digits of
-   [x - lo]. Each pass scatters between [a] and [tmp] through [counts]
-   (of [1 lsl radix_bits] slots); the result is whichever of the two
-   arrays holds the sorted elements. Small digits keep [counts] in cache
-   and cheap to clear; a 63-bit range takes at most six passes. *)
-let radix_bits = 11
-
-let radix_sort a tmp counts n ~lo ~range =
-  let mask = (1 lsl radix_bits) - 1 in
-  let src = ref a and dst = ref tmp and shift = ref 0 in
-  while !shift < Sys.int_size && range lsr !shift > 0 do
-    let s = !src and d = !dst and sh = !shift in
-    Array.fill counts 0 (mask + 1) 0;
-    for i = 0 to n - 1 do
-      let k = ((s.(i) - lo) lsr sh) land mask in
-      counts.(k) <- counts.(k) + 1
-    done;
-    let pos = ref 0 in
-    for k = 0 to mask do
-      let c = counts.(k) in
-      counts.(k) <- !pos;
-      pos := !pos + c
-    done;
-    for i = 0 to n - 1 do
-      let x = s.(i) in
-      let k = ((x - lo) lsr sh) land mask in
-      d.(counts.(k)) <- x;
-      counts.(k) <- counts.(k) + 1
-    done;
-    src := d;
-    dst := s;
-    shift := sh + radix_bits
-  done;
-  !src
-
 (* An all-[Int] column, its [n] non-null values unboxed in [ints]: sort
    them (by radix unless [hi - lo] overflows), then compact the sorted
    array in place into its distinct values, with their counts in the
@@ -132,7 +96,7 @@ let radix_sort a tmp counts n ~lo ~range =
 let int_column ~ints ~tmp ~counts ~nulls ~n ~lo ~hi =
   let sorted =
     if n = 0 then ints
-    else if hi - lo >= 0 then radix_sort ints tmp counts n ~lo ~range:(hi - lo)
+    else if hi - lo >= 0 then Radix.sort ints tmp counts n ~lo ~range:(hi - lo)
     else begin
       let a = Array.sub ints 0 n in
       Array.sort Int.compare a;
@@ -221,7 +185,7 @@ let collect (r : Relation.t) : t =
   let card = Relation.cardinality r in
   let schema = Relation.schema r in
   let ints = Array.make card 0 and tmp = Array.make card 0 in
-  let counts = Array.make (1 lsl radix_bits) 0 in
+  let counts = Radix.counts () in
   {
     s_rows = card;
     s_analyzed_rows = card;

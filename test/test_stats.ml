@@ -224,12 +224,6 @@ let each_relation label db =
 let reference_catalog () =
   List.iter (fun (name, db) -> each_relation name db) dbs
 
-let reference_fuzz () =
-  for seed = 0 to 499 do
-    let c = Arc_fuzz.Gen.gen_case (Random.State.make [| seed |]) in
-    each_relation (Printf.sprintf "fuzz seed %d" seed) c.Arc_fuzz.Case.db
-  done
-
 (* Random columns for the property. All-[Int] columns take the radix path:
    narrow ranges (many repeats, MCV ties), wide ranges (several radix
    digits, negatives), and columns holding both [min_int] and [max_int],
@@ -478,6 +472,212 @@ let stats_beat_heuristic () =
        %.3f)"
       mns mnh ms mh
 
+(* ------------------------------------------------------------------ *)
+(* The ANALYZE memo                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* the same rows in a buffer of their own, which no memo has seen *)
+let fresh_copy r =
+  Relation.of_rows
+    (Schema.attrs (Relation.schema r))
+    (List.map Tuple.values (Relation.tuples r))
+
+(* every entry an ANALYZEd database serves equals a cold collect *)
+let served_fresh label db =
+  List.iter
+    (fun n ->
+      let want = Stats.collect (fresh_copy (Database.find db n)) in
+      match Database.stats db n with
+      | None -> Alcotest.failf "%s.%s: no statistics after analyze" label n
+      | Some got when got <> want ->
+          Alcotest.failf "%s.%s: served stats differ\ngot:\n%swant:\n%s" label
+            n (Stats.to_string got) (Stats.to_string want)
+      | Some _ -> ())
+    (Database.names db)
+
+(* a second ANALYZE serves the very values of the first, and both are a
+   cold collect *)
+let memo_serves label db =
+  let first = Database.analyze db in
+  let second = Database.analyze db in
+  served_fresh label first;
+  served_fresh label second;
+  List.iter
+    (fun n ->
+      if Option.get (Database.stats first n)
+         != Option.get (Database.stats second n)
+      then Alcotest.failf "%s.%s: the second analyze collected again" label n)
+    (Database.names db)
+
+let memo_catalog () = List.iter (fun (name, db) -> memo_serves name db) dbs
+
+(* the 500 fixed-seed fuzz databases: [collect] equals the reference, and
+   a memoized ANALYZE serves it *)
+let reference_fuzz () =
+  for seed = 0 to 499 do
+    let c = Arc_fuzz.Gen.gen_case (Random.State.make [| seed |]) in
+    let label = Printf.sprintf "fuzz seed %d" seed in
+    each_relation label c.Arc_fuzz.Case.db;
+    memo_serves label c.Arc_fuzz.Case.db
+  done
+
+(* How a relation changes between two ANALYZEs. *)
+type change =
+  | Add
+  | Union
+  | Select of int
+  | Take of int
+  | Dedup
+  | Minus
+  | Apply_delta of int
+  | Replace
+
+let show_change = function
+  | Add -> "add"
+  | Union -> "union"
+  | Select k -> Printf.sprintf "select %d" k
+  | Take k -> Printf.sprintf "take %d" k
+  | Dedup -> "dedup"
+  | Minus -> "minus"
+  | Apply_delta k -> Printf.sprintf "apply_delta %d" k
+  | Replace -> "replace"
+
+let apply_change other r = function
+  | Add ->
+      List.fold_left
+        (fun r tp -> Relation.add r (Relation.align_to (Relation.schema r) tp))
+        r (Relation.tuples other)
+  | Union -> Relation.union r other
+  | Select k ->
+      let i = ref 0 in
+      Relation.select
+        (fun _ ->
+          incr i;
+          !i mod (k + 2) <> 0)
+        r
+  | Take k -> Relation.take k r
+  | Dedup -> Relation.dedup r
+  | Minus -> Relation.minus r other
+  | Apply_delta k ->
+      let dels =
+        List.filteri (fun i _ -> i < k) (Relation.tuples r)
+        |> List.map (fun tp -> (tp, -1))
+      in
+      Relation.apply_delta r
+        (dels @ List.map (fun tp -> (tp, 1)) (Relation.tuples other))
+  | Replace -> fresh_copy other
+
+(* a base relation, a second relation over the same names in another
+   order (the operand of [union], [minus], the inserted rows), and a
+   sequence of changes; no NaN, so [=] on statistics is equality *)
+let gen_memo_case =
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [
+        (4, map V.int (int_range (-4) 4));
+        (1, return V.Null);
+        (1, map (fun k -> V.Float (float_of_int k /. 2.0)) (int_range (-4) 4));
+        (1, map V.str (oneofl [ ""; "a"; "b" ]));
+      ]
+  in
+  let rows = list_size (int_bound 40) (list_repeat 2 value) in
+  let change =
+    let k = int_bound 8 in
+    oneof
+      [
+        return Add; return Union; map (fun k -> Select k) k;
+        map (fun k -> Take k) k; return Dedup; return Minus;
+        map (fun k -> Apply_delta k) k; return Replace;
+      ]
+  in
+  quad rows rows (list_size (int_range 1 4) change) bool
+
+(* After every change, the database holding the changed relation (via
+   [Database.add]) and the original database are ANALYZEd again; both
+   must serve a cold collect of their own relation. The memo they share
+   sees the two alternate under one name. *)
+let prop_memo_never_stale =
+  QCheck.Test.make ~name:"a changed relation is never served stale stats"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (a, b, cs, _) ->
+         Printf.sprintf "%d rows, %d other rows, changes: %s" (List.length a)
+           (List.length b)
+           (String.concat ", " (List.map show_change cs)))
+       gen_memo_case)
+    (fun (rows, other_rows, changes, keep_other) ->
+      let r = Relation.of_rows [ "a"; "b" ] rows in
+      let other = Relation.of_rows [ "b"; "a" ] other_rows in
+      let db0 =
+        Database.of_list
+          ((if keep_other then [ ("S", other) ] else []) @ [ ("R", r) ])
+      in
+      let db = ref (Database.analyze db0) and cur = ref r in
+      List.iter
+        (fun c ->
+          cur := apply_change other !cur c;
+          db := Database.analyze (Database.add !db "R" !cur);
+          served_fresh ("after " ^ show_change c) !db;
+          served_fresh "the original" (Database.analyze db0))
+        changes;
+      true)
+
+(* IVM patches the row count of a maintained relation and marks its
+   statistics stale; the next ANALYZE collects the new relation afresh. *)
+let memo_after_ivm () =
+  let db =
+    Database.of_list
+      [
+        ( "O",
+          Relation.of_rows [ "k"; "v" ]
+            [ [ V.Int 1; V.Int 10 ]; [ V.Int 2; V.Int 20 ]; [ V.Int 3; V.Int 20 ] ]
+        );
+      ]
+  in
+  let ivm = Arc_ivm.Ivm.create ~db:(Database.analyze db) () in
+  Arc_ivm.Ivm.register ivm ~name:"T"
+    (Arc_syntax.Parser.program_of_string "{T(v) | exists o in O[T.v = o.v]}");
+  let o k v =
+    Tuple.make (Relation.schema (Database.find db "O")) [| V.Int k; V.Int v |]
+  in
+  ignore
+    (Arc_ivm.Ivm.apply ivm [ ("O", [ (o 4 30, 1); (o 5 30, 1); (o 1 10, -1) ]) ]);
+  let patched = Option.get (Database.stats (Arc_ivm.Ivm.db ivm) "O") in
+  Alcotest.(check bool) "patched by the batch" true patched.Stats.s_stale;
+  Alcotest.(check int) "patched row count" 4 patched.Stats.s_rows;
+  let adb = Database.analyze (Arc_ivm.Ivm.db ivm) in
+  let s = Option.get (Database.stats adb "O") in
+  Alcotest.(check bool) "fresh after analyze" false s.Stats.s_stale;
+  served_fresh "after the batch" adb
+
+(* The memo makes a steady-state ANALYZE free, so the CI gate on
+   perfbench's analyze words no longer measures the collector; this one
+   does. A fresh relation is never in a memo: 60,000 rows shaped like
+   the benchmark's orders and items (unique and repeating ints, a
+   nullable int, a string column), one cold [Stats.collect]. *)
+let cold_collect_words () =
+  let n = 60_000 in
+  let r =
+    Relation.of_rows
+      [ "oid"; "cid"; "total"; "sku"; "qty" ]
+      (List.init n (fun i ->
+           [
+             V.Int i;
+             V.Int (i * 7919 mod 4000);
+             V.Int (1 + (i * 31 mod 1000));
+             V.Str (Printf.sprintf "sku%d" (i mod 200));
+             (if i mod 10 = 0 then V.Null else V.Int (1 + (i mod 10)));
+           ]))
+  in
+  let w0 = Gc.minor_words () in
+  let s = Stats.collect r in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "rows" n s.Stats.s_rows;
+  let per_row = words /. float_of_int n in
+  if per_row > 16.0 then
+    Alcotest.failf "cold collect allocates %.2f words/row (> 16)" per_row
+
 let () =
   Alcotest.run "arc_stats"
     [
@@ -502,6 +702,17 @@ let () =
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 12 |])
             prop_reference;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "catalog databases" `Quick memo_catalog;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 28 |])
+            prop_memo_never_stale;
+          Alcotest.test_case "an IVM batch, then analyze" `Quick
+            memo_after_ivm;
+          Alcotest.test_case "cold collect allocates at most 16 words/row"
+            `Quick cold_collect_words;
         ] );
       ( "cost model",
         [
