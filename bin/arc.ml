@@ -1130,10 +1130,10 @@ let ivm_cmd =
          "Incremental view maintenance: register views over inline tables, \
           apply signed update batches (CSV or JSONL), and keep the view \
           results up to date by delta propagation — counting for \
-          non-recursive plans, over-delete/re-derive (DRed) for recursive \
-          strata, counted fallback re-evaluation otherwise. With --check, \
-          every batch is verified against from-scratch re-evaluation. See \
-          docs/ivm.md.")
+          non-recursive plans; recursive strata re-run their fixpoint and \
+          everything else is re-evaluated, each as a counted fallback. With \
+          --check, every batch is verified against from-scratch \
+          re-evaluation. See docs/ivm.md.")
     Term.(
       ret
         (const ivm_run $ conv_arg $ tables_arg $ views_arg $ batches_arg

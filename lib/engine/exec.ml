@@ -12,7 +12,6 @@ module Depend = Arc_core.Depend
 module Ir = Arc_plan.Ir
 module Lower = Arc_plan.Lower
 module Opt = Arc_plan.Opt
-module Decorrelate = Arc_plan.Decorrelate
 module I = Eval.Internal
 
 (* The physical engine: executes the Arc_plan IR with hash-based join,
@@ -703,20 +702,11 @@ let indexed_fixpoint env component (dps : (Ir.def_plan * int) list) =
         fixpoint_share env id [ id ] @@ fun () ->
         let n = dp.Ir.dname in
         let head = dp.Ir.dplan.head in
-        (* the seen-set starts from the definition's current value, so the
-           first delta is the seed minus the start (the whole seed when
-           starting from empty) *)
-        let start = Option.get (I.idb_get ctx n) in
         let schema = Schema.make head.head_attrs in
         let seed = compile_coll ctx id dp.Ir.dplan env in
-        let seen =
-          Tuple.Tbl.create
-            (max 64
-               (4 * (Relation.cardinality start + Relation.cardinality seed)))
-        in
-        Relation.iter (fun tp -> Tuple.Tbl.replace seen tp ()) start;
+        let seen = Tuple.Tbl.create (max 64 (4 * Relation.cardinality seed)) in
         let delta = Relation.select (Tuple.add_unseen seen) seed in
-        I.idb_set ctx n (Relation.union start delta);
+        I.idb_set ctx n delta;
         I.idb_set ctx (delta_name n) delta;
         with_actual env id (fun a ->
             a.Ir.a_deltas <- Relation.cardinality delta :: a.Ir.a_deltas);
@@ -792,44 +782,38 @@ let indexed_fixpoint env component (dps : (Ir.def_plan * int) list) =
   List.iter (fun (_, id, _, _, _) -> finish_head env id !iterations) defs;
   List.iter (fun n -> I.idb_remove ctx (delta_name n)) component
 
-(* Runs a recursive stratum's fixpoint from its definitions' current IDB
-   values. [base] is the id of the stratum's first definition;
-   consecutive definitions follow at offsets of [Ir.size_coll], mirroring
-   [Ir.program_ids]. *)
-let run_fixpoint env base (dps : Ir.def_plan list) =
-  let component = List.map (fun d -> d.Ir.dname) dps in
-  let dps_ids =
-    List.rev
-      (fst
-         (List.fold_left
-            (fun (acc, next) dp ->
-              ((dp, next) :: acc, next + Ir.size_coll dp.Ir.dplan))
-            ([], base) dps))
-  in
-  (* stratification check, as in the reference *)
-  List.iter
-    (fun dp ->
-      List.iter
-        (fun (m, negative) ->
-          if negative && List.mem m component then
-            raise_kind (Err.Unstratifiable { name = dp.Ir.dname; dep = m }))
-        (Depend.collection_deps dp.Ir.dcoll))
-    dps;
-  indexed_fixpoint env component dps_ids
-
-(* Install empty component relations, then run the fixpoint from them. *)
+(* A recursive stratum's fixpoint starts from empty component relations
+   (the seed round's recursive disjuncts read them). [base] is the id of
+   the stratum's first definition; consecutive definitions follow at
+   offsets of [Ir.size_coll], mirroring [Ir.program_ids]. *)
 let exec_stratum env base (s : Ir.stratum) =
   let ctx = env.ctx in
   match s with
   | Ir.Nonrecursive dp ->
       I.idb_set ctx dp.dname (compile_coll ctx base dp.dplan env)
   | Ir.Recursive dps ->
+      let component = List.map (fun d -> d.Ir.dname) dps in
+      (* stratification check, as in the reference *)
       List.iter
         (fun dp ->
+          List.iter
+            (fun (m, negative) ->
+              if negative && List.mem m component then
+                raise_kind
+                  (Err.Unstratifiable { name = dp.Ir.dname; dep = m }))
+            (Depend.collection_deps dp.Ir.dcoll);
           I.idb_set ctx dp.Ir.dname
             (Relation.empty ~name:dp.Ir.dname dp.Ir.dplan.head.head_attrs))
         dps;
-      run_fixpoint env base dps
+      let dps_ids =
+        List.rev
+          (fst
+             (List.fold_left
+                (fun (acc, next) dp ->
+                  ((dp, next) :: acc, next + Ir.size_coll dp.Ir.dplan))
+                ([], base) dps))
+      in
+      indexed_fixpoint env component dps_ids
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
@@ -857,14 +841,11 @@ let compile ?conv ?externals ?guard ~db (prog : program) =
   in
   let raw = Lower.lower_program lenv ~safe prog in
   let optimized, report = Opt.optimize lenv raw in
-  let unnested =
-    List.exists Decorrelate.fired (snd (Lower.decorrelate lenv prog))
-  in
   ( ctx,
     raw,
     optimized,
     ("magic-sets", magic_changed)
-    :: ("decorrelate-aggregates", unnested)
+    :: ("decorrelate-aggregates", !(lenv.Lower.unnested))
     :: report )
 
 let decorrelation ?conv ?externals ~db (prog : program) =
@@ -927,9 +908,6 @@ let exec_collection ctx (p : Ir.coll_plan) : Relation.t =
 
 let exec_stratum_plan ctx (s : Ir.stratum) : unit =
   exec_stratum (hook_env ctx) 0 s
-
-let resume_stratum_plan ctx (dps : Ir.def_plan list) : unit =
-  run_fixpoint (hook_env ctx) 0 dps
 
 (* ------------------------------------------------------------------ *)
 (* Metrics export                                                      *)

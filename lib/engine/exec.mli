@@ -122,9 +122,8 @@ val chrome_trace : Arc_obs.Json.t list -> Arc_obs.Json.t
 
     Raw operator entry points for {!Arc_ivm}: execute a bare pipeline, a
     collection plan, or one definition stratum against an explicit
-    context (stats off), on the same block pipeline as {!exec_program}, or
-    resume a recursive stratum's fixpoint from the values it holds; and
-    compile a disjunct's head as the executor does. *)
+    context (stats off), on the same block pipeline as {!exec_program};
+    and compile a disjunct's head as the executor does. *)
 
 val exec_pipeline :
   Eval.Internal.ctx -> Arc_plan.Ir.t -> Row.layout * Row.t array
@@ -163,20 +162,10 @@ val exec_collection :
 
 val exec_stratum_plan : Eval.Internal.ctx -> Arc_plan.Ir.stratum -> unit
 (** Materializes the stratum's definitions into the context's IDB,
-    running the indexed fixpoint for recursive strata (with the same
-    stratification check as {!exec_program}). *)
-
-val resume_stratum_plan :
-  Eval.Internal.ctx -> Arc_plan.Ir.def_plan list -> unit
-(** Runs a recursive component's fixpoint, exactly as
-    {!exec_stratum_plan} does, but from the definitions' current IDB values
-    instead of from empty: those values seed the fixpoint's seen-set (its
-    first delta is the seed round minus them). For a monotone stratum
-    started from a subset of its least fixpoint over the current inputs,
-    the result is that least fixpoint. DRed maintenance resumes from the
-    survivors of its over-delete phase, always on delta rules: its strata
-    are seminaive-eligible. Fixpoint rounds count against the context's
-    governor as usual. *)
+    running the indexed fixpoint for recursive strata from empty relations
+    (with the same stratification check as {!exec_program}). Incremental
+    maintenance recomputes a recursive stratum whose inputs changed with
+    it. *)
 
 val run :
   ?conv:Arc_value.Conventions.t ->

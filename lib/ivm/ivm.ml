@@ -10,7 +10,6 @@ module Eval = Arc_engine.Eval
 module Exec = Arc_engine.Exec
 module Row = Arc_engine.Row
 module I = Eval.Internal
-module Gov = Arc_guard.Gov
 module Metrics = Arc_obs.Metrics
 
 exception Ivm_error of string
@@ -23,13 +22,11 @@ let fail fmt = Printf.ksprintf (fun m -> raise (Ivm_error m)) fmt
 
 (* Registered in the per-batch context's IDB under the reserved "__ivm__"
    namespace (Analysis rejects user relations there). Counting strata
-   read old/new/pos/neg versions of changed relations; DRed reads the old
-   versions and keeps its over-delete frontier under [nm_front]. *)
+   read old/new/pos/neg versions of changed relations. *)
 let nm_old r = "__ivm__old__" ^ r
 let nm_new r = "__ivm__new__" ^ r
 let nm_pos r = "__ivm__pos__" ^ r
 let nm_neg r = "__ivm__neg__" ^ r
-let nm_front r = "__ivm__front__" ^ r
 
 (* ------------------------------------------------------------------ *)
 (* Eligibility: the multilinear pipeline core                          *)
@@ -47,7 +44,7 @@ let rec pipeline_blocker (t : Ir.t) : string option =
   | Ir.One -> None
   | Ir.Scan { filters; _ } ->
       if List.for_all (fun p -> no_rel_deps (Pred p)) filters then None
-      else Some "scan filter references a relation"
+      else Some "rel_dependent_filter"
   | Ir.Product { left; right } | Ir.Hash_join { left; right; _ } -> (
       match pipeline_blocker left with
       | Some _ as b -> b
@@ -55,7 +52,7 @@ let rec pipeline_blocker (t : Ir.t) : string option =
   | Ir.Filter { input; _ } | Ir.Prune { input; _ } -> pipeline_blocker input
   | Ir.Residual { input; conjs } ->
       if List.for_all no_rel_deps conjs then pipeline_blocker input
-      else Some "residual references a relation"
+      else Some "rel_dependent_residual"
   | Ir.Semi { anti; _ } -> Some (if anti then "anti_join" else "semi_join")
   | Ir.Lateral _ -> Some "lateral"
   | Ir.Subquery _ -> Some "subquery"
@@ -72,7 +69,7 @@ let disjunct_blocker = function
       | Some _ as b -> b
       | None ->
           if List.for_all no_rel_deps post then None
-          else Some "aggregate post-condition references a relation")
+          else Some "rel_dependent_having")
 
 (* ------------------------------------------------------------------ *)
 (* Maintenance state                                                   *)
@@ -94,14 +91,14 @@ type coll_state =
     }
   | CRecompute of { plan : Ir.coll_plan; reason : string }
 
+(* A recursive stratum keeps no state beyond its materialized
+   definitions: when an input changes, its fixpoint is recomputed. *)
 type stratum_state =
   | SNonrec of { sname : rel_name; sdeps : rel_name list; cs : coll_state }
   | SRecursive of {
       component : rel_name list;
       dps : Ir.def_plan list;
       sdeps : rel_name list;  (* non-component inputs *)
-      dred : bool;
-      dred_reason : string;  (* why not, when [dred] is false *)
     }
 
 type view = {
@@ -236,23 +233,6 @@ let occurrence_rels_t rels (t : Ir.t) : rel_name list =
          None)
        t);
   List.map snd (List.sort compare !acc)
-
-let occurrence_rels_coll rels (p : Ir.coll_plan) : rel_name list =
-  let acc = ref [] in
-  ignore
-    (Ir.subst_scans_with rels
-       (fun k rel ->
-         acc := (k, rel) :: !acc;
-         None)
-       p);
-  List.map snd (List.sort compare !acc)
-
-(* The delta rule of occurrence [j] of [rels] in [p]: scans renamed with
-   [rename], restricted to the disjunct holding occurrence [j]. *)
-let occurrence_rule rels j rename (p : Ir.coll_plan) : Ir.coll_plan =
-  let sub = Ir.subst_scans_with rels rename p in
-  let d = Ir.occurrence_disjunct rels j p in
-  { sub with disjuncts = [ List.nth sub.disjuncts d ] }
 
 (* Signed derivation delta of a multilinear pipeline:
    Δf = Σ_j f(new_1…new_{j-1}, Δ_j, old_{j+1}…), each Δ_j split into its
@@ -419,94 +399,6 @@ let maintain_counting ctx conv head disjs counts changed old_r =
   (new_r, eff)
 
 (* ------------------------------------------------------------------ *)
-(* DRed for recursive strata                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* DRed (Gupta, Mumick & Subrahmanian, SIGMOD 1993) in two phases.
-   Fixpoint relations are sets under every convention (both fixpoints
-   dedup), so the stratum is maintained at the set level.
-
-   Over-delete: starting from the input tuples that lost copies, mark
-   every component tuple with a one-step derivation through a marked
-   tuple, all other positions at their pre-batch values: changed inputs
-   through their [nm_old] copies, the component under its own name (it
-   still holds the old fixpoint). A candidate is one rule step over old
-   values, so it already lies in the old fixpoint. Under bag conventions
-   an input tuple that only lost some copies is marked too, which
-   over-deletes a little more and stays sound.
-
-   Resume: a survivor (old fixpoint minus everything marked) has a
-   derivation none of whose premises was marked, so by induction on its
-   depth it lies in the new fixpoint. DRed strata are multilinear, hence
-   monotone, so the stratum's own fixpoint, resumed from the survivors
-   over the new inputs, reaches the new least fixpoint: it re-derives and
-   inserts in one pass, leaving the result in the context's IDB. *)
-let maintain_dred ctx defs (dps : Ir.def_plan list)
-    (stratum_changes : (rel_name * change) list) =
-  let gov = I.gov ctx in
-  let component = List.map (fun dp -> dp.Ir.dname) dps in
-  let all = component @ List.map fst stratum_changes in
-  let olds =
-    List.map
-      (fun dp -> (dp, List.assoc dp.Ir.dname defs, Tuple.Tbl.create 16))
-      dps
-  in
-  let frontier =
-    ref
-      (List.filter_map
-         (fun (r, ch) ->
-           match
-             List.filter_map
-               (fun (tp, n) -> if n < 0 then Some tp else None)
-               ch.ch_eff
-           with
-           | [] -> None
-           | rows -> Some (r, rel_of_rows ~name:r ch.ch_old rows))
-         stratum_changes)
-  in
-  let rounds = ref 0 in
-  let round_ok () =
-    incr rounds;
-    Gov.tick gov;
-    Gov.iteration_allowed gov !rounds && not (Gov.stopped gov)
-  in
-  while !frontier <> [] && round_ok () do
-    List.iter (fun (r, rel) -> I.idb_set ctx (nm_front r) rel) !frontier;
-    let front = List.map fst !frontier in
-    frontier :=
-      List.filter_map
-        (fun (dp, old, gone) ->
-          let marked = ref [] in
-          List.iteri
-            (fun j rj ->
-              if List.mem rj front then
-                let plan =
-                  occurrence_rule all j
-                    (fun k rel ->
-                      if k = j then Some (nm_front rel)
-                      else if List.mem rel component then None
-                      else Some (nm_old rel))
-                    dp.Ir.dplan
-                in
-                Relation.iter
-                  (fun tp ->
-                    if Tuple.add_unseen gone tp then marked := tp :: !marked)
-                  (Exec.exec_collection ctx plan))
-            (occurrence_rels_coll all dp.Ir.dplan);
-          if !marked = [] then None
-          else
-            let n = dp.Ir.dname in
-            Some (n, rel_of_rows ~name:n old (List.rev !marked)))
-        olds
-  done;
-  List.iter
-    (fun (dp, old, gone) ->
-      I.idb_set ctx dp.Ir.dname
-        (Relation.select (fun tp -> not (Tuple.Tbl.mem gone tp)) old))
-    olds;
-  Exec.resume_stratum_plan ctx dps
-
-(* ------------------------------------------------------------------ *)
 (* Classification                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -529,17 +421,6 @@ let classify_coll (plan : Ir.coll_plan) : coll_state =
           counts = Delta.create ();
         }
 
-let coll_plan_blocker (plan : Ir.coll_plan) =
-  List.fold_left
-    (fun acc d ->
-      match acc with
-      | Some _ -> acc
-      | None -> (
-          match d with
-          | Ir.Project { input; _ } -> pipeline_blocker input
-          | Ir.Aggregate _ -> Some "aggregate_in_recursion"))
-    None plan.disjuncts
-
 let deps_of_coll (c : collection) =
   List.sort_uniq compare (List.map fst (Depend.collection_deps c))
 
@@ -560,25 +441,7 @@ let classify_stratum (s : Ir.stratum) : stratum_state =
           (List.sort_uniq compare
              (List.concat_map (fun dp -> deps_of_coll dp.Ir.dcoll) dps))
       in
-      let blocker =
-        if not (Ir.seminaive_eligible component dps) then
-          Some "opaque_recursive_reference"
-        else
-          List.fold_left
-            (fun acc dp ->
-              match acc with
-              | Some _ -> acc
-              | None -> coll_plan_blocker dp.Ir.dplan)
-            None dps
-      in
-      SRecursive
-        {
-          component;
-          dps;
-          sdeps;
-          dred = blocker = None;
-          dred_reason = Option.value ~default:"" blocker;
-        }
+      SRecursive { component; dps; sdeps }
 
 (* ------------------------------------------------------------------ *)
 (* Registration                                                        *)
@@ -771,31 +634,19 @@ let maintain_view t v guard changed_base =
               let new_r, eff = maintain_coll t v ctx cs changed old_r in
               record_change ?eff sname old_r new_r
             end
-        | SRecursive { component; dps; sdeps; dred; dred_reason } ->
+        | SRecursive { component; dps; sdeps } ->
+            (* fixpoint relations are sets under every convention, so
+               the recomputed stratum is exact whatever the conventions *)
             if changed_dep changed sdeps then begin
-              let olds =
-                List.map (fun n -> (n, List.assoc n v.v_defs)) component
-              in
-              if dred then begin
-                incr incremental;
-                maintain_dred ctx v.v_defs dps
-                  (List.filter_map
-                     (fun d ->
-                       Option.map (fun ch -> (d, ch)) (Hashtbl.find_opt changed d))
-                     sdeps)
-              end
-              else begin
-                note_fallback t v
-                  (if dred_reason = "" then "recursive_fallback"
-                   else dred_reason);
-                Exec.exec_stratum_plan ctx (Ir.Recursive dps)
-              end;
+              note_fallback t v "recursive";
+              Exec.exec_stratum_plan ctx (Ir.Recursive dps);
               List.iter
-                (fun (n, old_r) ->
+                (fun n ->
                   match I.idb_get ctx n with
-                  | Some r -> record_change n old_r (Relation.sort r)
+                  | Some r ->
+                      record_change n (List.assoc n v.v_defs) (Relation.sort r)
                   | None -> fail "fixpoint left %S unmaterialized" n)
-                olds
+                component
             end)
       v.v_strata;
     let out_delta =

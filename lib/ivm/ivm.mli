@@ -12,16 +12,18 @@
       dirty groups with the executor's compiled head.
       Deltas are propagated by executing scan-substituted plans — the
       same rewrite the seminaive fixpoint uses ({!Arc_plan.Ir.subst_scan}).
-    - {b DRed} — recursive strata eligible for seminaive substitution:
-      an over-delete pass marks every tuple with a derivation through a
-      removed input, then the stratum's own fixpoint
-      ({!Arc_engine.Exec.resume_stratum_plan}) resumes from the
-      survivors over the new inputs, re-deriving and inserting in one
-      pass.
+    - {b recursive} — a recursive stratum whose inputs changed re-runs
+      its own fixpoint ({!Arc_engine.Exec.exec_stratum_plan}) over the
+      new inputs and is diffed against its old value. Fixpoint relations
+      are sets under every convention, so this is exact; each recompute
+      counts as a fallback with reason [recursive].
     - {b fallback} — anything else (semi/anti joins, laterals,
-      subqueries, deferred resolution, aggregates in recursion) is
-      recomputed from scratch and diffed. These recomputations are counted
-      in metrics, never silent.
+      subqueries, deferred resolution, branch unions, relation-reading
+      filters) is recomputed from scratch and diffed.
+
+    Every recomputation is counted in metrics
+    ([arc_ivm_fallbacks_total{view,reason}], reasons listed in
+    docs/ivm.md), never silent.
 
     Every maintained result is bag-equal to full re-evaluation on the
     updated database — {!check} verifies exactly that. *)

@@ -14,16 +14,19 @@ module Err = Arc_guard.Error
    [lower_program], definition heads) — the RANF translation needs them to
    build NULL pads for outer joins. [stats] carries whatever per-relation
    column statistics the database has collected (ANALYZE); the cost model
-   ([Card]) degrades gracefully when it is empty. *)
+   ([Card]) degrades gracefully when it is empty. [unnested] is set once
+   lowering has unnested a correlated γ∅ site ([Decorrelate]): the
+   [decorrelate-aggregates] entry of the rewrite report. *)
 type env = {
   cards : (rel_name * int) list;
   defs : rel_name list;
   schemas : (rel_name * attr list) list;
   stats : (rel_name * Arc_relation.Stats.t) list;
+  unnested : bool ref;
 }
 
 let env ?(cards = []) ?(defs = []) ?(schemas = []) ?(stats = []) () =
-  { cards; defs; schemas; stats }
+  { cards; defs; schemas; stats; unnested = ref false }
 
 let env_of_db ~db ~defs =
   {
@@ -37,6 +40,7 @@ let env_of_db ~db ~defs =
         (fun n -> (n, Schema.attrs (Relation.schema (Database.find db n))))
         (Database.names db);
     stats = Database.stats_bindings db;
+    unnested = ref false;
   }
 
 let source_finite env = function
@@ -95,7 +99,8 @@ let finite_rel env n = source_finite env (Base n)
    context chain on the way out, as the reference evaluator attributes its
    failures to the collections being evaluated. *)
 let rec lower_collection env (c : collection) : Ir.coll_plan =
-  let c, _ = Decorrelate.collection ~finite:(finite_rel env) c in
+  let c, sites = Decorrelate.collection ~finite:(finite_rel env) c in
+  if List.exists Decorrelate.fired sites then env.unnested := true;
   let body = Canon.simplify_formula c.body in
   try
     {

@@ -4,8 +4,8 @@
    batches, every maintained view is bag-equal to evaluating its program
    from scratch on the updated database — across all eight convention
    combos ({Set,Bag} x {2VL,3VL} x {Agg_null,Agg_zero}), for counting
-   views (joins/filters/projections and grouped aggregates), DRed
-   (recursive transitive closure), and the counted fallback path. *)
+   views (joins/filters/projections and grouped aggregates), recursive
+   views (recomputed strata), and the counted fallback path. *)
 
 open Arc_core.Ast
 open Arc_core.Build
@@ -20,6 +20,7 @@ module Exec = Arc_engine.Exec
 module Ir = Arc_plan.Ir
 module Ivm = Arc_ivm.Ivm
 module Delta = Arc_ivm.Delta
+module Metrics = Arc_obs.Metrics
 
 let i = V.int
 let s = V.str
@@ -245,7 +246,7 @@ let delta_plan_layout () =
   | _ -> Alcotest.fail "expected one aggregate disjunct"
 
 (* ------------------------------------------------------------------ *)
-(* Recursive: transitive closure under DRed                            *)
+(* Recursive: transitive closure                                       *)
 (* ------------------------------------------------------------------ *)
 
 let tc_defs =
@@ -289,48 +290,98 @@ let tc_db () =
           [ [ i 1; i 2 ]; [ i 2; i 3 ]; [ i 3; i 4 ]; [ i 5; i 1 ] ] );
     ]
 
-let tc_incremental conv =
-  let db = tc_db () in
-  let ivm = Ivm.create ~conv ~db () in
-  Ivm.register ivm ~name:"TC" tc_prog;
-  let step batch =
-    ignore (Ivm.apply ivm batch);
-    check_against_scratch ~conv ivm "TC" tc_prog
-  in
-  (* pure insertion: connect a new node *)
-  step [ ("P", [ (row db "P" [ i 4; i 6 ], 1) ]) ];
-  (* pure deletion: cut the chain in the middle; paths through (2,3)
-     must disappear, including transitively derived ones *)
-  step [ ("P", [ (row db "P" [ i 2; i 3 ], -1) ]) ];
-  (* mixed: remove one edge, add a shortcut that re-derives some pairs *)
-  step
-    [ ("P", [ (row db "P" [ i 3; i 4 ], -1); (row db "P" [ i 1; i 4 ], 1) ]) ];
-  (* deletion where an alternative derivation survives *)
-  step [ ("P", [ (row db "P" [ i 1; i 2 ], 1); (row db "P" [ i 1; i 2 ], -1) ]) ];
-  Alcotest.(check int)
-    "TC stays on the DRed path" 0 (Ivm.fallback_total ivm)
+let tc_batches =
+  [
+    (* pure insertion: connect a new node *)
+    (fun db -> [ ("P", [ (row db "P" [ i 4; i 6 ], 1) ]) ]);
+    (* pure deletion: cut the chain in the middle; paths through (2,3)
+       must disappear, including transitively derived ones *)
+    (fun db -> [ ("P", [ (row db "P" [ i 2; i 3 ], -1) ]) ]);
+    (* mixed: remove one edge, add a shortcut that re-derives some pairs *)
+    (fun db ->
+      [ ("P", [ (row db "P" [ i 3; i 4 ], -1); (row db "P" [ i 1; i 4 ], 1) ]) ]);
+    (* an insert and a delete of one edge cancel: nothing changes *)
+    (fun db ->
+      [ ("P", [ (row db "P" [ i 1; i 2 ], 1); (row db "P" [ i 1; i 2 ], -1) ]) ]);
+  ]
+
+(* The closure joined with a second base relation R: a batch on R alone
+   changes the view but no input of the recursive stratum, so it must not
+   recompute the stratum. *)
+let tc_join_prog =
+  program ~defs:tc_defs
+    (coll "Q" [ "s"; "t" ]
+       (exists
+          [ bind "a" "A"; bind "r" "R" ]
+          (conj
+             [
+               eq (attr "r" "x") (attr "a" "s");
+               eq (attr "Q" "s") (attr "a" "s");
+               eq (attr "Q" "t") (attr "a" "t");
+             ])))
+
+let tc_join_db () =
+  Database.of_list
+    [
+      ( "P",
+        Relation.of_rows [ "s"; "t" ]
+          [ [ i 1; i 2 ]; [ i 2; i 3 ]; [ i 3; i 4 ]; [ i 5; i 1 ] ] );
+      ("R", Relation.of_rows [ "x" ] [ [ i 1 ]; [ i 3 ] ]);
+    ]
+
+let tc_join_batches =
+  [
+    (fun db -> [ ("R", [ (row db "R" [ i 2 ], 1) ]) ]);
+    (fun db -> [ ("R", [ (row db "R" [ i 1 ], -1) ]) ]);
+    (fun db ->
+      [
+        ("R", [ (row db "R" [ i 5 ], 1) ]);
+        ("P", [ (row db "P" [ i 4; i 6 ], 1) ]);
+      ]);
+    (fun db -> [ ("P", [ (row db "P" [ i 2; i 3 ], -1) ]) ]);
+  ]
 
 (* ------------------------------------------------------------------ *)
-(* DRed shapes: cycles, non-linear and mutual recursion                *)
+(* Recursive shapes: cycles, non-linear and mutual recursion           *)
 (* ------------------------------------------------------------------ *)
+
+let recursive_fallbacks m =
+  Metrics.counter_value m
+    ~labels:[ ("view", "V"); ("reason", "recursive") ]
+    "arc_ivm_fallbacks_total"
 
 (* Every convention: each batch must leave the view bag-equal to
-   scratch, and the recursive stratum must stay on the DRed path (no
-   fallback), which resumes the indexed fixpoint from the survivors. *)
-let dred_case ~db ~prog batches () =
+   scratch, and each batch that changes P's visible value must recompute
+   the view's one recursive stratum once, counted as one fallback with
+   reason [recursive]; a batch that changes nothing recomputes nothing. *)
+let recursion_case ~db ~prog batches () =
   List.iter
     (fun conv ->
-      let ivm = Ivm.create ~conv ~db () in
+      let metrics = Metrics.create () in
+      let ivm = Ivm.create ~conv ~metrics ~db () in
       Ivm.register ivm ~name:"V" prog;
-      List.iter
-        (fun batch ->
+      let visible () =
+        let p = Database.find (Ivm.db ivm) "P" in
+        match conv.Conventions.collection with
+        | Conventions.Set -> Relation.dedup p
+        | Conventions.Bag -> p
+      in
+      List.iteri
+        (fun k batch ->
+          let before = visible () and fb0 = recursive_fallbacks metrics in
           ignore (Ivm.apply ivm (batch db));
-          check_against_scratch ~conv ivm "V" prog)
+          check_against_scratch ~conv ivm "V" prog;
+          let changed = not (Relation.equal_bag before (visible ())) in
+          Alcotest.(check int)
+            (Printf.sprintf "[%s] batch %d: recursive recomputes"
+               (Conventions.to_string conv) k)
+            (if changed then 1 else 0)
+            (recursive_fallbacks metrics - fb0))
         batches;
       Alcotest.(check int)
-        (Printf.sprintf "[%s] stays on the DRed path"
+        (Printf.sprintf "[%s] every fallback is recursive"
            (Conventions.to_string conv))
-        0 (Ivm.fallback_total ivm))
+        (Ivm.fallback_total ivm) (recursive_fallbacks metrics))
     all_convs
 
 let edges es =
@@ -344,8 +395,8 @@ let edges es =
 let edge db (a, b) n = ("P", [ (row db "P" [ i a; i b ], n) ])
 
 (* A cycle 0→1→2→3→0 with a tail 3→4→5: every pair on the cycle has a
-   second derivation around it, so deleting one cycle edge over-deletes
-   pairs that must partly come back. *)
+   second derivation around it, so deleting one cycle edge removes some
+   pairs and keeps others. *)
 let cycle_batches =
   [
     (fun db -> [ edge db (1, 2) (-1) ]);
@@ -434,8 +485,7 @@ let mutual_prog =
 
 (* Even-length paths, with two input occurrences in each disjunct: a
    batch removing two adjacent edges deletes a pair whose only
-   derivation reads both, which the over-delete phase finds only if it
-   reads the inputs at their pre-batch values. *)
+   derivation reads both. *)
 let even_prog =
   let hop2 src extra =
     exists
@@ -551,13 +601,19 @@ let anti_fallback conv =
         ("S", Relation.of_rows [ "b" ] [ [ i 20 ] ]);
       ]
   in
-  let ivm = Ivm.create ~conv ~db () in
+  let metrics = Metrics.create () in
+  let ivm = Ivm.create ~conv ~metrics ~db () in
   Ivm.register ivm ~name:"Q" anti_prog;
   let reports = Ivm.apply ivm [ ("S", [ (row db "S" [ i 10 ], 1) ]) ] in
   check_against_scratch ~conv ivm "Q" anti_prog;
   let q = List.find (fun r -> r.Ivm.vr_view = "Q") reports in
   Alcotest.(check string) "anti-join recomputes" "fallback" q.Ivm.vr_mode;
-  Alcotest.(check bool) "fallback is counted" true (Ivm.fallback_total ivm > 0)
+  Alcotest.(check int) "fallback is counted" 1 (Ivm.fallback_total ivm);
+  Alcotest.(check int)
+    "counted under reason anti_join" 1
+    (Metrics.counter_value metrics
+       ~labels:[ ("view", "Q"); ("reason", "anti_join") ]
+       "arc_ivm_fallbacks_total")
 
 (* ------------------------------------------------------------------ *)
 (* Batch semantics                                                     *)
@@ -700,22 +756,23 @@ let () =
           Alcotest.test_case "delta plans keep the pipeline's layout" `Quick
             delta_plan_layout;
         ] );
-      ( "dred",
+      ( "recursion",
         [
           Alcotest.test_case "transitive closure, all convs" `Quick
-            (for_all_convs tc_incremental);
-          Alcotest.test_case "cycle deletes and restores, all convs x strategies"
-            `Quick
-            (dred_case ~db:(cycle_db ()) ~prog:tc_prog cycle_batches);
-          Alcotest.test_case "non-linear TC, all convs x strategies" `Quick
-            (dred_case ~db:(cycle_db ()) ~prog:nonlinear_prog
+            (recursion_case ~db:(tc_db ()) ~prog:tc_prog tc_batches);
+          Alcotest.test_case "cycle deletes and restores, all convs" `Quick
+            (recursion_case ~db:(cycle_db ()) ~prog:tc_prog cycle_batches);
+          Alcotest.test_case "non-linear TC, all convs" `Quick
+            (recursion_case ~db:(cycle_db ()) ~prog:nonlinear_prog
                (cycle_batches @ chain_batches));
-          Alcotest.test_case "mutual recursion, all convs x strategies" `Quick
-            (dred_case ~db:(chain_db 6) ~prog:mutual_prog chain_batches);
-          Alcotest.test_case "two input occurrences, all convs x strategies"
-            `Quick
-            (dred_case ~db:(chain_db 6) ~prog:even_prog
+          Alcotest.test_case "mutual recursion, all convs" `Quick
+            (recursion_case ~db:(chain_db 6) ~prog:mutual_prog chain_batches);
+          Alcotest.test_case "two input occurrences, all convs" `Quick
+            (recursion_case ~db:(chain_db 6) ~prog:even_prog
                (pair_batches @ chain_batches));
+          Alcotest.test_case "closure joined with a base relation" `Quick
+            (recursion_case ~db:(tc_join_db ()) ~prog:tc_join_prog
+               tc_join_batches);
         ] );
       ( "fallback",
         [

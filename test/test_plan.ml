@@ -16,6 +16,7 @@ module Exec = Arc_engine.Exec
 module Lower = Arc_plan.Lower
 module Opt = Arc_plan.Opt
 module Explain = Arc_plan.Explain
+module Decorrelate = Arc_plan.Decorrelate
 module Ir = Arc_plan.Ir
 module Json = Arc_obs.Json
 module Gov = Arc_guard.Gov
@@ -142,7 +143,25 @@ let catalog_lowering () =
       check_same_bag (name ^ ": plan = reference")
         (Eval.run_rows ~db { defs; main })
         (Exec.run_rows ~db { defs; main }))
-    cases
+    cases;
+  (* the rewrite report's unnesting flag, taken from the lowering itself,
+     agrees with the sites [arc explain] lists *)
+  let fired =
+    List.map
+      (fun (name, db, defs, main) ->
+        let _, _, _, report = Exec.compile ~db { defs; main } in
+        let flag = List.assoc "decorrelate-aggregates" report in
+        Alcotest.(check bool)
+          (name ^ ": decorrelate-aggregates = explain's fired sites")
+          (List.exists Decorrelate.fired
+             (snd (Exec.decorrelation ~db { defs; main })))
+          flag;
+        flag)
+      cases
+  in
+  Alcotest.(check bool) "some catalog query unnests" true (List.mem true fired);
+  Alcotest.(check bool) "some catalog query does not" true
+    (List.mem false fired)
 
 (* A join-annotated scope whose tree names a non-finite relation (an
    external, an abstract definition) or an unbound variable: the plan
@@ -666,8 +685,6 @@ let fixpoint_guard_parity () =
 (* ---------------------------------------------------------------- *)
 (* decorrelate-aggregates: count-bug-correct unnesting                *)
 (* ---------------------------------------------------------------- *)
-
-module Decorrelate = Arc_plan.Decorrelate
 
 let parse = Arc_syntax.Parser.program_of_string
 
