@@ -1092,7 +1092,8 @@ let ivm_run conv tables views batches check guard metrics_out =
           let guard = guard () in
           let reports = Ivm.apply ~guard ivm batch in
           Printf.printf "batch %d (%s): %d row(s) over %d relation(s)\n"
-            (bi + 1) file (Ivm.batch_rows batch) (List.length batch);
+            (bi + 1) file (Ivm.batch_rows batch)
+            (List.length (List.sort_uniq compare (List.map fst batch)));
           List.iter
             (fun (r : Ivm.view_report) ->
               Printf.printf "  %-16s %-11s |output delta|=%-5d %s%.3f ms\n"

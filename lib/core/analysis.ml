@@ -661,24 +661,6 @@ let program_safety ?(env = default_env) (prog : program) =
 (* Misc                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let collection_heads c =
-  let acc = ref [] in
-  let rec walk_coll c =
-    acc := c.head.head_name :: !acc;
-    walk_formula c.body
-  and walk_formula = function
-    | True | Pred _ -> ()
-    | And fs | Or fs -> List.iter walk_formula fs
-    | Not f -> walk_formula f
-    | Exists s ->
-        List.iter
-          (fun b -> match b.source with Nested c -> walk_coll c | Base _ -> ())
-          s.bindings;
-        walk_formula s.body
-  in
-  walk_coll c;
-  List.rev !acc
-
 let free_vars_query q =
   let free = ref [] in
   let add v bound = if not (List.mem v bound) && not (List.mem v !free) then free := v :: !free in

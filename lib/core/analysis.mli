@@ -123,10 +123,6 @@ val program_safety : ?env:env -> program -> (rel_name * safety) list
 
 (** {1 Misc} *)
 
-val collection_heads : collection -> rel_name list
-(** The head names visible somewhere in the collection (own head plus nested
-    collection heads), for diagnostics. *)
-
 val free_vars_query : query -> var list
 (** Range variables referenced but not bound anywhere — nonempty indicates a
     correlation leak; always empty for valid top-level queries. *)

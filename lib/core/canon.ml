@@ -197,23 +197,6 @@ let canonical_query q =
   | Sentence f ->
       Sentence (sort_formula (rename_formula r [] (simplify_formula f)))
 
-let canonical_program p =
-  {
-    defs =
-      List.map
-        (fun d ->
-          let r = { next_var = 0; next_head = 0 } in
-          {
-            d with
-            def_body =
-              sort_collection
-                (rename_collection r []
-                   { d.def_body with body = simplify_formula d.def_body.body });
-          })
-        p.defs;
-    main = canonical_query p.main;
-  }
-
 (* Skeleton: positional head attributes, canonical var names. *)
 
 let skeleton q =

@@ -22,8 +22,6 @@ val canonical_query : query -> query
     Evaluation-equivalent by construction (conjunct order is irrelevant in
     ARC: "the order of shown predicates does not matter", Section 2.3). *)
 
-val canonical_program : program -> program
-
 val skeleton : query -> string
 (** A compact structural fingerprint of the canonical form with variable
     {e and} head-attribute names erased (relation names kept): the

@@ -113,8 +113,6 @@ let is_conjunctive q =
   is_trc q && (not f.uses_negation) && (not f.uses_disjunction)
   && not f.uses_order_comparisons
 
-let is_relationally_complete_fragment = is_trc
-
 let name q =
   if is_conjunctive q then "conjunctive"
   else if is_trc q then "TRC (relationally complete)"

@@ -37,10 +37,6 @@ val is_conjunctive : query -> bool
 (** Conjunctive fragment: a single scope chain with equality predicates
     only — no negation, disjunction, grouping, or order comparisons. *)
 
-val is_relationally_complete_fragment : query -> bool
-(** {!is_trc} — the first-order fragment the paper calls "relationally
-    complete" (Example 2). *)
-
 val name : query -> string
 (** A human-readable fragment name:
     ["conjunctive"], ["TRC (relationally complete)"], or

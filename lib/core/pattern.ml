@@ -173,8 +173,6 @@ let of_collection c = of_query (Coll c)
 
 let equal a b = a = b
 
-let same_shape a b = { a with skeleton = "" } = { b with skeleton = "" }
-
 let agg_style_to_string = function FIO -> "FIO" | FOI -> "FOI"
 
 let to_string t =

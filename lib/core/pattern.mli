@@ -43,9 +43,5 @@ val of_collection : collection -> t
 val equal : t -> t -> bool
 (** Full signature equality (includes the skeleton): pattern-identical. *)
 
-val same_shape : t -> t -> bool
-(** Equality of all numeric/structural components, ignoring the skeleton:
-    "similar pattern" at the level the paper uses to contrast Figs 6/7/8. *)
-
 val agg_style_to_string : agg_style -> string
 val to_string : t -> string

@@ -249,5 +249,3 @@ let program_of_string s =
       in
       rules i [])
     s
-
-let rule_of_string s = run parse_rule s

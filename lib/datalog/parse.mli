@@ -9,4 +9,3 @@
 exception Parse_error of string
 
 val program_of_string : string -> Ast.program
-val rule_of_string : string -> Ast.rule

@@ -51,58 +51,36 @@ type fix_cache = {
    Residual formulas and filters cannot reference the component at all
    here: a stratum with such opaque references fails
    [Ir.seminaive_eligible], and its rules run without a cache. *)
-let rec stable_subtree banned (t : Ir.t) =
-  match t with
-  | Ir.One -> true
-  | Ir.Scan { rel; _ } -> not (List.mem rel banned)
-  | Ir.Product { left; right } | Ir.Hash_join { left; right; _ } ->
-      stable_subtree banned left && stable_subtree banned right
-  | Ir.Filter { input; _ } | Ir.Residual { input; _ } | Ir.Prune { input; _ }
-    ->
-      stable_subtree banned input
-  | Ir.Semi { input; sub; _ } ->
-      stable_subtree banned input && stable_subtree banned sub
-  | Ir.Append ts -> List.for_all (stable_subtree banned) ts
-  | Ir.Lateral _ | Ir.Subquery _ | Ir.Resolve _ -> false
+let rec stable_subtree banned (n : Ir.node) =
+  match n with
+  | Ir.T (Ir.Scan { rel; _ }) -> not (List.mem rel banned)
+  | Ir.T (Ir.Lateral _ | Ir.Subquery _ | Ir.Resolve _) | Ir.D _ | Ir.C _ ->
+      false
+  | Ir.T _ -> List.for_all (stable_subtree banned) (Ir.children n)
 
 (* Mark the maximal stable subtrees (and the hash joins that should keep a
-   persistent build table) of one delta rule, using the same positional id
-   arithmetic the executor walks with. Inner plans of laterals and
-   subqueries are never marked: their nodes execute under per-row outer
-   environments, where memoized results would be wrong. *)
-let rec mark_fix fc banned id (t : Ir.t) =
-  if stable_subtree banned t then (
-    match t with Ir.One -> () | _ -> Hashtbl.replace fc.fc_stable id ())
+   persistent build table) of one delta rule, numbered with
+   [Ir.node_child_ids] as the executor numbers them. Inner plans of
+   laterals and subqueries are never marked: their nodes execute under
+   per-row outer environments, where memoized results would be wrong. *)
+let rec mark_fix fc banned id (n : Ir.node) =
+  if stable_subtree banned n then (
+    match n with Ir.T Ir.One -> () | _ -> Hashtbl.replace fc.fc_stable id ())
   else
-    match t with
-    | Ir.One | Ir.Scan _ | Ir.Subquery _ -> ()
-    | Ir.Product { left; right } ->
-        mark_fix fc banned (id + 1) left;
-        mark_fix fc banned (id + 1 + Ir.size left) right
-    | Ir.Hash_join { left; right; _ } ->
-        let lid = id + 1 and rid = id + 1 + Ir.size left in
-        if stable_subtree banned right then begin
-          Hashtbl.replace fc.fc_joins id `Right;
-          mark_fix fc banned lid left
-        end
-        else if stable_subtree banned left then begin
-          Hashtbl.replace fc.fc_joins id `Left;
-          mark_fix fc banned rid right
-        end
-        else begin
-          mark_fix fc banned lid left;
-          mark_fix fc banned rid right
-        end
-    | Ir.Filter { input; _ }
-    | Ir.Residual { input; _ }
-    | Ir.Prune { input; _ }
-    | Ir.Resolve { input; _ }
-    | Ir.Lateral { input; _ } ->
-        mark_fix fc banned (id + 1) input
-    | Ir.Semi { input; sub; _ } ->
-        mark_fix fc banned (id + 1) input;
-        mark_fix fc banned (id + 1 + Ir.size input) sub
-    | Ir.Append ts -> List.iter2 (mark_fix fc banned) (Ir.child_ids id t) ts
+    let kids = List.combine (Ir.node_child_ids id n) (Ir.children n) in
+    let kids =
+      match (n, kids) with
+      | Ir.T (Ir.Hash_join _), [ l; r ] ->
+          if stable_subtree banned (snd r) then (
+            Hashtbl.replace fc.fc_joins id `Right;
+            [ l ])
+          else if stable_subtree banned (snd l) then (
+            Hashtbl.replace fc.fc_joins id `Left;
+            [ r ])
+          else kids
+      | _ -> List.filter (function _, Ir.C _ -> false | _ -> true) kids
+    in
+    List.iter (fun (cid, c) -> mark_fix fc banned cid c) kids
 
 let make_fix_cache banned did (d : Ir.disjunct_plan) =
   let fc =
@@ -113,13 +91,12 @@ let make_fix_cache banned did (d : Ir.disjunct_plan) =
       fc_tables = Hashtbl.create 8;
     }
   in
-  (match d with
-  | Ir.Project { input; _ } | Ir.Aggregate { input; _ } ->
-      mark_fix fc banned (did + 1) input);
+  mark_fix fc banned did (Ir.D d);
   fc
 
 (* [stats] is the EXPLAIN ANALYZE sink: when present, every operator
-   records per-node actuals keyed by the stable ids of [Ir.program_ids].
+   records per-node actuals keyed by the stable ids of [Ir.program_ids]
+   (preorder under [Ir.children], the one definition of child order).
    When absent the executor takes a branch per node and nothing else.
    [fix] is only set while executing a delta rule of a seminaive
    stratum's fixpoint. [outer] is the enclosing by-name environment: a
@@ -246,7 +223,7 @@ let charge_rows env tuples =
    Every runner is wrapped by [timed]: with stats on, it brackets the
    node with two clock reads and accumulates invocations / rows /
    inclusive time on the node's id; with stats off it is a single branch.
-   Child ids use the same arithmetic as [Ir.child_ids] / [Explain].
+   Child ids come from [Ir.node_child_ids], as in [Explain].
    Pipelines never deduplicate: each derivation is its own row, which the
    incremental maintenance hooks rely on to count derivations. Governor
    probes are amortized per block, hash keys are value arrays, and
@@ -336,6 +313,7 @@ let rec compile_block ctx id (t : Ir.t) : block =
    prune keeps [keep]'s order, and every branch of an append is permuted
    to the order in which its branches first bind each variable. *)
 and compile_node ctx id (t : Ir.t) : Row.layout * (env -> Row.t array) =
+  let kid = Array.of_list (Ir.node_child_ids id (Ir.T t)) in
   match t with
   | One -> ([||], fun _ -> [| [||] |])
   | Scan { var; rel; filters; _ } ->
@@ -358,11 +336,11 @@ and compile_node ctx id (t : Ir.t) : Row.layout * (env -> Row.t array) =
                    pass env.outer scratch)
                  (Array.init n (Relation.get r))) )
   | Subquery { var; plan } ->
-      let coll = compile_coll ctx (id + 1) plan in
+      let coll = compile_coll ctx kid.(0) plan in
       ([| var |], fun env -> bind_rows (coll env))
   | Lateral { input; var; plan } ->
-      let inb = compile_block ctx (id + 1) input in
-      let coll = compile_coll ctx (id + 1 + Ir.size input) plan in
+      let inb = compile_block ctx kid.(0) input in
+      let coll = compile_coll ctx kid.(1) plan in
       ( Array.append [| var |] inb.layout,
         fun env ->
           let out = ref [] and n = ref 0 in
@@ -377,8 +355,8 @@ and compile_node ctx id (t : Ir.t) : Row.layout * (env -> Row.t array) =
             (inb.run env);
           of_rev_list !n !out )
   | Product { left; right } ->
-      let lb = compile_block ctx (id + 1) left in
-      let rb = compile_block ctx (id + 1 + Ir.size left) right in
+      let lb = compile_block ctx kid.(0) left in
+      let rb = compile_block ctx kid.(1) right in
       ( Array.append rb.layout lb.layout,
         fun env ->
           let l = lb.run env in
@@ -396,8 +374,8 @@ and compile_node ctx id (t : Ir.t) : Row.layout * (env -> Row.t array) =
             out
           end )
   | Hash_join { left; right; keys } ->
-      let lb = compile_block ctx (id + 1) left in
-      let rb = compile_block ctx (id + 1 + Ir.size left) right in
+      let lb = compile_block ctx kid.(0) left in
+      let rb = compile_block ctx kid.(1) right in
       let inner_terms, outer_terms = key_terms keys in
       let inner_key = Row.key ctx rb.layout inner_terms in
       let outer_key = Row.key ctx lb.layout outer_terms in
@@ -422,16 +400,16 @@ and compile_node ctx id (t : Ir.t) : Row.layout * (env -> Row.t array) =
                   a.Ir.a_matches <- a.Ir.a_matches + matches);
               out )
   | Filter { input; preds } ->
-      let inb = compile_block ctx (id + 1) input in
+      let inb = compile_block ctx kid.(0) input in
       let pass = Row.preds ctx inb.layout preds in
       (inb.layout, fun env -> filter_block env (pass env.outer) (inb.run env))
   | Residual { input; conjs } ->
-      let inb = compile_block ctx (id + 1) input in
+      let inb = compile_block ctx kid.(0) input in
       let pass = Row.formulas ctx inb.layout conjs in
       (inb.layout, fun env -> filter_block env (pass env.outer) (inb.run env))
   | Semi { anti; input; sub; keys; residual; _ } ->
-      let inb = compile_block ctx (id + 1) input in
-      let sb = compile_block ctx (id + 1 + Ir.size input) sub in
+      let inb = compile_block ctx kid.(0) input in
+      let sb = compile_block ctx kid.(1) sub in
       (* residual predicates see a candidate's row before the input row *)
       let residual_pass =
         Row.preds ctx (Array.append sb.layout inb.layout) residual
@@ -474,7 +452,7 @@ and compile_node ctx id (t : Ir.t) : Row.layout * (env -> Row.t array) =
               a.Ir.a_matches <- a.Ir.a_matches + Array.length kept);
           kept )
   | Resolve { input; binding; scope } ->
-      let inb = compile_block ctx (id + 1) input in
+      let inb = compile_block ctx kid.(0) input in
       let layout = Array.append [| binding.var |] inb.layout in
       ( layout,
         fun env ->
@@ -486,7 +464,7 @@ and compile_node ctx id (t : Ir.t) : Row.layout * (env -> Row.t array) =
                   (List.map (Row.to_benv inb.layout) (Array.to_list rows))
                   [ binding ])) )
   | Prune { input; keep } ->
-      let inb = compile_block ctx (id + 1) input in
+      let inb = compile_block ctx kid.(0) input in
       let layout =
         Array.of_list
           (List.filter (fun v -> Row.slot inb.layout v <> None) keep)
@@ -496,7 +474,7 @@ and compile_node ctx id (t : Ir.t) : Row.layout * (env -> Row.t array) =
         | None -> inb.run
         | Some perm -> fun env -> Array.map (Row.permute perm) (inb.run env) )
   | Append ts ->
-      let bs = List.map2 (compile_block ctx) (Ir.child_ids id t) ts in
+      let bs = List.mapi (fun i -> compile_block ctx kid.(i)) ts in
       let layout = Row.union (List.map (fun b -> b.layout) bs) in
       let runs =
         List.map
@@ -596,7 +574,7 @@ and compile_coll ctx id ({ head; disjuncts } as p : Ir.coll_plan) :
   let ds =
     List.map2
       (fun did d -> compile_disjunct ctx did head schema d)
-      (Ir.coll_child_ids id p) disjuncts
+      (Ir.node_child_ids id (Ir.C p)) disjuncts
   in
   fun env ->
     timed env id Relation.cardinality @@ fun () ->
@@ -617,8 +595,8 @@ and compile_coll ctx id ({ head; disjuncts } as p : Ir.coll_plan) :
 (* Recursive strata: the hash-based fixpoint over plans               *)
 (* ------------------------------------------------------------------ *)
 
-(* The delta-substitution helpers ([delta_name], [count_scans_coll],
-   [subst_scan], [opaque_refs_coll], [seminaive_eligible]) live in
+(* The delta-substitution helpers ([delta_name], [count_scans],
+   [subst_scan], [opaque_refs], [seminaive_eligible]) live in
    [Arc_plan.Ir] so the incremental maintenance layer (Arc_ivm) shares
    them with the fixpoint below. *)
 let delta_name = Ir.delta_name
@@ -710,13 +688,13 @@ let indexed_fixpoint env component (dps : (Ir.def_plan * int) list) =
         I.idb_set ctx (delta_name n) delta;
         with_actual env id (fun a ->
             a.Ir.a_deltas <- Relation.cardinality delta :: a.Ir.a_deltas);
-        let dids = Ir.coll_child_ids id dp.Ir.dplan in
+        let dids = Ir.node_child_ids id (Ir.C dp.Ir.dplan) in
         let rule did d fix =
           (compile_disjunct ctx did head (Lazy.from_val schema) d, did, fix)
         in
         let rules =
           if seminaive then
-            List.init (Ir.count_scans_coll component dp.Ir.dplan) (fun i ->
+            List.init (Ir.count_scans component (Ir.C dp.Ir.dplan)) (fun i ->
                 let subst = (Ir.subst_scan component i dp.Ir.dplan).disjuncts in
                 let d = Ir.occurrence_disjunct component i dp.Ir.dplan in
                 let sd = List.nth subst d and did = List.nth dids d in
@@ -724,9 +702,8 @@ let indexed_fixpoint env component (dps : (Ir.def_plan * int) list) =
           else
             List.combine dids dp.Ir.dplan.disjuncts
             |> List.filter (fun (_, d) ->
-                   let one = { dp.Ir.dplan with disjuncts = [ d ] } in
-                   Ir.count_scans_coll component one > 0
-                   || Ir.opaque_refs_coll component one)
+                   Ir.count_scans component (Ir.D d) > 0
+                   || Ir.opaque_refs component (Ir.D d))
             |> List.map (fun (did, d) -> rule did d None)
         in
         (n, id, schema, rules, seen))
@@ -783,14 +760,13 @@ let indexed_fixpoint env component (dps : (Ir.def_plan * int) list) =
   List.iter (fun n -> I.idb_remove ctx (delta_name n)) component
 
 (* A recursive stratum's fixpoint starts from empty component relations
-   (the seed round's recursive disjuncts read them). [base] is the id of
-   the stratum's first definition; consecutive definitions follow at
-   offsets of [Ir.size_coll], mirroring [Ir.program_ids]. *)
-let exec_stratum env base (s : Ir.stratum) =
+   (the seed round's recursive disjuncts read them). [id_of] gives each
+   definition's base id, its place in [Ir.program_ids]. *)
+let exec_stratum env id_of (s : Ir.stratum) =
   let ctx = env.ctx in
   match s with
   | Ir.Nonrecursive dp ->
-      I.idb_set ctx dp.dname (compile_coll ctx base dp.dplan env)
+      I.idb_set ctx dp.dname (compile_coll ctx (id_of dp) dp.dplan env)
   | Ir.Recursive dps ->
       let component = List.map (fun d -> d.Ir.dname) dps in
       (* stratification check, as in the reference *)
@@ -805,15 +781,7 @@ let exec_stratum env base (s : Ir.stratum) =
           I.idb_set ctx dp.Ir.dname
             (Relation.empty ~name:dp.Ir.dname dp.Ir.dplan.head.head_attrs))
         dps;
-      let dps_ids =
-        List.rev
-          (fst
-             (List.fold_left
-                (fun (acc, next) dp ->
-                  ((dp, next) :: acc, next + Ir.size_coll dp.Ir.dplan))
-                ([], base) dps))
-      in
-      indexed_fixpoint env component dps_ids
+      indexed_fixpoint env component (List.map (fun dp -> (dp, id_of dp)) dps)
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
@@ -855,13 +823,9 @@ let decorrelation ?conv ?externals ~db (prog : program) =
 let exec_program ?stats ctx (pp : Ir.program_plan) : Eval.outcome =
   let env = { ctx; outer = []; stats; fix = None } in
   let def_ids, main_id = Ir.program_ids pp in
-  let base = function
-    | Ir.Nonrecursive dp | Ir.Recursive (dp :: _) ->
-        List.assoc dp.Ir.dname def_ids
-    | Ir.Recursive [] -> 0
-  in
+  let id_of dp = List.assoc dp.Ir.dname def_ids in
   try
-    List.iter (fun s -> exec_stratum env (base s) s) pp.strata;
+    List.iter (exec_stratum env id_of) pp.strata;
     match pp.main with
     | Ir.Main_coll p ->
         Eval.Rows (compile_coll ctx (Option.get main_id) p env)
@@ -907,7 +871,7 @@ let exec_collection ctx (p : Ir.coll_plan) : Relation.t =
   compile_coll ctx 0 p (hook_env ctx)
 
 let exec_stratum_plan ctx (s : Ir.stratum) : unit =
-  exec_stratum (hook_env ctx) 0 s
+  exec_stratum (hook_env ctx) (fun _ -> 0) s
 
 (* ------------------------------------------------------------------ *)
 (* Metrics export                                                      *)

@@ -72,7 +72,8 @@ val exec_program :
     actuals (invocations, rows emitted, inclusive wall-clock, hash
     build/probe/match counts, fixpoint iterations, delta sizes,
     per-round wall-clock and the fixpoint's own time) into it, keyed by the stable node ids of
-    {!Arc_plan.Ir.program_ids}. These actuals are the plan engine's only
+    {!Arc_plan.Ir.program_ids}: preorder positions under
+    {!Arc_plan.Ir.children}, the one definition of child order. These actuals are the plan engine's only
     instrumentation: [arc analyze] renders them as the annotated plan
     tree ({!Arc_plan.Explain.analyze_to_string}, [-f pretty]), as spans
     ({!spans_of_stats}, [-f jsonl] and [-f chrome]) and as metrics

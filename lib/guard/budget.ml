@@ -43,5 +43,3 @@ let limit t = function
   | Rows -> t.max_rows
   | Bindings -> t.max_bindings
   | Depth -> t.max_depth
-
-let is_unlimited t = t = unlimited

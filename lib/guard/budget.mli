@@ -37,5 +37,3 @@ val with_timeout_ms : int -> t -> t
 
 val limit : t -> resource -> int option
 (** The configured limit for a resource ([Wall_clock] in milliseconds). *)
-
-val is_unlimited : t -> bool

@@ -39,17 +39,15 @@ type node = { label : string; children : node list }
 
 (* Estimates come from [Card] under the statistics environment [cenv]
    (none when absent), with the provenance of each number. *)
-let est_of cenv estimator node =
-  let e = estimator (Option.value cenv ~default:[]) node in
+let est cenv (n : Ir.node) =
+  let env = Option.value cenv ~default:[] in
+  let e =
+    match n with
+    | Ir.T t -> Card.estimate env t
+    | Ir.D d -> Card.estimate_disjunct env d
+    | Ir.C c -> Card.estimate_coll env c
+  in
   (Card.rows e, Card.src_name e.Card.src)
-
-let est_t cenv t = est_of cenv Card.estimate t
-let est_d cenv d = est_of cenv Card.estimate_disjunct d
-let est_c cenv c = est_of cenv Card.estimate_coll c
-
-let est_suffix cenv t =
-  let est, src = est_t cenv t in
-  Printf.sprintf "  (\xe2\x89\x88%d rows, %s)" est src
 
 (* Core (suffix-free) labels, shared by the plain explain rendering and the
    analyze rendering. *)
@@ -105,62 +103,24 @@ let coll_label (p : Ir.coll_plan) : string =
   Printf.sprintf "%s \xe2\x86\x90 union (%d disjunct%s)" (Pp.head p.head) n
     (if n = 1 then "" else "s")
 
-(* One annotated traversal serves both renderings: the annotation callback
-   receives each node's stable id (see [Ir.program_ids]) and produces the
-   label suffix. *)
-type ann = {
-  on_t : int -> Ir.t -> string;
-  on_d : int -> Ir.disjunct_plan -> string;
-  on_c : int -> Ir.coll_plan -> string;
-}
+let label = function
+  | Ir.T t -> t_label t
+  | Ir.D d -> disjunct_label d
+  | Ir.C c -> coll_label c
 
-let explain_ann cenv =
+(* The one tree walk behind both renderings: [suffix] receives each node's
+   stable id (see [Ir.program_ids]) and produces its label suffix. *)
+let rec tree suffix id n : node =
   {
-    on_t =
-      (fun _ t ->
-        match t with
-        | Ir.Scan _ | Ir.Product _ | Ir.Hash_join _ -> est_suffix cenv t
-        | _ -> "");
-    on_d = (fun _ _ -> "");
-    on_c = (fun _ _ -> "");
+    label = label n ^ suffix id n;
+    children = List.map2 (tree suffix) (Ir.node_child_ids id n) (Ir.children n);
   }
 
-let rec node_of ann id (t : Ir.t) : node =
-  let children =
-    match t with
-    | Ir.One | Ir.Scan _ -> []
-    | Ir.Subquery { plan; _ } -> [ node_of_coll ann (id + 1) plan ]
-    | Ir.Lateral { input; plan; _ } ->
-        [
-          node_of ann (id + 1) input;
-          node_of_coll ann (id + 1 + Ir.size input) plan;
-        ]
-    | Ir.Product { left; right } | Ir.Hash_join { left; right; _ } ->
-        [ node_of ann (id + 1) left; node_of ann (id + 1 + Ir.size left) right ]
-    | Ir.Filter { input; _ }
-    | Ir.Residual { input; _ }
-    | Ir.Resolve { input; _ }
-    | Ir.Prune { input; _ } ->
-        [ node_of ann (id + 1) input ]
-    | Ir.Semi { input; sub; _ } ->
-        [ node_of ann (id + 1) input; node_of ann (id + 1 + Ir.size input) sub ]
-    | Ir.Append ts -> List.map2 (node_of ann) (Ir.child_ids id t) ts
-  in
-  { label = t_label t ^ ann.on_t id t; children }
-
-and node_of_disjunct ann id (d : Ir.disjunct_plan) : node =
-  let children =
-    match d with
-    | Ir.Project { input; _ } | Ir.Aggregate { input; _ } ->
-        [ node_of ann (id + 1) input ]
-  in
-  { label = disjunct_label d ^ ann.on_d id d; children }
-
-and node_of_coll ann id (p : Ir.coll_plan) : node =
-  let children =
-    List.map2 (node_of_disjunct ann) (Ir.coll_child_ids id p) p.disjuncts
-  in
-  { label = coll_label p ^ ann.on_c id p; children }
+let explain_suffix cenv _ = function
+  | Ir.T (Ir.Scan _ | Ir.Product _ | Ir.Hash_join _) as n ->
+      let est, src = est cenv n in
+      Printf.sprintf "  (\xe2\x89\x88%d rows, %s)" est src
+  | _ -> ""
 
 let render (n : node) : string =
   let buf = Buffer.create 256 in
@@ -188,18 +148,16 @@ let render (n : node) : string =
   go "" `Root n;
   Buffer.contents buf
 
-let coll_plan_to_string ?cenv p = render (node_of_coll (explain_ann cenv) 0 p)
+let coll_plan_to_string ?cenv p = render (tree (explain_suffix cenv) 0 (Ir.C p))
 
-(* Renders a whole program, threading base ids with the same counter walk
-   as [Ir.program_ids] so annotations line up with executor-recorded
+(* Renders a whole program; definitions are placed at their
+   [Ir.program_ids] so annotations line up with executor-recorded
    stats. *)
-let program_render ann (pp : Ir.program_plan) : string =
+let program_render suffix (pp : Ir.program_plan) : string =
   let buf = Buffer.create 512 in
-  let counter = ref 0 in
+  let def_ids, main_id = Ir.program_ids pp in
   let render_def dp =
-    let id = !counter in
-    counter := !counter + Ir.size_coll dp.Ir.dplan;
-    render (node_of_coll ann id dp.Ir.dplan)
+    render (tree suffix (List.assoc dp.Ir.dname def_ids) (Ir.C dp.Ir.dplan))
   in
   List.iter
     (fun s ->
@@ -217,17 +175,15 @@ let program_render ann (pp : Ir.program_plan) : string =
     pp.strata;
   (match pp.main with
   | Ir.Main_coll p ->
-      let id = !counter in
-      counter := !counter + Ir.size_coll p;
       Buffer.add_string buf "main:\n";
-      Buffer.add_string buf (render (node_of_coll ann id p))
+      Buffer.add_string buf (render (tree suffix (Option.get main_id) (Ir.C p)))
   | Ir.Main_sentence f ->
       Buffer.add_string buf
         ("main (sentence): " ^ formula_to_string f ^ "\n"));
   Buffer.contents buf
 
 let program_plan_to_string ?cenv (pp : Ir.program_plan) : string =
-  program_render (explain_ann cenv) pp
+  program_render (explain_suffix cenv) pp
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN ANALYZE                                                     *)
@@ -255,8 +211,21 @@ let excl_ns (stats : Ir.stats) id children =
   let e = Int64.sub (Ir.incl_of stats id) kids in
   if Int64.compare e 0L < 0 then 0L else e
 
-let node_suffix ~warn_q_error (stats : Ir.stats) id ~est ~src ~children
-    ~extras_of =
+(* Operator-specific actuals: hash-table counts on joins, the fixpoint's
+   rounds on a recursive head. *)
+let extras (n : Ir.node) (a : Ir.actual) =
+  match n with
+  | Ir.T (Ir.Hash_join _ | Ir.Semi _) ->
+      Printf.sprintf " build=%d probe=%d matches=%d" a.Ir.a_build a.Ir.a_probe
+        a.Ir.a_matches
+  | Ir.C _ when a.Ir.a_iterations > 0 ->
+      Printf.sprintf " iters=%d deltas=[%s] fix=%s" a.Ir.a_iterations
+        (String.concat ";" (List.map string_of_int (List.rev a.Ir.a_deltas)))
+        (ns_to_string a.Ir.a_fix_ns)
+  | _ -> ""
+
+let analyze_suffix ~warn_q_error ?cenv (stats : Ir.stats) id n =
+  let est, src = est cenv n in
   match Ir.actual_of stats id with
   | None -> Printf.sprintf "  [est=%d src=%s act=\xe2\x80\x93]" est src
   | Some a ->
@@ -271,43 +240,12 @@ let node_suffix ~warn_q_error (stats : Ir.stats) id ~est ~src ~children
       in
       Printf.sprintf "  [est=%d src=%s act=%d q=%.1f excl=%s%s%s]%s" est src
         a.Ir.a_rows q
-        (ns_to_string (excl_ns stats id children))
-        inv (extras_of a) warn
-
-let analyze_ann ~warn_q_error ?cenv (stats : Ir.stats) =
-  {
-    on_t =
-      (fun id t ->
-        let est, src = est_t cenv t in
-        node_suffix ~warn_q_error stats id ~est ~src
-          ~children:(Ir.child_ids id t) ~extras_of:(fun a ->
-            match t with
-            | Ir.Hash_join _ | Ir.Semi _ ->
-                Printf.sprintf " build=%d probe=%d matches=%d" a.Ir.a_build
-                  a.Ir.a_probe a.Ir.a_matches
-            | _ -> ""));
-    on_d =
-      (fun id d ->
-        let est, src = est_d cenv d in
-        node_suffix ~warn_q_error stats id ~est ~src
-          ~children:(Ir.disjunct_child_ids id d)
-          ~extras_of:(fun _ -> ""));
-    on_c =
-      (fun id c ->
-        let est, src = est_c cenv c in
-        node_suffix ~warn_q_error stats id ~est ~src
-          ~children:(Ir.coll_child_ids id c) ~extras_of:(fun a ->
-            if a.Ir.a_iterations > 0 then
-              Printf.sprintf " iters=%d deltas=[%s] fix=%s" a.Ir.a_iterations
-                (String.concat ";"
-                   (List.map string_of_int (List.rev a.Ir.a_deltas)))
-                (ns_to_string a.Ir.a_fix_ns)
-            else ""));
-  }
+        (ns_to_string (excl_ns stats id (Ir.node_child_ids id n)))
+        inv (extras n a) warn
 
 let analyze_to_string ?(warn_q_error = 4.0) ?cenv ~(stats : Ir.stats)
     (pp : Ir.program_plan) : string =
-  program_render (analyze_ann ~warn_q_error ?cenv stats) pp
+  program_render (analyze_suffix ~warn_q_error ?cenv stats) pp
 
 (* Flat per-node record for machine consumers (the CLI's JSON output and
    the bench harness). Preorder over the whole program. *)
@@ -327,81 +265,44 @@ type node_info = {
 
 let analyze_info ?cenv (pp : Ir.program_plan) ~(stats : Ir.stats) :
     node_info list =
-  let acc = ref [] in
-  (* preorder adds a parent before its children, so each node registers
-     itself as its children's parent *)
-  let parents = Hashtbl.create 64 in
-  let add ?head section id op label (est, src) children =
+  (* one preorder fold per plan root, consing each node before its
+     children *)
+  let rec go section parent acc id n =
+    let children = Ir.node_child_ids id n in
+    let est, src = est cenv n in
     let actual = Ir.actual_of stats id in
-    let q = Option.map (fun a -> Ir.q_error est a.Ir.a_rows) actual in
-    List.iter (fun c -> Hashtbl.replace parents c id) children;
-    acc :=
+    let info =
       {
         ni_id = id;
-        ni_parent = Hashtbl.find_opt parents id;
+        ni_parent = parent;
         ni_def = section;
-        ni_head = head;
-        ni_op = op;
-        ni_label = label;
+        ni_head = (match n with Ir.C c -> Some c.head.head_name | _ -> None);
+        ni_op = Ir.op_name n;
+        ni_label = label n;
         ni_est = est;
         ni_src = src;
         ni_actual = actual;
         ni_excl_ns = excl_ns stats id children;
-        ni_q = q;
+        ni_q = Option.map (fun a -> Ir.q_error est a.Ir.a_rows) actual;
       }
-      :: !acc
+    in
+    List.fold_left2 (go section (Some id)) (info :: acc) children
+      (Ir.children n)
   in
-  let rec go_t section id t =
-    add section id (Ir.op_name t) (t_label t) (est_t cenv t)
-      (Ir.child_ids id t);
-    match t with
-    | Ir.One | Ir.Scan _ -> ()
-    | Ir.Subquery { plan; _ } -> go_c section (id + 1) plan
-    | Ir.Lateral { input; plan; _ } ->
-        go_t section (id + 1) input;
-        go_c section (id + 1 + Ir.size input) plan
-    | Ir.Product { left; right } | Ir.Hash_join { left; right; _ } ->
-        go_t section (id + 1) left;
-        go_t section (id + 1 + Ir.size left) right
-    | Ir.Filter { input; _ }
-    | Ir.Residual { input; _ }
-    | Ir.Resolve { input; _ }
-    | Ir.Prune { input; _ } ->
-        go_t section (id + 1) input
-    | Ir.Semi { input; sub; _ } ->
-        go_t section (id + 1) input;
-        go_t section (id + 1 + Ir.size input) sub
-    | Ir.Append ts -> List.iter2 (go_t section) (Ir.child_ids id t) ts
-  and go_d section id d =
-    add section id (Ir.disjunct_op_name d) (disjunct_label d) (est_d cenv d)
-      (Ir.disjunct_child_ids id d);
-    match d with
-    | Ir.Project { input; _ } | Ir.Aggregate { input; _ } ->
-        go_t section (id + 1) input
-  and go_c section id (c : Ir.coll_plan) =
-    let dids = Ir.coll_child_ids id c in
-    add ~head:c.head.head_name section id "union" (coll_label c) (est_c cenv c)
-      dids;
-    List.iter2 (go_d section) dids c.disjuncts
+  let def_ids, main_id = Ir.program_ids pp in
+  let roots =
+    List.map2
+      (fun (name, id) dp -> (name, id, dp.Ir.dplan))
+      def_ids (Ir.program_defs pp)
+    @
+    match pp.main with
+    | Ir.Main_coll p -> [ ("main", Option.get main_id, p) ]
+    | Ir.Main_sentence _ -> []
   in
-  let counter = ref 0 in
-  let walk_def dp =
-    let id = !counter in
-    counter := !counter + Ir.size_coll dp.Ir.dplan;
-    go_c dp.Ir.dname id dp.Ir.dplan
-  in
-  List.iter
-    (function
-      | Ir.Nonrecursive dp -> walk_def dp
-      | Ir.Recursive dps -> List.iter walk_def dps)
-    pp.strata;
-  (match pp.main with
-  | Ir.Main_coll p ->
-      let id = !counter in
-      counter := !counter + Ir.size_coll p;
-      go_c "main" id p
-  | Ir.Main_sentence _ -> ());
-  List.rev !acc
+  List.rev
+    (List.fold_left
+       (fun acc (section, id, p) -> go section None acc id (Ir.C p))
+       [] roots)
 
 let report_to_string (report : (string * bool) list) : string =
   "rewrites: "

@@ -76,103 +76,138 @@ let rec bound_vars = function
   | Append ts -> ( match ts with [] -> [] | t :: _ -> bound_vars t)
 
 (* ------------------------------------------------------------------ *)
+(* Plan nodes and their children                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A program plan is a tree of three kinds of node: pipeline operators,
+   disjuncts and collection heads. [children] is the one definition of a
+   node's children and their order; every structural walk (sizes, stable
+   ids, scan substitution, explain and analyze, the fixpoint caches)
+   descends through it or through [map_children], which rebuilds a node
+   in the same order. Children of [Subquery]/[Lateral] include the nested
+   collection plan. *)
+type node = T of t | D of disjunct_plan | C of coll_plan
+
+let children = function
+  | T (One | Scan _) -> []
+  | T (Subquery { plan; _ }) -> [ C plan ]
+  | T (Lateral { input; plan; _ }) -> [ T input; C plan ]
+  | T (Product { left; right } | Hash_join { left; right; _ }) ->
+      [ T left; T right ]
+  | T (Filter { input; _ } | Residual { input; _ } | Resolve { input; _ })
+  | T (Prune { input; _ }) ->
+      [ T input ]
+  | T (Semi { input; sub; _ }) -> [ T input; T sub ]
+  | T (Append ts) -> List.map (fun t -> T t) ts
+  | D (Project { input; _ } | Aggregate { input; _ }) -> [ T input ]
+  | C p -> List.map (fun d -> D d) p.disjuncts
+
+let to_t = function T t -> t | D _ | C _ -> invalid_arg "Ir.to_t"
+let to_d = function D d -> d | T _ | C _ -> invalid_arg "Ir.to_d"
+let to_c = function C p -> p | T _ | D _ -> invalid_arg "Ir.to_c"
+
+(* [n] with its children replaced, in [children]'s order and kinds *)
+let with_children n kids =
+  match (n, kids) with
+  | T (Subquery s), [ C plan ] -> T (Subquery { s with plan })
+  | T (Lateral l), [ T input; C plan ] -> T (Lateral { l with input; plan })
+  | T (Product _), [ T left; T right ] -> T (Product { left; right })
+  | T (Hash_join j), [ T left; T right ] -> T (Hash_join { j with left; right })
+  | T (Filter x), [ T input ] -> T (Filter { x with input })
+  | T (Residual x), [ T input ] -> T (Residual { x with input })
+  | T (Resolve x), [ T input ] -> T (Resolve { x with input })
+  | T (Prune x), [ T input ] -> T (Prune { x with input })
+  | T (Semi s), [ T input; T sub ] -> T (Semi { s with input; sub })
+  | T (Append _), ts -> T (Append (List.map to_t ts))
+  | D (Project x), [ T input ] -> D (Project { x with input })
+  | D (Aggregate x), [ T input ] -> D (Aggregate { x with input })
+  | C p, ds -> C { p with disjuncts = List.map to_d ds }
+  | _ -> invalid_arg "Ir.with_children"
+
+(* Rebuilds a node with [f] applied to each child, left to right (stateful
+   callers such as the scan substituter count occurrences as they go).
+   [f] must return a node of the kind it was given. A node whose children
+   all come back physically unchanged is returned as is. *)
+let map_children f n =
+  let same a b =
+    match (a, b) with
+    | T x, T y -> x == y
+    | D x, D y -> x == y
+    | C x, C y -> x == y
+    | _ -> false
+  in
+  let kids = children n in
+  let kids' = List.map f kids in
+  if List.for_all2 same kids kids' then n else with_children n kids'
+
+(* preorder: a node before its children *)
+let rec fold f acc n = List.fold_left (fold f) (f acc n) (children n)
+let rec exists p n = p n || List.exists (exists p) (children n)
+
+(* ------------------------------------------------------------------ *)
 (* Stable node ids                                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* Every node of a program plan — pipeline nodes, disjuncts, and collection
    heads, including nested sub-plans — carries a stable id: its preorder
-   position in a canonical traversal. Ids are *derived*, not stored: a
-   node's children occupy the id range right after it, offset by the sizes
-   of their elder siblings. The executor and the explain/analyze renderers
-   walk plans with the same arithmetic, so actuals recorded at execution
-   time line up with the rendered tree — and with the estimates the
-   optimizer made for the very same ids. Structural rewrites that preserve
-   shape (notably the fixpoint's delta-scan substitution) preserve ids. *)
+   position under [children]. Ids are *derived*, not stored: a node's
+   children occupy the id range right after it, offset by the sizes of
+   their elder siblings ([node_child_ids]). The executor and the
+   explain/analyze renderers number nodes with [node_child_ids] alone, so
+   actuals recorded at execution time line up with the rendered tree — and
+   with the estimates the optimizer made for the very same ids. Structural
+   rewrites that preserve shape (notably the fixpoint's delta-scan
+   substitution) preserve ids. *)
 
-let rec size = function
-  | One | Scan _ -> 1
-  | Subquery { plan; _ } -> 1 + size_coll plan
-  | Lateral { input; plan; _ } -> 1 + size input + size_coll plan
-  | Product { left; right } | Hash_join { left; right; _ } ->
-      1 + size left + size right
-  | Filter { input; _ } | Residual { input; _ } | Resolve { input; _ }
-  | Prune { input; _ } ->
-      1 + size input
-  | Semi { input; sub; _ } -> 1 + size input + size sub
-  | Append ts -> 1 + List.fold_left (fun acc t -> acc + size t) 0 ts
+let size n = fold (fun k _ -> k + 1) 0 n
+let size_coll p = size (C p)
 
-and size_disjunct = function
-  | Project { input; _ } | Aggregate { input; _ } -> 1 + size input
-
-and size_coll p =
-  1 + List.fold_left (fun acc d -> acc + size_disjunct d) 0 p.disjuncts
-
-(* Direct-children ids, in canonical (preorder) order. Children of
-   [Subquery]/[Lateral] include the nested collection plan. *)
-let child_ids id = function
-  | One | Scan _ -> []
-  | Subquery _ -> [ id + 1 ]
-  | Lateral { input; _ } -> [ id + 1; id + 1 + size input ]
-  | Product { left; _ } | Hash_join { left; _ } -> [ id + 1; id + 1 + size left ]
-  | Filter _ | Residual _ | Resolve _ | Prune _ -> [ id + 1 ]
-  | Semi { input; _ } -> [ id + 1; id + 1 + size input ]
-  | Append ts ->
-      List.rev
-        (fst
-           (List.fold_left
-              (fun (acc, next) t -> (next :: acc, next + size t))
-              ([], id + 1) ts))
-
-let disjunct_child_ids id = function Project _ | Aggregate _ -> [ id + 1 ]
-
-let coll_child_ids id p =
+(* Direct-children ids, in [children]'s order. *)
+let node_child_ids id n =
   List.rev
     (fst
        (List.fold_left
-          (fun (acc, next) d -> (next :: acc, next + size_disjunct d))
-          ([], id + 1) p.disjuncts))
+          (fun (acc, next) c -> (next :: acc, next + size c))
+          ([], id + 1) (children n)))
+
+let program_defs (pp : program_plan) : def_plan list =
+  List.concat_map
+    (function Nonrecursive dp -> [ dp ] | Recursive dps -> dps)
+    pp.strata
 
 (* Base ids for a whole program: strata in order (each definition's
    collection plan), then the main plan. *)
 let program_ids (pp : program_plan) : (rel_name * int) list * int option =
-  let counter = ref 0 in
-  let take n =
-    let v = !counter in
-    counter := !counter + n;
+  let next = ref 0 in
+  let take p =
+    let v = !next in
+    next := v + size_coll p;
     v
   in
-  let defs =
-    List.concat_map
-      (function
-        | Nonrecursive dp -> [ (dp.dname, take (size_coll dp.dplan)) ]
-        | Recursive dps ->
-            List.map (fun dp -> (dp.dname, take (size_coll dp.dplan))) dps)
-      pp.strata
-  in
+  let defs = List.map (fun dp -> (dp.dname, take dp.dplan)) (program_defs pp) in
   let main =
     match pp.main with
-    | Main_coll p -> Some (take (size_coll p))
+    | Main_coll p -> Some (take p)
     | Main_sentence _ -> None
   in
   (defs, main)
 
 let op_name = function
-  | One -> "unit"
-  | Scan _ -> "scan"
-  | Subquery _ -> "subquery"
-  | Lateral _ -> "lateral"
-  | Product _ -> "product"
-  | Hash_join _ -> "hash_join"
-  | Filter _ -> "filter"
-  | Residual _ -> "residual"
-  | Semi { anti; _ } -> if anti then "anti_join" else "semi_join"
-  | Resolve _ -> "resolve"
-  | Prune _ -> "prune"
-  | Append _ -> "append"
-
-let disjunct_op_name = function
-  | Project _ -> "project"
-  | Aggregate _ -> "hash_aggregate"
+  | T One -> "unit"
+  | T (Scan _) -> "scan"
+  | T (Subquery _) -> "subquery"
+  | T (Lateral _) -> "lateral"
+  | T (Product _) -> "product"
+  | T (Hash_join _) -> "hash_join"
+  | T (Filter _) -> "filter"
+  | T (Residual _) -> "residual"
+  | T (Semi { anti; _ }) -> if anti then "anti_join" else "semi_join"
+  | T (Resolve _) -> "resolve"
+  | T (Prune _) -> "prune"
+  | T (Append _) -> "append"
+  | D (Project _) -> "project"
+  | D (Aggregate _) -> "hash_aggregate"
+  | C _ -> "union"
 
 (* ------------------------------------------------------------------ *)
 (* Per-node runtime actuals (EXPLAIN ANALYZE)                          *)
@@ -253,43 +288,31 @@ let rec formula_ref_vars = function
         s.bindings
       @ formula_ref_vars s.body
 
-let rec plan_ref_vars = function
-  | One -> []
-  | Scan { filters; _ } -> List.concat_map pred_ref_vars filters
-  | Subquery { plan; _ } -> coll_plan_ref_vars plan
-  | Lateral { input; plan; _ } ->
-      plan_ref_vars input @ coll_plan_ref_vars plan
-  | Product { left; right } -> plan_ref_vars left @ plan_ref_vars right
-  | Hash_join { left; right; keys } ->
-      plan_ref_vars left @ plan_ref_vars right
-      @ List.concat_map
-          (fun k -> term_ref_vars k.outer @ term_ref_vars k.inner)
-          keys
-  | Filter { input; preds } ->
-      plan_ref_vars input @ List.concat_map pred_ref_vars preds
-  | Residual { input; conjs } ->
-      plan_ref_vars input @ List.concat_map formula_ref_vars conjs
-  | Semi { input; sub; keys; residual; _ } ->
-      plan_ref_vars input @ plan_ref_vars sub
-      @ List.concat_map
-          (fun k -> term_ref_vars k.outer @ term_ref_vars k.inner)
-          keys
-      @ List.concat_map pred_ref_vars residual
-  | Resolve { input; scope; _ } ->
-      plan_ref_vars input @ formula_ref_vars scope.body
-  | Prune { input; _ } -> plan_ref_vars input
-  | Append ts -> List.concat_map plan_ref_vars ts
+let key_ref_vars keys =
+  List.concat_map (fun k -> term_ref_vars k.outer @ term_ref_vars k.inner) keys
 
-and disjunct_ref_vars = function
-  | Project { input; assigns } ->
-      plan_ref_vars input @ List.concat_map (fun (_, t) -> term_ref_vars t) assigns
-  | Aggregate { input; keys; post; assigns; _ } ->
-      plan_ref_vars input
-      @ List.map fst keys
+let assign_ref_vars assigns =
+  List.concat_map (fun (_, t) -> term_ref_vars t) assigns
+
+(* the variables a node's own terms, predicates and formulas reference;
+   its children's are not included *)
+let own_ref_vars = function
+  | T (Scan { filters = ps; _ } | Filter { preds = ps; _ }) ->
+      List.concat_map pred_ref_vars ps
+  | T (Hash_join { keys; _ }) -> key_ref_vars keys
+  | T (Residual { conjs; _ }) -> List.concat_map formula_ref_vars conjs
+  | T (Semi { keys; residual; _ }) ->
+      key_ref_vars keys @ List.concat_map pred_ref_vars residual
+  | T (Resolve { scope; _ }) -> formula_ref_vars scope.body
+  | T (One | Subquery _ | Lateral _ | Product _ | Prune _ | Append _) -> []
+  | D (Project { assigns; _ }) -> assign_ref_vars assigns
+  | D (Aggregate { keys; post; assigns; _ }) ->
+      List.map fst keys
       @ List.concat_map formula_ref_vars post
-      @ List.concat_map (fun (_, t) -> term_ref_vars t) assigns
+      @ assign_ref_vars assigns
+  | C _ -> []
 
-and coll_plan_ref_vars p = List.concat_map disjunct_ref_vars p.disjuncts
+let rec ref_vars n = List.concat_map ref_vars (children n) @ own_ref_vars n
 
 (* ------------------------------------------------------------------ *)
 (* Delta substitution                                                  *)
@@ -298,90 +321,53 @@ and coll_plan_ref_vars p = List.concat_map disjunct_ref_vars p.disjuncts
 (* Shared by the executor's seminaive fixpoint and the incremental view
    maintenance layer (Arc_ivm): count scan occurrences of a set of
    relations and rewrite a single occurrence to read a different relation.
-   The traversal order only needs to be self-consistent between
-   [count_scans] and [subst_scan_with]; both use the same preorder,
-   descending into nested sub-plans and semi-join subtrees. *)
+   Occurrences are numbered in preorder under [children], descending into
+   nested sub-plans and semi-join subtrees. *)
 
 let delta_name n = "__delta__" ^ n
 
-let rec count_scans component (t : t) : int =
-  match t with
-  | One -> 0
-  | Scan { rel; _ } -> if List.mem rel component then 1 else 0
-  | Subquery { plan; _ } -> count_scans_coll component plan
-  | Lateral { input; plan; _ } ->
-      count_scans component input + count_scans_coll component plan
-  | Product { left; right } | Hash_join { left; right; _ } ->
-      count_scans component left + count_scans component right
-  | Filter { input; _ } | Residual { input; _ } | Resolve { input; _ }
-  | Prune { input; _ } ->
-      count_scans component input
-  | Semi { input; sub; _ } ->
-      count_scans component input + count_scans component sub
-  | Append ts ->
-      List.fold_left (fun acc t -> acc + count_scans component t) 0 ts
-
-and count_scans_disjunct component = function
-  | Project { input; _ } | Aggregate { input; _ } -> count_scans component input
-
-and count_scans_coll component p =
-  List.fold_left
-    (fun acc d -> acc + count_scans_disjunct component d)
-    0 p.disjuncts
+let count_scans component n =
+  fold
+    (fun k -> function
+      | T (Scan { rel; _ }) when List.mem rel component -> k + 1
+      | _ -> k)
+    0 n
 
 (* Occurrence [j] (preorder index among scans of [component] relations) is
    renamed with [rename j rel]; [None] leaves the scan untouched. The
-   rewrite is shape-preserving, so stable node ids carry over. Returns the
-   pipeline and collection rewriters, which share one occurrence
-   counter. *)
-let substituter component (rename : int -> rel_name -> rel_name option) =
+   rewrite is shape-preserving, so stable node ids carry over. *)
+let subst_scans component (rename : int -> rel_name -> rel_name option) n =
   let k = ref (-1) in
-  let rec go_t (t : t) : t =
-    match t with
-    | One -> t
-    | Scan s when List.mem s.rel component -> (
+  let rec go n =
+    match n with
+    | T (Scan s) when List.mem s.rel component -> (
         incr k;
         match rename !k s.rel with
-        | Some rel -> Scan { s with rel }
-        | None -> t)
-    | Scan _ -> t
-    | Subquery s -> Subquery { s with plan = go_coll s.plan }
-    | Lateral l -> Lateral { l with input = go_t l.input; plan = go_coll l.plan }
-    | Product { left; right } -> Product { left = go_t left; right = go_t right }
-    | Hash_join j -> Hash_join { j with left = go_t j.left; right = go_t j.right }
-    | Filter f -> Filter { f with input = go_t f.input }
-    | Residual r -> Residual { r with input = go_t r.input }
-    | Resolve r -> Resolve { r with input = go_t r.input }
-    | Prune p -> Prune { p with input = go_t p.input }
-    | Semi s -> Semi { s with input = go_t s.input; sub = go_t s.sub }
-    | Append ts -> Append (List.map go_t ts)
-  and go_disjunct = function
-    | Project pr -> Project { pr with input = go_t pr.input }
-    | Aggregate ag -> Aggregate { ag with input = go_t ag.input }
-  and go_coll p = { p with disjuncts = List.map go_disjunct p.disjuncts } in
-  (go_t, go_coll)
+        | Some rel -> T (Scan { s with rel })
+        | None -> n)
+    | _ -> map_children go n
+  in
+  go n
 
-let subst_scans_with component rename (p : coll_plan) : coll_plan =
-  snd (substituter component rename) p
-
-(* Same traversal over a bare pipeline, for callers that differentiate one
-   disjunct's input rather than a whole collection plan. *)
+(* The same rewrite over a bare pipeline, for callers that differentiate
+   one disjunct's input rather than a whole collection plan. *)
 let subst_scans_with_t component rename (t : t) : t =
-  fst (substituter component rename) t
+  to_t (subst_scans component rename (T t))
 
 let subst_scan component i (p : coll_plan) : coll_plan =
-  subst_scans_with component
-    (fun j rel -> if j = i then Some (delta_name rel) else None)
-    p
+  to_c
+    (subst_scans component
+       (fun j rel -> if j = i then Some (delta_name rel) else None)
+       (C p))
 
 (* The index of the disjunct of [p] that holds occurrence [i] of
-   [component], numbered as [subst_scans_with] numbers them. A delta rule
+   [component], numbered as [subst_scans] numbers them. A delta rule
    for that occurrence needs only this disjunct: the others do not read
    it. *)
 let occurrence_disjunct component i (p : coll_plan) : int =
   let rec go d i = function
     | x :: xs ->
-        let c = count_scans_disjunct component x in
+        let c = count_scans component (D x) in
         if i < c then d else go (d + 1) (i - c) xs
     | [] -> invalid_arg "Ir.occurrence_disjunct"
   in
@@ -392,49 +378,24 @@ let occurrence_disjunct component i (p : coll_plan) : int =
    the reference evaluator executes as callbacks (residual formulas,
    resolve scopes, aggregate post-conditions) cannot be substituted, so
    such components run whole-definition rules instead. *)
-let mentions_component component deps =
-  List.exists (fun (n, _) -> List.mem n component) deps
-
-let rec opaque_refs component (t : t) : bool =
-  let formula_refs f =
-    mentions_component component
+let opaque_refs component n =
+  let refs f =
+    List.exists
+      (fun (r, _) -> List.mem r component)
       (Arc_core.Depend.formula_deps ~neg:false ~grouped:false [] f)
   in
-  match t with
-  | One -> false
-  | Scan { filters; _ } -> List.exists (fun p -> formula_refs (Pred p)) filters
-  | Subquery { plan; _ } -> opaque_refs_coll component plan
-  | Lateral { input; plan; _ } ->
-      opaque_refs component input || opaque_refs_coll component plan
-  | Product { left; right } | Hash_join { left; right; _ } ->
-      opaque_refs component left || opaque_refs component right
-  | Filter { input; _ } | Prune { input; _ } -> opaque_refs component input
-  | Residual { input; conjs } ->
-      List.exists formula_refs conjs || opaque_refs component input
-  | Resolve { input; scope; _ } ->
-      formula_refs (Exists scope) || opaque_refs component input
-  | Semi { input; sub; _ } ->
-      opaque_refs component input || opaque_refs component sub
-  | Append ts -> List.exists (opaque_refs component) ts
-
-and opaque_refs_coll component p =
-  List.exists
-    (fun d ->
-      match d with
-      | Project { input; _ } -> opaque_refs component input
-      | Aggregate { input; post; _ } ->
-          opaque_refs component input
-          || List.exists
-               (fun f ->
-                 mentions_component component
-                   (Arc_core.Depend.formula_deps ~neg:false ~grouped:false [] f))
-               post)
-    p.disjuncts
+  exists
+    (function
+      | T (Residual { conjs; _ }) -> List.exists refs conjs
+      | T (Resolve { scope; _ }) -> refs (Exists scope)
+      | D (Aggregate { post; _ }) -> List.exists refs post
+      | _ -> false)
+    n
 
 let seminaive_eligible component (dps : def_plan list) =
   List.for_all
     (fun dp ->
-      (not (opaque_refs_coll component dp.dplan))
+      (not (opaque_refs component (C dp.dplan)))
       &&
       (* every AST-level reference must correspond to a plan scan *)
       let ast_refs =
@@ -443,5 +404,5 @@ let seminaive_eligible component (dps : def_plan list) =
              (fun (n, _) -> List.mem n component)
              (Arc_core.Depend.collection_deps dp.dcoll))
       in
-      count_scans_coll component dp.dplan = ast_refs)
+      count_scans component (C dp.dplan) = ast_refs)
     dps

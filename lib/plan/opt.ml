@@ -14,41 +14,16 @@ and env = Lower.env
 (* including sub-plans of nested collections and semi-join subtrees.    *)
 (* ------------------------------------------------------------------ *)
 
-let rec map_pipelines (f : Ir.t -> Ir.t) (p : Ir.coll_plan) : Ir.coll_plan =
-  {
-    p with
-    disjuncts =
-      List.map
-        (fun d ->
-          match d with
-          | Ir.Project pr ->
-              Ir.Project { pr with input = f (map_nested f pr.input) }
-          | Ir.Aggregate ag ->
-              Ir.Aggregate { ag with input = f (map_nested f ag.input) })
-        p.disjuncts;
-  }
+let rec map_nested f n =
+  match Ir.map_children (map_nested f) n with
+  | (Ir.D _ | Ir.T (Ir.Append _)) as n ->
+      (* a disjunct's input and each append branch are pipeline roots *)
+      Ir.map_children (fun c -> Ir.T (f (Ir.to_t c))) n
+  | Ir.T (Ir.Semi s) -> Ir.T (Ir.Semi { s with sub = f s.sub })
+  | n -> n
 
-and map_nested f (t : Ir.t) : Ir.t =
-  match t with
-  | One | Scan _ -> t
-  | Subquery s -> Subquery { s with plan = map_pipelines f s.plan }
-  | Lateral l ->
-      Lateral
-        { l with input = map_nested f l.input; plan = map_pipelines f l.plan }
-  | Product p ->
-      Product { left = map_nested f p.left; right = map_nested f p.right }
-  | Hash_join j ->
-      Hash_join
-        { j with left = map_nested f j.left; right = map_nested f j.right }
-  | Filter fl -> Filter { fl with input = map_nested f fl.input }
-  | Residual r -> Residual { r with input = map_nested f r.input }
-  | Semi s ->
-      Semi
-        { s with input = map_nested f s.input; sub = f (map_nested f s.sub) }
-  | Resolve r -> Resolve { r with input = map_nested f r.input }
-  | Prune p -> Prune { p with input = map_nested f p.input }
-  (* each append branch is an independent pipeline region *)
-  | Append ts -> Append (List.map (fun t -> f (map_nested f t)) ts)
+let map_pipelines (f : Ir.t -> Ir.t) (p : Ir.coll_plan) : Ir.coll_plan =
+  Ir.to_c (map_nested f (Ir.C p))
 
 let subset xs ys = List.for_all (fun x -> List.mem x ys) xs
 
@@ -158,27 +133,14 @@ let order_scan_filters (env : env) (t : Ir.t) : Ir.t =
     in
     List.map snd (List.stable_sort (fun (a, _) (b, _) -> compare a b) keyed)
   in
-  let rec go t =
-    match t with
-    | Ir.One -> t
-    | Ir.Scan s when List.length s.filters > 1 ->
-        Ir.Scan { s with filters = sort_filters s.var s.rel s.filters }
-    | Ir.Scan _ -> t
-    | Ir.Subquery s -> Ir.Subquery { s with plan = map_pipelines go s.plan }
-    | Ir.Lateral l ->
-        Ir.Lateral
-          { l with input = go l.input; plan = map_pipelines go l.plan }
-    | Ir.Product p -> Ir.Product { left = go p.left; right = go p.right }
-    | Ir.Hash_join j ->
-        Ir.Hash_join { j with left = go j.left; right = go j.right }
-    | Ir.Filter f -> Ir.Filter { f with input = go f.input }
-    | Ir.Residual r -> Ir.Residual { r with input = go r.input }
-    | Ir.Semi s -> Ir.Semi { s with input = go s.input; sub = go s.sub }
-    | Ir.Resolve r -> Ir.Resolve { r with input = go r.input }
-    | Ir.Prune p -> Ir.Prune { p with input = go p.input }
-    | Ir.Append ts -> Ir.Append (List.map go ts)
+  (* every scan of the pipeline, nested sub-plans included *)
+  let rec go n =
+    match Ir.map_children go n with
+    | Ir.T (Ir.Scan s) when List.length s.filters > 1 ->
+        Ir.T (Ir.Scan { s with filters = sort_filters s.var s.rel s.filters })
+    | n -> n
   in
-  go t
+  Ir.to_t (go (Ir.T t))
 
 let pass_pushdown =
   {
@@ -513,7 +475,7 @@ let rec prune_t needed (t : Ir.t) : Ir.t =
   | One | Scan _ | Subquery _ -> t
   | Prune { input; _ } -> prune_t needed input
   | Product { left; right } ->
-      let nl = union_vars needed (Ir.plan_ref_vars right) in
+      let nl = union_vars needed (Ir.ref_vars (Ir.T right)) in
       Product
         {
           left = wrap nl (prune_t nl left);
@@ -557,69 +519,30 @@ let rec prune_t needed (t : Ir.t) : Ir.t =
       let n = union_vars needed (Ir.formula_ref_vars r.scope.body) in
       Resolve { r with input = prune_t n r.input }
   | Lateral l ->
-      let n = union_vars needed (Ir.coll_plan_ref_vars l.plan) in
+      let n = union_vars needed (Ir.ref_vars (Ir.C l.plan)) in
       Lateral { l with input = prune_t n l.input }
   (* branches bind the same variable set; prune each with the same needs *)
   | Append ts -> Append (List.map (prune_t needed) ts)
 
-let prune_coll (p : Ir.coll_plan) : Ir.coll_plan =
-  {
-    p with
-    disjuncts =
-      List.map
-        (fun d ->
-          match d with
-          | Ir.Project pr ->
-              let n =
-                List.concat_map (fun (_, t) -> Ir.term_ref_vars t) pr.assigns
-              in
-              Ir.Project { pr with input = wrap n (prune_t n pr.input) }
-          | Ir.Aggregate ag ->
-              let n =
-                List.map fst ag.keys
-                @ List.concat_map Ir.formula_ref_vars ag.post
-                @ List.concat_map (fun (_, t) -> Ir.term_ref_vars t) ag.assigns
-              in
-              Ir.Aggregate { ag with input = wrap n (prune_t n ag.input) })
-        p.disjuncts;
-  }
-
-let rec deep_prune (p : Ir.coll_plan) : Ir.coll_plan =
-  (* prune this level, then recurse into nested collection plans *)
-  let p = prune_coll p in
-  {
-    p with
-    disjuncts =
-      List.map
-        (fun d ->
-          match d with
-          | Ir.Project pr -> Ir.Project { pr with input = prune_nested pr.input }
-          | Ir.Aggregate ag ->
-              Ir.Aggregate { ag with input = prune_nested ag.input })
-        p.disjuncts;
-  }
-
-and prune_nested (t : Ir.t) : Ir.t =
-  match t with
-  | One | Scan _ -> t
-  | Subquery s -> Subquery { s with plan = deep_prune s.plan }
-  | Lateral l ->
-      Lateral { l with input = prune_nested l.input; plan = deep_prune l.plan }
-  | Product p ->
-      Product { left = prune_nested p.left; right = prune_nested p.right }
-  | Hash_join j ->
-      Hash_join
-        { j with left = prune_nested j.left; right = prune_nested j.right }
-  | Filter f -> Filter { f with input = prune_nested f.input }
-  | Residual r -> Residual { r with input = prune_nested r.input }
-  | Semi s ->
-      Semi { s with input = prune_nested s.input; sub = prune_nested s.sub }
-  | Resolve r -> Resolve { r with input = prune_nested r.input }
-  | Prune p -> Prune { p with input = prune_nested p.input }
-  | Append ts -> Append (List.map prune_nested ts)
+(* Prune each disjunct's input to what the disjunct itself references,
+   then recurse into nested collection plans. *)
+let rec deep_prune n =
+  let n =
+    match n with
+    | Ir.D _ ->
+        let needed = Ir.own_ref_vars n in
+        Ir.map_children
+          (fun i -> Ir.T (wrap needed (prune_t needed (Ir.to_t i))))
+          n
+    | _ -> n
+  in
+  Ir.map_children deep_prune n
 
 let pass_prune =
-  { name = "prune-columns"; transform = (fun _env p -> deep_prune p) }
+  {
+    name = "prune-columns";
+    transform = (fun _env p -> Ir.to_c (deep_prune (Ir.C p)));
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline                                                            *)

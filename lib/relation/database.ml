@@ -77,8 +77,6 @@ let stats_bindings t = M.bindings t.stats
 let set_stats t name s =
   if M.mem name t.rels then { t with stats = M.add name s t.stats } else t
 
-let clear_stats t = { t with stats = M.empty }
-
 let pp fmt t =
   M.iter
     (fun n r ->

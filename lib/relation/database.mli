@@ -40,5 +40,4 @@ val stats_bindings : t -> (string * Stats.t) list
 val set_stats : t -> string -> Stats.t -> t
 (** No-op when the relation does not exist. *)
 
-val clear_stats : t -> t
 val pp : Format.formatter -> t -> unit

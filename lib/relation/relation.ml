@@ -206,7 +206,11 @@ let apply_delta t (delta : (Tuple.t * int) list) =
 let diff_signed t_old t_new =
   if not (Schema.equal_names t_old.schema t_new.schema) then
     invalid_arg "Relation.diff_signed: schema mismatch";
-  let net = Tuple.Tbl.create 64 in
+  (* at most |old| + |new| distinct rows, and a table grows only past two
+     entries per bucket: this many buckets never rehash *)
+  let net =
+    Tuple.Tbl.create (max (cardinality t_old) (cardinality t_new))
+  in
   let tally sign rel =
     iter
       (fun tp ->

@@ -69,7 +69,6 @@ let item ?alias item_expr = { item_expr; item_alias = alias }
 let col ?table name = E_col (table, name)
 
 let equal_statement (a : statement) (b : statement) = a = b
-let equal_set_query (a : set_query) (b : set_query) = a = b
 
 let item_name i it =
   match it.item_alias with

@@ -90,7 +90,6 @@ val item : ?alias:string -> expr -> select_item
 val col : ?table:string -> string -> expr
 
 val equal_statement : statement -> statement -> bool
-val equal_set_query : set_query -> set_query -> bool
 
 val item_name : int -> select_item -> string
 (** Output column name of the [i]-th item: its alias, else its column name,

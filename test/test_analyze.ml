@@ -186,12 +186,38 @@ let q_error_algebra () =
   check "zero estimate clamps" 5.0 (Ir.q_error 0 5);
   check "zero actual clamps" 5.0 (Ir.q_error 5 0)
 
+(* Fuzz programs (seeds 42, 1009, 2024) bring laterals, appends, semi-joins
+   and recursion to the id checks below; a budget trip still leaves the
+   actuals recorded so far. *)
+let fuzz_programs =
+  List.concat_map
+    (fun seed ->
+      List.filter_map
+        (fun i ->
+          let case = Arc_fuzz.Gen.gen_case (Random.State.make [| seed; i |]) in
+          match Arc_fuzz.Case.validate case with
+          | Error _ -> None
+          | Ok () ->
+              Some
+                ( Printf.sprintf "fuzz s%d-c%d" seed i,
+                  case.Arc_fuzz.Case.db,
+                  case.Arc_fuzz.Case.prog ))
+        (List.init 100 Fun.id))
+    [ 42; 1009; 2024 ]
+
 (* node ids are stable and dense: preorder numbering covers 0..n-1 with no
-   duplicates, matching Ir.program_ids *)
+   duplicates, matching Ir.program_ids; every id the executor records is a
+   node; each node is among its parent's [Ir.node_child_ids]; and each
+   definition has [Ir.size_coll] nodes *)
 let ids_dense () =
   List.iter
     (fun (name, db, prog) ->
-      let optimized, stats, _ = run_with_stats db prog in
+      let ctx, _, optimized, _ =
+        Exec.compile ~guard:(Arc_fuzz.Oracle.guard ()) ~db prog
+      in
+      let stats = Ir.fresh_stats () in
+      (try ignore (Exec.exec_program ~stats ctx optimized)
+       with Eval.Eval_error _ -> ());
       let infos = Explain.analyze_info optimized ~stats in
       let ids = List.map (fun ni -> ni.Explain.ni_id) infos in
       let sorted = List.sort_uniq compare ids in
@@ -201,8 +227,53 @@ let ids_dense () =
         (fun i id ->
           if i <> id then
             Alcotest.failf "%s: ids not dense at %d (got %d)" name i id)
-        sorted)
-    analyze_workloads
+        sorted;
+      Hashtbl.iter
+        (fun id _ ->
+          if not (List.mem id ids) then
+            Alcotest.failf "%s: actuals recorded for id %d, not a node" name id)
+        stats;
+      (* the plan's nodes by id, numbered by the same walk *)
+      let nodes = Hashtbl.create 64 in
+      let rec walk id n =
+        Hashtbl.replace nodes id n;
+        List.iter2 walk (Ir.node_child_ids id n) (Ir.children n)
+      in
+      let def_ids, main_id = Ir.program_ids optimized in
+      let roots =
+        List.map2
+          (fun (dname, id) dp -> (dname, id, dp.Ir.dplan))
+          def_ids (Ir.program_defs optimized)
+        @
+        match optimized.Ir.main with
+        | Ir.Main_coll p -> [ ("main", Option.get main_id, p) ]
+        | Ir.Main_sentence _ -> []
+      in
+      List.iter (fun (_, id, p) -> walk id (Ir.C p)) roots;
+      List.iter
+        (fun ni ->
+          match ni.Explain.ni_parent with
+          | None -> ()
+          | Some p ->
+              if
+                not
+                  (List.mem ni.Explain.ni_id
+                     (Ir.node_child_ids p (Hashtbl.find nodes p)))
+              then
+                Alcotest.failf "%s: node %d not a child of its parent %d" name
+                  ni.Explain.ni_id p)
+        infos;
+      List.iter
+        (fun (section, _, p) ->
+          let n =
+            List.length
+              (List.filter (fun ni -> ni.Explain.ni_def = section) infos)
+          in
+          if n <> Ir.size_coll p then
+            Alcotest.failf "%s: %s has %d nodes, size_coll says %d" name
+              section n (Ir.size_coll p))
+        roots)
+    (analyze_workloads @ fuzz_programs)
 
 (* --- metrics registry ------------------------------------------------- *)
 

@@ -527,7 +527,7 @@ let whole_definition_fixpoint () =
              let base =
                Option.get
                  (Ir.actual_of stats
-                    (List.hd (Ir.coll_child_ids id dp.Ir.dplan)))
+                    (List.hd (Ir.node_child_ids id (Ir.C dp.Ir.dplan))))
              in
              Alcotest.(check (pair int int))
                (name ^ ": base disjunct runs once")
