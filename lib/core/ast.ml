@@ -58,6 +58,78 @@ type program = { defs : definition list; main : query }
 
 let program ?(defs = []) main = { defs; main }
 
+(* A formula contains two kinds of node: sub-formulas and the nested
+   collections its scopes bind. [map_children] is the one definition of
+   which nodes a node contains, and in what order; [children] and [fold]
+   read it. Structural walks descend through these three, while walks
+   that track scoping or evaluation keep their own match. *)
+type node = F of formula | C of collection
+
+let to_formula = function F f -> f | C _ -> invalid_arg "Ast.to_formula"
+
+let to_collection = function
+  | C c -> c
+  | F _ -> invalid_arg "Ast.to_collection"
+
+(* [List.map], keeping the list itself when every element comes back
+   physically unchanged *)
+let map_shared f l =
+  let l' = List.map f l in
+  if List.for_all2 ( == ) l l' then l else l'
+
+(* Rebuilds a node with [f] applied to each child, left to right: the
+   operands of a connective; an [∃] scope's nested collections in binding
+   order, then its body; a collection's body. [f] must return a node of
+   the kind it was given. A node whose children all come back physically
+   unchanged is returned as is. *)
+let map_children f n =
+  let formula g = to_formula (f (F g)) in
+  match n with
+  | F (True | Pred _) -> n
+  | F (And fs) ->
+      let fs' = map_shared formula fs in
+      if fs' == fs then n else F (And fs')
+  | F (Or fs) ->
+      let fs' = map_shared formula fs in
+      if fs' == fs then n else F (Or fs')
+  | F (Not g) ->
+      let g' = formula g in
+      if g' == g then n else F (Not g')
+  | F (Exists s) ->
+      let binding b =
+        match b.source with
+        | Base _ -> b
+        | Nested c ->
+            let c' = to_collection (f (C c)) in
+            if c' == c then b else { b with source = Nested c' }
+      in
+      let bindings = map_shared binding s.bindings in
+      let body = formula s.body in
+      if bindings == s.bindings && body == s.body then n
+      else F (Exists { s with bindings; body })
+  | C c ->
+      let body = formula c.body in
+      if body == c.body then n else C { c with body }
+
+let children n =
+  let kids = ref [] in
+  ignore
+    (map_children
+       (fun k ->
+         kids := k :: !kids;
+         k)
+       n);
+  List.rev !kids
+
+(* preorder: a node before its children *)
+let rec fold f acc n = List.fold_left (fold f) (f acc n) (children n)
+
+let query_node = function Coll c -> C c | Sentence f -> F f
+
+let map_query f = function
+  | Coll c -> Coll (to_collection (f (C c)))
+  | Sentence s -> Sentence (to_formula (f (F s)))
+
 let rec equal_term a b =
   match (a, b) with
   | Const x, Const y -> Arc_value.Value.equal x y

@@ -95,6 +95,46 @@ type program = { defs : definition list; main : query }
 
 val program : ?defs:definition list -> query -> program
 
+(** {1 The node view}
+
+    The one definition of what a formula contains. A node is a formula or
+    a collection; its children are, in order:
+    - [True], [Pred _]: none;
+    - [And fs], [Or fs]: the operands, in order;
+    - [Not f]: [f];
+    - [Exists s]: the nested collections of [s]'s bindings, in binding
+      order ([Base] bindings contribute none), then [s]'s body;
+    - a collection: its body.
+
+    Canonical forms, skeletons, relational patterns, fragment features,
+    negation normalization and unnesting descend through this view, so
+    they reach nested collections by construction. Walks that track
+    scoping (free variables, renaming, validation) or evaluate keep their
+    own match. *)
+
+type node = F of formula | C of collection
+
+val children : node -> node list
+
+val map_children : (node -> node) -> node -> node
+(** Rebuilds a node with the function applied to each child, left to
+    right; the function must return a node of the kind it was given. A
+    node whose children all come back physically unchanged is returned as
+    is. *)
+
+val fold : ('a -> node -> 'a) -> 'a -> node -> 'a
+(** Preorder: a node before its children, children in {!children}'s
+    order. *)
+
+val to_formula : node -> formula
+(** [Invalid_argument] on a collection. *)
+
+val query_node : query -> node
+(** A collection query's collection, or a sentence's formula. *)
+
+val map_query : (node -> node) -> query -> query
+(** Applies a node rewrite to a query's root node. *)
+
 (** {1 Structural equality} (used by tests and canonical-form comparison) *)
 
 val equal_term : term -> term -> bool

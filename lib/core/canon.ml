@@ -29,6 +29,19 @@ let rec simplify_formula f =
       match fs' with [ g ] -> g | _ -> Or fs')
   | Exists s -> Exists { s with body = simplify_formula s.body }
 
+(* [simplify_formula] stops at nested collections, which the engines
+   simplify when they reach them; canonical forms and patterns apply it to
+   every collection's body, innermost first *)
+let rec simplify_collections n =
+  match map_children simplify_collections n with
+  | C c -> C { c with body = simplify_formula c.body }
+  | n -> n
+
+let simplify_query q =
+  match map_query simplify_collections q with
+  | Sentence f -> Sentence (simplify_formula f)
+  | q -> q
+
 (* ------------------------------------------------------------------ *)
 (* Renaming                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -157,32 +170,14 @@ let rec formula_key = function
 
 and coll_key c = Pp.head c.head ^ "|" ^ formula_key c.body
 
-let rec sort_formula f =
-  match f with
-  | True -> True
-  | Pred p -> Pred (orient_pred p)
-  | And fs ->
-      let fs' = List.map sort_formula fs in
-      And (List.sort (fun a b -> compare (formula_key a) (formula_key b)) fs')
-  | Or fs ->
-      let fs' = List.map sort_formula fs in
-      Or (List.sort (fun a b -> compare (formula_key a) (formula_key b)) fs')
-  | Not f -> Not (sort_formula f)
-  | Exists s ->
-      Exists
-        {
-          s with
-          bindings =
-            List.map
-              (fun b ->
-                match b.source with
-                | Base _ -> b
-                | Nested c -> { b with source = Nested (sort_collection c) })
-              s.bindings;
-          body = sort_formula s.body;
-        }
+let by_key a b = compare (formula_key a) (formula_key b)
 
-and sort_collection c = { c with body = sort_formula c.body }
+let rec sort n =
+  match map_children sort n with
+  | F (Pred p) -> F (Pred (orient_pred p))
+  | F (And fs) -> F (And (List.sort by_key fs))
+  | F (Or fs) -> F (Or (List.sort by_key fs))
+  | n -> n
 
 (* ------------------------------------------------------------------ *)
 (* Public API                                                          *)
@@ -190,12 +185,10 @@ and sort_collection c = { c with body = sort_formula c.body }
 
 let canonical_query q =
   let r = { next_var = 0; next_head = 0 } in
-  match q with
-  | Coll c ->
-      let c = rename_collection r [] { c with body = simplify_formula c.body } in
-      Coll (sort_collection c)
-  | Sentence f ->
-      Sentence (sort_formula (rename_formula r [] (simplify_formula f)))
+  map_query sort
+    (match simplify_query q with
+    | Coll c -> Coll (rename_collection r [] c)
+    | Sentence f -> Sentence (rename_formula r [] f))
 
 (* Skeleton: positional head attributes, canonical var names. *)
 
@@ -208,21 +201,9 @@ let skeleton q =
     List.iteri (fun i a -> Hashtbl.replace tbl a (Printf.sprintf "a%d" (i + 1))) h.head_attrs;
     Hashtbl.replace head_maps h.head_name tbl
   in
-  let rec scan_formula = function
-    | True | Pred _ -> ()
-    | And fs | Or fs -> List.iter scan_formula fs
-    | Not f -> scan_formula f
-    | Exists s ->
-        List.iter
-          (fun b ->
-            match b.source with Nested c -> scan_coll c | Base _ -> ())
-          s.bindings;
-        scan_formula s.body
-  and scan_coll c =
-    register_head c.head;
-    scan_formula c.body
-  in
-  (match q with Coll c -> scan_coll c | Sentence f -> scan_formula f);
+  fold
+    (fun () -> function C c -> register_head c.head | F _ -> ())
+    () (query_node q);
   let rename_attr v a =
     match Hashtbl.find_opt head_maps v with
     | Some tbl -> (

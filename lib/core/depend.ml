@@ -27,6 +27,7 @@ let collection_deps (c : collection) =
   formula_deps ~neg:false ~grouped:false [] c.body
 
 let def_deps (d : definition) = collection_deps d.def_body
+let refs f = List.map fst (formula_deps ~neg:false ~grouped:false [] f)
 
 (* Tarjan's SCC algorithm; emits components dependencies-first. *)
 let sccs (defs : definition list) =
@@ -81,3 +82,7 @@ let is_recursive adj component =
       | Some deps -> List.exists (fun (m, _) -> m = n) deps
       | None -> false)
   | _ -> true
+
+let recursive_defs defs =
+  let components, adj = sccs defs in
+  List.concat (List.filter (is_recursive adj) components)

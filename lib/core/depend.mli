@@ -16,6 +16,10 @@ val formula_deps :
 val collection_deps : collection -> (rel_name * bool) list
 val def_deps : definition -> (rel_name * bool) list
 
+val refs : formula -> rel_name list
+(** The relations a formula reads, nested collections included, once per
+    reference: the names of {!formula_deps}. *)
+
 val sccs :
   definition list ->
   rel_name list list * (rel_name * (rel_name * bool) list) list
@@ -25,3 +29,7 @@ val sccs :
 val is_recursive :
   (rel_name * (rel_name * bool) list) list -> rel_name list -> bool
 (** A component is recursive when it has >1 member or a self-edge. *)
+
+val recursive_defs : definition list -> rel_name list
+(** The definitions that (transitively) refer to themselves: the members
+    of the recursive components of {!sccs}. *)

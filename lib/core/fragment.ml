@@ -61,36 +61,22 @@ let pred_features = function
       merge { empty with uses_null_predicates = true } (term_features t)
   | Like (t, _) -> merge { empty with uses_like = true } (term_features t)
 
-let rec formula_features = function
-  | True -> empty
-  | Pred p -> pred_features p
-  | And fs -> List.fold_left merge empty (List.map formula_features fs)
-  | Or fs ->
-      List.fold_left merge
-        { empty with uses_disjunction = fs <> [] && List.length fs > 1 }
-        (List.map formula_features fs)
-  | Not f -> merge { empty with uses_negation = true } (formula_features f)
-  | Exists s ->
-      let base =
-        {
-          empty with
-          uses_grouping = s.grouping <> None;
-          uses_join_annotations = s.join <> None;
-        }
-      in
-      let bindings =
-        List.fold_left
-          (fun acc b ->
-            match b.source with
-            | Base _ -> acc
-            | Nested c ->
-                merge acc
-                  (merge
-                     { empty with uses_nested_collections = true }
-                     (formula_features c.body)))
-          base s.bindings
-      in
-      merge bindings (formula_features s.body)
+(* a node's own features; [fold] adds its children's *)
+let node_features = function
+  | F (True | And _) -> empty
+  | F (Pred p) -> pred_features p
+  | F (Or fs) -> { empty with uses_disjunction = List.length fs > 1 }
+  | F (Not _) -> { empty with uses_negation = true }
+  | F (Exists s) ->
+      {
+        empty with
+        uses_grouping = s.grouping <> None;
+        uses_join_annotations = s.join <> None;
+      }
+  | C _ -> { empty with uses_nested_collections = true }
+
+let formula_features f =
+  fold (fun acc n -> merge acc (node_features n)) empty (F f)
 
 let features = function
   | Coll c -> formula_features c.body
@@ -132,39 +118,4 @@ let name q =
     if exts = [] then "TRC (relationally complete)"
     else "ARC + " ^ String.concat " + " exts
 
-let uses_recursion (p : program) =
-  (* transitive self-reference through definition names *)
-  let names = List.map (fun d -> d.def_name) p.defs in
-  let deps_of d =
-    let acc = ref [] in
-    let rec walk_f = function
-      | True | Pred _ -> ()
-      | And fs | Or fs -> List.iter walk_f fs
-      | Not f -> walk_f f
-      | Exists s ->
-          List.iter
-            (fun b ->
-              match b.source with
-              | Base n -> if List.mem n names then acc := n :: !acc
-              | Nested c -> walk_f c.body)
-            s.bindings;
-          walk_f s.body
-    in
-    walk_f d.def_body.body;
-    !acc
-  in
-  let table = List.map (fun d -> (d.def_name, deps_of d)) p.defs in
-  let reachable_from start =
-    let seen = Hashtbl.create 8 in
-    let rec go n =
-      List.iter
-        (fun m ->
-          if not (Hashtbl.mem seen m) then (
-            Hashtbl.add seen m ();
-            go m))
-        (try List.assoc n table with Not_found -> [])
-    in
-    go start;
-    seen
-  in
-  List.exists (fun d -> Hashtbl.mem (reachable_from d.def_name) d.def_name) p.defs
+let uses_recursion (p : program) = Depend.recursive_defs p.defs <> []

@@ -44,38 +44,14 @@ let rec has_outer = function
   | J_inner l -> List.exists has_outer l
   | J_left _ | J_full _ -> true
 
-(* Does the formula reference any variable from [outer] (variables bound in
-   scopes enclosing the current collection)? *)
+(* Does the collection reference any variable from [outer] (variables
+   bound in scopes enclosing it)? *)
 let correlated_with outer c =
-  let hit = ref false in
-  let rec walk_f bound = function
-    | True -> ()
-    | Pred p ->
-        List.iter
-          (fun t ->
-            List.iter
-              (fun (v, _) ->
-                if List.mem v outer && not (List.mem v bound) then hit := true)
-              (term_vars t))
-          (pred_terms p)
-    | And fs | Or fs -> List.iter (walk_f bound) fs
-    | Not f -> walk_f bound f
-    | Exists s ->
-        let bound' =
-          List.fold_left
-            (fun b bd ->
-              (match bd.source with
-              | Nested c' -> walk_f (c'.head.head_name :: b) c'.body
-              | Base _ -> ());
-              bd.var :: b)
-            bound s.bindings
-        in
-        walk_f bound' s.body
-  in
-  walk_f [ c.head.head_name ] c.body;
-  !hit
+  List.exists (fun v -> List.mem v outer) (Analysis.free_vars_query (Coll c))
 
 let of_query q =
+  (* counted on the connective-simplified query, as the skeleton is *)
+  let q = Canon.simplify_query q in
   let acc =
     {
       rels = [];

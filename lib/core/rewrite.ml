@@ -4,18 +4,15 @@ open Ast
 (* Negation normalization                                              *)
 (* ------------------------------------------------------------------ *)
 
-let rec push_negation f =
-  match f with
-  | True | Pred _ -> f
-  | And fs -> And (List.map push_negation fs)
-  | Or fs -> Or (List.map push_negation fs)
-  | Exists s -> Exists { s with body = push_negation s.body }
-  | Not g -> (
-      match g with
-      | Not h -> push_negation h
-      | Or fs -> And (List.map (fun h -> push_negation (Not h)) fs)
-      | And fs -> Or (List.map (fun h -> push_negation (Not h)) fs)
-      | h -> Not (push_negation h))
+let rec push n =
+  let negated fs = List.map (fun h -> to_formula (push (F (Not h)))) fs in
+  match n with
+  | F (Not (Not h)) -> push (F h)
+  | F (Not (Or fs)) -> F (And (negated fs))
+  | F (Not (And fs)) -> F (Or (negated fs))
+  | n -> map_children push n
+
+let push_negation f = to_formula (push (F f))
 
 (* ------------------------------------------------------------------ *)
 (* Unnesting                                                           *)
@@ -23,26 +20,9 @@ let rec push_negation f =
 
 let scope_vars s = List.map (fun b -> b.var) s.bindings
 
-let rec merge_formula f =
-  match f with
-  | True | Pred _ -> f
-  | And fs -> And (List.map merge_formula fs)
-  | Or fs -> Or (List.map merge_formula fs)
-  | Not g -> Not (merge_formula g)
-  | Exists outer -> (
-      let outer =
-        {
-          outer with
-          bindings =
-            List.map
-              (fun b ->
-                match b.source with
-                | Nested c -> { b with source = Nested (merge_collection c) }
-                | Base _ -> b)
-              outer.bindings;
-          body = merge_formula outer.body;
-        }
-      in
+let rec merge n =
+  match map_children merge n with
+  | F (Exists outer) as n -> (
       let mergeable inner =
         outer.grouping = None && inner.grouping = None && outer.join = None
         && inner.join = None
@@ -50,15 +30,18 @@ let rec merge_formula f =
              (fun v -> not (List.mem v (scope_vars outer)))
              (scope_vars inner)
       in
+      let merged inner body =
+        F
+          (Exists
+             {
+               bindings = outer.bindings @ inner.bindings;
+               grouping = None;
+               join = None;
+               body;
+             })
+      in
       match outer.body with
-      | Exists inner when mergeable inner ->
-          Exists
-            {
-              bindings = outer.bindings @ inner.bindings;
-              grouping = None;
-              join = None;
-              body = inner.body;
-            }
+      | Exists inner when mergeable inner -> merged inner inner.body
       | And fs -> (
           (* a single plain inner scope among other conjuncts also merges:
              the other conjuncts cannot reference the inner bindings *)
@@ -66,21 +49,13 @@ let rec merge_formula f =
             List.partition (function Exists _ -> true | _ -> false) fs
           with
           | [ Exists inner ], rest when mergeable inner ->
-              Exists
-                {
-                  bindings = outer.bindings @ inner.bindings;
-                  grouping = None;
-                  join = None;
-                  body = Canon.simplify_formula (And (rest @ [ inner.body ]));
-                }
-          | _ -> Exists outer)
-      | _ -> Exists outer)
+              merged inner
+                (Canon.simplify_formula (And (rest @ [ inner.body ])))
+          | _ -> n)
+      | _ -> n)
+  | n -> n
 
-and merge_collection c = { c with body = merge_formula c.body }
-
-let merge_nested_exists = function
-  | Coll c -> Coll (merge_collection c)
-  | Sentence f -> Sentence (merge_formula f)
+let merge_nested_exists = map_query merge
 
 (* ------------------------------------------------------------------ *)
 (* Definition inlining                                                 *)
@@ -89,41 +64,7 @@ let merge_nested_exists = function
 let inline_definitions (p : program) : program =
   (* classify inlinable definitions: non-recursive and safe *)
   let safeties = Analysis.program_safety p in
-  (* a definition is recursive if its name is reachable from itself through
-     definition references (covers mutual recursion) *)
-  let names = List.map (fun d -> d.def_name) p.defs in
-  let deps_of d =
-    let acc = ref [] in
-    let rec walk_f = function
-      | True | Pred _ -> ()
-      | And fs | Or fs -> List.iter walk_f fs
-      | Not f -> walk_f f
-      | Exists s ->
-          List.iter
-            (fun b ->
-              match b.source with
-              | Base n -> if List.mem n names then acc := n :: !acc
-              | Nested c -> walk_f c.body)
-            s.bindings;
-          walk_f s.body
-    in
-    walk_f d.def_body.body;
-    !acc
-  in
-  let table = List.map (fun d -> (d.def_name, deps_of d)) p.defs in
-  let is_recursive name =
-    let seen = Hashtbl.create 8 in
-    let rec go n =
-      List.exists
-        (fun m ->
-          m = name
-          || (not (Hashtbl.mem seen m))
-             && (Hashtbl.add seen m ();
-                 go m))
-        (try List.assoc n table with Not_found -> [])
-    in
-    go name
-  in
+  let recursive = Depend.recursive_defs p.defs in
   let is_safe name =
     match List.assoc_opt name safeties with
     | Some Analysis.Safe -> true
@@ -132,39 +73,27 @@ let inline_definitions (p : program) : program =
   let inlinable = Hashtbl.create 8 in
   List.iter
     (fun d ->
-      if (not (is_recursive d.def_name)) && is_safe d.def_name then
+      if (not (List.mem d.def_name recursive)) && is_safe d.def_name then
         Hashtbl.replace inlinable d.def_name d.def_body)
     p.defs;
-  (* inline bottom-up: definitions may reference earlier definitions *)
-  let rec rewrite_formula f =
-    match f with
-    | True | Pred _ -> f
-    | And fs -> And (List.map rewrite_formula fs)
-    | Or fs -> Or (List.map rewrite_formula fs)
-    | Not g -> Not (rewrite_formula g)
-    | Exists s ->
-        Exists
-          {
-            s with
-            bindings =
-              List.map
-                (fun b ->
-                  match b.source with
-                  | Base n -> (
-                      match Hashtbl.find_opt inlinable n with
-                      | Some c ->
-                          { b with source = Nested (rewrite_collection c) }
-                      | None -> b)
-                  | Nested c -> { b with source = Nested (rewrite_collection c) })
-                s.bindings;
-            body = rewrite_formula s.body;
-          }
-  and rewrite_collection c = { c with body = rewrite_formula c.body } in
-  let main =
-    match p.main with
-    | Coll c -> Coll (rewrite_collection c)
-    | Sentence f -> Sentence (rewrite_formula f)
+  (* a binding to an inlinable definition becomes its body, which is then
+     rewritten in turn: definitions may reference earlier definitions *)
+  let inline b =
+    match b.source with
+    | Base n -> (
+        match Hashtbl.find_opt inlinable n with
+        | Some c -> { b with source = Nested c }
+        | None -> b)
+    | Nested _ -> b
   in
+  let rec rewrite n =
+    map_children rewrite
+      (match n with
+      | F (Exists s) ->
+          F (Exists { s with bindings = List.map inline s.bindings })
+      | n -> n)
+  in
+  let main = map_query rewrite p.main in
   let defs =
     List.filter (fun d -> not (Hashtbl.mem inlinable d.def_name)) p.defs
   in

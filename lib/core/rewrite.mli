@@ -11,8 +11,9 @@ open Ast
 
 val push_negation : formula -> formula
 (** De Morgan + double-negation normalization: [¬¬φ → φ],
-    [¬(φ ∨ ψ) → ¬φ ∧ ¬ψ], [¬(φ ∧ ψ) → ¬φ ∨ ¬ψ]. Convention-independent
-    under two-valued {e and} three-valued logic (Kleene De Morgan). *)
+    [¬(φ ∨ ψ) → ¬φ ∧ ¬ψ], [¬(φ ∧ ψ) → ¬φ ∨ ¬ψ], everywhere in the formula,
+    nested collections included. Convention-independent under two-valued
+    {e and} three-valued logic (Kleene De Morgan). *)
 
 val merge_nested_exists : query -> query
 (** Unnesting (Section 2.7): a scope whose body is directly a plain inner

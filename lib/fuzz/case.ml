@@ -30,28 +30,22 @@ let size t =
     | Scalar (_, ts) -> 1 + List.fold_left (fun a t -> a + tsize t) 0 ts
     | Agg (_, t) -> 1 + tsize t
   in
-  let psize p = 1 + List.fold_left (fun a t -> a + tsize t) 0 (pred_terms p) in
-  let rec fsize = function
-    | True -> 1
-    | Pred p -> psize p
-    | And fs | Or fs -> 1 + List.fold_left (fun a f -> a + fsize f) 0 fs
-    | Not f -> 1 + fsize f
-    | Exists s ->
+  let node_size = function
+    | F True -> 1
+    | F (Pred p) ->
+        1 + List.fold_left (fun a t -> a + tsize t) 0 (pred_terms p)
+    | F (And _ | Or _ | Not _) -> 1
+    | F (Exists s) ->
         1
         + List.length s.bindings
         + (match s.grouping with Some ks -> 1 + List.length ks | None -> 0)
         + (match s.join with Some _ -> 1 | None -> 0)
-        + List.fold_left
-            (fun a b ->
-              a
-              + match b.source with Base _ -> 0 | Nested c -> csize c)
-            0 s.bindings
-        + fsize s.body
-  and csize c = 1 + List.length c.head.head_attrs + fsize c.body in
-  let qsize = function Coll c -> csize c | Sentence f -> fsize f in
+    | C c -> 1 + List.length c.head.head_attrs
+  in
+  let size n = fold (fun a n -> a + node_size n) 0 n in
   let prog_size =
-    qsize t.prog.main
-    + List.fold_left (fun a d -> a + csize d.def_body) 0 t.prog.defs
+    size (query_node t.prog.main)
+    + List.fold_left (fun a d -> a + size (C d.def_body)) 0 t.prog.defs
   in
   let db_size =
     List.fold_left

@@ -32,7 +32,7 @@ let nm_neg r = "__ivm__neg__" ^ r
 (* Eligibility: the multilinear pipeline core                          *)
 (* ------------------------------------------------------------------ *)
 
-let no_rel_deps f = Depend.formula_deps ~neg:false ~grouped:false [] f = []
+let no_rel_deps f = Depend.refs f = []
 
 (* [None] when the pipeline is safe to differentiate by scan
    substitution; [Some reason] names the first offending node class (the

@@ -274,19 +274,14 @@ let q_error est act =
 let term_ref_vars t = List.map fst (term_vars t)
 let pred_ref_vars p = List.concat_map term_ref_vars (pred_terms p)
 
-let rec formula_ref_vars = function
-  | True -> []
-  | Pred p -> pred_ref_vars p
-  | And fs | Or fs -> List.concat_map formula_ref_vars fs
-  | Not f -> formula_ref_vars f
-  | Exists s ->
-      List.concat_map
-        (fun b ->
-          match b.source with
-          | Base _ -> []
-          | Nested c -> formula_ref_vars c.body)
-        s.bindings
-      @ formula_ref_vars s.body
+let formula_ref_vars f =
+  let open Arc_core.Ast in
+  List.rev
+    (fold
+       (fun acc -> function
+         | F (Pred p) -> List.rev_append (pred_ref_vars p) acc
+         | F _ | C _ -> acc)
+       [] (F f))
 
 let key_ref_vars keys =
   List.concat_map (fun k -> term_ref_vars k.outer @ term_ref_vars k.inner) keys
@@ -380,9 +375,7 @@ let occurrence_disjunct component i (p : coll_plan) : int =
    such components run whole-definition rules instead. *)
 let opaque_refs component n =
   let refs f =
-    List.exists
-      (fun (r, _) -> List.mem r component)
-      (Arc_core.Depend.formula_deps ~neg:false ~grouped:false [] f)
+    List.exists (fun r -> List.mem r component) (Arc_core.Depend.refs f)
   in
   exists
     (function

@@ -582,28 +582,6 @@ let optimize_coll ?(passes = pipeline) env (p : Ir.coll_plan) =
 
 let magic_prefix = "__magic__"
 
-(* every base relation name referenced by a formula, through nested
-   scopes and nested collection sources *)
-let rec formula_base_refs f =
-  match f with
-  | True | Pred _ -> []
-  | And fs | Or fs -> List.concat_map formula_base_refs fs
-  | Not f -> formula_base_refs f
-  | Exists s -> scope_base_refs s
-
-and scope_base_refs s =
-  List.concat_map
-    (fun b ->
-      match b.source with
-      | Base n -> [ n ]
-      | Nested c -> formula_base_refs c.body)
-    s.bindings
-  @ formula_base_refs s.body
-
-let query_base_refs = function
-  | Coll c -> formula_base_refs c.body
-  | Sentence f -> formula_base_refs f
-
 (* For every binding of [rel] in the query, the (attr, const) selections
    its enclosing scope applies as top-level conjuncts. A use site with no
    selection contributes []. *)
@@ -653,21 +631,20 @@ let magic_candidate (prog : program) (d : definition) =
   let hname = d.def_body.head.head_name in
   let mname = magic_prefix ^ d.def_name in
   let others = List.filter (fun d' -> d'.def_name <> d.def_name) prog.defs in
-  let self_rec = List.mem d.def_name (formula_base_refs d.def_body.body) in
+  let refs = Arc_core.Depend.refs in
+  let self_rec = List.mem d.def_name (refs d.def_body.body) in
   let main_only =
     not
       (List.exists
-         (fun d' -> List.mem d.def_name (formula_base_refs d'.def_body.body))
+         (fun d' -> List.mem d.def_name (refs d'.def_body.body))
          others)
   in
   let no_collision =
     (not (List.exists (fun d' -> d'.def_name = mname) prog.defs))
     && not
          (List.mem mname
-            (List.concat_map
-               (fun d' -> formula_base_refs d'.def_body.body)
-               prog.defs
-            @ query_base_refs prog.main))
+            (List.concat_map (fun d' -> refs d'.def_body.body) prog.defs
+            @ refs (match prog.main with Coll c -> c.body | Sentence f -> f)))
   in
   if not (self_rec && main_only && no_collision) then None
   else
@@ -689,7 +666,7 @@ let magic_candidate (prog : program) (d : definition) =
             match f with
             | Exists s ->
                 s.grouping = None && s.join = None
-                && (not (List.mem d.def_name (formula_base_refs s.body)))
+                && (not (List.mem d.def_name (refs s.body)))
                 && List.for_all
                      (fun b ->
                        match b.source with
@@ -707,7 +684,7 @@ let magic_candidate (prog : program) (d : definition) =
                        | Base _ -> true
                        | Nested c ->
                            not
-                             (List.mem d.def_name (formula_base_refs c.body)))
+                             (List.mem d.def_name (refs c.body)))
                      s.bindings
             | _ -> false
           in

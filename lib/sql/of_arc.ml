@@ -489,22 +489,8 @@ and tr_collection ?(conv = Conventions.sql_set) ?(schemas = [])
 (* Programs                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let rec def_is_recursive (d : A.definition) =
-  let rec walk_f (f : A.formula) =
-    match f with
-    | A.True | A.Pred _ -> false
-    | A.And fs | A.Or fs -> List.exists walk_f fs
-    | A.Not f -> walk_f f
-    | A.Exists s ->
-        List.exists
-          (fun (b : A.binding) ->
-            match b.A.source with
-            | A.Base n -> n = d.A.def_name
-            | A.Nested c -> walk_f c.A.body)
-          s.A.bindings
-        || walk_f s.A.body
-  in
-  walk_f d.A.def_body.A.body
+let def_is_recursive (d : A.definition) =
+  List.mem d.A.def_name (Arc_core.Depend.refs d.A.def_body.A.body)
 
 let statement ?(conv = Conventions.sql_set) ?(schemas = []) (p : A.program) :
     statement =

@@ -395,7 +395,25 @@ let pattern_counts () =
   Alcotest.(check int) "comparisons" 2 p.Pattern.n_comparisons;
   Alcotest.(check int) "no negation" 0 p.Pattern.n_negations;
   Alcotest.(check bool) "refs" true
-    (p.Pattern.rel_refs = [ ("R", 1); ("S", 1) ])
+    (p.Pattern.rel_refs = [ ("R", 1); ("S", 1) ]);
+  (* a nested collection's (a ∧ b) ∧ c counts as its flat twin a ∧ b ∧ c *)
+  let a = eq (attr "X" "A") (attr "s" "B") in
+  let b = eq (attr "s" "C") (cint 0) in
+  let c = eq (attr "s" "B") (attr "r" "B") in
+  let with_nested body =
+    coll "Q" [ "A" ]
+      (exists
+         [
+           bind "r" "R";
+           bind_in "x" (collection "X" [ "A" ] (exists [ bind "s" "S" ] body));
+         ]
+         (eq (attr "Q" "A") (attr "x" "A")))
+  in
+  let nested = Pattern.of_query (with_nested (And [ And [ a; b ]; c ])) in
+  let flat = Pattern.of_query (with_nested (And [ a; b; c ])) in
+  Alcotest.(check string) "nested skeleton" flat.Pattern.skeleton
+    nested.Pattern.skeleton;
+  Alcotest.(check bool) "nested pattern" true (Pattern.equal nested flat)
 
 (* Pp atoms *)
 let pp_atoms () =

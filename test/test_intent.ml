@@ -88,7 +88,21 @@ let surface_vs_intent () =
   Alcotest.(check bool) "high surface similarity" true
     (r2.Intent.surface_similarity > 0.9);
   Alcotest.(check bool) "but not equivalent" true
-    (r2.Intent.execution_equivalent = Some false)
+    (r2.Intent.execution_equivalent = Some false);
+  (* JOIN … ON against its comma-join twin, both inside a derived table:
+     the derived table's WHERE + ON conjuncts nest, its pattern does not *)
+  let derived from =
+    "select X.A from (select R.A from " ^ from
+    ^ " R.B = 1 and S.C = 2) X"
+  in
+  let r3 =
+    Intent.compare_sql
+      ~schemas:[ ("R", [ "A"; "B" ]); ("S", [ "A"; "C" ]) ]
+      ~gold:(derived "R join S on R.A = S.A where")
+      ~candidate:(derived "R, S where R.A = S.A and") ()
+  in
+  Alcotest.(check bool) "derived tables: same pattern" true
+    r3.Intent.pattern_match
 
 let string_similarity_basics () =
   Alcotest.(check (float 0.0001)) "identical" 1.0

@@ -51,7 +51,16 @@ let push_negation_structure () =
   Alcotest.(check bool) "de morgan and" true
     (equal_formula
        (Rewrite.push_negation (Not (And [ p1; p2 ])))
-       (Or [ Not p1; Not p2 ]))
+       (Or [ Not p1; Not p2 ]));
+  let in_nested body =
+    exists
+      [ bind_in "x" (collection "X" [ "A" ] (exists [ bind "r" "R" ] body)) ]
+      True
+  in
+  Alcotest.(check bool) "double negation in a nested collection" true
+    (equal_formula
+       (Rewrite.push_negation (in_nested (Not (Not p1))))
+       (in_nested p1))
 
 let push_negation_preserves () =
   (* the Eq 17 query (negation over a disjunction) before/after, on random
