@@ -555,6 +555,9 @@ let analyze_json infos =
                @ (match ni.Explain.ni_q with
                  | Some q -> [ ("q_error", Json.Float q) ]
                  | None -> [])
+               @ (match ni.Explain.ni_rename with
+                 | Some rel -> [ ("rename", Json.Str rel) ]
+                 | None -> [])
                @ (if a.Ir.a_build > 0 || a.Ir.a_probe > 0 then
                     [
                       ("build", Json.Int a.Ir.a_build);

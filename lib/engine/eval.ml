@@ -156,6 +156,16 @@ let take n l =
     in
     go n l
 
+(* What a base name reads, in this order: a join literal's row, a
+   definition's relation, a stored relation. *)
+let find_base ctx name =
+  match List.assoc_opt name ctx.lits with
+  | Some tp -> Some (`Derived (Relation.make (Tuple.schema tp) [ tp ]))
+  | None -> (
+      match Hashtbl.find_opt ctx.idb name with
+      | Some r -> Some (`Derived r)
+      | None -> Option.map (fun r -> `Stored r) (Database.find_opt ctx.db name))
+
 (* The rows of a source, as the relation holding them (a stored or IDB
    relation is returned as is, not copied); governed truncation keeps a
    prefix. *)
@@ -168,24 +178,17 @@ let rec source_rows ctx benv src =
 
 and source_rows_raw ctx benv = function
   | Base name -> (
-      (* under set semantics, stored relations are interpreted as sets:
-         duplicates in the physical bag collapse (paper, Section 2.7 and
-         footnote 4 — inputs are sets, so the full join is a set) *)
-      let interp r =
-        match ctx.conv.Conventions.collection with
-        | Conventions.Set -> Relation.dedup r
-        | Conventions.Bag -> r
-      in
-      match List.assoc_opt name ctx.lits with
-      | Some tp -> Relation.make (Tuple.schema tp) [ tp ]
-      | None -> (
-          match Hashtbl.find_opt ctx.idb name with
-          | Some r -> r (* IDB relations are already sets *)
-          | None -> (
-              match Database.find_opt ctx.db name with
-              | Some r -> interp r
-              | None ->
-                  fail "relation %S is not finite (external or abstract)" name)))
+      match find_base ctx name with
+      | Some (`Stored r) -> (
+          (* under set semantics, stored relations are interpreted as
+             sets: duplicates in the physical bag collapse (paper, Section
+             2.7 and footnote 4 — inputs are sets, so the full join is a
+             set) *)
+          match ctx.conv.Conventions.collection with
+          | Conventions.Set -> Relation.dedup r
+          | Conventions.Bag -> r)
+      | Some (`Derived r) -> r (* IDB relations are already sets *)
+      | None -> fail "relation %S is not finite (external or abstract)" name)
   | Nested c -> eval_collection ctx benv c
 
 (* [(v, row) :: extra] for each row of a source, in order *)
@@ -815,6 +818,11 @@ module Internal = struct
   let eval_formula = eval_formula
   let eval_gformula = eval_gformula
   let source_rows = source_rows
+
+  let base_schema ctx name =
+    Option.map
+      (function `Stored r | `Derived r -> Relation.schema r)
+      (find_base ctx name)
+
   let resolve_deferred = resolve_deferred
-  let take = take
 end

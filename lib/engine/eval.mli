@@ -152,11 +152,13 @@ module Internal : sig
   (** Governed scan (ticks, charges bindings):
       the source's rows, truncated to the bindings the budget allows. *)
 
+  val base_schema : ctx -> rel_name -> Arc_relation.Schema.t option
+  (** The schema of the relation a scan of the base name reads, without
+      reading or charging it; [None] when the name has no finite
+      relation. *)
+
   val resolve_deferred :
     ctx -> benv -> scope -> benv list -> binding list -> benv list
   (** Resolves external/abstract bindings from seed equations found in the
       scope body (which must be the {e pre-extraction} body). *)
-
-  val take : int -> 'a list -> 'a list
-  (** Governed truncation helper. *)
 end

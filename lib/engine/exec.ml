@@ -2,7 +2,6 @@ open Arc_core.Ast
 module V = Arc_value.Value
 module B3 = Arc_value.Bool3
 module Conventions = Arc_value.Conventions
-module Aggregate = Arc_value.Aggregate
 module Relation = Arc_relation.Relation
 module Tuple = Arc_relation.Tuple
 module Schema = Arc_relation.Schema
@@ -200,14 +199,11 @@ let in_collection env name f =
   | exception Eval_error e ->
       raise (Eval_error (Err.in_collection name e))
 
-(* Charges a collection's output rows, clipping it to what the row budget
-   allows. *)
-let charge_rows env tuples =
-  if not (Gov.active (gov env)) then tuples
-  else
-    let n = List.length tuples in
-    let allowed = Gov.charge_rows (gov env) n in
-    if allowed >= n then tuples else I.take allowed tuples
+(* A collection's output rows, charged and clipped to the row budget. *)
+let charge_rows env rows =
+  let n = Array.length rows in
+  let allowed = Gov.charge_rows (gov env) n in
+  if allowed = n then rows else Array.sub rows 0 allowed
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline compilation and execution                                  *)
@@ -343,17 +339,14 @@ and compile_node ctx id (t : Ir.t) : Row.layout * (env -> Row.t array) =
       let coll = compile_coll ctx kid.(1) plan in
       ( Array.append [| var |] inb.layout,
         fun env ->
-          let out = ref [] and n = ref 0 in
-          Array.iter
-            (fun row ->
-              let outer = Row.to_benv ~outer:env.outer inb.layout row in
-              Relation.iter
-                (fun tp ->
-                  out := Row.cons tp row :: !out;
-                  incr n)
-                (coll { env with outer }))
-            (inb.run env);
-          of_rev_list !n !out )
+          Array.concat
+            (List.map
+               (fun row ->
+                 let outer = Row.to_benv ~outer:env.outer inb.layout row in
+                 let r = coll { env with outer } in
+                 Array.init (Relation.cardinality r) (fun i ->
+                     Row.cons (Relation.get r i) row))
+               (Array.to_list (inb.run env))) )
   | Product { left; right } ->
       let lb = compile_block ctx kid.(0) left in
       let rb = compile_block ctx kid.(1) right in
@@ -361,18 +354,10 @@ and compile_node ctx id (t : Ir.t) : Row.layout * (env -> Row.t array) =
         fun env ->
           let l = lb.run env in
           let r = rb.run env in
-          let nl = Array.length l and nr = Array.length r in
-          if nl = 0 || nr = 0 then [||]
-          else begin
-            let out = Array.make (nl * nr) [||] in
-            for i = 0 to nl - 1 do
-              let lr = l.(i) in
-              for j = 0 to nr - 1 do
-                out.((i * nr) + j) <- Array.append r.(j) lr
-              done
-            done;
-            out
-          end )
+          let nr = Array.length r in
+          Array.init
+            (Array.length l * nr)
+            (fun k -> Array.append r.(k mod nr) l.(k / nr)) )
   | Hash_join { left; right; keys } ->
       let lb = compile_block ctx kid.(0) left in
       let rb = compile_block ctx kid.(1) right in
@@ -526,16 +511,16 @@ and indexed_join env fc id lb rb inner_key outer_key side : Row.t array =
 (* [schema] is the head's, built once and shared by every emitted tuple
    and the relation collecting them. *)
 and compile_disjunct ctx id (head : head) schema (d : Ir.disjunct_plan) :
-    env -> Tuple.t list =
+    env -> Tuple.t array =
   let node = compile_disjunct_node ctx id head schema d in
-  fun env -> timed env id List.length (fun () -> node env)
+  fun env -> timed env id Array.length (fun () -> node env)
 
 and compile_disjunct_node ctx id (head : head) schema (d : Ir.disjunct_plan) =
   match d with
   | Project { input; assigns } ->
       let inb = compile_block ctx (id + 1) input in
       let project = project_head ctx head schema inb.layout assigns in
-      fun env -> Array.to_list (Array.map (project env.outer) (inb.run env))
+      fun env -> Array.map (project env.outer) (inb.run env)
   | Aggregate { input; keys; scope_vars; post; assigns } ->
       let inb = compile_block ctx (id + 1) input in
       let key = Row.group_key ctx inb.layout keys in
@@ -565,8 +550,13 @@ and compile_disjunct_node ctx id (head : head) schema (d : Ir.disjunct_plan) =
             List.rev_map (fun cell -> List.rev !cell) !order
           end
         in
-        List.filter_map (emit outer) groups
+        Array.of_list (List.filter_map (emit outer) groups)
 
+(* An identity rename ([Ir.identity_rename] of a relation with the head's
+   attributes, in order) returns the scanned relation under the head's
+   name, charged as its scan and head would be. Under Set conventions it
+   is a set already: a stored relation is read as one, and a
+   definition's relation was deduplicated by its fixpoint or its head. *)
 and compile_coll ctx id ({ head; disjuncts } as p : Ir.coll_plan) :
     env -> Relation.t =
   let name = head.head_name in
@@ -576,6 +566,7 @@ and compile_coll ctx id ({ head; disjuncts } as p : Ir.coll_plan) :
       (fun did d -> compile_disjunct ctx did head schema d)
       (Ir.node_child_ids id (Ir.C p)) disjuncts
   in
+  let rename = Ir.identity_rename p in
   fun env ->
     timed env id Relation.cardinality @@ fun () ->
     Gov.tick (gov env);
@@ -583,13 +574,23 @@ and compile_coll ctx id ({ head; disjuncts } as p : Ir.coll_plan) :
       Relation.empty ~name head.head_attrs
     else
       in_collection env name (fun () ->
-          let tuples = List.concat_map (fun d -> d env) ds in
-          let r =
-            Relation.make ~name (Lazy.force schema) (charge_rows env tuples)
-          in
-          match (I.conv env.ctx).Conventions.collection with
-          | Conventions.Set -> Relation.dedup r
-          | Conventions.Bag -> r)
+          match rename with
+          | Some rel
+            when Option.map Schema.attrs (I.base_schema env.ctx rel)
+                 = Some head.head_attrs ->
+              with_actual env id (fun a -> a.Ir.a_renamed <- true);
+              let r = I.source_rows env.ctx env.outer (Base rel) in
+              let n = Gov.charge_rows (gov env) (Relation.cardinality r) in
+              Relation.rename name (Relation.take n r)
+          | _ -> (
+              let rows = Array.concat (List.map (fun d -> d env) ds) in
+              let r =
+                Relation.of_array ~name (Lazy.force schema)
+                  (charge_rows env rows)
+              in
+              match (I.conv env.ctx).Conventions.collection with
+              | Conventions.Set -> Relation.dedup r
+              | Conventions.Bag -> r))
 
 (* ------------------------------------------------------------------ *)
 (* Recursive strata: the hash-based fixpoint over plans               *)
@@ -614,16 +615,15 @@ let record_round env (dps : (Ir.def_plan * int) list) t0 =
    wall-clock joins the head's inclusive time, so the head covers its
    whole fixpoint; the part spent outside the plan nodes [ran] (the head
    itself, or the round's rule disjuncts) is the fixpoint's own time:
-   seen-set probes, accumulator appends, round bookkeeping. *)
+   index probes and appends of the accumulated relation, round
+   bookkeeping. *)
 let fixpoint_share env id ran f =
   match env.stats with
   | None -> f ()
   | Some st ->
       let ran = List.sort_uniq compare ran in
       let inside () =
-        List.fold_left
-          (fun t n -> Int64.add t (Ir.incl_of st n))
-          0L ran
+        List.fold_left (fun t n -> Int64.add t (Ir.incl_of st n)) 0L ran
       in
       let a = Ir.touch st id in
       let head0 = a.Ir.a_incl_ns and in0 = inside () and t0 = clock () in
@@ -634,14 +634,6 @@ let fixpoint_share env id ran f =
       a.Ir.a_incl_ns <- Int64.add head0 ns;
       r
 
-(* A recursive head's rows are what its fixpoint added, the sum of its
-   deltas: [timed] alone would count only the head's own invocations (the
-   seed), not the closure. *)
-let finish_head env id iterations =
-  with_actual env id (fun a ->
-      a.Ir.a_iterations <- iterations;
-      a.Ir.a_rows <- List.fold_left ( + ) 0 a.Ir.a_deltas)
-
 (* The fixpoint a recursive stratum runs, an observable property of its
    plans: delta rules when every component reference is a plan scan
    ([Ir.seminaive_eligible]), whole-definition rules otherwise. *)
@@ -651,10 +643,11 @@ let fixpoint_kind (dps : Ir.def_plan list) =
   else `Naive
 
 (* The indexed fixpoint. Round 0, the seed, runs every definition whole;
-   each later round runs only the definition's rules, and a
-   per-definition seen-set of tuples ([Tuple.Tbl]) replaces the per-round
-   dedup/minus against the accumulated relation: the union that
-   accumulates a round's delta appends it in place, and all definitions
+   each later round runs only the definition's rules. Each definition
+   accumulates its rows in a [Relation.distinct], whose index of row
+   positions replaces the per-round dedup/minus against the accumulated
+   relation: a rule's new rows are appended behind the newest version in
+   place, the round's delta is the slice they fill, and all definitions
    of a round commit together. The rules are chosen by [fixpoint_kind].
    A seminaive stratum runs one delta rule per component-scan occurrence,
    restricted to the single disjunct that contains the occurrence (the
@@ -673,21 +666,27 @@ let indexed_fixpoint env component (dps : (Ir.def_plan * int) list) =
   let ctx = env.ctx in
   let seminaive = fixpoint_kind (List.map fst dps) = `Seminaive in
   let banned = component @ List.map delta_name component in
+  (* definition [n]'s relation and, as its delta, the rows it gained
+     beyond the first [before] *)
+  let commit (n, id, _, acc) before =
+    let all = Relation.contents acc in
+    let delta = Relation.drop before all in
+    with_actual env id (fun a ->
+        a.Ir.a_deltas <- Relation.cardinality delta :: a.Ir.a_deltas);
+    I.idb_set ctx n all;
+    I.idb_set ctx (delta_name n) delta;
+    delta
+  in
   let t0 = clock () in
   let defs =
     List.map
       (fun (dp, id) ->
         fixpoint_share env id [ id ] @@ fun () ->
-        let n = dp.Ir.dname in
-        let head = dp.Ir.dplan.head in
+        let n = dp.Ir.dname and head = dp.Ir.dplan.head in
         let schema = Schema.make head.head_attrs in
-        let seed = compile_coll ctx id dp.Ir.dplan env in
-        let seen = Tuple.Tbl.create (max 64 (4 * Relation.cardinality seed)) in
-        let delta = Relation.select (Tuple.add_unseen seen) seed in
-        I.idb_set ctx n delta;
-        I.idb_set ctx (delta_name n) delta;
-        with_actual env id (fun a ->
-            a.Ir.a_deltas <- Relation.cardinality delta :: a.Ir.a_deltas);
+        let acc = Relation.distinct ~name:n schema in
+        Relation.iter (Relation.insert acc)
+          (compile_coll ctx id dp.Ir.dplan env);
         let dids = Ir.node_child_ids id (Ir.C dp.Ir.dplan) in
         let rule did d fix =
           (compile_disjunct ctx did head (Lazy.from_val schema) d, did, fix)
@@ -706,57 +705,56 @@ let indexed_fixpoint env component (dps : (Ir.def_plan * int) list) =
                    || Ir.opaque_refs component (Ir.D d))
             |> List.map (fun (did, d) -> rule did d None)
         in
-        (n, id, schema, rules, seen))
+        let def = (n, id, rules, acc) in
+        ignore (commit def 0);
+        def)
       dps
   in
   record_round env dps t0;
-  let iterations = ref 0 in
-  let continue_ = ref true in
-  while !continue_ do
-    incr iterations;
+  (* round [i]; the number of the round that found nothing new, or that
+     a budget stopped *)
+  let rec round i =
     Gov.tick (gov env);
-    if
-      (not (Gov.iteration_allowed (gov env) !iterations))
-      || Gov.stopped (gov env)
-    then continue_ := false
+    if (not (Gov.iteration_allowed (gov env) i)) || Gov.stopped (gov env)
+    then i
     else begin
       let t0 = clock () in
-      let new_deltas =
+      let befores =
         List.map
-          (fun (n, id, schema, rules, seen) ->
+          (fun (n, id, rules, acc) ->
             fixpoint_share env id (List.map (fun (_, did, _) -> did) rules)
             @@ fun () ->
-            let fresh = ref [] in
+            let before = Relation.cardinality (Relation.contents acc) in
             List.iter
               (fun (rule, _, fix) ->
                 Gov.tick (gov env);
                 if Gov.enter_collection (gov env) then
                   in_collection env n (fun () ->
                       charge_rows env (rule { env with fix }))
-                  |> List.iter (fun tp ->
-                         if Tuple.add_unseen seen tp then
-                           fresh := tp :: !fresh))
+                  |> Array.iter (Relation.insert acc))
               rules;
-            (n, id, Relation.make ~name:n schema (List.rev !fresh)))
+            before)
           defs
       in
-      List.iter
-        (fun (n, id, fresh) ->
-          fixpoint_share env id [] @@ fun () ->
-          let card = Relation.cardinality fresh in
-          with_actual env id (fun a -> a.Ir.a_deltas <- card :: a.Ir.a_deltas);
-          (* [fresh] is disjoint from the accumulated relation by the
-             seen-set, so a plain bag union keeps it a set *)
-          I.idb_set ctx n
-            (Relation.union (Option.get (I.idb_get ctx n)) fresh);
-          I.idb_set ctx (delta_name n) fresh)
-        new_deltas;
+      let deltas =
+        List.map2
+          (fun ((_, id, _, _) as def) before ->
+            fixpoint_share env id [] @@ fun () -> commit def before)
+          defs befores
+      in
       record_round env dps t0;
-      if List.for_all (fun (_, _, f) -> Relation.is_empty f) new_deltas then
-        continue_ := false
+      if List.for_all Relation.is_empty deltas then i else round (i + 1)
     end
-  done;
-  List.iter (fun (_, id, _, _, _) -> finish_head env id !iterations) defs;
+  in
+  let iterations = round 1 in
+  (* a recursive head's rows are what its fixpoint added, the sum of its
+     deltas, not only what its own invocation (the seed) emitted *)
+  List.iter
+    (fun (_, id, _, _) ->
+      with_actual env id (fun a ->
+          a.Ir.a_iterations <- iterations;
+          a.Ir.a_rows <- List.fold_left ( + ) 0 a.Ir.a_deltas))
+    defs;
   List.iter (fun n -> I.idb_remove ctx (delta_name n)) component
 
 (* A recursive stratum's fixpoint starts from empty component relations
@@ -835,9 +833,7 @@ let exec_program ?stats ctx (pp : Ir.program_plan) : Eval.outcome =
 
 let run ?conv ?externals ?guard ~db (prog : program) =
   try
-    let ctx, _, optimized, _ =
-      compile ?conv ?externals ?guard ~db prog
-    in
+    let ctx, _, optimized, _ = compile ?conv ?externals ?guard ~db prog in
     exec_program ctx optimized
   with V.Type_error m -> raise (Eval_error { Err.kind = Err.Msg ("type error: " ^ m); context = [] })
 
@@ -951,6 +947,10 @@ let spans_of_stats (pp : Ir.program_plan) (stats : Ir.stats) =
   let rec node ni =
     Option.map
       (fun a ->
+        let rename =
+          Option.to_list
+            (Option.map (fun r -> ("rename", Json.Str r)) ni.Explain.ni_rename)
+        in
         let name, hash =
           match (ni.Explain.ni_op, ni.Explain.ni_head) with
           | "union", Some head when a.Ir.a_iterations > 0 ->
@@ -969,7 +969,7 @@ let spans_of_stats (pp : Ir.program_plan) (stats : Ir.stats) =
         span name
           (("rows", Json.Int a.Ir.a_rows)
           :: ("invocations", Json.Int a.Ir.a_invocations)
-          :: hash)
+          :: (rename @ hash))
           a.Ir.a_incl_ns
           (List.filter_map node
              (List.rev (Hashtbl.find_all kids_of ni.Explain.ni_id))))

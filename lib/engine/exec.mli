@@ -54,11 +54,21 @@ val exec_program :
     governor probes, typed hash keys ({!Arc_relation.Tuple.Key_tbl}
     over the key terms' values), and constant-time group appends.
 
+    A collection that only renames one relation (one disjunct projecting
+    a filter-free scan attribute for attribute, in the head's order, of
+    a relation with exactly the head's attributes:
+    {!Arc_plan.Ir.identity_rename}) returns that relation's rows under
+    its own name in O(1), charged as its scan and head would be, with no
+    head dedup: under Set conventions they are a set already.
+
     A recursive stratum runs one fixpoint loop: a seed round evaluates
-    every definition whole, then each round runs the stratum's rules, a
-    seen-set of tuples ({!Arc_relation.Tuple.Tbl}) replaces per-round
-    dedup/diff, and the round's delta is appended to the accumulated
-    relation in place ({!Arc_relation.Relation.union}). The rules depend
+    every definition whole, then each round runs the stratum's rules.
+    Each definition accumulates its rows in a
+    {!Arc_relation.Relation.distinct}, whose open-addressing index of row
+    positions is the only per-row structure beside the rows: it replaces
+    per-round dedup/diff, a new row is appended behind the newest version
+    of the accumulated relation in place, and the round's delta is the
+    slice the round filled ({!Arc_relation.Relation.drop}). The rules depend
     on the stratum. One that passes {!Arc_plan.Ir.seminaive_eligible}
     runs one delta rule per component-scan occurrence with persistent
     caches (hash-join build tables and component-free subtree results
@@ -80,9 +90,11 @@ val exec_program :
     ({!export_stats}, [--metrics-out]).
 
     A recursive head's inclusive time covers its whole fixpoint, and its
-    [a_fix_ns] is the part spent outside every plan node: seen-set
-    probes, accumulator appends and round bookkeeping. So the head's
-    exclusive time is the fixpoint's own work, not 0. *)
+    [a_fix_ns] is the part spent outside every plan node: index probes
+    and appends of the accumulated relation, and round bookkeeping. So
+    the head's exclusive time is the fixpoint's own work, not 0. A head
+    that ran as an identity rename has [a_renamed] set, and its disjunct
+    and scan record nothing. *)
 
 val export_stats :
   Arc_obs.Metrics.t ->
@@ -107,7 +119,7 @@ val spans_of_stats :
     {!Arc_plan.Ir.op_name} (union heads as [collection:<name>]) and
     carries its actuals ([rows], [invocations]; [build], [probe],
     [matches] on hash and semi/anti joins; [fixpoint_ns] on a recursive
-    head). Each recursive stratum is preceded by a
+    head; [rename], the relation renamed, on an identity-rename head). Each recursive stratum is preceded by a
     [fixpoint:seminaive|naive] span (delta rules or whole-definition
     rules, see {!exec_program}) whose [seed] and [iteration] children
     last one round each and carry [delta:<name>]. A span aggregates

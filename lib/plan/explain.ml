@@ -211,9 +211,18 @@ let excl_ns (stats : Ir.stats) id children =
   let e = Int64.sub (Ir.incl_of stats id) kids in
   if Int64.compare e 0L < 0 then 0L else e
 
+(* The relation a head returned renamed, in O(1), instead of running its
+   disjunct ([Ir.identity_rename]). *)
+let renamed (n : Ir.node) (a : Ir.actual) =
+  match n with
+  | Ir.C c when a.Ir.a_renamed -> Ir.identity_rename c
+  | _ -> None
+
 (* Operator-specific actuals: hash-table counts on joins, the fixpoint's
-   rounds on a recursive head. *)
+   rounds on a recursive head, the relation an identity rename shares. *)
 let extras (n : Ir.node) (a : Ir.actual) =
+  (match renamed n a with Some rel -> " rename=" ^ rel | None -> "")
+  ^
   match n with
   | Ir.T (Ir.Hash_join _ | Ir.Semi _) ->
       Printf.sprintf " build=%d probe=%d matches=%d" a.Ir.a_build a.Ir.a_probe
@@ -259,6 +268,7 @@ type node_info = {
   ni_est : int;
   ni_src : string;  (* the provenance of ni_est *)
   ni_actual : Ir.actual option;
+  ni_rename : string option;  (* the relation a head renamed *)
   ni_excl_ns : int64;
   ni_q : float option;
 }
@@ -282,6 +292,7 @@ let analyze_info ?cenv (pp : Ir.program_plan) ~(stats : Ir.stats) :
         ni_est = est;
         ni_src = src;
         ni_actual = actual;
+        ni_rename = Option.bind actual (renamed n);
         ni_excl_ns = excl_ns stats id children;
         ni_q = Option.map (fun a -> Ir.q_error est a.Ir.a_rows) actual;
       }

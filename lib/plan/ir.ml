@@ -192,6 +192,18 @@ let program_ids (pp : program_plan) : (rel_name * int) list * int option =
   in
   (defs, main)
 
+(* The relation a collection only renames: its one disjunct projects a
+   filter-free scan attribute for attribute, in the head's order. It is
+   an identity rename when the scanned relation has exactly the head's
+   attributes, in that order, which only the run knows. *)
+let identity_rename (p : coll_plan) =
+  match p.disjuncts with
+  | [ Project { input = Scan { var; rel; filters = []; _ }; assigns } ]
+    when assigns = List.map (fun a -> (a, Attr (var, a))) p.head.head_attrs
+    ->
+      Some rel
+  | _ -> None
+
 let op_name = function
   | T One -> "unit"
   | T (Scan _) -> "scan"
@@ -229,8 +241,12 @@ type actual = {
       (* per-round fixpoint wall-clock of the head's stratum, aligned with
          [a_deltas] (the seed first), reversed *)
   mutable a_fix_ns : int64;
-      (* a recursive head's fixpoint time outside every plan node: seen-set
-         probes, accumulator appends, round bookkeeping *)
+      (* a recursive head's fixpoint time outside every plan node: index
+         probes and appends of the accumulated relation, round
+         bookkeeping *)
+  mutable a_renamed : bool;
+      (* the head returned its scanned relation renamed, in O(1)
+         ([identity_rename]); its disjunct and scan did not run *)
 }
 
 type stats = (int, actual) Hashtbl.t
@@ -253,6 +269,7 @@ let touch (st : stats) id =
           a_deltas = [];
           a_rounds_ns = [];
           a_fix_ns = 0L;
+          a_renamed = false;
         }
       in
       Hashtbl.replace st id a;

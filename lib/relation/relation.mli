@@ -8,18 +8,24 @@
 
     Relations are persistent values: no operation changes a relation
     once it has been returned. Versions built by appending share one
-    growable buffer, so {!cardinality} and {!is_empty} are O(1), and
-    {!union}, {!add} and the insertions of {!apply_delta} cost O(rows
-    appended), amortized, when their left operand is the latest version
-    built on its buffer. Appending to an older version copies it first.
-    A fixpoint that keeps unioning its delta into its accumulator thus
-    pays for the delta, not for the accumulator. *)
+    growable buffer, so {!cardinality}, {!is_empty}, {!take} and {!drop}
+    are O(1), and {!union}, {!add}, {!insert} and the insertions of
+    {!apply_delta} cost O(rows appended), amortized, when they append to
+    the latest version built on its buffer. Appending to an older version
+    copies it first. A fixpoint that keeps appending its delta to its
+    accumulator ({!distinct}) thus pays for the delta, not for the
+    accumulator. *)
 
 type t
 
 val make : ?name:string -> Schema.t -> Tuple.t list -> t
 (** Raises [Invalid_argument] if a tuple's schema differs from the
     relation's (attribute names and order must match). *)
+
+val of_array : ?name:string -> Schema.t -> Tuple.t array -> t
+(** The rows of the array, which the relation takes over: callers must
+    not mutate it. For rows built on [schema] itself: unlike {!make},
+    their schemas are not checked. *)
 
 val of_rows : ?name:string -> string list -> Arc_value.Value.t list list -> t
 (** Convenience: schema from attribute names, rows as value lists. *)
@@ -40,13 +46,44 @@ val iter : (Tuple.t -> unit) -> t -> unit
 val take : int -> t -> t
 (** The first [n] rows (all of them when [n >= cardinality]); O(1). *)
 
+val drop : int -> t -> t
+(** All rows but the first [n] (none when [n >= cardinality]); O(1). *)
+
+val rename : string -> t -> t
+(** The same rows under another relation name; O(1). *)
+
 val tuples : t -> Tuple.t list
 (** The rows as a fresh list, in order: O(cardinality). Scans use
     {!iter} or {!get}. *)
 
 val dedup : t -> t
-(** Set-semantics view: one representative per distinct tuple, preserving
-    first-occurrence order. *)
+(** Set-semantics view: one representative per distinct tuple
+    ({!Tuple.equal}), preserving first-occurrence order; the relation
+    itself when its rows are distinct. *)
+
+(** {1 Distinct accumulators}
+
+    A growing set of rows that is its own relation: the rows live in a
+    relation buffer, and an open-addressing table of their positions
+    (hashed by {!Tuple.hash}, compared by {!Tuple.equal}, as {!dedup}
+    does) is the only per-row structure beside them. Recursive fixpoints
+    accumulate their closure in one. *)
+
+type distinct
+
+val distinct : ?name:string -> Schema.t -> distinct
+(** An empty accumulator over [schema]. *)
+
+val insert : distinct -> Tuple.t -> unit
+(** Appends the row unless an equal row is there already: O(1),
+    expected and amortized. Raises [Invalid_argument] if its schema
+    differs from the accumulator's. *)
+
+val contents : distinct -> t
+(** The rows inserted so far, in insertion order: O(1). The relation
+    keeps exactly these rows whatever is inserted later, and
+    [drop (cardinality r) (contents d)], taken after more insertions,
+    is the rows added since [r = contents d]. *)
 
 val add : t -> Tuple.t -> t
 (** Appends one row. Raises [Invalid_argument] if its schema differs from

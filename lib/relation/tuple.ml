@@ -55,10 +55,21 @@ let for_sorted_cells t1 t2 f =
   in
   go 0
 
+(* Rows of one relation share its schema: they compare cell by cell, in
+   a loop that allocates nothing (set dedup and the fixpoint's index
+   call this once per probe). *)
 let equal t1 t2 =
-  Schema.equal_names t1.schema t2.schema
-  && for_sorted_cells t1 t2 (fun a b -> if Value.key_equal a b then 0 else 1)
-     = 0
+  if t1.schema == t2.schema then begin
+    let c1 = t1.cells and c2 = t2.cells and i = ref 0 in
+    while !i < Array.length c1 && Value.key_equal c1.(!i) c2.(!i) do
+      incr i
+    done;
+    !i = Array.length c1
+  end
+  else
+    Schema.equal_names t1.schema t2.schema
+    && for_sorted_cells t1 t2 (fun a b -> if Value.key_equal a b then 0 else 1)
+       = 0
 
 let compare t1 t2 =
   if Schema.equal_names t1.schema t2.schema then
@@ -67,27 +78,22 @@ let compare t1 t2 =
 
 let hash_step h v = (h * 31) + Value.key_hash v
 
+(* cells in sorted-attribute order, so that the hash agrees with the
+   name-based [equal] whatever the attribute order *)
+let hash t =
+  let ixs = Schema.sorted_ixs t.schema in
+  let h = ref 0 in
+  for i = 0 to Array.length ixs - 1 do
+    h := hash_step !h t.cells.(ixs.(i))
+  done;
+  !h land max_int
+
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t
 
   let equal = equal
-
-  (* cells in sorted-attribute order, so that the hash agrees with the
-     name-based [equal] whatever the attribute order *)
-  let hash t =
-    let ixs = Schema.sorted_ixs t.schema in
-    let h = ref 0 in
-    for i = 0 to Array.length ixs - 1 do
-      h := hash_step !h t.cells.(ixs.(i))
-    done;
-    !h land max_int
+  let hash = hash
 end)
-
-(* [replace] hashes once and adds only when absent. *)
-let add_unseen seen tp =
-  let n = Tbl.length seen in
-  Tbl.replace seen tp ();
-  Tbl.length seen > n
 
 module Key_tbl = Hashtbl.Make (struct
   type t = Value.t array

@@ -33,13 +33,12 @@ val compare : t -> t -> int
     cell in sorted-attribute order. Tuples over the same attribute set
     compare positionally, without name lookups. *)
 
-module Tbl : Hashtbl.S with type key = t
-(** Hash tables keyed by whole tuples under {!equal}. The hash walks the
-    cells in sorted-attribute order, so attribute order does not matter. *)
+val hash : t -> int
+(** A non-negative hash that agrees with {!equal}: it walks the cells in
+    sorted-attribute order, so attribute order does not matter. *)
 
-val add_unseen : unit Tbl.t -> t -> bool
-(** [add_unseen seen tp] adds [tp] to the set [seen] and is [true] iff
-    no equal tuple was there yet. *)
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables keyed by whole tuples under {!equal} and {!hash}. *)
 
 module Key_tbl : Hashtbl.S with type key = Arc_value.Value.t array
 (** Hash tables keyed by value arrays, compared cell by cell with

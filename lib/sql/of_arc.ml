@@ -489,9 +489,6 @@ and tr_collection ?(conv = Conventions.sql_set) ?(schemas = [])
 (* Programs                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let def_is_recursive (d : A.definition) =
-  List.mem d.A.def_name (Arc_core.Depend.refs d.A.def_body.A.body)
-
 let statement ?(conv = Conventions.sql_set) ?(schemas = []) (p : A.program) :
     statement =
   (* definitions contribute their head attributes, so grouping scopes over
@@ -513,7 +510,9 @@ let statement ?(conv = Conventions.sql_set) ?(schemas = []) (p : A.program) :
         })
       p.A.defs
   in
-  let recursive = List.exists def_is_recursive p.A.defs in
+  (* mutually recursive definitions need RECURSIVE too: the first CTE
+     of such a pair reads a later one *)
+  let recursive = Arc_core.Depend.recursive_defs p.A.defs <> [] in
   let body =
     match p.A.main with
     | A.Coll c -> tr_collection ~conv ~schemas c

@@ -129,7 +129,7 @@ let recursion_annotations () =
       if not (contains ~needle out) then
         Alcotest.failf "recursive analyze output lacks %S:\n%s" needle out)
     [ "iters="; "deltas=["; "fix=" ];
-  (* the head covers its fixpoint: its own time (seen-set, accumulator,
+  (* the head covers its fixpoint: its own time (index, accumulator,
      bookkeeping) is charged to it, not lost between nodes *)
   List.iter
     (fun ni ->
@@ -436,6 +436,42 @@ let views_agree () =
       in
       let m = Metrics.create () in
       Exec.export_stats m ~cenv optimized stats;
+      (* a head that renamed its scanned relation says so in every view:
+         its node info, its span and the pretty line *)
+      let renames =
+        List.filter_map
+          (fun ni ->
+            Option.map
+              (fun rel -> (Option.get ni.Explain.ni_head, rel))
+              ni.Explain.ni_rename)
+          infos
+      in
+      let span_renames =
+        List.filter_map
+          (fun sp ->
+            match
+              ( Json.member "name" sp,
+                Option.bind (Json.member "attrs" sp) (Json.member "rename") )
+            with
+            | Some (Json.Str n), Some (Json.Str rel) ->
+                Some (List.nth (String.split_on_char ':' n) 1, rel)
+            | _ -> None)
+          spans
+      in
+      Alcotest.(check (list (pair string string)))
+        (name ^ ": renamed heads, spans = analyze")
+        renames span_renames;
+      let pretty = Explain.analyze_to_string ~cenv ~stats optimized in
+      List.iter
+        (fun (_, rel) ->
+          if not (contains ~needle:(" rename=" ^ rel ^ "]") pretty) then
+            Alcotest.failf "%s: the pretty tree lacks rename=%s:\n%s" name
+              rel pretty)
+        renames;
+      if
+        name = "eq16 transitive closure"
+        && renames <> [ (Data.eq16_main.head.head_name, "A") ]
+      then Alcotest.failf "%s: the main query is not a rename of A" name;
       let ops = List.sort_uniq compare (List.map fst actuals) in
       Alcotest.(check (list string))
         (name ^ ": operators with spans = executed operators")

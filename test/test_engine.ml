@@ -1182,7 +1182,7 @@ let tc_ladder_flat () =
       large small
 
 (* Which rows are the same: the plan engine's hash tables (join, semi and
-   anti join, grouping, set dedup, the fixpoint's seen-set and its
+   anti join, grouping, set dedup, the fixpoint's accumulator index and its
    persistent join tables) key on typed values, the reference evaluator's
    grouping on canonical strings. On NULL keys and Int/Float mixes
    (1 = 1.0, -0.0 = 0, 2.5) both engines must agree under every
@@ -1488,6 +1488,244 @@ let int_float_exact () =
         1 );
     ]
 
+(* The fixpoint's accumulator is its own index of rows (keyed like every
+   hash table of the engine: NULL = NULL, Int 1 = Float 1.0). Over random
+   digraphs of at most 12 nodes, with cycles, self-loops, duplicate
+   edges, Float endpoints equal to Int ones and NULLs, linear TC,
+   non-linear TC and a mutual recursion agree with the reference's
+   literal fixpoint under all 8 conventions, as bags of canonical keys or
+   as the same error. *)
+let graph_programs =
+  List.map
+    (fun (name, text) -> (name, Arc_syntax.Parser.program_of_string text))
+    [
+      ( "linear TC",
+        "def A := {A(s, t) | exists e in E[A.s = e.s and A.t = e.t] or exists \
+         e in E, b in A[A.s = e.s and e.t = b.s and b.t = A.t]} {Q(s, t) | \
+         exists a in A[Q.s = a.s and Q.t = a.t]}" );
+      ( "non-linear TC",
+        "def A := {A(s, t) | exists e in E[A.s = e.s and A.t = e.t] or exists \
+         a in A, b in A[A.s = a.s and a.t = b.s and b.t = A.t]} {Q(s, t) | \
+         exists a in A[Q.s = a.s and Q.t = a.t]}" );
+      ( "mutual recursion",
+        "def O := {O(s, t) | exists e in E[O.s = e.s and O.t = e.t] or exists \
+         e in E, x in V[O.s = e.s and e.t = x.s and O.t = x.t]} def V := \
+         {V(s, t) | exists e in E, x in O[V.s = e.s and e.t = x.s and V.t = \
+         x.t]} {Q(s, t, odd) | exists o in O[Q.s = o.s and Q.t = o.t and \
+         Q.odd = 1] or exists v in V[Q.s = v.s and Q.t = v.t and Q.odd = 0]}"
+      );
+    ]
+
+let gen_graph =
+  QCheck.Gen.(
+    let node =
+      frequency
+        [
+          (8, map (fun k -> V.Int k) (int_bound 11));
+          (2, map (fun k -> V.Float (float_of_int k)) (int_bound 11));
+          (1, return V.Null);
+        ]
+    in
+    let* edges = list_size (int_bound 24) (pair node node) in
+    let* dups = list_size (int_bound 4) (int_bound 23) in
+    (* duplicate edges, taken from the list itself *)
+    let again = List.filter_map (List.nth_opt edges) dups in
+    return (edges @ again))
+
+let print_graph edges =
+  String.concat "; "
+    (List.map
+       (fun (a, b) -> V.to_string a ^ "->" ^ V.to_string b)
+       edges)
+
+let fixpoint_index_parity =
+  QCheck.Test.make ~name:"fixpoint index: plan = reference on random digraphs"
+    ~count:60
+    (QCheck.make ~print:print_graph gen_graph)
+    (fun edges ->
+      let module Exec = Arc_engine.Exec in
+      let module Tuple = Arc_relation.Tuple in
+      let db =
+        Database.of_list
+          [
+            ( "E",
+              Relation.of_rows [ "s"; "t" ]
+                (List.map (fun (a, b) -> [ a; b ]) edges) );
+          ]
+      in
+      let run f =
+        match f () with
+        | r -> Ok (List.sort compare (List.map Tuple.key (Relation.tuples r)))
+        | exception Eval.Eval_error e -> Error (Eval.error_to_string e)
+      in
+      List.for_all
+        (fun (name, prog) ->
+          List.for_all
+            (fun conv ->
+              let reference = run (fun () -> Eval.run_rows ~conv ~db prog) in
+              let plan = run (fun () -> Exec.run_rows ~conv ~db prog) in
+              plan = reference
+              || QCheck.Test.fail_reportf "%s under %s: plan differs" name
+                   (Conventions.to_string conv))
+            all_conventions)
+        graph_programs)
+
+(* Closures that cross the accumulator index's resize boundaries (it
+   doubles when half full, from 8 slots): chains and rings of every
+   length up to 40, whose closures are known exactly. *)
+let fixpoint_index_resizes () =
+  let module Exec = Arc_engine.Exec in
+  let prog = List.assoc "linear TC" graph_programs in
+  let closure edges =
+    let db =
+      Database.of_list
+        [
+          ( "E",
+            Relation.of_rows [ "s"; "t" ]
+              (List.map (fun (a, b) -> [ i a; i b ]) edges) );
+        ]
+    in
+    List.sort compare
+      (List.map
+         (fun tp ->
+           match Arc_relation.Tuple.values tp with
+           | [ V.Int a; V.Int b ] -> (a, b)
+           | _ -> Alcotest.fail "closure row is not two Ints")
+         (Relation.tuples (Exec.run_rows ~conv:Conventions.sql ~db prog)))
+  in
+  for n = 1 to 40 do
+    let chain = List.init n (fun k -> (k, k + 1)) in
+    let ring = List.init n (fun k -> (k, (k + 1) mod n)) in
+    let pairs p =
+      List.concat_map (fun a -> List.filter_map (p a) (List.init (n + 1) Fun.id))
+        (List.init (n + 1) Fun.id)
+    in
+    Alcotest.(check (list (pair int int)))
+      (Printf.sprintf "chain %d" n)
+      (pairs (fun a b -> if a < b then Some (a, b) else None))
+      (closure chain);
+    Alcotest.(check (list (pair int int)))
+      (Printf.sprintf "ring %d" n)
+      (pairs (fun a b -> if a < n && b < n then Some (a, b) else None))
+      (closure (ring @ ring))
+  done
+
+(* A collection that only renames a relation (one disjunct projecting a
+   filter-free scan attribute for attribute, in the head's order, over a
+   relation with exactly those attributes) shares the relation's rows:
+   the head is marked renamed and its disjunct never runs. Its result is
+   the ordinary path's: duplicates of a stored relation stay under bag
+   conventions and go under set conventions; a permuted head or one with
+   other attribute names takes the ordinary path. *)
+let identity_rename () =
+  let module Exec = Arc_engine.Exec in
+  let module Ir = Arc_plan.Ir in
+  let module Tuple = Arc_relation.Tuple in
+  let db =
+    Database.of_list
+      [
+        ( "R",
+          Relation.of_rows [ "s"; "t" ]
+            [ [ i 1; i 2 ]; [ i 2; i 3 ]; [ i 1; i 2 ]; [ i 3; V.Null ];
+              [ i 3; V.Null ]; [ V.Float 2.0; i 3 ] ] );
+      ]
+  in
+  let eq16 = List.assoc "linear TC" graph_programs in
+  let cases =
+    [
+      ("rename", "{Q(s, t) | exists r in R[Q.s = r.s and Q.t = r.t]}", true);
+      ("permuted head", "{Q(t, s) | exists r in R[Q.t = r.t and Q.s = r.s]}",
+       false);
+      ("renamed attributes",
+       "{Q(x, y) | exists r in R[Q.x = r.s and Q.y = r.t]}", false);
+      ("projection", "{Q(s) | exists r in R[Q.s = r.s]}", false);
+    ]
+  in
+  let bag r = List.sort compare (List.map Tuple.key (Relation.tuples r)) in
+  let renamed_heads prog conv db =
+    let ctx, _, optimized, _ = Exec.compile ~conv ~db prog in
+    let stats = Ir.fresh_stats () in
+    ignore (Exec.exec_program ~stats ctx optimized);
+    Hashtbl.fold (fun _ a n -> if a.Ir.a_renamed then n + 1 else n) stats 0
+  in
+  List.iter
+    (fun (cn, conv, rows) ->
+      List.iter
+        (fun (name, text, renames) ->
+          let prog = Arc_syntax.Parser.program_of_string text in
+          let plan = Exec.run_rows ~conv ~db prog in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s, %s: plan = reference" name cn)
+            (bag (Eval.run_rows ~conv ~db prog))
+            (bag plan);
+          Alcotest.(check int)
+            (Printf.sprintf "%s, %s: renamed heads" name cn)
+            (if renames then 1 else 0)
+            (renamed_heads prog conv db);
+          if renames then
+            Alcotest.(check int)
+              (Printf.sprintf "%s, %s: rows" name cn)
+              rows (Relation.cardinality plan))
+        cases;
+      let chain =
+        Database.of_list
+          [ ("E", Relation.of_rows [ "s"; "t" ] [ [ i 1; i 2 ]; [ i 2; i 3 ] ]) ]
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "eq16, %s: the main query is renamed" cn)
+        1
+        (renamed_heads eq16 conv chain))
+    [ ("sql", Conventions.sql, 6); ("sql_set", Conventions.sql_set, 3) ]
+
+(* A renamed head charges its scan's bindings and its rows as the
+   ordinary path does, so tight budgets give the reference's rows or its
+   typed error. *)
+let identity_rename_budgets () =
+  let module Exec = Arc_engine.Exec in
+  let module Tuple = Arc_relation.Tuple in
+  let module Budget = Arc_guard.Budget in
+  let module Gov = Arc_guard.Gov in
+  let db =
+    Database.of_list
+      [
+        ( "R",
+          Relation.of_rows [ "s"; "t" ]
+            [ [ i 1; i 2 ]; [ i 2; i 3 ]; [ i 1; i 2 ]; [ i 4; i 5 ] ] );
+      ]
+  in
+  let prog =
+    Arc_syntax.Parser.program_of_string
+      "{Q(s, t) | exists r in R[Q.s = r.s and Q.t = r.t]}"
+  in
+  let run f =
+    match f () with
+    | r -> Ok (List.map Tuple.key (Relation.tuples r))
+    | exception Eval.Eval_error e -> Error (Eval.error_to_string e)
+  in
+  List.iter
+    (fun conv ->
+      List.iter
+        (fun on_limit ->
+          for k = 0 to 5 do
+            List.iter
+              (fun (what, budget) ->
+                let guard () = Gov.make ~on_limit budget in
+                Alcotest.(check (result (list string) string))
+                  (Printf.sprintf "%s %d under %s" what k
+                     (Conventions.to_string conv))
+                  (run (fun () ->
+                       Eval.run_rows ~conv ~guard:(guard ()) ~db prog))
+                  (run (fun () ->
+                       Exec.run_rows ~conv ~guard:(guard ()) ~db prog)))
+              [
+                ("max_rows", { Budget.unlimited with Budget.max_rows = Some k });
+                ( "max_bindings",
+                  { Budget.unlimited with Budget.max_bindings = Some k } );
+              ]
+          done)
+        [ `Fail; `Truncate ])
+    [ Conventions.sql; Conventions.sql_set ]
+
 let () =
   Alcotest.run "arc_engine"
     [
@@ -1519,6 +1757,12 @@ let () =
           Alcotest.test_case "nonlinear recursion" `Quick recursion_nonlinear;
           Alcotest.test_case "TC ladder: flat words per output row" `Quick
             tc_ladder_flat;
+          QCheck_alcotest.to_alcotest fixpoint_index_parity;
+          Alcotest.test_case "fixpoint index across resizes" `Quick
+            fixpoint_index_resizes;
+          Alcotest.test_case "identity rename" `Quick identity_rename;
+          Alcotest.test_case "identity rename under budgets" `Quick
+            identity_rename_budgets;
         ] );
       ( "coverage",
         [

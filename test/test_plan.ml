@@ -618,7 +618,8 @@ let magic_sets_rewrite () =
     (List.assoc "magic-sets" report_unbound)
 
 (* cyclic graph: every closure fact is re-derivable each round, so the
-   indexed fixpoint's seen-set (not per-round novelty) must terminate it *)
+   indexed fixpoint's accumulator index (not per-round novelty) must
+   terminate it *)
 let db_cycle n =
   Database.of_list
     [

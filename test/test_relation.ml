@@ -76,9 +76,14 @@ let tuple_equal_is_key_equality () =
   let ti = Tuple.of_alist [ ("a", V.Int 9007199254740993) ] in
   let tf = Tuple.of_alist [ ("a", V.Float 9007199254740992.) ] in
   Alcotest.(check bool) "distinct before hashing" false (Tuple.equal ti tf);
-  let seen = Tuple.Tbl.create 4 in
-  Alcotest.(check bool) "first is unseen" true (Tuple.add_unseen seen ti);
-  Alcotest.(check bool) "second is unseen" true (Tuple.add_unseen seen tf);
+  let seen = Relation.distinct (Tuple.schema ti) in
+  let inserted tp =
+    let n = Relation.cardinality (Relation.contents seen) in
+    Relation.insert seen tp;
+    Relation.cardinality (Relation.contents seen) = n + 1
+  in
+  Alcotest.(check bool) "first is unseen" true (inserted ti);
+  Alcotest.(check bool) "second is unseen" true (inserted tf);
   Alcotest.(check bool) "keys differ" true (Tuple.key ti <> Tuple.key tf);
   Alcotest.(check bool) "distinct after hashing" false (Tuple.equal ti tf);
   Alcotest.(check bool) "Int 1 = Float 1.0" true
@@ -386,6 +391,71 @@ let prop_shared_prefix =
       && matches (model0 @ a) ua && matches (model0 @ a) aa
       && matches (model0 @ a) da && unchanged ())
 
+(* Persistence of a fixpoint's accumulator ([Relation.distinct]): each
+   round inserts rows (repeats and rows of earlier rounds included), and
+   hands out the accumulated relation and the round's delta, the slice
+   behind the previous version. A reader may append to a version it was
+   handed; the accumulator must then move to a buffer of its own rather
+   than write over the reader's rows. After the last round, every version
+   and every delta handed out still has exactly the rows it had, checked
+   against a list model of first occurrences. *)
+let prop_distinct_versions =
+  let row = QCheck.Gen.(pair (int_bound 5) (int_bound 5)) in
+  let round = QCheck.Gen.(pair (list_size (int_bound 12) row) (int_bound 2)) in
+  QCheck.Test.make ~name:"fixpoint versions and deltas keep their rows"
+    ~count:300
+    (QCheck.make
+       ~print:(fun rounds ->
+         String.concat " | "
+           (List.map
+              (fun (rows, foreign) ->
+                Printf.sprintf "%s (append to %d)"
+                  (String.concat ","
+                     (List.map (fun (a, b) -> Printf.sprintf "%d%d" a b) rows))
+                  foreign)
+              rounds))
+       QCheck.Gen.(list_size (int_bound 8) round))
+    (fun rounds ->
+      let schema = Arc_relation.Schema.make [ "A"; "B" ] in
+      let tuple (a, b) = Tuple.make schema [| i a; i b |] in
+      let pairs r =
+        List.map
+          (fun tp ->
+            match Tuple.values tp with
+            | [ V.Int a; V.Int b ] -> (a, b)
+            | _ -> (-1, -1))
+          (Relation.tuples r)
+      in
+      let acc = Relation.distinct schema in
+      let model = ref [] and handed = ref [] in
+      List.iter
+        (fun (rows, foreign) ->
+          let before = Relation.contents acc in
+          let fresh = ref [] in
+          List.iter
+            (fun p ->
+              Relation.insert acc (tuple p);
+              if not (List.mem p !model || List.mem p !fresh) then
+                fresh := !fresh @ [ p ])
+            rows;
+          model := !model @ !fresh;
+          let all = Relation.contents acc in
+          let delta = Relation.drop (Relation.cardinality before) all in
+          handed := (all, !model) :: (delta, !fresh) :: !handed;
+          (* a reader appends to the delta or to the accumulated version *)
+          let extra = Relation.of_array schema [| tuple (9, 9) |] in
+          match foreign with
+          | 1 ->
+              handed :=
+                (Relation.union delta extra, !fresh @ [ (9, 9) ]) :: !handed
+          | 2 ->
+              handed :=
+                (Relation.union all extra, !model @ [ (9, 9) ]) :: !handed
+          | _ -> ())
+        rounds;
+      List.for_all (fun (r, m) -> pairs r = m) !handed
+      && pairs (Relation.contents acc) = !model)
+
 (* The render before its direct-to-buffer rewrite, kept as the reference
    that [Relation.sort] and [Csv.write] must match byte for byte: a stable
    sort by [Tuple.compare], and one string per cell. *)
@@ -545,6 +615,7 @@ let () =
             prop_diff_then_apply;
             prop_delta_inverse;
             prop_shared_prefix;
+            prop_distinct_versions;
             prop_compare_name_based;
             prop_render_matches_old;
           ] );

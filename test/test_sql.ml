@@ -579,6 +579,29 @@ let of_arc_recursive () =
   Alcotest.(check bool) "recursion agrees" true
     (Relation.equal_set via_engine via_sql)
 
+(* WITH RECURSIVE is decided by the definitions' dependency cycles: a
+   self-reference, and a mutual recursion in which no definition names
+   itself, both need it; definitions without a cycle do not. *)
+let of_arc_with_recursive () =
+  let marked text =
+    (Sql.Of_arc.statement (Arc_syntax.Parser.program_of_string text))
+      .Sql.Ast.with_recursive
+  in
+  Alcotest.(check bool) "mutual recursion" true
+    (marked
+       "def A := {A(x) | exists p in P[A.x = p.s] or exists b in B[A.x = \
+        b.x]} def B := {B(x) | exists a in A, p in P[a.x = p.s and B.x = \
+        p.t]} {Q(x) | exists a in A[Q.x = a.x]}");
+  Alcotest.(check bool) "self recursion" true
+    (marked
+       "def A := {A(s,t) | exists p in P[A.s = p.s and A.t = p.t] or exists \
+        p in P, a2 in A[A.s = p.s and p.t = a2.s and a2.t = A.t]} {Q(s,t) | \
+        exists a in A[Q.s = a.s and Q.t = a.t]}");
+  Alcotest.(check bool) "no cycle" false
+    (marked
+       "def A := {A(x) | exists p in P[A.x = p.s]} def B := {B(x) | exists \
+        a in A[B.x = a.x]} {Q(x) | exists b in B[Q.x = b.x]}")
+
 (* Satellite: Of_arc output must survive print → re-parse → to_arc as a
    semantically equivalent core — including identifier quoting, string
    escaping, operator precedence, and the NOT EXISTS/NOT IN family. *)
@@ -825,6 +848,8 @@ let () =
             of_arc_reparse_roundtrip;
           Alcotest.test_case "sentence" `Quick of_arc_sentence;
           Alcotest.test_case "recursion" `Quick of_arc_recursive;
+          Alcotest.test_case "WITH RECURSIVE on any cycle" `Quick
+            of_arc_with_recursive;
           Alcotest.test_case "figures keep their pattern SQL→ARC→SQL→ARC"
             `Quick figures_keep_pattern;
         ] );
